@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .errors import ConfigError, DegreeError, ExponentError
 from .expr import SpatialExpr, mul, variables
-from .series import FracSeries, FracTerm, SpatialBasis, TimeFactor, _check_alpha
+from .series import FracSeries, FracTerm, TimeFactor, _check_alpha
 
 MultiIndex = tuple[int, int]  # derivative orders in (x, y)
 
@@ -91,14 +91,13 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class HatmConfig:
-    """Run parameters; aux_function is accepted but only constant 1 is
-    implemented (a non-unit auxiliary function H is rejected)."""
+    """Run parameters. The auxiliary function of the deformation is the
+    constant H = 1."""
 
     alpha: float
     hbar: float
     order: int
     taylor_terms: int = 12
-    aux_function: float = 1.0
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
@@ -108,11 +107,6 @@ class HatmConfig:
             raise ConfigError(f"order must be >= 0, got {self.order}")
         if self.taylor_terms < 1:
             raise ConfigError(f"taylor_terms must be >= 1, got {self.taylor_terms}")
-        if self.aux_function != 1.0:
-            raise ConfigError(
-                "only the constant auxiliary function H = 1 is implemented; "
-                f"got H = {self.aux_function}"
-            )
 
 
 @dataclass(frozen=True)
@@ -143,7 +137,6 @@ def apply_operator(
     u: FracSeries,
     history: Sequence[FracSeries],
     m: int,
-    basis: SpatialBasis | None = None,
 ) -> FracSeries:
     """Operator terms at deformation order m.
 
@@ -174,7 +167,7 @@ def apply_operator(
                             ta.time.plus(tb.time).plus(rate),
                         )
                     )
-    return FracSeries(tuple(terms)).collected(basis)
+    return FracSeries(tuple(terms)).collected()
 
 
 def _taylor_then_integrate(
@@ -196,7 +189,6 @@ def build_rm(
     cfg: HatmConfig,
     history: Sequence[FracSeries],
     m: int,
-    basis: SpatialBasis | None = None,
     events: list[TaylorEvent] | None = None,
 ) -> FracSeries:
     """Inverse-transformed residual term of the m-th deformation equation."""
@@ -207,9 +199,9 @@ def build_rm(
         if not problem.source.is_zero:
             j_source = _taylor_then_integrate(problem.source, cfg, m, events)
             parts.extend(j_source.scale(-1.0).terms)
-    op = apply_operator(problem, u_prev, history, m, basis)
+    op = apply_operator(problem, u_prev, history, m)
     parts.extend(_taylor_then_integrate(op, cfg, m, events).scale(-1.0).terms)
-    return FracSeries(tuple(parts)).collected(basis)
+    return FracSeries(tuple(parts)).collected()
 
 
 def deformation_step(
@@ -217,28 +209,13 @@ def deformation_step(
     cfg: HatmConfig,
     history: Sequence[FracSeries],
     m: int,
-    basis: SpatialBasis | None = None,
     events: list[TaylorEvent] | None = None,
 ) -> FracSeries:
-    rm = build_rm(problem, cfg, history, m, basis, events)
+    rm = build_rm(problem, cfg, history, m, events)
     parts = rm.scale(cfg.hbar).terms
     if chi(m):
         parts = history[m - 1].terms + parts
-    return FracSeries(tuple(parts)).collected(basis)
-
-
-def _seed_basis(problem: ProblemSpec) -> SpatialBasis:
-    basis = SpatialBasis()
-    seeds = [FracSeries.from_spatial(problem.initial)]
-    names = ("x",) if problem.dim == 1 else ("x", "y")
-    firsts = [seeds[0].spatial_derivative(n) for n in names]
-    seconds = [s.spatial_derivative(n) for s in firsts for n in names]
-    from .expr import ONE
-
-    basis.seed([ONE, problem.initial])
-    for s in firsts + seconds:
-        basis.seed([t.spatial for t in s.terms])
-    return basis
+    return FracSeries(tuple(parts)).collected()
 
 
 def run(
@@ -247,10 +224,9 @@ def run(
     events: list[TaylorEvent] | None = None,
 ) -> list[FracSeries]:
     """Iterates [u_0, ..., u_order] of the deformation recursion."""
-    basis = _seed_basis(problem)
-    history = [FracSeries.from_spatial(problem.initial).collected(basis)]
+    history = [FracSeries.from_spatial(problem.initial)]
     for m in range(1, cfg.order + 1):
-        history.append(deformation_step(problem, cfg, history, m, basis, events))
+        history.append(deformation_step(problem, cfg, history, m, events))
     return history
 
 
@@ -340,7 +316,6 @@ def run_report(
             "hbar": cfg.hbar,
             "order": cfg.order,
             "taylor_terms": cfg.taylor_terms,
-            "aux_function": cfg.aux_function,
         },
         "iterates": [s.to_obj() for s in iterates],
         "partial_sum": total.to_obj(),

@@ -3,29 +3,35 @@
 Drift and diffusion coefficients live here: hyperbolic functions,
 rational powers and polynomial combinations. Trees never rewrite
 themselves; the only construction-time simplifications are constant
-folding and absorbing 0/1 in sums, products and powers. Equality is
-decided numerically instead, by comparing evaluations on a fixed panel
-of sample points (the "fingerprint"). The panel sits away from the
-poles of coth, csch and 1/x, so fingerprints of the coefficient
-families handled here are always finite.
+folding and absorbing 0/1 in sums, products and powers.
+
+Equality is exact. ``monomials`` expands a tree into a canonical table
+of float coefficients over products of atoms (variables, sinh and cosh
+of a canonical argument, opaque powers), ``normalize`` builds the tree
+of that table, and ``monic`` scales it so its largest monomial is 1.
+Two trees with the same canonical table get the same node, so identity
+of canonical nodes is equality of their monomial sums. Fingerprints
+(evaluations on a fixed panel of sample points, away from the poles of
+coth, csch and 1/x) remain only as an aid for tests and diagnostics;
+no merge decision rests on them.
 
 Nodes are hash-consed: the module-level constructors return one shared
-object per distinct tree, and hash, node count, variable set and
-fingerprint are cached on the node. Repeated differentiation and
-collection therefore build a shared DAG, and every traversal here costs
-one visit per distinct subtree rather than one per path. Build through
-the constructors; instantiating the dataclasses directly still gives
-correct (structural) equality but skips the sharing.
+object per distinct tree, and hash, node count, variable set,
+fingerprint and monomial table are cached on the node. Repeated
+differentiation and collection therefore build a shared DAG, and every
+traversal here costs one visit per distinct subtree rather than one per
+path. Build through the constructors; instantiating the dataclasses
+directly still gives correct (structural) equality but skips the
+sharing.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Iterator, Union
+from functools import lru_cache, reduce
+from typing import Callable, Iterable, Iterator, Union
 
 from .errors import DomainError, SingularityError
 
@@ -34,7 +40,7 @@ Number = Union[int, float, Fraction]
 # Magnitudes below this count as a zero divisor.
 SINGULAR_FLOOR = 1e-300
 
-# Numeric-equality tolerances shared by fingerprint comparisons.
+# Tolerances of the fingerprint comparisons (tests and diagnostics only).
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
 
@@ -77,6 +83,10 @@ class SpatialExpr:
 
     def __neg__(self) -> "SpatialExpr":
         return mul(const(-1), self)
+
+    def __lt__(self, other: "SpatialExpr") -> bool:
+        # A total order by prefix form, so monomial tables sort canonically.
+        return to_prefix(self) < to_prefix(other)
 
 
 @dataclass(frozen=True)
@@ -143,25 +153,14 @@ for _cls in (Const, Var, Add, Mul, Pow, Func):
 
 
 _INTERN: dict[tuple, SpatialExpr] = {}
-_SEQUENCE = itertools.count()
 
 
 def _shared(key: tuple, ctor: Callable[..., SpatialExpr], *args) -> SpatialExpr:
     node = _INTERN.get(key)
     if node is None:
         node = ctor(*args)
-        object.__setattr__(node, "_seq", next(_SEQUENCE))
         _INTERN[key] = node
     return node
-
-
-def creation_index(expr: SpatialExpr) -> int:
-    """Construction order of the node: a cheap, deterministic sort key."""
-    seq = expr.__dict__.get("_seq")
-    if seq is None:
-        seq = next(_SEQUENCE)
-        object.__setattr__(expr, "_seq", seq)
-    return seq
 
 
 def _coerce(value: SpatialExpr | Number) -> SpatialExpr:
@@ -437,7 +436,7 @@ def proportional_ratio(fa: Fingerprint, fb: Fingerprint) -> float | None:
 
 
 def size(expr: SpatialExpr) -> int:
-    """Node count along every path, used to pick compact representatives."""
+    """Node count along every path: a diagnostic of tree growth."""
     s = expr.__dict__.get("_size")
     if s is None:
         if isinstance(expr, (Add, Mul)):
@@ -470,7 +469,7 @@ def variables(expr: SpatialExpr) -> set[str]:
     return set(vs)
 
 
-# Expansion gives up (and keeps the original tree) past this many monomials.
+# A product whose expansion passes this many monomials stays one opaque atom.
 EXPAND_CAP = 20000
 
 # Relative threshold below which an expanded monomial is cancellation dust.
@@ -485,135 +484,188 @@ class _ExpandOverflow(Exception):
 # atom's prefix form so equal products always share one signature.
 _MonoSig = tuple  # tuple[tuple[SpatialExpr, Fraction], ...]
 
-
-def _sig_of(atom: SpatialExpr, exponent: Fraction = Fraction(1)) -> _MonoSig:
-    return ((atom, exponent),)
+# tanh, coth and csch as exponents of (sinh u, cosh u).
+_HYPERBOLIC = {"sinh": (1, 0), "cosh": (0, 1), "tanh": (1, -1), "coth": (-1, 1), "csch": (-1, 0)}
 
 
 def _sig_mul(sa: _MonoSig, sb: _MonoSig) -> _MonoSig:
-    exps: dict[SpatialExpr, Fraction] = {}
-    for atom, e in sa + sb:
-        exps[atom] = exps.get(atom, Fraction(0)) + e
-    items = [(a, e) for a, e in exps.items() if e != 0]
-    items.sort(key=lambda it: to_prefix(it[0]))
-    return tuple(items)
+    if not sa or not sb:
+        return sa or sb
+    exps: dict[SpatialExpr, Fraction] = dict(sa)
+    for atom, e in sb:
+        exps[atom] = exps.get(atom, 0) + e
+    return tuple(sorted((a, e) for a, e in exps.items() if e != 0))
 
 
 def _sig_pow(sig: _MonoSig, exponent: Fraction) -> _MonoSig:
     return tuple((a, e * exponent) for a, e in sig)
 
 
-def _acc(table: dict, peaks: dict, sig: _MonoSig, coef: float) -> None:
-    table[sig] = table.get(sig, 0.0) + coef
-    mag = abs(coef)
-    if mag > peaks.get(sig, 0.0):
-        peaks[sig] = mag
+def _reduced(sig: _MonoSig, coef: float) -> list[tuple[_MonoSig, float]]:
+    """Rewrite cosh(u)**e, e >= 2, as cosh**(e mod 2) * (1 + sinh**2)**(e//2),
+    so that sums of hyperbolic monomials are canonical (cosh**2 - sinh**2
+    collects to 1)."""
+    for i, (atom, e) in enumerate(sig):
+        if e >= 2 and isinstance(atom, Func) and atom.kind == "cosh":
+            n = int(e // 2)
+            rest = sig[:i] + ((atom, e - 2 * n),) + sig[i + 1 :]
+            base = tuple(item for item in rest if item[1] != 0)
+            s = sinh(atom.arg)
+            return [
+                item
+                for k in range(n + 1)
+                for item in _reduced(
+                    _sig_mul(base, ((s, 2 * k),) if k else ()), coef * math.comb(n, k)
+                )
+            ]
+    return [(sig, coef)]
 
 
-def _expand(expr: SpatialExpr) -> tuple[dict, dict]:
-    """Monomial table of the tree: {signature: coefficient}.
+def _summed(monos: Iterable[tuple[_MonoSig, float]]) -> dict:
+    """Table of a monomial sum. A merged coefficient below EXPAND_DROP_TOL
+    times its largest addend is cancellation residue and drops."""
+    table: dict[_MonoSig, float] = {}
+    peaks: dict[_MonoSig, float] = {}
+    for sig, coef in monos:
+        for s, c in _reduced(sig, coef):
+            table[s] = table.get(s, 0.0) + c
+            peaks[s] = max(peaks.get(s, 0.0), abs(c))
+        if len(table) > EXPAND_CAP:
+            raise _ExpandOverflow
+    return {s: c for s, c in table.items() if abs(c) > EXPAND_DROP_TOL * peaks[s]}
 
-    The second dict holds the largest |addend| seen per signature, so
-    callers can tell a genuinely small coefficient from cancellation
-    residue. Peaks are tracked where sums happen; cancellation buried
-    inside a factor of a product is not propagated outward.
-    """
-    if isinstance(expr, Const):
-        return {(): expr.value}, {(): abs(expr.value)}
-    if isinstance(expr, Var):
-        return {_sig_of(expr): 1.0}, {_sig_of(expr): 1.0}
+
+def _product(ta: dict, tb: dict) -> dict:
+    return _summed(
+        (_sig_mul(sa, sb), ca * cb) for sa, ca in ta.items() for sb, cb in tb.items()
+    )
+
+
+def _atom_table(atom: SpatialExpr) -> dict:
+    if isinstance(atom, Const):
+        return {(): atom.value} if atom.value != 0.0 else {}
+    return {((atom, 1),): 1.0}
+
+
+def _power_table(expr: SpatialExpr, base: SpatialExpr, exponent: Fraction) -> dict:
+    if exponent.denominator == 1:
+        exponent = exponent.numerator  # int exponents hash faster in signatures
+    bt = _table(base)
+    if len(bt) == 1:
+        ((sig, coef),) = bt.items()
+        try:
+            return _summed([(_sig_pow(sig, exponent), _pow_value(coef, exponent))])
+        except (DomainError, SingularityError):
+            pass
+    if exponent.denominator == 1 and 1 < exponent <= 64:
+        return reduce(_product, [bt] * int(exponent), {(): 1.0})
+    try:  # an opaque atom over the canonical base
+        norm = normalize(base)
+        atom = recip(norm) if isinstance(expr, Func) else pow_(norm, exponent)
+    except (DomainError, SingularityError):
+        atom = expr
+    return _atom_table(atom)
+
+
+def _expand(expr: SpatialExpr) -> dict:
     if isinstance(expr, Add):
-        table: dict = {}
-        peaks: dict = {}
-        for child in expr.children:
-            ct, _ = _expand(child)
-            for sig, coef in ct.items():
-                _acc(table, peaks, sig, coef)
-        return table, peaks
+        return _summed(item for child in expr.children for item in _table(child).items())
     if isinstance(expr, Mul):
-        table = {(): 1.0}
-        peaks = {(): 1.0}
-        for child in expr.children:
-            ct, _ = _expand(child)
-            nt: dict = {}
-            np_: dict = {}
-            for sa, ca in table.items():
-                for sb, cb in ct.items():
-                    _acc(nt, np_, _sig_mul(sa, sb), ca * cb)
-                    if len(nt) > EXPAND_CAP:
-                        raise _ExpandOverflow
-            table, peaks = nt, np_
-        return table, peaks
+        return reduce(_product, (_table(c) for c in expr.children), {(): 1.0})
     if isinstance(expr, Pow):
-        bt, _ = _expand(expr.base)
-        if len(bt) == 1:
-            ((sig, coef),) = bt.items()
-            try:
-                out = _pow_value(coef, expr.exponent)
-            except (DomainError, SingularityError):
-                pass
-            else:
-                osig = _sig_pow(sig, expr.exponent)
-                return {osig: out}, {osig: abs(out)}
-        e = expr.exponent
-        if e.denominator == 1 and 1 < e <= 64:
-            table = {(): 1.0}
-            peaks = {(): 1.0}
-            for _ in range(int(e)):
-                nt, np_ = {}, {}
-                for sa, ca in table.items():
-                    for sb, cb in bt.items():
-                        _acc(nt, np_, _sig_mul(sa, sb), ca * cb)
-                        if len(nt) > EXPAND_CAP:
-                            raise _ExpandOverflow
-                table, peaks = nt, np_
-            return table, peaks
-        return {_sig_of(expr): 1.0}, {_sig_of(expr): 1.0}
+        return _power_table(expr, expr.base, expr.exponent)
     if isinstance(expr, Func):
         if expr.kind == "recip":
-            at, _ = _expand(expr.arg)
-            if len(at) == 1:
-                ((sig, coef),) = at.items()
-                try:
-                    out = _pow_value(coef, Fraction(-1))
-                except (DomainError, SingularityError):
-                    pass
-                else:
-                    osig = _sig_pow(sig, Fraction(-1))
-                    return {osig: out}, {osig: abs(out)}
-        return {_sig_of(expr): 1.0}, {_sig_of(expr): 1.0}
-    raise DomainError(f"cannot expand {expr!r}")  # pragma: no cover
+            return _power_table(expr, expr.arg, Fraction(-1))
+        arg = normalize(expr.arg)
+        if not isinstance(arg, Const):
+            pairs = zip((sinh(arg), cosh(arg)), _HYPERBOLIC[expr.kind])
+            return {tuple(sorted((a, e) for a, e in pairs if e)): 1.0}
+        try:  # the argument collected to a constant
+            return _atom_table(_func(expr.kind, arg))
+        except SingularityError:
+            return _atom_table(expr)
+    return _atom_table(expr)
+
+
+def _table(expr: SpatialExpr) -> dict:
+    """Monomial table {signature: coefficient} of the tree, cached on it.
+
+    A product that overflows EXPAND_CAP makes its node one opaque atom:
+    exact, only less compact.
+    """
+    table = expr.__dict__.get("_table")
+    if table is None:
+        try:
+            table = _expand(expr)
+        except _ExpandOverflow:
+            table = {((expr, 1),): 1.0}
+        object.__setattr__(expr, "_table", table)
+    return table
+
+
+def monomials(expr: SpatialExpr) -> tuple[tuple[_MonoSig, float], ...]:
+    """Canonical monomial table of the tree: ((signature, coefficient), ...).
+
+    Atoms are variables, sinh and cosh of a canonical argument (tanh,
+    coth and csch become powers of these, and cosh keeps an exponent
+    below 2), powers and reciprocals whose base stays opaque, and trees
+    too large to expand. Equal-signature monomials merge and cancelled
+    ones drop, so two trees share a table exactly when they expand to
+    the same monomial sum. Empty for the zero function.
+    """
+    monos = expr.__dict__.get("_monos")
+    if monos is None:
+        monos = tuple(sorted(_table(expr).items()))
+        object.__setattr__(expr, "_monos", monos)
+    return monos
+
+
+def _canonical(monos: tuple) -> SpatialExpr:
+    """The tree of a canonical table: sum of coefficient * atom powers."""
+    node = add(*(mul(const(c), *(pow_(a, e) for a, e in sig)) for sig, c in monos))
+    object.__setattr__(node, "_monos", monos)
+    object.__setattr__(node, "_table", dict(monos))
+    object.__setattr__(node, "_norm", node)
+    return node
 
 
 def normalize(expr: SpatialExpr) -> SpatialExpr:
-    """Canonical monomial-sum form: sum of coefficient * product of atoms.
+    """Canonical monomial-sum form, built from ``monomials(expr)``.
 
-    Atoms are variables, the hyperbolic functions and powers whose base
-    stays opaque. Equal-signature monomials merge exactly and cancelled
-    ones drop, so repeated differentiation of normalized trees grows
-    with the number of distinct monomials instead of with tree paths.
-    Trees whose expansion would exceed EXPAND_CAP monomials are
-    returned unchanged. Value-preserving up to float reassociation
-    (and up to removable singularities like x * 1/x at x = 0).
+    Interning makes node identity exact equality of canonical forms, so
+    repeated differentiation of normalized trees grows with the number
+    of distinct monomials instead of with tree paths. Value-preserving
+    up to float reassociation (and up to removable singularities like
+    x * 1/x at x = 0).
     """
     norm = expr.__dict__.get("_norm")
-    if norm is not None:
-        return norm
-    try:
-        table, peaks = _expand(expr)
-    except _ExpandOverflow:
-        norm = expr
-    else:
-        monos = [
-            (sig, coef)
-            for sig, coef in table.items()
-            if abs(coef) > EXPAND_DROP_TOL * peaks.get(sig, 0.0)
-        ]
-        monos.sort(key=lambda it: tuple((to_prefix(a), e) for a, e in it[0]))
-        norm = add(*(mul(const(c), *(pow_(a, e) for a, e in sig)) for sig, c in monos))
-    object.__setattr__(expr, "_norm", norm)
-    object.__setattr__(norm, "_norm", norm)
+    if norm is None:
+        norm = _canonical(monomials(expr))
+        object.__setattr__(expr, "_norm", norm)
     return norm
+
+
+def monic(expr: SpatialExpr) -> tuple[float, SpatialExpr]:
+    """(scale, node) with expr == scale * node and node canonical, its
+    largest-|c| monomial (the first one on ties) scaled to exactly 1.
+
+    Proportional trees that round alike share the node. (0.0, ZERO) for
+    the zero function.
+    """
+    got = expr.__dict__.get("_monic")
+    if got is None:
+        monos = monomials(expr)
+        if not monos:
+            got = (0.0, ZERO)
+        else:
+            scale = max((c for _, c in monos), key=abs)
+            if scale == 1.0:
+                got = (1.0, normalize(expr))
+            else:
+                got = (scale, _canonical(tuple((s, c / scale) for s, c in monos)))
+        object.__setattr__(expr, "_monic", got)
+    return got
 
 
 def _format_number(value: float) -> str:

@@ -35,8 +35,7 @@ from .expr import (
     cosh,
     coth,
     differentiate,
-    fingerprint,
-    fp_norm,
+    monomials,
     mul,
     parse_prefix,
     pow_,
@@ -105,12 +104,12 @@ def _merge_monomials(linear, quadratic):
     lin_out = []
     for (deriv, rate), coefs in lin_groups.items():
         coef = add(*coefs)
-        if fp_norm(fingerprint(coef)) != 0.0:
+        if monomials(coef):
             lin_out.append(LinearMonomial(coef, deriv, rate))
     quad_out = []
     for ((da, db), rate), coefs in quad_groups.items():
         coef = add(*coefs)
-        if fp_norm(fingerprint(coef)) != 0.0:
+        if monomials(coef):
             quad_out.append(QuadraticMonomial(coef, da, db, rate))
     return tuple(lin_out), tuple(quad_out)
 
@@ -303,7 +302,7 @@ def _source_from_obj(obj) -> FracSeries:
                 ),
             )
         )
-    return FracSeries(_collect(terms, None))
+    return FracSeries(_collect(terms))
 
 
 def problem_from_obj(obj: dict) -> ProblemSpec:

@@ -13,6 +13,21 @@ shifts that append cancelling gamma tokens, so a derivative/integral
 round trip restores a term bit for bit. Binding a numeric alpha only
 happens inside evaluate(), where the gamma ratios are resolved in log
 space.
+
+A collected series holds each term as (Coefficient, monic canonical
+polynomial, TimeFactor): the spatial part is the ``expr.monic`` node of
+its monomial table, whose largest monomial is exactly 1, and the scale
+lives in the coefficient. Interning makes node identity exact equality,
+so every merge is a hash lookup, in three passes:
+
+1. group by (time, spatial node) and sum the coefficients;
+2. group by (time, gamma-token signature, factors divided by the
+   largest factor) and sum the spatial tables, weighted by those
+   largest factors;
+3. repeat pass 1 on the result.
+
+Keying on both axes keeps iterates compact whether their terms share
+spatial shapes or coefficients.
 """
 
 from __future__ import annotations
@@ -25,29 +40,20 @@ from typing import Iterable, Sequence
 
 from .errors import ConfigError, DomainError, ExponentError
 from .expr import (
-    Const,
-    Fingerprint,
     SpatialExpr,
     add,
     const,
-    creation_index,
     differentiate,
     evaluate,
-    fingerprint,
-    fp_norm,
+    monic,
+    monomials,
     mul,
-    normalize,
     parse_prefix,
-    proportional_ratio,
-    size,
     to_prefix,
 )
 
 # Relative threshold below which a merged coefficient is cancellation dust.
 COLLECT_DROP_TOL = 1e-13
-
-# Relative threshold for declaring a merged spatial group the zero function.
-GROUP_ZERO_TOL = 1e-10
 
 
 def _as_fraction(value) -> Fraction:
@@ -66,6 +72,13 @@ class GammaArg:
 
     a: Fraction
     b: int
+
+    def __post_init__(self) -> None:
+        # Coefficient keys hash many of these; Fraction.__hash__ is slow.
+        object.__setattr__(self, "_hash", hash((self.a.numerator, self.a.denominator, self.b)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def value(self, alpha: float) -> float:
         return float(self.a) + self.b * alpha
@@ -145,6 +158,8 @@ class Coefficient:
     def scaled(self, k: float) -> "Coefficient":
         if k == 0.0:
             return COEF_ZERO
+        if k == 1.0:
+            return self
         return Coefficient(
             tuple(Monomial(m.factor * k, m.num, m.den) for m in self.monomials)
         )
@@ -253,120 +268,66 @@ class FracTerm:
     time: TimeFactor
 
 
-class SpatialBasis:
-    """Registry of known spatial shapes.
-
-    collect() consults it to swap freshly merged trees for the smallest
-    previously seen tree with a proportional fingerprint. This keeps
-    iterate trees from growing across deformation steps; it changes
-    representation only, never value (up to the package-wide numeric
-    equality). One instance belongs to one run; not thread-safe.
-    """
-
-    MAX_ENTRIES = 4096
-    MAX_TREE_SIZE = 2000
-
-    def __init__(self) -> None:
-        self._entries: list[tuple[int, SpatialExpr, Fingerprint]] = []
-
-    def seed(self, exprs: Iterable[SpatialExpr]) -> None:
-        for expr in exprs:
-            self.register(expr)
-
-    def lookup(self, fp: Fingerprint) -> tuple[SpatialExpr, float] | None:
-        if fp_norm(fp) == 0.0:
-            return None
-        for _, tree, known in self._entries:
-            ratio = proportional_ratio(fp, known)
-            if ratio is not None:
-                return tree, ratio
-        return None
-
-    def register(self, expr: SpatialExpr) -> None:
-        if len(self._entries) >= self.MAX_ENTRIES:
-            return
-        n = size(expr)
-        if n > self.MAX_TREE_SIZE:
-            return
-        fp = fingerprint(expr)
-        if fp_norm(fp) == 0.0 or self.lookup(fp) is not None:
-            return
-        self._entries.append((n, expr, fp))
-        self._entries.sort(key=lambda e: e[0])
+def _parallel_key(coef: Coefficient) -> tuple[float, tuple]:
+    """(pivot, key): coef has the factors of key scaled by pivot, the
+    factor of largest magnitude (the first one on ties)."""
+    pivot = max((m.factor for m in coef.monomials), key=abs)
+    return pivot, (coef.signature(), tuple(m.factor / pivot for m in coef.monomials))
 
 
-def _merge_proportional(items: list[tuple[Coefficient, SpatialExpr, Fingerprint]]):
-    """Fold terms whose spatial fingerprints are parallel into one."""
-    items = sorted(items, key=lambda it: (size(it[1]), it[2], creation_index(it[1])))
-    reps: list[list] = []
-    for coef, tree, fp in items:
-        for rep in reps:
-            ratio = proportional_ratio(fp, rep[2])
-            if ratio is not None:
-                rep[0] = rep[0].plus(coef.scaled(ratio))
-                break
-        else:
-            reps.append([coef, tree, fp])
-    return [rep for rep in reps if not rep[0].is_zero]
+def _by_spatial(terms: Iterable[tuple[TimeFactor, SpatialExpr, Coefficient]]) -> dict:
+    """{(time, node): summed coefficient} of (time, node, coefficient) triples."""
+    groups: dict = {}
+    for time, node, coef in terms:
+        groups.setdefault((time, node), []).append(coef)
+    return {
+        key: coefs[0] if len(coefs) == 1 else _normalize_monomials(
+            m for c in coefs for m in c.monomials
+        )
+        for key, coefs in groups.items()
+    }
 
 
-def _merge_parallel(reps: list[list], basis: SpatialBasis | None):
-    """Combine same-exponent terms with parallel coefficients.
-
-    Replaces each parallel class by a single term whose spatial part is
-    the weighted sum of the members; groups that cancel to the zero
-    function are dropped outright.
-    """
-    classes: list[list] = []  # [leader_coef, [(tree, fp, weight)...]]
-    for coef, tree, fp in reps:
-        for cls in classes:
-            ratio = cls[0].parallel_ratio(coef)
-            if ratio is not None:
-                cls[1].append((tree, fp, ratio))
-                break
-        else:
-            classes.append([coef, [(tree, fp, 1.0)]])
-
-    out = []
-    for leader, members in classes:
-        if len(members) == 1:
-            tree, fp, _ = members[0]
-        else:
-            tree = normalize(add(*(mul(const(w), t) for t, _, w in members)))
-            scale = sum(abs(w) * fp_norm(f) for _, f, w in members)
-            fp = fingerprint(tree)
-            if fp_norm(fp) <= GROUP_ZERO_TOL * scale:
-                continue
-        if basis is not None:
-            hit = basis.lookup(fp)
-            if hit is not None and size(hit[0]) <= size(tree):
-                known, ratio = hit
-                out.append((leader.scaled(ratio), known, fingerprint(known)))
-                continue
-            basis.register(tree)
-        out.append((leader, tree, fp))
-    return out
-
-
-def _collect(terms: Iterable[FracTerm], basis: SpatialBasis | None) -> tuple[FracTerm, ...]:
-    groups: dict[TimeFactor, list] = {}
+def _collect(terms: Iterable[FracTerm]) -> tuple[FracTerm, ...]:
+    """Merge terms on exact keys in the three passes of the module
+    docstring; terms come out ordered by time, then spatial table."""
+    monic_terms = []
     for term in terms:
         if term.coef.is_zero:
             continue
-        spatial = normalize(term.spatial)
-        fp = fingerprint(spatial)
-        if fp_norm(fp) == 0.0:
-            continue
-        groups.setdefault(term.time, []).append((term.coef, spatial, fp))
+        scale, node = monic(term.spatial)
+        if scale != 0.0:
+            monic_terms.append((term.time, node, term.coef.scaled(scale)))
+    merged = _by_spatial(monic_terms)
 
-    out: list[FracTerm] = []
-    for time in sorted(groups, key=lambda tf: tf.sort_key):
-        reps = _merge_proportional(groups[time])
-        reps = _merge_parallel(reps, basis)
-        reps = _merge_proportional([tuple(r) for r in reps])
-        reps.sort(key=lambda rep: rep[2])
-        out.extend(FracTerm(coef, tree, time) for coef, tree, _ in reps)
-    return tuple(out)
+    parallel: dict = {}
+    for (time, node), coef in merged.items():
+        if coef.is_zero:
+            continue
+        pivot, key = _parallel_key(coef)
+        parallel.setdefault((time, key), []).append((pivot, node, coef))
+    combined = []
+    for (time, (signature, factors)), members in parallel.items():
+        if len(members) == 1:
+            _, node, coef = members[0]
+        else:
+            total = add(*(mul(const(pivot), node) for pivot, node, _ in members))
+            scale, node = monic(total)
+            if scale == 0.0:
+                continue
+            unit = Coefficient(
+                tuple(Monomial(f, num, den) for f, (num, den) in zip(factors, signature))
+            )
+            coef = unit.scaled(scale)
+        combined.append((time, node, coef))
+
+    out = [
+        (time.sort_key, monomials(node), FracTerm(coef, node, time))
+        for (time, node), coef in _by_spatial(combined).items()
+        if not coef.is_zero
+    ]
+    out.sort(key=lambda item: item[:2])
+    return tuple(item[2] for item in out)
 
 
 @dataclass(frozen=True)
@@ -388,7 +349,7 @@ class FracSeries:
         c: int = 0,
     ) -> "FracSeries":
         term = FracTerm(Coefficient.number(factor), expr, TimeFactor(_as_fraction(p), q, c))
-        return FracSeries(_collect([term], None))
+        return FracSeries(_collect([term]))
 
     @property
     def is_zero(self) -> bool:
@@ -398,11 +359,11 @@ class FracSeries:
     def has_exponential(self) -> bool:
         return any(t.time.c != 0 for t in self.terms)
 
-    def collected(self, basis: SpatialBasis | None = None) -> "FracSeries":
-        return FracSeries(_collect(self.terms, basis))
+    def collected(self) -> "FracSeries":
+        return FracSeries(_collect(self.terms))
 
     def add(self, other: "FracSeries") -> "FracSeries":
-        return FracSeries(_collect(self.terms + other.terms, None))
+        return FracSeries(_collect(self.terms + other.terms))
 
     __add__ = add
 
@@ -419,7 +380,7 @@ class FracSeries:
             for a in self.terms
             for b in other.terms
         ]
-        return FracSeries(_collect(products, None))
+        return FracSeries(_collect(products))
 
     __mul__ = multiply
 
@@ -431,7 +392,7 @@ class FracSeries:
             terms = tuple(
                 FracTerm(t.coef, differentiate(t.spatial, name), t.time) for t in terms
             )
-        return FracSeries(_collect(terms, None))
+        return FracSeries(_collect(terms))
 
     def caputo_derivative(self) -> "FracSeries":
         """Caputo derivative of order alpha, applied termwise.
@@ -454,7 +415,7 @@ class FracSeries:
                 GammaArg(1 + tf.p, tf.q), GammaArg(1 + tf.p, tf.q - 1)
             )
             out.append(FracTerm(coef, term.spatial, shifted))
-        return FracSeries(_collect(out, None))
+        return FracSeries(_collect(out))
 
     def frac_integral(self) -> "FracSeries":
         """Riemann-Liouville integral of order alpha; exact inverse of
@@ -471,7 +432,7 @@ class FracSeries:
                 GammaArg(1 + tf.p, tf.q), GammaArg(1 + tf.p, tf.q + 1)
             )
             out.append(FracTerm(coef, term.spatial, shifted))
-        return FracSeries(_collect(out, None))
+        return FracSeries(_collect(out))
 
     def taylor_expand(self, n_terms: int) -> "FracSeries":
         """Replace each exp(c*t) factor by its first n_terms powers of t."""
@@ -492,7 +453,7 @@ class FracSeries:
                         TimeFactor(tf.p + j, tf.q, 0),
                     )
                 )
-        return FracSeries(_collect(out, None))
+        return FracSeries(_collect(out))
 
     def evaluate(self, x: float, t: float, alpha: float, y: float = 0.0) -> float:
         """Bind alpha and evaluate at (x, y, t); 0**0 counts as 1."""

@@ -49,7 +49,6 @@ def test_solve_json_report():
         "hbar": -1.0,
         "order": 2,
         "taylor_terms": 12,
-        "aux_function": 1.0,
     }
     assert len(report["iterates"]) == 3
     term = report["iterates"][1][0]

@@ -25,8 +25,8 @@ from hatmfp.engine import (
     run,
     run_report,
 )
-from hatmfp.expr import ONE, X, Y, add, const, evaluate, mul, pow_, sinh
-from hatmfp.fokker_planck import preset
+from hatmfp.expr import ONE, X, Y, add, const, cosh, evaluate, monomials, mul, pow_, sinh
+from hatmfp.fokker_planck import CoefficientSpec, build_backward, preset
 from hatmfp.series import FracSeries
 
 
@@ -58,12 +58,6 @@ def test_config_validation():
         cfg(taylor_terms=0)
 
 
-def test_only_constant_auxiliary_function():
-    with pytest.raises(ConfigError, match="auxiliary"):
-        cfg(aux_function=2.0)
-    assert cfg(aux_function=1.0).aux_function == 1.0
-
-
 def test_problem_spec_guards():
     with pytest.raises(ConfigError):
         ProblemSpec(dim=3, linear=(), quadratic=(), initial=X)
@@ -74,6 +68,12 @@ def test_problem_spec_guards():
         LinearMonomial(ONE, (3, 0))
     with pytest.raises(DegreeError):
         QuadraticMonomial(ONE, (1, 0), (0, 3))
+
+
+def test_only_constant_auxiliary_function():
+    # H = 1 is built into the recursion; there is no knob to set it
+    with pytest.raises(TypeError):
+        cfg(aux_function=1.0)
 
 
 # ------------------------------------------------------------- operator action
@@ -297,7 +297,6 @@ def test_run_report_shape():
         "hbar": -1.0,
         "order": 3,
         "taylor_terms": 12,
-        "aux_function": 1.0,
     }
     assert len(report["iterates"]) == 4
     assert isinstance(report["partial_sum"], list)
@@ -329,6 +328,25 @@ def test_hyperbolic_preset_needs_no_expansion():
     events41 = []
     run(preset("4.1"), cfg(order=2), events41)
     assert events41 == []
+
+
+def test_hyperbolic_iterates_are_single_sinh_terms():
+    for alpha in (0.5, 1.0):
+        for u in run(preset("4.2"), cfg(alpha=alpha, hbar=-1.0, order=5)):
+            (term,) = u.terms
+            assert term.spatial is sinh(X)
+
+
+def test_backward_iterate_stays_compact():
+    # W1: backward, A = -x, B = x^2 e^t, f = cosh x. Collecting on both
+    # the spatial node and the coefficient keeps u_3 near 2,500
+    # monomials; keying on the spatial part alone gives about 8,800.
+    prob = build_backward(
+        1, [mul(-1, X)], [[CoefficientSpec(pow_(X, 2), exp_rate=1)]], cosh(X)
+    )
+    u3 = run(prob, cfg(alpha=0.5, hbar=-1.0, order=3))[3]
+    size = sum(len(t.coef.monomials) + len(monomials(t.spatial)) for t in u3.terms)
+    assert size <= 2750
 
 
 def test_run_is_deterministic():

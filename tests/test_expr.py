@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hatmfp import expr as expr_module
 from hatmfp.errors import DomainError, SingularityError
 from hatmfp.expr import (
     ONE,
@@ -24,6 +25,8 @@ from hatmfp.expr import (
     fingerprint,
     FINGERPRINT_POINTS,
     is_numerically_equal,
+    monic,
+    monomials,
     mul,
     normalize,
     parse_prefix,
@@ -273,6 +276,48 @@ def test_normalize_keeps_derivatives_compact():
     # canonical form holds ~50 monomials here; unexpanded trees would
     # already be past 10^7 nodes at this depth
     assert size(e) < 2000
+
+
+def test_normalize_reduces_hyperbolic_atoms():
+    # tanh, coth and csch become powers of sinh and cosh, and cosh keeps
+    # an exponent below 2, so hyperbolic identities hold node for node
+    assert normalize(mul(coth(X), sinh(X))) is cosh(X)
+    assert normalize(mul(tanh(X), cosh(X))) is sinh(X)
+    assert normalize(mul(csch(X), sinh(X))) is ONE
+    assert normalize(add(pow_(cosh(X), 2), mul(-1, pow_(sinh(X), 2)))) is ONE
+    assert normalize(pow_(cosh(X), 3)) is normalize(mul(cosh(X), add(1, pow_(sinh(X), 2))))
+    # the argument is canonical too
+    assert normalize(sinh(add(X, X))) is sinh(mul(2, X))
+
+
+def test_monomials_table_is_exact():
+    # a polynomial that vanishes on every fingerprint panel abscissa is
+    # still a nonzero table
+    p = mul(*(add(X, -r) for r in (0.531, 0.877, 1.203, 1.618)))
+    assert all(abs(v) < 1e-12 for v in fingerprint(p))
+    table = dict(monomials(p))
+    assert len(table) == 5
+    assert table[((X, 4),)] == 1.0
+    assert monomials(add(p, mul(-1, p))) == ()
+    assert normalize(add(p, mul(-1, p))) is ZERO
+
+
+def test_monic_scales_largest_monomial_to_one():
+    scale, node = monic(add(mul(-4, sinh(X)), mul(2, X)))
+    assert scale == -4.0
+    assert node is normalize(add(sinh(X), mul(-0.5, X)))
+    assert monic(mul(3, add(mul(-4, sinh(X)), mul(2, X))))[1] is node
+    assert monic(node) == (1.0, node)
+    assert monic(add(X, mul(-1, X))) == (0.0, ZERO)
+
+
+def test_expansion_overflow_leaves_an_opaque_atom(monkeypatch):
+    monkeypatch.setattr(expr_module, "EXPAND_CAP", 4)
+    e = pow_(add(X, mul(7, Y), 3), 5)
+    (only,) = monomials(e)
+    assert only == (((e, 1),), 1.0)
+    n = normalize(mul(2, e))
+    assert evaluate(n, 0.4, 0.2) == pytest.approx(2 * evaluate(e, 0.4, 0.2), rel=1e-15)
 
 
 # ---------------------------------------------------------------- serialization

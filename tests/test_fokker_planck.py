@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hatmfp.engine import apply_operator_full
+from hatmfp.engine import HatmConfig, apply_operator_full, partial_sum, run
 from hatmfp.errors import ConfigError, DegreeError, PresetError
 from hatmfp.expr import (
     ONE,
@@ -223,6 +223,18 @@ def test_antisymmetric_mixed_diffusion_cancels():
 
 
 # -------------------------------------------------------------------- presets
+
+
+def test_builder_keeps_coefficient_vanishing_on_sample_panel():
+    # a drift that is zero at every fingerprint panel abscissa is still a
+    # drift: u0 + u1 = cosh(x) - t p(x) sinh(x) at alpha = 1, hbar = -1
+    p = mul(*(add(X, -r) for r in (0.531, 0.877, 1.203, 1.618)))
+    prob = build_backward(1, [p], [[0]], cosh(X))
+    assert len(prob.linear) == 1
+    us = run(prob, HatmConfig(alpha=1.0, hbar=-1.0, order=1))
+    want = math.cosh(2.0) - evaluate(p, 2.0) * math.sinh(2.0)
+    assert want == pytest.approx(1.9405912477816947, rel=1e-12)
+    assert partial_sum(us, 1).evaluate(2.0, 1.0, 1.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_preset_catalogue():

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from helpers import random_series
 from hatmfp.errors import ConfigError, DomainError, ExponentError
-from hatmfp.expr import X, Y, add, cosh, evaluate, mul, pow_, sinh
+from hatmfp.expr import X, Y, add, cosh, evaluate, mul, normalize, pow_, sinh
 from hatmfp.series import (
     Coefficient,
     FracSeries,
     FracTerm,
     GammaArg,
     Monomial,
-    SpatialBasis,
     TimeFactor,
 )
 
@@ -342,18 +341,72 @@ def test_collect_orders_terms_deterministically():
 
 
 def test_basis_substitutes_known_tree():
-    basis = SpatialBasis()
-    basis.seed([sinh(X)])
+    # equal monomial sums collect onto the one canonical node
     t = FracTerm(
         Coefficient.number(1.0),
         add(mul(0.5, sinh(X)), mul(0.5, sinh(X))),
         TimeFactor(Fraction(0), 0, 0),
     )
     u = FracTerm(Coefficient.number(1.0), mul(2, sinh(X)), TimeFactor(Fraction(0), 0, 0))
-    s = FracSeries((t, u)).collected(basis)
+    s = FracSeries((t, u)).collected()
     assert len(s.terms) == 1
     assert s.terms[0].spatial is sinh(X)
     assert s.evaluate(1.0, 0.5, 1.0) == pytest.approx(3 * math.sinh(1.0), rel=1e-12)
+
+
+def test_collect_keeps_function_vanishing_on_sample_panel():
+    # sinh - (sinh + p) with p zero at every panel abscissa is -p, not 0
+    p = mul(*(add(X, -r) for r in (0.531, 0.877, 1.203, 1.618)))
+    t0 = TimeFactor(Fraction(0), 0, 0)
+    s = FracSeries(
+        (
+            FracTerm(Coefficient.number(1.0), sinh(X), t0),
+            FracTerm(Coefficient.number(-1.0), add(sinh(X), p), t0),
+        )
+    ).collected()
+    want = -evaluate(p, 2.0)
+    assert want == pytest.approx(-0.5022538058979997, rel=1e-12)
+    assert s.evaluate(2.0, 1.0, 1.0) == pytest.approx(want, rel=1e-12)
+
+
+def test_collect_keeps_tiny_independent_terms():
+    # 1e-13 x + 1e-13 x^2 at x = 3: x^2 must not fold into a multiple of x
+    t0 = TimeFactor(Fraction(0), 0, 0)
+    s = FracSeries(
+        (
+            FracTerm(Coefficient.number(1.0), mul(1e-13, X), t0),
+            FracTerm(Coefficient.number(1.0), mul(1e-13, pow_(X, 2)), t0),
+        )
+    ).collected()
+    (term,) = s.terms
+    assert term.spatial is normalize(add(X, pow_(X, 2)))
+    assert s.evaluate(3.0, 1.0, 1.0) == pytest.approx(1.2e-12, rel=1e-12)
+
+
+def test_collect_terms_are_monic():
+    t0 = TimeFactor(Fraction(0), 1, 0)
+    s = FracSeries(
+        (FracTerm(Coefficient.number(3.0), add(mul(-2, sinh(X)), X), t0),)
+    ).collected()
+    (term,) = s.terms
+    assert term.spatial is normalize(add(sinh(X), mul(-0.5, X)))
+    assert term.coef.monomials[0].factor == -6.0
+
+
+def test_collect_merges_parallel_coefficients():
+    # same gamma tokens, proportional factors: the spatial parts add up
+    a, b = GammaArg(Fraction(1), 1), GammaArg(Fraction(1), 2)
+    c = Coefficient.number(2.0).gamma_ratio(a, b)
+    t1 = TimeFactor(Fraction(0), 1, 0)
+    s = FracSeries(
+        (
+            FracTerm(c, pow_(cosh(X), 2), t1),
+            FracTerm(c.scaled(-1.0), pow_(sinh(X), 2), t1),
+            FracTerm(c.scaled(0.5), X, t1),
+        )
+    ).collected()
+    (term,) = s.terms
+    assert term.spatial is normalize(add(1, mul(0.5, X)))
 
 
 # --------------------------------------------------------------- serialization
