@@ -8,10 +8,10 @@ from .engine import (
     QuadraticMonomial,
     apply_operator,
     build_rm,
-    chi,
     deformation_step,
     h_curve,
     partial_sum,
+    recombine,
     residual,
     run,
     run_report,

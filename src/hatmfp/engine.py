@@ -1,24 +1,28 @@
 """Homotopy-analysis deformation engine.
 
-Given an initial state f and an operator split into linear and
-quadratic monomials, the m-th iterate solves the deformation equation
+Given an initial state f, a source g and an operator N split into
+linear and quadratic monomials, the engine runs the hbar-free recursion
 
-    u_m = chi(m) * u_{m-1} + hbar * Lm
+    v_0 = f,    v_1 = J^alpha[g + N_0],    v_m = J^alpha[N_{m-1}]  (m >= 2)
 
-where Lm realises the inverse-transformed residual term in the time
-domain:
+where J^alpha is the fractional integral and N_{m-1} the operator terms
+at order m-1 (quadratic monomials use the homotopy convolution sum over
+v_0..v_{m-1}). Any exp(c*t) factors are Taylor-expanded before
+integration, and those truncations are recorded on the run report.
 
-    Lm = u_{m-1} - (1 - chi(m)) * (u_0 + J^alpha[g])
-         - J^alpha[operator terms at order m-1]
+With the auxiliary function H = 1, the iterates of the deformation
+equation u_m = chi_m u_{m-1} + hbar * Linv[R_m] (chi_1 = 0, else 1) at
+any hbar are fixed combinations of the v_m, the HAM/HPM correspondence
+(Liang & Jeffrey, Commun. Nonlinear Sci. Numer. Simul. 14 (2009) 4057):
 
-J^alpha is the fractional integral; quadratic terms use the homotopy
-convolution sum over previous iterates. Any exp(c*t) factors produced
-by the operator are Taylor-expanded before integration, and those
-truncations are recorded on the run report.
+    u_m = sum_{k=1..m} C(m-1, k-1) (-hbar)^k (1+hbar)^(m-k) v_k,
+
+so hbar enters only in recombine(); the v_m are the iterates at -1.
 """
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -116,13 +120,6 @@ class TaylorEvent:
     taylor_terms: int
 
 
-def chi(m: int) -> int:
-    """Deformation step indicator: 0 for m <= 1, else 1."""
-    if m < 1:
-        raise ConfigError(f"chi is defined for m >= 1, got {m}")
-    return 0 if m <= 1 else 1
-
-
 def _derived(series: FracSeries, deriv: MultiIndex) -> FracSeries:
     out = series
     for _ in range(deriv[0]):
@@ -170,38 +167,15 @@ def apply_operator(
     return FracSeries(tuple(terms)).collected()
 
 
-def _taylor_then_integrate(
-    series: FracSeries,
-    cfg: HatmConfig,
-    m: int,
-    events: list[TaylorEvent] | None,
-) -> FracSeries:
-    exponential = sum(1 for t in series.terms if t.time.c != 0)
-    if exponential:
-        if events is not None:
-            events.append(TaylorEvent(m, exponential, cfg.taylor_terms))
-        series = series.taylor_expand(cfg.taylor_terms)
-    return series.frac_integral()
-
-
 def build_rm(
     problem: ProblemSpec,
-    cfg: HatmConfig,
     history: Sequence[FracSeries],
     m: int,
-    events: list[TaylorEvent] | None = None,
 ) -> FracSeries:
-    """Inverse-transformed residual term of the m-th deformation equation."""
-    u_prev = history[m - 1]
-    parts = list(u_prev.terms)
-    if chi(m) == 0:
-        parts.extend(history[0].scale(-1.0).terms)
-        if not problem.source.is_zero:
-            j_source = _taylor_then_integrate(problem.source, cfg, m, events)
-            parts.extend(j_source.scale(-1.0).terms)
-    op = apply_operator(problem, u_prev, history, m)
-    parts.extend(_taylor_then_integrate(op, cfg, m, events).scale(-1.0).terms)
-    return FracSeries(tuple(parts)).collected()
+    """Right-hand side of the m-th hbar-free step before integration:
+    the operator terms at order m-1, plus the source at m = 1."""
+    op = apply_operator(problem, history[m - 1], history, m)
+    return op.add(problem.source) if m == 1 else op
 
 
 def deformation_step(
@@ -211,11 +185,32 @@ def deformation_step(
     m: int,
     events: list[TaylorEvent] | None = None,
 ) -> FracSeries:
-    rm = build_rm(problem, cfg, history, m, events)
-    parts = rm.scale(cfg.hbar).terms
-    if chi(m):
-        parts = history[m - 1].terms + parts
-    return FracSeries(tuple(parts)).collected()
+    """v_m = J^alpha[build_rm], Taylor-expanding exp(c*t) factors first."""
+    rhs = build_rm(problem, history, m)
+    exponential = sum(1 for t in rhs.terms if t.time.c != 0)
+    if exponential:
+        if events is not None:
+            events.append(TaylorEvent(m, exponential, cfg.taylor_terms))
+        rhs = rhs.taylor_expand(cfg.taylor_terms)
+    return rhs.frac_integral()
+
+
+def recombine(free: Sequence[FracSeries], hbar: float) -> list[FracSeries]:
+    """Iterates [u_0, ..., u_M] at hbar from the hbar-free [v_0, ..., v_M]
+    (module docstring); zero weights are skipped, so at hbar = -1 each
+    u_m is v_m itself."""
+    out = [free[0]]
+    for m in range(1, len(free)):
+        parts = []
+        for k in range(1, m + 1):
+            weight = math.comb(m - 1, k - 1) * (-hbar) ** k * (1 + hbar) ** (m - k)
+            if weight != 0.0:
+                parts.append(free[k].scale(weight))
+        if len(parts) == 1:
+            out.append(parts[0])
+        else:
+            out.append(FracSeries(tuple(t for p in parts for t in p.terms)).collected())
+    return out
 
 
 def run(
@@ -223,11 +218,11 @@ def run(
     cfg: HatmConfig,
     events: list[TaylorEvent] | None = None,
 ) -> list[FracSeries]:
-    """Iterates [u_0, ..., u_order] of the deformation recursion."""
-    history = [FracSeries.from_spatial(problem.initial)]
+    """Iterates [u_0, ..., u_order] at cfg.hbar."""
+    free = [FracSeries.from_spatial(problem.initial)]
     for m in range(1, cfg.order + 1):
-        history.append(deformation_step(problem, cfg, history, m, events))
-    return history
+        free.append(deformation_step(problem, cfg, free, m, events))
+    return recombine(free, cfg.hbar)
 
 
 def partial_sum(iterates: Sequence[FracSeries], upto: int) -> FracSeries:
@@ -285,16 +280,18 @@ def h_curve(
     h_values: Sequence[float],
 ) -> list[tuple[float, float]]:
     """Partial-sum value at the probe point for each convergence-control
-    parameter; the flat stretch of this curve marks usable hbar."""
+    parameter; the flat stretch of this curve marks usable hbar.
+
+    The recursion runs once, at hbar = -1, and every hbar recombines
+    those iterates. The weights grow like |1+hbar|^order, so the
+    rounding error of a row grows with them when |1+hbar| > 1."""
     px, py, pt = probe
+    free = run(problem, replace(cfg, hbar=-1.0))
     out = []
     for h in h_values:
-        local = replace(cfg, hbar=h)  # validates h != 0
-        iterates = run(problem, local)
-        value = partial_sum(iterates, cfg.order).evaluate(
-            x=px, y=py, t=pt, alpha=cfg.alpha
-        )
-        out.append((h, value))
+        iterates = recombine(free, replace(cfg, hbar=h).hbar)  # validates h != 0
+        total = partial_sum(iterates, cfg.order)
+        out.append((h, total.evaluate(x=px, y=py, t=pt, alpha=cfg.alpha)))
     return out
 
 

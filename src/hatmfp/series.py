@@ -370,6 +370,8 @@ class FracSeries:
     def scale(self, k: float) -> "FracSeries":
         if k == 0.0:
             return FracSeries.zero()
+        if k == 1.0:
+            return self
         return FracSeries(
             tuple(FracTerm(t.coef.scaled(k), t.spatial, t.time) for t in self.terms)
         )

@@ -1,5 +1,6 @@
 """Shared fixtures for the suite: closed-form iterate coefficients,
-random-series builders, and small comparison utilities."""
+random-series builders, the direct hbar recursion, and small comparison
+utilities."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import math
 import random
 from fractions import Fraction
 
+from hatmfp.engine import HatmConfig, ProblemSpec, apply_operator
 from hatmfp.expr import SpatialExpr, add, cosh, evaluate, mul, pow_, sinh, X, Y
 from hatmfp.series import FracSeries, FracTerm, Coefficient, TimeFactor
 
@@ -90,3 +92,37 @@ def random_series(rng: random.Random, n_terms: int = 4, with_exp: bool = False) 
         c = rng.choice((-1, 0, 1, 2)) if with_exp else 0
         terms.append(FracTerm(coef, spatial, TimeFactor(p, q, c)))
     return FracSeries(tuple(terms)).collected()
+
+
+def direct_iterates(problem: ProblemSpec, cfg: HatmConfig) -> list[FracSeries]:
+    """Iterates [u_0, ..., u_order] of the deformation equation with hbar
+    carried through every step, the reference for engine.run:
+
+        u_m = chi_m u_{m-1} + hbar * R_m,
+        R_m = u_{m-1} - (1 - chi_m)(u_0 + J^alpha[g]) - J^alpha[N_{m-1}],
+
+    chi_m = 0 for m = 1, else 1; exp(c*t) factors are Taylor-expanded
+    before each integration.
+    """
+
+    def integrated(series: FracSeries) -> FracSeries:
+        if series.has_exponential:
+            series = series.taylor_expand(cfg.taylor_terms)
+        return series.frac_integral()
+
+    history = [FracSeries.from_spatial(problem.initial)]
+    for m in range(1, cfg.order + 1):
+        u_prev = history[m - 1]
+        parts = list(u_prev.terms)
+        if m == 1:
+            parts.extend(history[0].scale(-1.0).terms)
+            if not problem.source.is_zero:
+                parts.extend(integrated(problem.source).scale(-1.0).terms)
+        op = apply_operator(problem, u_prev, history, m)
+        parts.extend(integrated(op).scale(-1.0).terms)
+        rm = FracSeries(tuple(parts)).collected()
+        step = rm.scale(cfg.hbar).terms
+        if m > 1:
+            step = u_prev.terms + step
+        history.append(FracSeries(tuple(step)).collected())
+    return history

@@ -8,6 +8,7 @@ from helpers import (
     identity_coeffs,
     q_coefficient_map,
 )
+from hatmfp import engine
 from hatmfp.errors import ConfigError, DegreeError, ExponentError
 from hatmfp.engine import (
     HatmConfig,
@@ -17,8 +18,6 @@ from hatmfp.engine import (
     apply_operator,
     apply_operator_full,
     build_rm,
-    chi,
-    deformation_step,
     h_curve,
     partial_sum,
     residual,
@@ -35,14 +34,6 @@ def cfg(alpha=0.75, hbar=-1.0, order=3, **kw):
 
 
 # --------------------------------------------------------------- config guards
-
-
-def test_chi_step_indicator():
-    assert chi(1) == 0
-    assert chi(2) == 1
-    assert chi(100) == 1
-    with pytest.raises(ConfigError):
-        chi(0)
 
 
 def test_config_validation():
@@ -144,7 +135,7 @@ def test_first_iterate_of_drift_diffusion_problem():
     prob = preset("4.1")
     for h in (-1.0, -0.7):
         for alpha in (0.5, 1.0):
-            u1 = deformation_step(prob, cfg(alpha=alpha, hbar=h), [FracSeries.from_spatial(X)], 1)
+            u1 = run(prob, cfg(alpha=alpha, hbar=h, order=1))[1]
             want = -h * 0.3**alpha / math.gamma(1 + alpha)
             assert u1.evaluate(2.0, 0.3, alpha) == pytest.approx(want, rel=1e-12)
 
@@ -173,25 +164,24 @@ def test_iterates_constant_image_problem():
 def test_build_rm_source_enters_once():
     # pure-source problem (no operator): D^alpha u = t^alpha, u(x,0) = x,
     # whose solution is x + J^alpha[t^alpha]; the source must enter the
-    # recursion once (with the 1 - chi_m switch), else iterates never stop
+    # recursion once, at m = 1, else iterates never stop
     source = FracSeries.from_spatial(ONE, q=1)
     prob = ProblemSpec(dim=1, linear=(), quadratic=(), initial=X, source=source)
-    c = cfg(alpha=0.5, hbar=-1.0, order=2)
-    u0 = FracSeries.from_spatial(X)
-    r1 = build_rm(prob, c, [u0], 1)
     x, t, alpha = 1.0, 0.5, 0.5
     jg = math.gamma(1 + alpha) / math.gamma(1 + 2 * alpha) * t ** (2 * alpha)
-    assert r1.evaluate(x, t, alpha) == pytest.approx(-jg, rel=1e-12)
-    u1 = deformation_step(prob, c, [u0], 1)
-    assert u1.evaluate(x, t, alpha) == pytest.approx(jg, rel=1e-12)
-    # m = 2: u_1 - J^alpha[operator] with no second copy of the source,
-    # so the hbar = -1 step terminates the series
-    r2 = build_rm(prob, c, [u0, u1], 2)
-    assert r2.evaluate(x, t, alpha) == pytest.approx(u1.evaluate(x, t, alpha), rel=1e-12)
-    u2 = deformation_step(prob, c, [u0, u1], 2)
-    assert abs(u2.evaluate(x, t, alpha)) < 1e-14
-    total = partial_sum([u0, u1, u2], 2)
-    assert total.evaluate(x, t, alpha) == pytest.approx(x + jg, rel=1e-12)
+    u0 = FracSeries.from_spatial(X)
+    assert build_rm(prob, [u0], 1) == source
+    us = run(prob, cfg(alpha=alpha, hbar=-1.0, order=2))
+    assert us[1].evaluate(x, t, alpha) == pytest.approx(jg, rel=1e-12)
+    assert build_rm(prob, us[:2], 2).is_zero
+    # with no second copy of the source the hbar = -1 series terminates
+    assert us[2].is_zero
+    assert partial_sum(us, 2).evaluate(x, t, alpha) == pytest.approx(x + jg, rel=1e-12)
+    # at other hbar, u_2 = (1 + hbar) u_1 carries no second -hbar J^alpha[g]
+    h = -0.7
+    us = run(prob, cfg(alpha=alpha, hbar=h, order=2))
+    assert us[1].evaluate(x, t, alpha) == pytest.approx(-h * jg, rel=1e-12)
+    assert us[2].evaluate(x, t, alpha) == pytest.approx(-h * (1 + h) * jg, rel=1e-12)
 
 
 def test_run_length_and_zeroth_iterate():
@@ -272,6 +262,19 @@ def test_h_curve_pairs_and_flat_region():
     # the h = -1 entry is the plain run
     want = partial_sum(run(prob, c), 8).evaluate(1.0, 0.3, 0.75)
     assert pairs[1][1] == pytest.approx(want, rel=1e-14)
+
+
+def test_h_curve_runs_recursion_once(monkeypatch):
+    calls = []
+    step = engine.deformation_step
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "deformation_step", counted)
+    h_curve(preset("4.5"), cfg(alpha=0.5, order=6), (1.0, 0.0, 0.3), [-1.5, -1.0, -0.5, -0.2])
+    assert calls == [1, 2, 3, 4, 5, 6]
 
 
 def test_h_curve_exact_point():

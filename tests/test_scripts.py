@@ -1,0 +1,57 @@
+"""Each script under scripts/ runs end to end at tiny orders."""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from hatmfp.engine import HatmConfig, h_curve
+from hatmfp.fokker_planck import preset
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("convergence_study.py", ("--presets", "4.1", "4.5", "--alphas", "0.5",
+                                  "--orders", "1", "2", "--grid-points", "2")),
+        ("iterate_tables.py", ("--preset", "4.3", "--hbar", "-0.7", "--order", "2")),
+    ],
+)
+def test_script_prints_report(name, args):
+    assert run_script(name, *args).strip()
+
+
+def test_hcurve_sweep_matches_h_curve(tmp_path):
+    out = tmp_path / "sweep.csv"
+    probe = (1.0, 0.0, 0.3)
+    run_script(
+        "hcurve_sweep.py", "--preset", "4.5", "--alpha", "0.5", "--orders", "2", "3",
+        "--probe", *probe, "--h-min", "-1.5", "--h-max", "-0.5", "--h-count", "3",
+        "--out", out,
+    )
+    header, *rows = csv.reader(out.read_text(encoding="utf-8").splitlines())
+    assert header == ["hbar", "order_2", "order_3"]
+    assert [float(r[0]) for r in rows] == [-1.5, -1.0, -0.5]
+    (at_minus_one,) = [r for r in rows if float(r[0]) == -1.0]
+    for order, cell in zip((2, 3), at_minus_one[1:]):
+        config = HatmConfig(alpha=0.5, hbar=-1.0, order=order)
+        ((_, want),) = h_curve(preset("4.5"), config, probe, [-1.0])
+        assert float(cell) == want
