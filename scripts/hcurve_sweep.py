@@ -2,7 +2,9 @@
 """Sweep the convergence-control parameter at a fixed probe point.
 
 Writes one CSV row per hbar with a value column per truncation order,
-so the widening of the flat region with order is visible side by side:
+so the widening of the flat region with order is visible side by side.
+The recursion runs once, to the largest order; every hbar recombines
+those iterates and every column is a partial sum of them:
 
     python scripts/hcurve_sweep.py --preset 4.2 --alpha 0.5 \\
         --orders 4 8 12 --out hcurve.csv
@@ -12,7 +14,7 @@ import argparse
 import csv
 import sys
 
-from hatmfp.engine import HatmConfig, h_curve
+from hatmfp.engine import HatmConfig, partial_sum, recombine, run
 from hatmfp.fokker_planck import PRESET_IDS, load_problem, preset
 
 
@@ -37,23 +39,29 @@ def main() -> None:
     parser.add_argument("--h-count", type=int, default=40)
     parser.add_argument("--out", help="CSV path (default: stdout)")
     args = parser.parse_args()
+    if min(args.orders) < 0:
+        parser.error("orders must be >= 0")
 
     problem = preset(args.preset) if args.preset else load_problem(args.problem)
     step = (args.h_max - args.h_min) / max(args.h_count - 1, 1)
     h_values = [args.h_min + i * step for i in range(args.h_count)]
     h_values = [h for h in h_values if h != 0.0]
 
-    columns = []
-    for order in args.orders:
-        config = HatmConfig(alpha=args.alpha, hbar=-1.0, order=order)
-        curve = h_curve(problem, config, tuple(args.probe), h_values)
-        columns.append([v for _, v in curve])
+    free = run(problem, HatmConfig(alpha=args.alpha, hbar=-1.0, order=max(args.orders)))
+    x, y, t = args.probe
+    rows = []
+    for h in h_values:
+        iterates = recombine(free, h)
+        values = [
+            partial_sum(iterates, n).evaluate(x=x, y=y, t=t, alpha=args.alpha)
+            for n in args.orders
+        ]
+        rows.append([repr(h)] + [repr(v) for v in values])
 
     sink = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     writer = csv.writer(sink)
     writer.writerow(["hbar"] + [f"order_{n}" for n in args.orders])
-    for i, h in enumerate(h_values):
-        writer.writerow([repr(h)] + [repr(col[i]) for col in columns])
+    writer.writerows(rows)
     if args.out:
         sink.close()
         print(f"wrote {len(h_values)} rows to {args.out}", file=sys.stderr)

@@ -131,22 +131,22 @@ def _derived(series: FracSeries, deriv: MultiIndex) -> FracSeries:
 
 def apply_operator(
     problem: ProblemSpec,
-    u: FracSeries,
     history: Sequence[FracSeries],
     m: int,
 ) -> FracSeries:
     """Operator terms at deformation order m.
 
-    Linear monomials act on u (= history[m-1]); quadratic monomials use
-    the homotopy convolution sum_{k=0}^{m-1} of derivative pairs drawn
-    from the history.
+    Linear monomials act on history[m-1]; quadratic monomials use the
+    homotopy convolution sum_{k=0}^{m-1} of derivative pairs drawn from
+    the history. At m = 1 with history (s,) this is N[s] itself, the
+    quadratic part being s * s.
     """
     if m < 1:
         raise ConfigError(f"apply_operator needs m >= 1, got {m}")
     terms: list[FracTerm] = []
     for mono in problem.linear:
         rate = TimeFactor(0, 0, mono.exp_rate)
-        for t in _derived(u, mono.deriv).terms:
+        for t in _derived(history[m - 1], mono.deriv).terms:
             terms.append(
                 FracTerm(t.coef, mul(mono.coef, t.spatial), t.time.plus(rate))
             )
@@ -174,7 +174,7 @@ def build_rm(
 ) -> FracSeries:
     """Right-hand side of the m-th hbar-free step before integration:
     the operator terms at order m-1, plus the source at m = 1."""
-    op = apply_operator(problem, history[m - 1], history, m)
+    op = apply_operator(problem, history, m)
     return op.add(problem.source) if m == 1 else op
 
 
@@ -234,25 +234,6 @@ def partial_sum(iterates: Sequence[FracSeries], upto: int) -> FracSeries:
     return FracSeries(tuple(terms)).collected()
 
 
-def apply_operator_full(problem: ProblemSpec, s: FracSeries) -> FracSeries:
-    """Operator applied to a fixed series: quadratic monomials take the
-    series itself in both slots (no convolution). Used by residual()."""
-    out = FracSeries.zero()
-    for mono in problem.linear:
-        piece = _derived(s, mono.deriv).multiply(
-            FracSeries.from_spatial(mono.coef, c=mono.exp_rate)
-        )
-        out = out.add(piece)
-    for mono in problem.quadratic:
-        piece = (
-            _derived(s, mono.deriv_a)
-            .multiply(_derived(s, mono.deriv_b))
-            .multiply(FracSeries.from_spatial(mono.coef, c=mono.exp_rate))
-        )
-        out = out.add(piece)
-    return out
-
-
 def residual(
     problem: ProblemSpec,
     s: FracSeries,
@@ -264,7 +245,7 @@ def residual(
         raise ExponentError("residual needs a taylor-expanded (c = 0) series")
     mismatch = (
         s.caputo_derivative()
-        .add(apply_operator_full(problem, s).scale(-1.0))
+        .add(apply_operator(problem, (s,), 1).scale(-1.0))
         .add(problem.source.scale(-1.0))
     )
     return [

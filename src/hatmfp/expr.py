@@ -16,8 +16,8 @@ coth, csch and 1/x) remain only as an aid for tests and diagnostics;
 no merge decision rests on them.
 
 Nodes are hash-consed: the module-level constructors return one shared
-object per distinct tree, and hash, node count, variable set,
-fingerprint and monomial table are cached on the node. Repeated
+object per distinct tree, and hash, node count, variable set and
+monomial table are cached on the node. Repeated
 differentiation and collection therefore build a shared DAG, and every
 traversal here costs one visit per distinct subtree rather than one per
 path. Build through the constructors; instantiating the dataclasses
@@ -44,7 +44,6 @@ SINGULAR_FLOOR = 1e-300
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
 
-FINGERPRINT_VERSION = 1
 FINGERPRINT_POINTS: tuple[tuple[float, float], ...] = tuple(
     (x, y) for x in (0.531, 0.877, 1.203, 1.618) for y in (0.733, 1.414)
 )
@@ -375,38 +374,9 @@ def evaluate(expr: SpatialExpr, x: float, y: float = 0.0) -> float:
     return walk(expr)
 
 
-_PANEL = len(FINGERPRINT_POINTS)
-_PANEL_X: Fingerprint = tuple(p[0] for p in FINGERPRINT_POINTS)
-_PANEL_Y: Fingerprint = tuple(p[1] for p in FINGERPRINT_POINTS)
-
-
 def fingerprint(expr: SpatialExpr) -> Fingerprint:
     """Evaluations on the fixed sample panel, in panel order."""
-    fp = expr.__dict__.get("_fp")
-    if fp is not None:
-        return fp
-    if isinstance(expr, Const):
-        fp = (expr.value,) * _PANEL
-    elif isinstance(expr, Var):
-        fp = _PANEL_X if expr.name == "x" else _PANEL_Y
-    elif isinstance(expr, Add):
-        cols = [fingerprint(c) for c in expr.children]
-        fp = tuple(sum(col[i] for col in cols) for i in range(_PANEL))
-    elif isinstance(expr, Mul):
-        acc = [1.0] * _PANEL
-        for c in expr.children:
-            col = fingerprint(c)
-            acc = [a * b for a, b in zip(acc, col)]
-        fp = tuple(acc)
-    elif isinstance(expr, Pow):
-        fp = tuple(_pow_value(v, expr.exponent) for v in fingerprint(expr.base))
-    elif isinstance(expr, Func):
-        f = _FUNC_EVAL[expr.kind]
-        fp = tuple(f(v) for v in fingerprint(expr.arg))
-    else:  # pragma: no cover
-        raise DomainError(f"cannot fingerprint {expr!r}")
-    object.__setattr__(expr, "_fp", fp)
-    return fp
+    return tuple(evaluate(expr, x, y) for x, y in FINGERPRINT_POINTS)
 
 
 def fp_norm(fp: Fingerprint) -> float:
@@ -674,12 +644,6 @@ def _format_number(value: float) -> str:
     return repr(value)
 
 
-def _format_fraction(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 @lru_cache(maxsize=None)
 def to_prefix(expr: SpatialExpr) -> str:
     """Serialize to prefix notation, e.g. ``(mul (sinh x) (pow x 2))``."""
@@ -692,7 +656,7 @@ def to_prefix(expr: SpatialExpr) -> str:
     if isinstance(expr, Mul):
         return "(mul " + " ".join(to_prefix(c) for c in expr.children) + ")"
     if isinstance(expr, Pow):
-        return f"(pow {to_prefix(expr.base)} {_format_fraction(expr.exponent)})"
+        return f"(pow {to_prefix(expr.base)} {expr.exponent})"
     if isinstance(expr, Func):
         return f"({expr.kind} {to_prefix(expr.arg)})"
     raise DomainError(f"cannot serialize {expr!r}")  # pragma: no cover

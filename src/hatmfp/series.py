@@ -503,14 +503,8 @@ def _check_alpha(alpha: float) -> None:
         raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
 
 
-def _frac_str(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _gamma_arg_obj(arg: GammaArg) -> list:
-    return [_frac_str(arg.a), arg.b]
+    return [str(arg.a), arg.b]
 
 
 def _term_obj(term: FracTerm) -> dict:
@@ -524,7 +518,7 @@ def _term_obj(term: FracTerm) -> dict:
             for m in term.coef.monomials
         ],
         "spatial": to_prefix(term.spatial),
-        "p": _frac_str(term.time.p),
+        "p": str(term.time.p),
         "q": term.time.q,
         "c": term.time.c,
     }

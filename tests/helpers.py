@@ -118,7 +118,7 @@ def direct_iterates(problem: ProblemSpec, cfg: HatmConfig) -> list[FracSeries]:
             parts.extend(history[0].scale(-1.0).terms)
             if not problem.source.is_zero:
                 parts.extend(integrated(problem.source).scale(-1.0).terms)
-        op = apply_operator(problem, u_prev, history, m)
+        op = apply_operator(problem, history, m)
         parts.extend(integrated(op).scale(-1.0).terms)
         rm = FracSeries(tuple(parts)).collected()
         step = rm.scale(cfg.hbar).terms

@@ -78,13 +78,29 @@ def test_solve_csv_table():
     assert invoke(*args).output == result.output
 
 
-def test_solve_writes_file(tmp_path):
-    out = tmp_path / "report.json"
-    result = invoke("solve", "--preset", "4.3", "--order", "1", "--out", str(out))
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("solve", "--preset", "4.3", "--order", 1),
+        ("eval", "--preset", "4.3", "--order", 2, "--format", "csv"),
+        ("residual", "--preset", "4.5", "--order", 2, "--point", "1,0.3"),
+        ("hcurve", "--preset", "4.3", "--order", 2, "--probe", "1,0.4", "--h-count", 3,
+         "--format", "csv"),
+        ("compare", "--preset", "4.1", "--order", 2, "--t-count", 2),
+    ],
+    ids=lambda args: args[0],
+)
+def test_out_writes_file(tmp_path, args):
+    out = tmp_path / "out.txt"
+    result = invoke(*args, "--out", out)
     assert result.exit_code == 0
     assert result.output == ""
-    report = json.loads(out.read_text(encoding="utf-8"))
-    assert report["problem"] == "preset:4.3"
+    written, printed = out.read_text(encoding="utf-8"), invoke(*args).output
+    if args[0] == "solve":
+        # the report carries the wall time of its own run
+        written, printed = (dict(json.loads(text), wall_time_s=0) for text in (written, printed))
+        assert written["problem"] == "preset:4.3"
+    assert written == printed
 
 
 # ------------------------------------------------------------------------ eval
@@ -145,6 +161,15 @@ def test_eval_flags_singular_points(problem_file):
     assert [r["status"] for r in rows] == ["singular", "singular", "ok", "ok"]
     assert all(r["u"] == "" for r in rows if r["status"] == "singular")
     assert all(float(r["u"]) != 0 for r in rows if r["status"] == "ok")
+
+
+def test_eval_domain_errors_exit_three():
+    result = invoke(
+        "eval", "--preset", "4.1", "--order", "2",
+        "--t-min", -1, "--t-max", 0, "--t-count", 2,
+    )
+    assert result.exit_code == 3
+    assert result.stderr.startswith("error: series are defined for t >= 0")
 
 
 def test_eval_is_deterministic():
@@ -212,6 +237,13 @@ def test_hcurve_single_point_matches_eval():
     assert value == float(json.loads(e.output)["rows"][0]["u"])
 
 
+def test_hcurve_takes_no_hbar():
+    # the sweep recombines the hbar = -1 iterates; no single hbar applies
+    result = invoke("hcurve", "--preset", "4.1", "--probe", "1,0.3", "--hbar", -0.5)
+    assert result.exit_code == 2
+    assert "No such option" in result.stderr
+
+
 def test_hcurve_rejects_sweep_through_zero():
     result = invoke(
         "hcurve", "--preset", "4.1", "--probe", "1,0.3",
@@ -250,6 +282,42 @@ def test_compare_rejects_problem_files(problem_file):
     result = invoke("compare", "--problem", problem_file, "--order", "2")
     assert result.exit_code == 3
     assert "no reference solution" in result.stderr
+
+
+# ---------------------------------------------------------------- table forms
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("eval", "--preset", "4.1", "--order", 3, "--x-count", 2, "--t-count", 2),
+        ("eval", "--problem", "PROBLEM", "--alpha", 0.5, "--order", 2,
+         "--x-min", 0.0, "--x-count", 2, "--t-count", 2),
+        ("residual", "--preset", "4.4", "--alpha", 0.75, "--order", 2,
+         "--point", "1,0.5,0.3", "--point", "1.2,0.8,0.1"),
+        ("hcurve", "--preset", "4.3", "--alpha", 0.75, "--order", 3, "--probe", "1,0.4",
+         "--h-count", 4),
+        ("compare", "--preset", "4.2", "--alpha", 0.5, "--order", 6, "--x-count", 2,
+         "--t-count", 2),
+        ("compare", "--preset", "4.4", "--alpha", 0.75, "--order", 3, "--x-count", 2,
+         "--y-min", 0.5, "--y-count", 2, "--t-count", 2),
+    ],
+    ids=["eval", "eval-singular", "residual-2d", "hcurve", "compare", "compare-2d"],
+)
+def test_csv_and_json_tables_agree(problem_file, args):
+    args = [problem_file if a == "PROBLEM" else a for a in args]
+    header, *cells = rows_of(invoke(*args, "--format", "csv").output)
+    report = json.loads(invoke(*args).output)
+    if args[0] == "compare":
+        assert cells.pop() == [f"# max_abs_err={report.pop('max_abs_err')!r}"]
+    assert list(report) == ["rows"]
+    rows = report["rows"]
+    assert rows and all(list(row) == header for row in rows)
+    assert cells == [
+        [cell if isinstance(cell, str) else repr(cell) for cell in row.values()]
+        for row in rows
+    ]
+    assert ("y" in header) == (args[2] == "4.4")
 
 
 # ------------------------------------------------------------------ exit codes

@@ -16,7 +16,6 @@ from hatmfp.engine import (
     ProblemSpec,
     QuadraticMonomial,
     apply_operator,
-    apply_operator_full,
     build_rm,
     h_curve,
     partial_sum,
@@ -75,7 +74,7 @@ def test_apply_operator_identity_preset():
     # multiples of sinh(x) (their e^t parts cancel)
     prob = preset("4.2")
     u0 = FracSeries.from_spatial(prob.initial)
-    out = apply_operator(prob, u0, [u0], 1)
+    out = apply_operator(prob, [u0], 1)
     assert out.evaluate(1.0, 0.4, 0.75) == pytest.approx(math.sinh(1.0), rel=1e-10)
     assert out.evaluate(1.7, 0.0, 0.5) == pytest.approx(math.sinh(1.7), rel=1e-10)
 
@@ -83,7 +82,7 @@ def test_apply_operator_identity_preset():
 def test_apply_operator_quadratic_identity():
     prob = preset("4.5")
     u0 = FracSeries.from_spatial(prob.initial)
-    out = apply_operator(prob, u0, [u0], 1)
+    out = apply_operator(prob, [u0], 1)
     assert out.evaluate(1.3, 0.2, 1.0) == pytest.approx(1.3**2, rel=1e-10)
 
 
@@ -91,9 +90,12 @@ def test_apply_operator_drift_only():
     # hand problem: N[u] = x * du/dx on u = x^2 t^alpha
     prob = ProblemSpec(dim=1, linear=(LinearMonomial(X, (1, 0)),), quadratic=(), initial=X)
     u = FracSeries.from_spatial(pow_(X, 2), q=1)
-    out = apply_operator(prob, u, [u], 1)
+    out = apply_operator(prob, [u], 1)
     alpha, x, t = 0.5, 1.4, 0.3
     assert out.evaluate(x, t, alpha) == pytest.approx(2 * x**2 * t**alpha, rel=1e-12)
+    # at order m the linear part acts on history[m-1] alone
+    later = apply_operator(prob, [FracSeries.from_spatial(X), u], 2)
+    assert later.evaluate(x, t, alpha) == out.evaluate(x, t, alpha)
 
 
 def test_apply_operator_quadratic_convolution():
@@ -107,13 +109,15 @@ def test_apply_operator_quadratic_convolution():
     )
     u0 = FracSeries.from_spatial(X)
     u1 = FracSeries.from_spatial(pow_(X, 2), q=1)
-    out = apply_operator(prob, u1, [u0, u1], 2)
+    out = apply_operator(prob, [u0, u1], 2)
     alpha, x, t = 0.75, 1.2, 0.5
     want = x**2 * t**alpha + x * 2 * x * t**alpha
     assert out.evaluate(x, t, alpha) == pytest.approx(want, rel=1e-12)
 
 
-def test_apply_operator_full_uses_square():
+def test_apply_operator_at_first_order_uses_square():
+    # residual() applies N to a fixed series s as apply_operator at m = 1
+    # with history (s,): the convolution is then s * s
     prob = ProblemSpec(
         dim=1,
         linear=(),
@@ -121,7 +125,7 @@ def test_apply_operator_full_uses_square():
         initial=X,
     )
     s = FracSeries.from_spatial(X, q=1)
-    out = apply_operator_full(prob, s)
+    out = apply_operator(prob, (s,), 1)
     alpha, x, t = 0.5, 1.5, 0.64
     assert out.evaluate(x, t, alpha) == pytest.approx((x * t**alpha) ** 2, rel=1e-12)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hatmfp.engine import HatmConfig, apply_operator_full, partial_sum, run
+from hatmfp.engine import HatmConfig, apply_operator, partial_sum, run
 from hatmfp.errors import ConfigError, DegreeError, PresetError
 from hatmfp.expr import (
     ONE,
@@ -38,7 +38,7 @@ POINTS = [(0.7, 0.4), (1.3, 0.9), (2.1, 0.25)]
 def act(problem, phi, x, t=0.0, y=0.0, alpha=0.5):
     """Numeric value of the expanded operator applied to the plain
     spatial profile phi."""
-    out = apply_operator_full(problem, FracSeries.from_spatial(phi))
+    out = apply_operator(problem, (FracSeries.from_spatial(phi),), 1)
     return out.evaluate(x, t, alpha, y)
 
 
