@@ -10,6 +10,13 @@ at order m-1 (quadratic monomials use the homotopy convolution sum over
 v_0..v_{m-1}). Any exp(c*t) factors are Taylor-expanded before
 integration, and those truncations are recorded on the run report.
 
+Coefficients stay symbolic in alpha until terms share a TimeFactor
+after a step's exact collect: those terms are bound at cfg.alpha and
+summed into one term per time (also recorded on the report), so the
+iterates of a run are valid at cfg.alpha only. A term alone at its time
+keeps its gamma tokens, so problems whose iterates never share a time,
+such as the collapsing presets, stay fully symbolic.
+
 With the auxiliary function H = 1, the iterates of the deformation
 equation u_m = chi_m u_{m-1} + hbar * Linv[R_m] (chi_1 = 0, else 1) at
 any hbar are fixed combinations of the v_m, the HAM/HPM correspondence
@@ -24,12 +31,13 @@ from __future__ import annotations
 
 import math
 import time as _time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .errors import ConfigError, DegreeError, ExponentError
 from .expr import SpatialExpr, mul, variables
-from .series import FracSeries, FracTerm, TimeFactor, _check_alpha
+from .series import Coefficient, FracSeries, FracTerm, TimeFactor, _check_alpha
 
 MultiIndex = tuple[int, int]  # derivative orders in (x, y)
 
@@ -120,6 +128,12 @@ class TaylorEvent:
     taylor_terms: int
 
 
+@dataclass(frozen=True)
+class BindEvent:
+    order: int  # deformation step m
+    terms_bound: int
+
+
 def _derived(series: FracSeries, deriv: MultiIndex) -> FracSeries:
     out = series
     for _ in range(deriv[0]):
@@ -183,16 +197,36 @@ def deformation_step(
     cfg: HatmConfig,
     history: Sequence[FracSeries],
     m: int,
-    events: list[TaylorEvent] | None = None,
+    events: list[TaylorEvent | BindEvent] | None = None,
 ) -> FracSeries:
-    """v_m = J^alpha[build_rm], Taylor-expanding exp(c*t) factors first."""
+    """v_m = J^alpha[build_rm], Taylor-expanding exp(c*t) factors first.
+
+    Terms that still share a TimeFactor after the exact collect are
+    bound to numbers at cfg.alpha and collected again, which sums them
+    into one term per time. A term alone at its time keeps its gamma
+    tokens, whose exact cancellation in later steps binding would lose.
+    The result is valid at cfg.alpha only."""
     rhs = build_rm(problem, history, m)
     exponential = sum(1 for t in rhs.terms if t.time.c != 0)
     if exponential:
         if events is not None:
             events.append(TaylorEvent(m, exponential, cfg.taylor_terms))
         rhs = rhs.taylor_expand(cfg.taylor_terms)
-    return rhs.frac_integral()
+    v = rhs.frac_integral()
+    per_time = Counter(t.time for t in v.terms)
+    bound = sum(n for n in per_time.values() if n > 1)
+    if not bound:
+        return v
+    if events is not None:
+        events.append(BindEvent(m, bound))
+    return FracSeries(
+        tuple(
+            FracTerm(Coefficient.number(t.coef.value(cfg.alpha)), t.spatial, t.time)
+            if per_time[t.time] > 1
+            else t
+            for t in v.terms
+        )
+    ).collected()
 
 
 def recombine(free: Sequence[FracSeries], hbar: float) -> list[FracSeries]:
@@ -216,9 +250,10 @@ def recombine(free: Sequence[FracSeries], hbar: float) -> list[FracSeries]:
 def run(
     problem: ProblemSpec,
     cfg: HatmConfig,
-    events: list[TaylorEvent] | None = None,
+    events: list[TaylorEvent | BindEvent] | None = None,
 ) -> list[FracSeries]:
-    """Iterates [u_0, ..., u_order] at cfg.hbar."""
+    """Iterates [u_0, ..., u_order] at cfg.hbar, valid at cfg.alpha only
+    (deformation_step binds the coefficients of terms sharing a time)."""
     free = [FracSeries.from_spatial(problem.initial)]
     for m in range(1, cfg.order + 1):
         free.append(deformation_step(problem, cfg, free, m, events))
@@ -282,7 +317,7 @@ def run_report(
     problem_label: str = "custom",
 ) -> dict:
     """Run and package everything a caller needs to replay the result."""
-    events: list[TaylorEvent] = []
+    events: list[TaylorEvent | BindEvent] = []
     started = _time.perf_counter()
     iterates = run(problem, cfg, events)
     elapsed = _time.perf_counter() - started
@@ -304,6 +339,12 @@ def run_report(
                 "taylor_terms": e.taylor_terms,
             }
             for e in events
+            if isinstance(e, TaylorEvent)
+        ],
+        "bind_events": [
+            {"order": e.order, "terms_bound": e.terms_bound}
+            for e in events
+            if isinstance(e, BindEvent)
         ],
         "wall_time_s": elapsed,
     }

@@ -10,9 +10,12 @@ monomials (float factor times a ratio of gamma values whose arguments
 live on the p-q grid, i.e. of the form a + b*alpha). The Caputo
 derivative and the fractional integral then act as exact exponent
 shifts that append cancelling gamma tokens, so a derivative/integral
-round trip restores a term bit for bit. Binding a numeric alpha only
-happens inside evaluate(), where the gamma ratios are resolved in log
-space.
+round trip restores a term bit for bit. Nothing in this module binds a
+numeric alpha except evaluate() and Coefficient.value(), where the gamma
+ratios are resolved in log space. A caller may bind a coefficient
+itself, as Coefficient.number(coef.value(alpha)): a monomial without
+tokens, which then holds at that alpha only (engine.deformation_step
+does this for terms that share a time).
 
 A collected series holds each term as (Coefficient, monic canonical
 polynomial, TimeFactor): the spatial part is the ``expr.monic`` node of
@@ -246,6 +249,13 @@ class TimeFactor:
             raise ExponentError(
                 f"exponent {self.p} + {self.q}*alpha can go negative on (0, 1]"
             )
+        # _collect keys every term on its time; Fraction.__hash__ is slow.
+        object.__setattr__(
+            self, "_hash", hash((self.p.numerator, self.p.denominator, self.q, self.c))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def exponent(self, alpha: float) -> float:
         return float(self.p) + self.q * alpha

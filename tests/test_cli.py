@@ -55,6 +55,7 @@ def test_solve_json_report():
     assert set(term) == {"coef_tokens", "spatial", "p", "q", "c"}
     # at hbar = -1 the unit-drift iterates beyond the first vanish
     assert report["iterates"][2] == []
+    assert report["taylor_events"] == report["bind_events"] == []
     total = FracSeries.from_obj(report["partial_sum"])
     x, t, alpha = 1.4, 0.5, 0.5
     want = x + t**alpha / math.gamma(1 + alpha)

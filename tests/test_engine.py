@@ -24,7 +24,7 @@ from hatmfp.engine import (
     run_report,
 )
 from hatmfp.expr import ONE, X, Y, add, const, cosh, evaluate, monomials, mul, pow_, sinh
-from hatmfp.fokker_planck import CoefficientSpec, build_backward, preset
+from hatmfp.fokker_planck import CoefficientSpec, build_backward, build_forward, preset
 from hatmfp.series import FracSeries
 
 
@@ -307,9 +307,37 @@ def test_run_report_shape():
     }
     assert len(report["iterates"]) == 4
     assert isinstance(report["partial_sum"], list)
+    assert report["taylor_events"] == []
+    assert report["bind_events"] == []
     assert report["wall_time_s"] >= 0.0
     s = FracSeries.from_obj(report["partial_sum"])
     assert s.evaluate(1.0, 0.4, 0.5) > 0.0
+
+
+def test_bind_events_reported():
+    # W2 (forward, A = 0, B = u, f = sinh x): from u_3 on, the quadratic
+    # convolution leaves several terms at t^(m alpha), bound into one
+    prob = build_forward(1, [[]], [[CoefficientSpec(ONE, u_degree=1)]], sinh(X))
+    report = run_report(prob, cfg(alpha=0.5, order=5))
+    assert report["bind_events"] == [
+        {"order": 3, "terms_bound": 2},
+        {"order": 4, "terms_bound": 2},
+        {"order": 5, "terms_bound": 3},
+    ]
+    assert [len(u) for u in report["iterates"]] == [1] * 6
+    (term,) = report["iterates"][5]
+    assert term["coef_tokens"][0]["num"] == term["coef_tokens"][0]["den"] == []
+
+
+def test_unshared_times_keep_gamma_tokens():
+    # every iterate of 4.5 holds at most one term per time, so nothing
+    # binds and each coefficient past u_0 keeps its gamma tokens
+    for hbar in (-1.0, -0.7):
+        events = []
+        iterates = run(preset("4.5"), cfg(alpha=0.5, hbar=hbar, order=10), events)
+        assert events == []
+        for u in iterates[1:]:
+            assert all(mono.den for t in u.terms for mono in t.coef.monomials)
 
 
 def test_taylor_events_recorded():
@@ -345,15 +373,16 @@ def test_hyperbolic_iterates_are_single_sinh_terms():
 
 
 def test_backward_iterate_stays_compact():
-    # W1: backward, A = -x, B = x^2 e^t, f = cosh x. Collecting on both
-    # the spatial node and the coefficient keeps u_3 near 2,500
-    # monomials; keying on the spatial part alone gives about 8,800.
+    # W1: backward, A = -x, B = x^2 e^t, f = cosh x. Binding the terms
+    # that share a time leaves u_3 one term per time: 34 terms and 480
+    # coefficient plus spatial monomials.
     prob = build_backward(
         1, [mul(-1, X)], [[CoefficientSpec(pow_(X, 2), exp_rate=1)]], cosh(X)
     )
     u3 = run(prob, cfg(alpha=0.5, hbar=-1.0, order=3))[3]
+    assert len({t.time for t in u3.terms}) == len(u3.terms) == 34
     size = sum(len(t.coef.monomials) + len(monomials(t.spatial)) for t in u3.terms)
-    assert size <= 2750
+    assert size <= 550
 
 
 def test_run_is_deterministic():

@@ -79,6 +79,16 @@ def test_recombination_error_at_large_one_plus_hbar(hbar):
         )
 
 
+def test_w2_binds_to_one_term_per_iterate():
+    # At the run's alpha every W2 iterate is t^(m alpha) times a
+    # polynomial in sinh x; symbolic in alpha, u_10 has 194 terms.
+    problem = PROBLEMS["W2"][0]
+    cfg = HatmConfig(alpha=0.5, hbar=-1.0, order=10)
+    got = run(problem, cfg)
+    assert [len(u.terms) for u in got] == [1] * 11
+    assert_partial_sums_close(problem, got, direct_iterates(problem, cfg), 0.5, rel=1e-12)
+
+
 def test_recombine_at_minus_one_keeps_free_iterates():
     free = run(preset("4.5"), HatmConfig(alpha=0.5, hbar=-1.0, order=4))
     assert recombine(free, -1.0) == free
