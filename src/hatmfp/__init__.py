@@ -3,9 +3,8 @@ Fokker-Planck / Kolmogorov equations with Caputo derivatives."""
 
 from .engine import (
     HatmConfig,
-    LinearMonomial,
+    OperatorMonomial,
     ProblemSpec,
-    QuadraticMonomial,
     apply_operator,
     build_rm,
     deformation_step,

@@ -1,14 +1,17 @@
 """Homotopy-analysis deformation engine.
 
-Given an initial state f, a source g and an operator N split into
-linear and quadratic monomials, the engine runs the hbar-free recursion
+Given an initial state f, a source g and an operator N, a sum of
+monomials that each take one or two factors of u, the engine runs the
+hbar-free recursion
 
     v_0 = f,    v_1 = J^alpha[g + N_0],    v_m = J^alpha[N_{m-1}]  (m >= 2)
 
 where J^alpha is the fractional integral and N_{m-1} the operator terms
-at order m-1 (quadratic monomials use the homotopy convolution sum over
-v_0..v_{m-1}). Any exp(c*t) factors are Taylor-expanded before
-integration, and those truncations are recorded on the run report.
+at order m-1: a one-factor monomial acts on v_{m-1}, and a two-factor
+one takes the homotopy convolution sum_k of its factors on v_{m-1-k}
+and v_k, so a nonlinear term needs no Adomian or He polynomials. Any
+exp(c*t) factors are Taylor-expanded before integration, and those
+truncations are recorded on the run report.
 
 Coefficients stay symbolic in alpha until terms share a TimeFactor
 after a step's exact collect: those terms are bound at cfg.alpha and
@@ -33,6 +36,8 @@ import math
 import time as _time
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from itertools import product
 from typing import Sequence
 
 from .errors import ConfigError, DegreeError, ExponentError
@@ -50,36 +55,27 @@ def _check_multi_index(deriv: MultiIndex, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class LinearMonomial:
-    """coef(x, y) * exp(exp_rate * t) * d^deriv u"""
+class OperatorMonomial:
+    """coef(x, y) * exp(exp_rate * t) * prod_i d^derivs[i] u, with one
+    slot (a linear term) or two (a quadratic term) in derivs."""
 
     coef: SpatialExpr
-    deriv: MultiIndex
+    derivs: tuple[MultiIndex, ...]
     exp_rate: int = 0
 
     def __post_init__(self) -> None:
-        _check_multi_index(self.deriv, "deriv")
-
-
-@dataclass(frozen=True)
-class QuadraticMonomial:
-    """coef(x, y) * exp(exp_rate * t) * (d^deriv_a u)(d^deriv_b u)"""
-
-    coef: SpatialExpr
-    deriv_a: MultiIndex
-    deriv_b: MultiIndex
-    exp_rate: int = 0
-
-    def __post_init__(self) -> None:
-        _check_multi_index(self.deriv_a, "deriv_a")
-        _check_multi_index(self.deriv_b, "deriv_b")
+        if len(self.derivs) not in (1, 2):
+            raise DegreeError(
+                f"an operator monomial takes one or two factors of u, got {self.derivs}"
+            )
+        for deriv in self.derivs:
+            _check_multi_index(deriv, "deriv")
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
     dim: int
-    linear: tuple[LinearMonomial, ...]
-    quadratic: tuple[QuadraticMonomial, ...]
+    operator: tuple[OperatorMonomial, ...]
     initial: SpatialExpr
     source: FracSeries = field(default_factory=FracSeries.zero)
 
@@ -88,14 +84,9 @@ class ProblemSpec:
             raise ConfigError(f"dim must be 1 or 2, got {self.dim}")
         if self.dim == 1:
             used = variables(self.initial)
-            for mono in self.linear + self.quadratic:
+            for mono in self.operator:
                 used |= variables(mono.coef)
-                derivs = (
-                    (mono.deriv,)
-                    if isinstance(mono, LinearMonomial)
-                    else (mono.deriv_a, mono.deriv_b)
-                )
-                if any(d[1] != 0 for d in derivs):
+                if any(d[1] != 0 for d in mono.derivs):
                     raise ConfigError("y-derivative in a one-dimensional problem")
             if "y" in used:
                 raise ConfigError("variable y in a one-dimensional problem")
@@ -150,34 +141,27 @@ def apply_operator(
 ) -> FracSeries:
     """Operator terms at deformation order m.
 
-    Linear monomials act on history[m-1]; quadratic monomials use the
-    homotopy convolution sum_{k=0}^{m-1} of derivative pairs drawn from
-    the history. At m = 1 with history (s,) this is N[s] itself, the
-    quadratic part being s * s.
+    A monomial with one slot acts on history[m-1]; one with two slots
+    takes the homotopy convolution sum_{k=0}^{m-1} of derivative pairs
+    from history[m-1-k] and history[k]. At m = 1 with history (s,) this
+    is N[s] itself, the two-slot part acting on s * s.
     """
     if m < 1:
         raise ConfigError(f"apply_operator needs m >= 1, got {m}")
     terms: list[FracTerm] = []
-    for mono in problem.linear:
+    for mono in problem.operator:
         rate = TimeFactor(0, 0, mono.exp_rate)
-        for t in _derived(history[m - 1], mono.deriv).terms:
-            terms.append(
-                FracTerm(t.coef, mul(mono.coef, t.spatial), t.time.plus(rate))
-            )
-    for mono in problem.quadratic:
-        rate = TimeFactor(0, 0, mono.exp_rate)
-        for k in range(m):
-            left = _derived(history[m - 1 - k], mono.deriv_a)
-            right = _derived(history[k], mono.deriv_b)
-            for ta in left.terms:
-                for tb in right.terms:
-                    terms.append(
-                        FracTerm(
-                            ta.coef.times(tb.coef),
-                            mul(mono.coef, ta.spatial, tb.spatial),
-                            ta.time.plus(tb.time).plus(rate),
-                        )
+        splits = [(m - 1,)] if len(mono.derivs) == 1 else [(m - 1 - k, k) for k in range(m)]
+        for split in splits:
+            derived = [_derived(history[n], d).terms for n, d in zip(split, mono.derivs)]
+            for factors in product(*derived):
+                terms.append(
+                    FracTerm(
+                        reduce(Coefficient.times, (f.coef for f in factors)),
+                        mul(mono.coef, *(f.spatial for f in factors)),
+                        reduce(TimeFactor.plus, (f.time for f in factors)).plus(rate),
                     )
+                )
     return FracSeries(tuple(terms)).collected()
 
 

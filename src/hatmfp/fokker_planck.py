@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .engine import LinearMonomial, MultiIndex, ProblemSpec, QuadraticMonomial
+from .engine import MultiIndex, OperatorMonomial, ProblemSpec
 from .errors import ConfigError, DegreeError, HatmError, PresetError
 from .expr import (
     SpatialExpr,
@@ -64,16 +64,27 @@ class CoefficientSpec:
 
 
 def _as_specs(entry) -> tuple[CoefficientSpec, ...]:
-    """Accept a spec, a bare expression/number, or a list of either (a sum)."""
+    """Accept a spec, a bare expression/number, a prefix string, a JSON
+    {"expr", "exp_rate", "u_degree"} object, or a list of these (a sum)."""
     if entry is None:
         return ()
     if isinstance(entry, CoefficientSpec):
         return (entry,)
     if isinstance(entry, SpatialExpr):
         return (CoefficientSpec(entry),)
+    if isinstance(entry, str):
+        return (CoefficientSpec(parse_prefix(entry)),)
     if isinstance(entry, (int, float, Fraction)):
         value = float(entry)
         return () if value == 0.0 else (CoefficientSpec(const(value)),)
+    if isinstance(entry, dict):
+        return (
+            CoefficientSpec(
+                parse_prefix(entry["expr"]),
+                int(entry.get("exp_rate", 0)),
+                int(entry.get("u_degree", 0)),
+            ),
+        )
     if isinstance(entry, (list, tuple)):
         out: list[CoefficientSpec] = []
         for item in entry:
@@ -90,28 +101,19 @@ def _pair(i: int, j: int) -> MultiIndex:
     return tuple(a + b for a, b in zip(_unit(i), _unit(j)))  # type: ignore[return-value]
 
 
-def _merge_monomials(linear, quadratic):
+def _merge_monomials(operator) -> tuple[OperatorMonomial, ...]:
     """Sum coefficient trees of repeated derivative patterns and drop
-    the ones that cancel (mixed-derivative pairs land here)."""
-    lin_groups: dict = {}
-    for mono in linear:
-        lin_groups.setdefault((mono.deriv, mono.exp_rate), []).append(mono.coef)
-    quad_groups: dict = {}
-    for mono in quadratic:
-        slots = tuple(sorted((mono.deriv_a, mono.deriv_b)))
-        quad_groups.setdefault((slots, mono.exp_rate), []).append(mono.coef)
-
-    lin_out = []
-    for (deriv, rate), coefs in lin_groups.items():
+    the ones that cancel (mixed-derivative pairs land here); one-factor
+    monomials come first."""
+    groups: dict = {}
+    for mono in operator:
+        groups.setdefault((tuple(sorted(mono.derivs)), mono.exp_rate), []).append(mono.coef)
+    out = []
+    for (derivs, rate), coefs in groups.items():
         coef = add(*coefs)
         if monomials(coef):
-            lin_out.append(LinearMonomial(coef, deriv, rate))
-    quad_out = []
-    for ((da, db), rate), coefs in quad_groups.items():
-        coef = add(*coefs)
-        if monomials(coef):
-            quad_out.append(QuadraticMonomial(coef, da, db, rate))
-    return tuple(lin_out), tuple(quad_out)
+            out.append(OperatorMonomial(coef, derivs, rate))
+    return tuple(sorted(out, key=lambda m: len(m.derivs)))
 
 
 def _check_shapes(dim: int, drift, diffusion) -> None:
@@ -128,43 +130,39 @@ def build_forward(
     initial: SpatialExpr,
     source: FracSeries | None = None,
 ) -> ProblemSpec:
-    """Expand the forward equation into derivative monomials."""
+    """Expand the forward equation into derivative monomials.
+
+    An entry carrying u**d acts on u**(d+1), so the product rule puts d
+    leading u slots on every monomial; for d = 1 it also yields the
+    u_i u_j term of the diffusion."""
     _check_shapes(dim, drift, diffusion)
-    linear: list[LinearMonomial] = []
-    quadratic: list[QuadraticMonomial] = []
+    operator: list[OperatorMonomial] = []
 
     for i, entry in enumerate(drift):
         for spec in _as_specs(entry):
-            a, rate = spec.spatial, spec.exp_rate
+            a, rate, n = spec.spatial, spec.exp_rate, spec.u_degree + 1
+            u = ((0, 0),) * spec.u_degree
             da = differentiate(a, _VARS[i])
-            if spec.u_degree == 0:
-                linear.append(LinearMonomial(mul(const(-1), da), (0, 0), rate))
-                linear.append(LinearMonomial(mul(const(-1), a), _unit(i), rate))
-            else:
-                quadratic.append(QuadraticMonomial(mul(const(-1), da), (0, 0), (0, 0), rate))
-                quadratic.append(QuadraticMonomial(mul(const(-2), a), (0, 0), _unit(i), rate))
+            operator.append(OperatorMonomial(mul(const(-1), da), u + ((0, 0),), rate))
+            operator.append(OperatorMonomial(mul(const(-n), a), u + (_unit(i),), rate))
 
     for i, row in enumerate(diffusion):
         for j, entry in enumerate(row):
             for spec in _as_specs(entry):
-                b, rate = spec.spatial, spec.exp_rate
+                b, rate, n = spec.spatial, spec.exp_rate, spec.u_degree + 1
+                u = ((0, 0),) * spec.u_degree
                 dbi = differentiate(b, _VARS[i])
                 dbj = differentiate(b, _VARS[j])
                 dbij = differentiate(dbi, _VARS[j])
-                if spec.u_degree == 0:
-                    linear.append(LinearMonomial(dbij, (0, 0), rate))
-                    linear.append(LinearMonomial(dbi, _unit(j), rate))
-                    linear.append(LinearMonomial(dbj, _unit(i), rate))
-                    linear.append(LinearMonomial(b, _pair(i, j), rate))
-                else:
-                    quadratic.append(QuadraticMonomial(dbij, (0, 0), (0, 0), rate))
-                    quadratic.append(QuadraticMonomial(mul(const(2), dbi), (0, 0), _unit(j), rate))
-                    quadratic.append(QuadraticMonomial(mul(const(2), dbj), (0, 0), _unit(i), rate))
-                    quadratic.append(QuadraticMonomial(mul(const(2), b), _unit(i), _unit(j), rate))
-                    quadratic.append(QuadraticMonomial(mul(const(2), b), (0, 0), _pair(i, j), rate))
+                operator.append(OperatorMonomial(dbij, u + ((0, 0),), rate))
+                operator.append(OperatorMonomial(mul(const(n), dbi), u + (_unit(j),), rate))
+                operator.append(OperatorMonomial(mul(const(n), dbj), u + (_unit(i),), rate))
+                if spec.u_degree:
+                    ui_uj = (_unit(i), _unit(j))
+                    operator.append(OperatorMonomial(mul(const(2), b), ui_uj, rate))
+                operator.append(OperatorMonomial(mul(const(n), b), u + (_pair(i, j),), rate))
 
-    linear, quadratic = _merge_monomials(linear, quadratic)
-    return ProblemSpec(dim, linear, quadratic, initial, source or FracSeries.zero())
+    return ProblemSpec(dim, _merge_monomials(operator), initial, source or FracSeries.zero())
 
 
 def build_backward(
@@ -176,7 +174,7 @@ def build_backward(
 ) -> ProblemSpec:
     """Backward form: coefficients stay outside the derivatives."""
     _check_shapes(dim, drift, diffusion)
-    linear: list[LinearMonomial] = []
+    operator: list[OperatorMonomial] = []
 
     def specs_of(entry, where: str):
         specs = _as_specs(entry)
@@ -189,16 +187,15 @@ def build_backward(
 
     for i, entry in enumerate(drift):
         for spec in specs_of(entry, f"A[{i}]"):
-            linear.append(
-                LinearMonomial(mul(const(-1), spec.spatial), _unit(i), spec.exp_rate)
+            operator.append(
+                OperatorMonomial(mul(const(-1), spec.spatial), (_unit(i),), spec.exp_rate)
             )
     for i, row in enumerate(diffusion):
         for j, entry in enumerate(row):
             for spec in specs_of(entry, f"B[{i}][{j}]"):
-                linear.append(LinearMonomial(spec.spatial, _pair(i, j), spec.exp_rate))
+                operator.append(OperatorMonomial(spec.spatial, (_pair(i, j),), spec.exp_rate))
 
-    linear, _ = _merge_monomials(linear, ())
-    return ProblemSpec(dim, linear, (), initial, source or FracSeries.zero())
+    return ProblemSpec(dim, _merge_monomials(operator), initial, source or FracSeries.zero())
 
 
 def _preset_41() -> ProblemSpec:
@@ -263,29 +260,6 @@ def preset(preset_id: str) -> ProblemSpec:
 # -- problem definition files -----------------------------------------
 
 
-def _spec_from_obj(obj) -> tuple[CoefficientSpec, ...]:
-    if obj is None:
-        return ()
-    if isinstance(obj, str):
-        return (CoefficientSpec(parse_prefix(obj)),)
-    if isinstance(obj, (int, float)):
-        return _as_specs(obj)
-    if isinstance(obj, dict):
-        return (
-            CoefficientSpec(
-                parse_prefix(obj["expr"]),
-                int(obj.get("exp_rate", 0)),
-                int(obj.get("u_degree", 0)),
-            ),
-        )
-    if isinstance(obj, list):
-        out: list[CoefficientSpec] = []
-        for item in obj:
-            out.extend(_spec_from_obj(item))
-        return tuple(out)
-    raise ConfigError(f"cannot read coefficient entry {obj!r}")
-
-
 def _source_from_obj(obj) -> FracSeries:
     if not obj:
         return FracSeries.zero()
@@ -310,8 +284,8 @@ def problem_from_obj(obj: dict) -> ProblemSpec:
     try:
         form = obj["form"]
         dim = int(obj["dim"])
-        drift = [_spec_from_obj(entry) for entry in obj["A"]]
-        diffusion = [[_spec_from_obj(entry) for entry in row] for row in obj["B"]]
+        drift = [_as_specs(entry) for entry in obj["A"]]
+        diffusion = [[_as_specs(entry) for entry in row] for row in obj["B"]]
         initial = parse_prefix(obj["f"])
         source = _source_from_obj(obj.get("g"))
         if form == "forward":

@@ -396,55 +396,40 @@ class FracSeries:
 
     __mul__ = multiply
 
-    def spatial_derivative(self, name: str, order: int = 1) -> "FracSeries":
-        if order not in (1, 2):
-            raise DomainError(f"derivative order must be 1 or 2, got {order}")
-        terms = self.terms
-        for _ in range(order):
-            terms = tuple(
-                FracTerm(t.coef, differentiate(t.spatial, name), t.time) for t in terms
-            )
+    def spatial_derivative(self, name: str) -> "FracSeries":
+        terms = (FracTerm(t.coef, differentiate(t.spatial, name), t.time) for t in self.terms)
         return FracSeries(_collect(terms))
+
+    def _alpha_shift(self, step: int, what: str) -> "FracSeries":
+        """Move every term from t**(p + q*alpha) to t**(p + (q+step)*alpha),
+        multiplying its coefficient by gamma(1 + p + q*alpha) /
+        gamma(1 + p + (q+step)*alpha)."""
+        out = []
+        for term in self.terms:
+            tf = term.time
+            if tf.c != 0:
+                raise ExponentError(f"{what} needs pure powers; taylor_expand exp(c*t) first")
+            shifted = TimeFactor(tf.p, tf.q + step, 0)  # raises if it can go negative
+            coef = term.coef.gamma_ratio(
+                GammaArg(1 + tf.p, tf.q), GammaArg(1 + tf.p, tf.q + step)
+            )
+            out.append(FracTerm(coef, term.spatial, shifted))
+        return FracSeries(_collect(out))
 
     def caputo_derivative(self) -> "FracSeries":
         """Caputo derivative of order alpha, applied termwise.
 
-        t**(p + q*alpha) picks up gamma(1 + p + q*alpha) /
-        gamma(1 + p + (q-1)*alpha) and drops one alpha from the
-        exponent; constants in time are annihilated.
+        Constants in time are annihilated; every other t**(p + q*alpha)
+        picks up gamma(1 + p + q*alpha) / gamma(1 + p + (q-1)*alpha) and
+        drops one alpha from the exponent.
         """
-        out = []
-        for term in self.terms:
-            tf = term.time
-            if tf.c != 0:
-                raise ExponentError(
-                    "caputo_derivative needs pure powers; taylor_expand exp(c*t) first"
-                )
-            if tf.p == 0 and tf.q == 0:
-                continue
-            shifted = TimeFactor(tf.p, tf.q - 1, 0)  # raises if it can go negative
-            coef = term.coef.gamma_ratio(
-                GammaArg(1 + tf.p, tf.q), GammaArg(1 + tf.p, tf.q - 1)
-            )
-            out.append(FracTerm(coef, term.spatial, shifted))
-        return FracSeries(_collect(out))
+        varying = FracSeries(tuple(t for t in self.terms if t.time != TIME_ONE))
+        return varying._alpha_shift(-1, "caputo_derivative")
 
     def frac_integral(self) -> "FracSeries":
         """Riemann-Liouville integral of order alpha; exact inverse of
         caputo_derivative on its image (the gamma tokens cancel)."""
-        out = []
-        for term in self.terms:
-            tf = term.time
-            if tf.c != 0:
-                raise ExponentError(
-                    "frac_integral needs pure powers; taylor_expand exp(c*t) first"
-                )
-            shifted = TimeFactor(tf.p, tf.q + 1, 0)
-            coef = term.coef.gamma_ratio(
-                GammaArg(1 + tf.p, tf.q), GammaArg(1 + tf.p, tf.q + 1)
-            )
-            out.append(FracTerm(coef, term.spatial, shifted))
-        return FracSeries(_collect(out))
+        return self._alpha_shift(1, "frac_integral")
 
     def taylor_expand(self, n_terms: int) -> "FracSeries":
         """Replace each exp(c*t) factor by its first n_terms powers of t."""

@@ -12,9 +12,8 @@ from hatmfp import engine
 from hatmfp.errors import ConfigError, DegreeError, ExponentError
 from hatmfp.engine import (
     HatmConfig,
-    LinearMonomial,
+    OperatorMonomial,
     ProblemSpec,
-    QuadraticMonomial,
     apply_operator,
     build_rm,
     h_curve,
@@ -50,14 +49,23 @@ def test_config_validation():
 
 def test_problem_spec_guards():
     with pytest.raises(ConfigError):
-        ProblemSpec(dim=3, linear=(), quadratic=(), initial=X)
+        ProblemSpec(dim=3, operator=(), initial=X)
     with pytest.raises(ConfigError):
         # y appears in a one-dimensional problem
-        ProblemSpec(dim=1, linear=(LinearMonomial(Y, (1, 0)),), quadratic=(), initial=X)
+        ProblemSpec(dim=1, operator=(OperatorMonomial(Y, ((1, 0),)),), initial=X)
+    with pytest.raises(ConfigError):
+        # a y-derivative in either factor of a one-dimensional problem
+        ProblemSpec(dim=1, operator=(OperatorMonomial(ONE, ((0, 0), (0, 1))),), initial=X)
     with pytest.raises(DegreeError):
-        LinearMonomial(ONE, (3, 0))
+        OperatorMonomial(ONE, ((3, 0),))
     with pytest.raises(DegreeError):
-        QuadraticMonomial(ONE, (1, 0), (0, 3))
+        OperatorMonomial(ONE, ((1, 0), (0, 3)))
+
+
+@pytest.mark.parametrize("derivs", [(), ((0, 0),) * 3])
+def test_operator_monomial_takes_one_or_two_factors(derivs):
+    with pytest.raises(DegreeError, match="one or two factors"):
+        OperatorMonomial(ONE, derivs)
 
 
 def test_only_constant_auxiliary_function():
@@ -88,7 +96,7 @@ def test_apply_operator_quadratic_identity():
 
 def test_apply_operator_drift_only():
     # hand problem: N[u] = x * du/dx on u = x^2 t^alpha
-    prob = ProblemSpec(dim=1, linear=(LinearMonomial(X, (1, 0)),), quadratic=(), initial=X)
+    prob = ProblemSpec(dim=1, operator=(OperatorMonomial(X, ((1, 0),)),), initial=X)
     u = FracSeries.from_spatial(pow_(X, 2), q=1)
     out = apply_operator(prob, [u], 1)
     alpha, x, t = 0.5, 1.4, 0.3
@@ -103,8 +111,7 @@ def test_apply_operator_quadratic_convolution():
     # m=2 is u1*u0' + u0*u1'
     prob = ProblemSpec(
         dim=1,
-        linear=(),
-        quadratic=(QuadraticMonomial(ONE, (0, 0), (1, 0)),),
+        operator=(OperatorMonomial(ONE, ((0, 0), (1, 0))),),
         initial=X,
     )
     u0 = FracSeries.from_spatial(X)
@@ -120,8 +127,7 @@ def test_apply_operator_at_first_order_uses_square():
     # with history (s,): the convolution is then s * s
     prob = ProblemSpec(
         dim=1,
-        linear=(),
-        quadratic=(QuadraticMonomial(ONE, (0, 0), (0, 0)),),
+        operator=(OperatorMonomial(ONE, ((0, 0), (0, 0))),),
         initial=X,
     )
     s = FracSeries.from_spatial(X, q=1)
@@ -170,7 +176,7 @@ def test_build_rm_source_enters_once():
     # whose solution is x + J^alpha[t^alpha]; the source must enter the
     # recursion once, at m = 1, else iterates never stop
     source = FracSeries.from_spatial(ONE, q=1)
-    prob = ProblemSpec(dim=1, linear=(), quadratic=(), initial=X, source=source)
+    prob = ProblemSpec(dim=1, operator=(), initial=X, source=source)
     x, t, alpha = 1.0, 0.5, 0.5
     jg = math.gamma(1 + alpha) / math.gamma(1 + 2 * alpha) * t ** (2 * alpha)
     u0 = FracSeries.from_spatial(X)
@@ -344,7 +350,7 @@ def test_taylor_events_recorded():
     # N[u] = e^t du/dx keeps a genuine exponential coefficient alive,
     # forcing an expansion before every integration step
     prob = ProblemSpec(
-        dim=1, linear=(LinearMonomial(ONE, (1, 0), exp_rate=1),), quadratic=(), initial=X
+        dim=1, operator=(OperatorMonomial(ONE, ((1, 0),), exp_rate=1),), initial=X
     )
     events = []
     run(prob, cfg(alpha=0.5, order=3, taylor_terms=9), events)

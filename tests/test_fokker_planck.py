@@ -35,6 +35,14 @@ from hatmfp.series import FracSeries
 POINTS = [(0.7, 0.4), (1.3, 0.9), (2.1, 0.25)]
 
 
+def linear(problem):
+    return tuple(m for m in problem.operator if len(m.derivs) == 1)
+
+
+def quadratic(problem):
+    return tuple(m for m in problem.operator if len(m.derivs) == 2)
+
+
 def act(problem, phi, x, t=0.0, y=0.0, alpha=0.5):
     """Numeric value of the expanded operator applied to the plain
     spatial profile phi."""
@@ -96,7 +104,7 @@ def test_forward_quadratic_drift():
     a = CoefficientSpec(add(X, const(2)), u_degree=1, exp_rate=1)
     phi = add(sinh(X), const(1))
     prob = build_forward(1, [a], [[0]], phi)
-    assert prob.linear == ()
+    assert linear(prob) == ()
     x, t = 1.2, 0.3
     want = -math.exp(t) * evaluate(dx(mul(add(X, const(2)), phi, phi)), x)
     assert act(prob, phi, x, t) == pytest.approx(want, rel=1e-12)
@@ -111,12 +119,30 @@ def test_forward_quadratic_diffusion():
         assert act(prob, phi, x) == pytest.approx(want, rel=1e-12)
 
 
+def test_forward_two_dimensional_quadratic():
+    # u_degree = 1 in every slot: -sum_i d_i(A_i u^2) + sum_ij d_i d_j(B_ij u^2);
+    # the unequal off-diagonal entries pin which derivative pairs with which
+    a = [mul(X, Y), add(Y, const(1))]
+    b = [[pow_(X, 2), mul(X, Y)], [sinh(Y), const(2)]]
+    phi = add(mul(pow_(X, 2), Y), cosh(Y))
+    state = [CoefficientSpec(e, u_degree=1) for e in a]
+    diffusion = [[CoefficientSpec(e, u_degree=1) for e in row] for row in b]
+    prob = build_forward(2, state, diffusion, phi)
+    assert linear(prob) == ()
+    square = mul(phi, phi)
+    for x, y in [(0.8, 0.5), (1.4, 1.1), (0.3, 1.7)]:
+        want = -sum(evaluate(dx(mul(ai, square), var=v), x, y=y) for ai, v in zip(a, "xy"))
+        for (i, j), bij in zip([(0, 0), (0, 1), (1, 0), (1, 1)], sum(b, [])):
+            want += evaluate(dx(dx(mul(bij, square), var="xy"[i]), var="xy"[j]), x, y=y)
+        assert act(prob, phi, x, y=y) == pytest.approx(want, rel=1e-12)
+
+
 def test_quadratic_groups_merge():
     # two state-carrying drift pieces collapse into one pair of
     # derivative patterns, not two
     specs = [CoefficientSpec(X, u_degree=1), CoefficientSpec(sinh(X), u_degree=1)]
     prob = build_forward(1, [specs], [[0]], X)
-    assert len(prob.quadratic) == 2
+    assert len(quadratic(prob)) == 2
     phi = cosh(X)
     x = 0.9
     want = -evaluate(dx(mul(add(X, sinh(X)), phi, phi)), x)
@@ -131,7 +157,7 @@ def test_backward_keeps_coefficients_outside():
     b = pow_(X, 2)
     phi = sinh(X)
     prob = build_backward(1, [a], [[b]], phi)
-    assert prob.quadratic == ()
+    assert quadratic(prob) == ()
     for x, _ in POINTS:
         want = -evaluate(a, x) * evaluate(dx(phi), x) + evaluate(b, x) * evaluate(
             dx(phi, 2), x
@@ -202,7 +228,7 @@ def test_shape_guards():
 def test_entry_interpretation():
     # zero entries vanish entirely
     empty = build_forward(1, [0], [[0.0]], X)
-    assert empty.linear == () and empty.quadratic == ()
+    assert empty.operator == ()
     # numbers, Fractions, bare expressions, and nested lists (sums) all
     # mean the same operator
     split = build_forward(1, [[X, 2]], [[Fraction(1, 2)]], X)
@@ -210,8 +236,10 @@ def test_entry_interpretation():
     phi = sinh(X)
     for x, _ in POINTS:
         assert act(split, phi, x) == pytest.approx(act(joined, phi, x), rel=1e-12)
+    # a string entry is a prefix expression, as in a problem file
+    assert build_forward(1, ["x"], [["(sinh x)"]], X) == build_forward(1, [X], [[sinh(X)]], X)
     with pytest.raises(ConfigError):
-        build_forward(1, ["x"], [[ONE]], X)
+        build_forward(1, [object()], [[ONE]], X)
 
 
 def test_antisymmetric_mixed_diffusion_cancels():
@@ -219,7 +247,7 @@ def test_antisymmetric_mixed_diffusion_cancels():
     # pattern by pattern, so nothing survives the merge
     b = [[const(0), X], [mul(const(-1), X), const(0)]]
     prob = build_forward(2, [0, 0], b, X)
-    assert prob.linear == () and prob.quadratic == ()
+    assert prob.operator == ()
 
 
 # -------------------------------------------------------------------- presets
@@ -230,7 +258,7 @@ def test_builder_keeps_coefficient_vanishing_on_sample_panel():
     # drift: u0 + u1 = cosh(x) - t p(x) sinh(x) at alpha = 1, hbar = -1
     p = mul(*(add(X, -r) for r in (0.531, 0.877, 1.203, 1.618)))
     prob = build_backward(1, [p], [[0]], cosh(X))
-    assert len(prob.linear) == 1
+    assert len(linear(prob)) == 1
     us = run(prob, HatmConfig(alpha=1.0, hbar=-1.0, order=1))
     want = math.cosh(2.0) - evaluate(p, 2.0) * math.sinh(2.0)
     assert want == pytest.approx(1.9405912477816947, rel=1e-12)
@@ -242,7 +270,7 @@ def test_preset_catalogue():
     dims = {pid: preset(pid).dim for pid in PRESET_IDS}
     assert dims == {"4.1": 1, "4.2": 1, "4.3": 1, "4.4": 2, "4.5": 1}
     # only the last preset carries a quadratic nonlinearity
-    assert [pid for pid in PRESET_IDS if preset(pid).quadratic] == ["4.5"]
+    assert [pid for pid in PRESET_IDS if quadratic(preset(pid))] == ["4.5"]
     assert all(preset(pid).source.is_zero for pid in PRESET_IDS)
 
 
@@ -266,8 +294,9 @@ def test_plane_preset_merged_groups():
     #   -2 u + 3x u_x - y u_y + x^2 u_xx + 2 u_xy + y^2 u_yy
     prob = preset("4.4")
     x, y = 1.3, 0.7
-    got = {m.deriv: evaluate(m.coef, x, y) for m in prob.linear}
-    assert all(m.exp_rate == 0 for m in prob.linear)
+    assert prob.operator == linear(prob)
+    got = {m.derivs[0]: evaluate(m.coef, x, y) for m in prob.operator}
+    assert all(m.exp_rate == 0 for m in prob.operator)
     want = {
         (0, 0): -2.0,
         (1, 0): 3 * x,
@@ -280,7 +309,7 @@ def test_plane_preset_merged_groups():
     for key, value in want.items():
         assert got[key] == pytest.approx(value, rel=1e-14)
     # the two unit off-diagonal entries fold into a single constant
-    mixed = next(m for m in prob.linear if m.deriv == (1, 1))
+    mixed = next(m for m in prob.operator if m.derivs == ((1, 1),))
     assert mixed.coef is const(2.0)
 
 
@@ -290,15 +319,14 @@ def test_quadratic_preset_merged_groups():
     #   (4/x^2) u^2 - (8/x) u u_x + 2 u_x^2 + 2 u u_xx
     prob = preset("4.5")
     x = 1.7
-    lin = {m.deriv: evaluate(m.coef, x) for m in prob.linear}
+    lin = {m.derivs[0]: evaluate(m.coef, x) for m in linear(prob)}
     assert lin == {
         (0, 0): pytest.approx(1 / 3, rel=1e-14),
         (1, 0): pytest.approx(x / 3, rel=1e-14),
     }
-    quad = {
-        tuple(sorted((m.deriv_a, m.deriv_b))): evaluate(m.coef, x)
-        for m in prob.quadratic
-    }
+    # one-factor monomials first, each two-factor pattern sorted
+    assert prob.operator == linear(prob) + quadratic(prob)
+    quad = {m.derivs: evaluate(m.coef, x) for m in quadratic(prob)}
     assert quad == {
         ((0, 0), (0, 0)): pytest.approx(4 / x**2, rel=1e-14),
         ((0, 0), (1, 0)): pytest.approx(-8 / x, rel=1e-14),

@@ -31,7 +31,7 @@ PROBLEMS = {
     # no operator: D^alpha u = t^alpha, u(x, 0) = x
     "source": (
         ProblemSpec(
-            dim=1, linear=(), quadratic=(), initial=X,
+            dim=1, operator=(), initial=X,
             source=FracSeries.from_spatial(ONE, q=1),
         ),
         {"order": 4},
