@@ -3,8 +3,9 @@
 
 Writes one CSV row per hbar with a value column per truncation order,
 so the widening of the flat region with order is visible side by side.
-The recursion runs once, to the largest order; every hbar recombines
-those iterates and every column is a partial sum of them:
+The recursion runs once, to the largest order, and each iterate is
+evaluated once at the probe; every hbar recombines those numbers and
+every column is a partial sum of them:
 
     python scripts/hcurve_sweep.py --preset 4.2 --alpha 0.5 \\
         --orders 4 8 12 --out hcurve.csv
@@ -14,7 +15,7 @@ import argparse
 import csv
 import sys
 
-from hatmfp.engine import HatmConfig, partial_sum, recombine, run
+from hatmfp.engine import HatmConfig, recombine_values, run
 from hatmfp.fokker_planck import PRESET_IDS, load_problem, preset
 
 
@@ -49,14 +50,11 @@ def main() -> None:
 
     free = run(problem, HatmConfig(alpha=args.alpha, hbar=-1.0, order=max(args.orders)))
     x, y, t = args.probe
+    values = [v.evaluate(x=x, y=y, t=t, alpha=args.alpha) for v in free]
     rows = []
     for h in h_values:
-        iterates = recombine(free, h)
-        values = [
-            partial_sum(iterates, n).evaluate(x=x, y=y, t=t, alpha=args.alpha)
-            for n in args.orders
-        ]
-        rows.append([repr(h)] + [repr(v) for v in values])
+        u_values = recombine_values(values, h)
+        rows.append([repr(h)] + [repr(sum(u_values[: n + 1])) for n in args.orders])
 
     sink = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     writer = csv.writer(sink)

@@ -11,6 +11,7 @@ from .engine import (
     h_curve,
     partial_sum,
     recombine,
+    recombine_values,
     residual,
     run,
     run_report,

@@ -27,7 +27,13 @@ any hbar are fixed combinations of the v_m, the HAM/HPM correspondence
 
     u_m = sum_{k=1..m} C(m-1, k-1) (-hbar)^k (1+hbar)^(m-k) v_k,
 
-so hbar enters only in recombine(); the v_m are the iterates at -1.
+so hbar enters only through these weights; the v_m are the iterates
+at -1. recombine() applies them to the series, recombine_values() to
+the values of the v_m at one point, which is all h_curve needs.
+
+Each spatial derivative of an iterate is built once and kept on the
+series (FracSeries.spatial_derivative), so the operator terms of every
+later step, and residual(), reuse it.
 """
 
 from __future__ import annotations
@@ -38,10 +44,10 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ConfigError, DegreeError, ExponentError
-from .expr import SpatialExpr, mul, variables
+from .expr import SpatialExpr, evaluate, mul, variables
 from .series import Coefficient, FracSeries, FracTerm, TimeFactor, _check_alpha
 
 MultiIndex = tuple[int, int]  # derivative orders in (x, y)
@@ -213,22 +219,37 @@ def deformation_step(
     ).collected()
 
 
+def _weights(m: int, hbar: float) -> Iterator[tuple[int, float]]:
+    """(k, weight) for each nonzero weight of v_k in u_m (m >= 1), from
+    the binomial formula of the module docstring."""
+    for k in range(1, m + 1):
+        weight = math.comb(m - 1, k - 1) * (-hbar) ** k * (1 + hbar) ** (m - k)
+        if weight != 0.0:
+            yield k, weight
+
+
 def recombine(free: Sequence[FracSeries], hbar: float) -> list[FracSeries]:
     """Iterates [u_0, ..., u_M] at hbar from the hbar-free [v_0, ..., v_M]
     (module docstring); zero weights are skipped, so at hbar = -1 each
     u_m is v_m itself."""
     out = [free[0]]
     for m in range(1, len(free)):
-        parts = []
-        for k in range(1, m + 1):
-            weight = math.comb(m - 1, k - 1) * (-hbar) ** k * (1 + hbar) ** (m - k)
-            if weight != 0.0:
-                parts.append(free[k].scale(weight))
+        parts = [free[k].scale(weight) for k, weight in _weights(m, hbar)]
         if len(parts) == 1:
             out.append(parts[0])
         else:
             out.append(FracSeries(tuple(t for p in parts for t in p.terms)).collected())
     return out
+
+
+def recombine_values(values: Sequence[float], hbar: float) -> list[float]:
+    """recombine() on numbers: [u_0, ..., u_M] at one point from the
+    values [v_0, ..., v_M] of the hbar-free iterates there. The
+    recombination is linear, so it commutes with evaluation."""
+    return [values[0]] + [
+        sum(weight * values[k] for k, weight in _weights(m, hbar))
+        for m in range(1, len(values))
+    ]
 
 
 def run(
@@ -259,18 +280,24 @@ def residual(
     cfg: HatmConfig,
     points: Sequence[tuple[float, float, float]],
 ) -> list[float]:
-    """|D^alpha s - N[s] - g| of the full nonlinear equation at (x, y, t)."""
+    """|D^alpha s - N[s] - g| of the full nonlinear equation at (x, y, t).
+
+    D^alpha s - g stays a series; N[s] is summed at each point from the
+    values of the derivatives of s, so a two-slot monomial multiplies
+    two numbers instead of every pair of terms of s."""
     if s.has_exponential:
         raise ExponentError("residual needs a taylor-expanded (c = 0) series")
-    mismatch = (
-        s.caputo_derivative()
-        .add(apply_operator(problem, (s,), 1).scale(-1.0))
-        .add(problem.source.scale(-1.0))
-    )
-    return [
-        abs(mismatch.evaluate(x=px, y=py, t=pt, alpha=cfg.alpha))
-        for px, py, pt in points
-    ]
+    linear = s.caputo_derivative().add(problem.source.scale(-1.0))
+    out = []
+    for px, py, pt in points:
+        operator = sum(
+            evaluate(mono.coef, px, py)
+            * math.exp(mono.exp_rate * pt)
+            * math.prod(_derived(s, d).evaluate(px, pt, cfg.alpha, py) for d in mono.derivs)
+            for mono in problem.operator
+        )
+        out.append(abs(linear.evaluate(px, pt, cfg.alpha, py) - operator))
+    return out
 
 
 def h_curve(
@@ -282,16 +309,17 @@ def h_curve(
     """Partial-sum value at the probe point for each convergence-control
     parameter; the flat stretch of this curve marks usable hbar.
 
-    The recursion runs once, at hbar = -1, and every hbar recombines
-    those iterates. The weights grow like |1+hbar|^order, so the
+    The recursion runs once, at hbar = -1, and each of its iterates is
+    evaluated once at the probe; every hbar recombines those numbers
+    (recombine_values). The weights grow like |1+hbar|^order, so the
     rounding error of a row grows with them when |1+hbar| > 1."""
     px, py, pt = probe
     free = run(problem, replace(cfg, hbar=-1.0))
+    values = [v.evaluate(x=px, y=py, t=pt, alpha=cfg.alpha) for v in free]
     out = []
     for h in h_values:
-        iterates = recombine(free, replace(cfg, hbar=h).hbar)  # validates h != 0
-        total = partial_sum(iterates, cfg.order)
-        out.append((h, total.evaluate(x=px, y=py, t=pt, alpha=cfg.alpha)))
+        replace(cfg, hbar=h)  # validates h != 0
+        out.append((h, sum(recombine_values(values, h))))
     return out
 
 

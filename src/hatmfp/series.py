@@ -397,8 +397,14 @@ class FracSeries:
     __mul__ = multiply
 
     def spatial_derivative(self, name: str) -> "FracSeries":
-        terms = (FracTerm(t.coef, differentiate(t.spatial, name), t.time) for t in self.terms)
-        return FracSeries(_collect(terms))
+        """Derivative in x or y, built once per series and kept on it."""
+        key = "_d" + name
+        got = self.__dict__.get(key)
+        if got is None:
+            terms = (FracTerm(t.coef, differentiate(t.spatial, name), t.time) for t in self.terms)
+            got = FracSeries(_collect(terms))
+            object.__setattr__(self, key, got)
+        return got
 
     def _alpha_shift(self, step: int, what: str) -> "FracSeries":
         """Move every term from t**(p + q*alpha) to t**(p + (q+step)*alpha),

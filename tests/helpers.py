@@ -1,6 +1,6 @@
 """Shared fixtures for the suite: closed-form iterate coefficients,
-random-series builders, the direct hbar recursion, and small comparison
-utilities."""
+random-series builders, the direct hbar recursion, the symbolic residual,
+the problems the engine is checked on, and small comparison utilities."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ import random
 from fractions import Fraction
 
 from hatmfp.engine import HatmConfig, ProblemSpec, apply_operator
-from hatmfp.expr import SpatialExpr, add, cosh, evaluate, mul, pow_, sinh, X, Y
+from hatmfp.expr import ONE, SpatialExpr, add, cosh, evaluate, mul, pow_, sinh, X, Y
+from hatmfp.fokker_planck import CoefficientSpec, build_backward, build_forward, preset
 from hatmfp.series import FracSeries, FracTerm, Coefficient, TimeFactor
 
 
@@ -126,3 +127,45 @@ def direct_iterates(problem: ProblemSpec, cfg: HatmConfig) -> list[FracSeries]:
             step = u_prev.terms + step
         history.append(FracSeries(tuple(step)).collected())
     return history
+
+
+def symbolic_residual(
+    problem: ProblemSpec, s: FracSeries, cfg: HatmConfig, points
+) -> list[float]:
+    """|D^alpha s - N[s] - g| with N[s] built as a series, apply_operator
+    at m = 1 with history (s,): the reference for engine.residual."""
+    mismatch = (
+        s.caputo_derivative()
+        .add(apply_operator(problem, (s,), 1).scale(-1.0))
+        .add(problem.source.scale(-1.0))
+    )
+    return [
+        abs(mismatch.evaluate(x=px, y=py, t=pt, alpha=cfg.alpha))
+        for px, py, pt in points
+    ]
+
+
+# name -> (problem, HatmConfig keywords besides alpha and hbar)
+PROBLEMS = {
+    **{pid: (preset(pid), {"order": 4}) for pid in ("4.1", "4.2", "4.3", "4.4", "4.5")},
+    # W2: forward, A = 0, B = u, f = sinh x (quadratic convolution)
+    "W2": (
+        build_forward(1, [[]], [[CoefficientSpec(ONE, u_degree=1)]], sinh(X)),
+        {"order": 5},
+    ),
+    # W1: backward, A = -x, B = x^2 e^t, f = cosh x (Taylor-truncated)
+    "W1": (
+        build_backward(
+            1, [mul(-1, X)], [[CoefficientSpec(pow_(X, 2), exp_rate=1)]], cosh(X)
+        ),
+        {"order": 2, "taylor_terms": 6},
+    ),
+    # no operator: D^alpha u = t^alpha, u(x, 0) = x
+    "source": (
+        ProblemSpec(
+            dim=1, operator=(), initial=X,
+            source=FracSeries.from_spatial(ONE, q=1),
+        ),
+        {"order": 4},
+    ),
+}

@@ -3,12 +3,14 @@ import math
 import pytest
 
 from helpers import (
+    PROBLEMS,
     assert_q_map_close,
     constant_image_coeffs,
     identity_coeffs,
     q_coefficient_map,
+    symbolic_residual,
 )
-from hatmfp import engine
+from hatmfp import engine, series
 from hatmfp.errors import ConfigError, DegreeError, ExponentError
 from hatmfp.engine import (
     HatmConfig,
@@ -123,8 +125,8 @@ def test_apply_operator_quadratic_convolution():
 
 
 def test_apply_operator_at_first_order_uses_square():
-    # residual() applies N to a fixed series s as apply_operator at m = 1
-    # with history (s,): the convolution is then s * s
+    # apply_operator at m = 1 with history (s,) is N[s], the symbolic
+    # residual of tests/helpers.py: the convolution is then s * s
     prob = ProblemSpec(
         dim=1,
         operator=(OperatorMonomial(ONE, ((0, 0), (0, 0))),),
@@ -250,6 +252,34 @@ def test_residual_shrinks_with_order():
     assert prev < 1e-4
 
 
+# forward, A = x u e^t + sinh x + 2, B = cosh x u + x^2 e^t, f = x + 1;
+# the symbolic N[s] multiplies every pair of terms of s, so the oracle
+# is run at M = 1
+MIXED = build_forward(
+    1,
+    [[CoefficientSpec(X, exp_rate=1, u_degree=1), CoefficientSpec(sinh(X)), 2]],
+    [[[CoefficientSpec(cosh(X), u_degree=1), CoefficientSpec(pow_(X, 2), exp_rate=1)]]],
+    add(X, 1),
+)
+
+
+@pytest.mark.parametrize(
+    "problem, keywords",
+    [PROBLEMS["4.5"], PROBLEMS["W1"], PROBLEMS["W2"], (MIXED, {"order": 1})],
+    ids=["4.5", "W1", "W2", "mixed"],
+)
+def test_residual_matches_symbolic(problem, keywords):
+    c = cfg(alpha=0.5, hbar=-0.7, **keywords)
+    s = partial_sum(run(problem, c), c.order)
+    points = [(0.6, 0.0, 0.1), (1.0, 0.0, 0.3), (1.5, 0.0, 0.7)]
+    got = residual(problem, s, c, points)
+    want = symbolic_residual(problem, s, c, points)
+    for (x, _, t), g, w in zip(points, got, want):
+        # relative to D^alpha s where the residual is a small difference
+        scale = max(w, abs(s.caputo_derivative().evaluate(x, t, c.alpha)))
+        assert abs(g - w) <= 1e-12 * scale, (x, t, g, w)
+
+
 def test_residual_rejects_exponentials():
     prob = preset("4.1")
     s = FracSeries.from_spatial(X, c=1)
@@ -285,6 +315,25 @@ def test_h_curve_runs_recursion_once(monkeypatch):
     monkeypatch.setattr(engine, "deformation_step", counted)
     h_curve(preset("4.5"), cfg(alpha=0.5, order=6), (1.0, 0.0, 0.3), [-1.5, -1.0, -0.5, -0.2])
     assert calls == [1, 2, 3, 4, 5, 6]
+
+
+def test_h_curve_collects_once_per_run(monkeypatch):
+    # every hbar is a weighted sum of numbers: no series work per hbar
+    calls = []
+    collect = series._collect
+
+    def counted(terms):
+        calls.append(1)
+        return collect(terms)
+
+    monkeypatch.setattr(series, "_collect", counted)
+    counts = []
+    for count in (3, 19):
+        calls.clear()
+        h_values = [-2.0 + 1.8 * i / (count - 1) for i in range(count)]
+        h_curve(preset("4.5"), cfg(alpha=0.5, order=10), (1.0, 0.0, 0.3), h_values)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_h_curve_exact_point():

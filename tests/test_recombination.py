@@ -1,42 +1,16 @@
 """engine.run (one hbar-free recursion, then binomial recombination)
-against the direct recursion that carries hbar through every step."""
+against the direct recursion that carries hbar through every step, and
+engine.h_curve (recombination of numbers) against recombined series."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import direct_iterates
-from hatmfp.engine import HatmConfig, ProblemSpec, partial_sum, recombine, run
-from hatmfp.expr import ONE, X, cosh, mul, pow_, sinh
-from hatmfp.fokker_planck import CoefficientSpec, build_backward, build_forward, preset
-from hatmfp.series import FracSeries
+from helpers import PROBLEMS, direct_iterates
+from hatmfp.engine import HatmConfig, h_curve, partial_sum, recombine, run
+from hatmfp.fokker_planck import preset
 
 POINTS = [(0.6, 0.1), (1.0, 0.3), (1.5, 0.7)]
-
-# name -> (problem, HatmConfig keywords besides alpha and hbar)
-PROBLEMS = {
-    **{pid: (preset(pid), {"order": 4}) for pid in ("4.1", "4.2", "4.3", "4.4", "4.5")},
-    # W2: forward, A = 0, B = u, f = sinh x (quadratic convolution)
-    "W2": (
-        build_forward(1, [[]], [[CoefficientSpec(ONE, u_degree=1)]], sinh(X)),
-        {"order": 5},
-    ),
-    # W1: backward, A = -x, B = x^2 e^t, f = cosh x (Taylor-truncated)
-    "W1": (
-        build_backward(
-            1, [mul(-1, X)], [[CoefficientSpec(pow_(X, 2), exp_rate=1)]], cosh(X)
-        ),
-        {"order": 2, "taylor_terms": 6},
-    ),
-    # no operator: D^alpha u = t^alpha, u(x, 0) = x
-    "source": (
-        ProblemSpec(
-            dim=1, operator=(), initial=X,
-            source=FracSeries.from_spatial(ONE, q=1),
-        ),
-        {"order": 4},
-    ),
-}
 
 
 def assert_partial_sums_close(problem, got, want, alpha, rel):
@@ -64,6 +38,27 @@ def test_run_matches_direct_recursion(name, hbar, alpha):
     got, want = run(problem, cfg), direct_iterates(problem, cfg)
     assert len(got) == len(want) == cfg.order + 1
     assert_partial_sums_close(problem, got, want, alpha, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+@settings(max_examples=6, deadline=None)
+@given(
+    hbar=st.floats(min_value=-2.0, max_value=-0.1),
+    alpha=st.sampled_from((0.5, 0.75, 1.0)),
+)
+def test_h_curve_matches_recombined_partial_sum(name, hbar, alpha):
+    # h_curve evaluates each hbar-free iterate once and recombines the
+    # numbers; the reference recombines the series and evaluates the sum.
+    problem, keywords = PROBLEMS[name]
+    cfg = HatmConfig(alpha=alpha, hbar=-1.0, **keywords)
+    free = run(problem, cfg)
+    total = partial_sum(recombine(free, hbar), cfg.order)
+    y = 0.8 if problem.dim == 2 else 0.0
+    for x, t in POINTS:
+        ((_, got),) = h_curve(problem, cfg, (x, y, t), [hbar])
+        want = total.evaluate(x, t, alpha, y)
+        scale = max(abs(want), abs(free[0].evaluate(x, t, alpha, y)))
+        assert abs(got - want) <= 1e-12 * scale, (x, t, got, want)
 
 
 @pytest.mark.parametrize("hbar", (-2.5, -2.3))

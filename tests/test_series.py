@@ -267,6 +267,15 @@ def test_spatial_derivative_orders():
     assert dy.evaluate(x, t, alpha, y=y) == pytest.approx(math.sinh(x) * ta, rel=1e-13)
 
 
+def test_spatial_derivative_is_built_once():
+    s = FracSeries.from_spatial(mul(sinh(X), Y), q=1)
+    dx = s.spatial_derivative("x")
+    assert s.spatial_derivative("x") is dx
+    assert s.spatial_derivative("y") is not dx
+    # the cache is not part of the value
+    assert s == FracSeries(s.terms) and s.to_obj() == FracSeries(s.terms).to_obj()
+
+
 def test_spatial_derivative_vs_finite_difference():
     rng = random.Random(11)
     for _ in range(10):
