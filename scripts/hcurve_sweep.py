@@ -46,7 +46,9 @@ def main() -> None:
     problem = preset(args.preset) if args.preset else load_problem(args.problem)
     step = (args.h_max - args.h_min) / max(args.h_count - 1, 1)
     h_values = [args.h_min + i * step for i in range(args.h_count)]
-    h_values = [h for h in h_values if h != 0.0]
+    # hbar = 0 is excluded, and so is a point within rounding of it.
+    rounding = 1e-12 * max(abs(args.h_min), abs(args.h_max))
+    h_values = [h for h in h_values if abs(h) > rounding]
 
     free = run(problem, HatmConfig(alpha=args.alpha, hbar=-1.0, order=max(args.orders)))
     x, y, t = args.probe

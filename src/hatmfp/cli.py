@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from functools import wraps
 from pathlib import Path
 
@@ -20,7 +19,7 @@ import click
 
 from .engine import HatmConfig, ProblemSpec, partial_sum, residual, run, run_report
 from .engine import h_curve as engine_h_curve
-from .errors import ConfigError, HatmError, SingularityError
+from .errors import ConfigError, HatmError, SingularityError, Value, store
 from .expr import to_prefix
 from .fokker_planck import PRESET_IDS, load_problem, preset
 from .oracles import reference_solution
@@ -71,17 +70,20 @@ def _parse_point(text: str, dim: int) -> tuple[float, float, float]:
     raise click.UsageError(f"bad point {text!r}; expected x[,y],t")
 
 
-@dataclass(frozen=True)
-class RunRequest:
+class RunRequest(Value):
     """Validated CLI invocation: one problem source, a config and where
     the output goes."""
 
-    problem: ProblemSpec
-    config: HatmConfig
-    label: str
-    preset_id: str | None
-    fmt: str
-    out: str | None
+    _fields = ("problem", "config", "label", "preset_id", "fmt", "out")
+
+    def __init__(self, problem: ProblemSpec, config: HatmConfig, label: str,
+                 preset_id: str | None, fmt: str, out: str | None) -> None:
+        store(self, "problem", problem)
+        store(self, "config", config)
+        store(self, "label", label)
+        store(self, "preset_id", preset_id)
+        store(self, "fmt", fmt)
+        store(self, "out", out)
 
     def total(self):
         """Partial sum of the iterates up to the configured order."""
@@ -263,7 +265,8 @@ def hcurve_cmd(req: RunRequest, probe, h_min, h_max, h_count) -> None:
     """Sweep the convergence-control parameter at a probe point."""
     point = _parse_point(probe, req.problem.dim)
     h_values = _grid(h_min, h_max, h_count)
-    if 0.0 in h_values:
+    # A point within rounding of 0 (-0.3 + 3 * 0.7/7, say) stands for 0.
+    if any(abs(h) <= 1e-12 * max(abs(h_min), abs(h_max)) for h in h_values):
         raise click.UsageError("hbar sweep must not include 0")
     req.write(["hbar", "value"], engine_h_curve(req.problem, req.config, point, h_values))
 

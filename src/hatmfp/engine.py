@@ -41,12 +41,11 @@ from __future__ import annotations
 import math
 import time as _time
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import product
 from typing import Iterator, Sequence
 
-from .errors import ConfigError, DegreeError, ExponentError
+from .errors import ConfigError, DegreeError, ExponentError, Value, store
 from .expr import SpatialExpr, evaluate, mul, variables
 from .series import Coefficient, FracSeries, FracTerm, TimeFactor, _check_alpha
 
@@ -60,75 +59,86 @@ def _check_multi_index(deriv: MultiIndex, what: str) -> None:
         raise DegreeError(f"{what} exceeds second order: {deriv}")
 
 
-@dataclass(frozen=True)
-class OperatorMonomial:
+class OperatorMonomial(Value):
     """coef(x, y) * exp(exp_rate * t) * prod_i d^derivs[i] u, with one
     slot (a linear term) or two (a quadratic term) in derivs."""
 
-    coef: SpatialExpr
-    derivs: tuple[MultiIndex, ...]
-    exp_rate: int = 0
+    _fields = ("coef", "derivs", "exp_rate")
 
-    def __post_init__(self) -> None:
-        if len(self.derivs) not in (1, 2):
+    def __init__(
+        self, coef: SpatialExpr, derivs: tuple[MultiIndex, ...], exp_rate: int = 0
+    ) -> None:
+        if len(derivs) not in (1, 2):
             raise DegreeError(
-                f"an operator monomial takes one or two factors of u, got {self.derivs}"
+                f"an operator monomial takes one or two factors of u, got {derivs}"
             )
-        for deriv in self.derivs:
+        for deriv in derivs:
             _check_multi_index(deriv, "deriv")
+        store(self, "coef", coef)
+        store(self, "derivs", derivs)
+        store(self, "exp_rate", exp_rate)
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    dim: int
-    operator: tuple[OperatorMonomial, ...]
-    initial: SpatialExpr
-    source: FracSeries = field(default_factory=FracSeries.zero)
+class ProblemSpec(Value):
+    """An initial state, an operator and a source (zero if None)."""
 
-    def __post_init__(self) -> None:
-        if self.dim not in (1, 2):
-            raise ConfigError(f"dim must be 1 or 2, got {self.dim}")
-        if self.dim == 1:
-            used = variables(self.initial)
-            for mono in self.operator:
+    _fields = ("dim", "operator", "initial", "source")
+
+    def __init__(
+        self, dim: int, operator: tuple[OperatorMonomial, ...], initial: SpatialExpr, source=None
+    ) -> None:
+        if dim not in (1, 2):
+            raise ConfigError(f"dim must be 1 or 2, got {dim}")
+        if dim == 1:
+            used = variables(initial)
+            for mono in operator:
                 used |= variables(mono.coef)
                 if any(d[1] != 0 for d in mono.derivs):
                     raise ConfigError("y-derivative in a one-dimensional problem")
             if "y" in used:
                 raise ConfigError("variable y in a one-dimensional problem")
+        source = FracSeries.zero() if source is None else source
+        store(self, "dim", dim)
+        store(self, "operator", operator)
+        store(self, "initial", initial)
+        store(self, "source", source)
 
 
-@dataclass(frozen=True)
-class HatmConfig:
+class HatmConfig(Value):
     """Run parameters. The auxiliary function of the deformation is the
     constant H = 1."""
 
-    alpha: float
-    hbar: float
-    order: int
-    taylor_terms: int = 12
+    _fields = ("alpha", "hbar", "order", "taylor_terms")
 
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-        if self.hbar == 0.0:
+    def __init__(self, alpha: float, hbar: float, order: int, taylor_terms: int = 12) -> None:
+        _check_alpha(alpha)
+        if hbar == 0.0:
             raise ConfigError("hbar must be nonzero")
-        if self.order < 0:
-            raise ConfigError(f"order must be >= 0, got {self.order}")
-        if self.taylor_terms < 1:
-            raise ConfigError(f"taylor_terms must be >= 1, got {self.taylor_terms}")
+        if order < 0:
+            raise ConfigError(f"order must be >= 0, got {order}")
+        if taylor_terms < 1:
+            raise ConfigError(f"taylor_terms must be >= 1, got {taylor_terms}")
+        store(self, "alpha", alpha)
+        store(self, "hbar", hbar)
+        store(self, "order", order)
+        store(self, "taylor_terms", taylor_terms)
 
 
-@dataclass(frozen=True)
-class TaylorEvent:
-    order: int  # deformation step m
-    terms_expanded: int
-    taylor_terms: int
+class TaylorEvent(Value):
+    _fields = ("order", "terms_expanded", "taylor_terms")  # order: deformation step m
+
+    def __init__(self, order: int, terms_expanded: int, taylor_terms: int) -> None:
+        store(self, "order", order)
+        store(self, "terms_expanded", terms_expanded)
+        store(self, "taylor_terms", taylor_terms)
 
 
-@dataclass(frozen=True)
-class BindEvent:
-    order: int  # deformation step m
-    terms_bound: int
+class BindEvent(Value):
+    _fields = ("order", "terms_bound")  # order: deformation step m
+
+    def __init__(self, order: int, terms_bound: int) -> None:
+        store(self, "order", order)
+        store(self, "terms_bound", terms_bound)
 
 
 def _derived(series: FracSeries, deriv: MultiIndex) -> FracSeries:
@@ -314,11 +324,11 @@ def h_curve(
     (recombine_values). The weights grow like |1+hbar|^order, so the
     rounding error of a row grows with them when |1+hbar| > 1."""
     px, py, pt = probe
-    free = run(problem, replace(cfg, hbar=-1.0))
+    free = run(problem, HatmConfig(cfg.alpha, -1.0, cfg.order, cfg.taylor_terms))
     values = [v.evaluate(x=px, y=py, t=pt, alpha=cfg.alpha) for v in free]
     out = []
     for h in h_values:
-        replace(cfg, hbar=h)  # validates h != 0
+        HatmConfig(cfg.alpha, h, cfg.order, cfg.taylor_terms)  # validates h != 0
         out.append((h, sum(recombine_values(values, h))))
     return out
 

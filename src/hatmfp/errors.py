@@ -1,4 +1,5 @@
-"""Exception types shared across the solver."""
+"""Exception types, and the base of the immutable records, shared across
+the solver: every other module imports this one."""
 
 
 class HatmError(Exception):
@@ -40,3 +41,39 @@ class PresetError(HatmError, ValueError):
 
 class OracleError(HatmError):
     """No reference solution registered for the requested problem."""
+
+
+# Immutable records without generated code: a subclass names its fields in
+# ``_fields`` and sets each one from its ``__init__`` with ``store``. That
+# bypasses Value.__setattr__ and, unlike writing self.__dict__, keeps the
+# fields in the instance's compact attribute storage, with no dict built
+# per instance. Attributes cached later take no part in equality, hashing
+# or the repr.
+store = object.__setattr__
+
+
+class Value:
+    """Equal by exact type and fields, hashed alike, read-only."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

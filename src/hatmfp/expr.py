@@ -20,7 +20,7 @@ object per distinct tree, and hash, node count, variable set and
 monomial table are cached on the node. Repeated
 differentiation and collection therefore build a shared DAG, and every
 traversal here costs one visit per distinct subtree rather than one per
-path. Build through the constructors; instantiating the dataclasses
+path. Build through the constructors; instantiating the node classes
 directly still gives correct (structural) equality but skips the
 sharing.
 """
@@ -28,12 +28,11 @@ sharing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Callable, Iterable, Iterator, Union
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError, SingularityError, Value, store
 
 Number = Union[int, float, Fraction]
 
@@ -51,8 +50,7 @@ FINGERPRINT_POINTS: tuple[tuple[float, float], ...] = tuple(
 Fingerprint = tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class SpatialExpr:
+class SpatialExpr(Value):
     """Base node. Build through the module-level constructors."""
 
     def __add__(self, other: "SpatialExpr | Number") -> "SpatialExpr":
@@ -88,36 +86,48 @@ class SpatialExpr:
         return to_prefix(self) < to_prefix(other)
 
 
-@dataclass(frozen=True)
 class Const(SpatialExpr):
-    value: float
+    _fields = ("value",)
+
+    def __init__(self, value: float) -> None:
+        store(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Var(SpatialExpr):
-    name: str  # "x" or "y"
+    _fields = ("name",)  # "x" or "y"
+
+    def __init__(self, name: str) -> None:
+        store(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Add(SpatialExpr):
-    children: tuple[SpatialExpr, ...]
+    _fields = ("children",)
+
+    def __init__(self, children: tuple[SpatialExpr, ...]) -> None:
+        store(self, "children", children)
 
 
-@dataclass(frozen=True)
 class Mul(SpatialExpr):
-    children: tuple[SpatialExpr, ...]
+    _fields = ("children",)
+
+    def __init__(self, children: tuple[SpatialExpr, ...]) -> None:
+        store(self, "children", children)
 
 
-@dataclass(frozen=True)
 class Pow(SpatialExpr):
-    base: SpatialExpr
-    exponent: Fraction
+    _fields = ("base", "exponent")
+
+    def __init__(self, base: SpatialExpr, exponent: Fraction) -> None:
+        store(self, "base", base)
+        store(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
 class Func(SpatialExpr):
-    kind: str  # sinh | cosh | tanh | coth | csch | recip
-    arg: SpatialExpr
+    _fields = ("kind", "arg")  # kind: sinh | cosh | tanh | coth | csch | recip
+
+    def __init__(self, kind: str, arg: SpatialExpr) -> None:
+        store(self, "kind", kind)
+        store(self, "arg", arg)
 
 
 def _structural_key(expr: SpatialExpr) -> tuple:
@@ -144,11 +154,10 @@ def _node_hash(self: SpatialExpr) -> int:
     return h
 
 
-# The generated dataclass hash recomputes over the whole tree on every
-# call; replace it with the cached one (keys of child nodes are already
-# cached, so a fresh node hashes in one shallow step).
-for _cls in (Const, Var, Add, Mul, Pow, Func):
-    _cls.__hash__ = _node_hash  # type: ignore[assignment]
+# Value's hash recomputes over the whole tree on every call; nodes use
+# the cached one (keys of child nodes are already cached, so a fresh
+# node hashes in one shallow step).
+SpatialExpr.__hash__ = _node_hash  # type: ignore[assignment]
 
 
 _INTERN: dict[tuple, SpatialExpr] = {}

@@ -19,13 +19,12 @@ are separable pieces spatial(x, y) * exp(exp_rate * t).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
 from .engine import MultiIndex, OperatorMonomial, ProblemSpec
-from .errors import ConfigError, DegreeError, HatmError, PresetError
+from .errors import ConfigError, DegreeError, HatmError, PresetError, Value, store
 from .expr import (
     SpatialExpr,
     X,
@@ -47,20 +46,18 @@ from .series import FracSeries, FracTerm, Coefficient, TimeFactor, _collect
 _VARS = ("x", "y")
 
 
-@dataclass(frozen=True)
-class CoefficientSpec:
+class CoefficientSpec(Value):
     """One separable piece of a drift or diffusion entry:
     spatial(x, y) * exp(exp_rate * t) * u**u_degree."""
 
-    spatial: SpatialExpr
-    exp_rate: int = 0
-    u_degree: int = 0
+    _fields = ("spatial", "exp_rate", "u_degree")
 
-    def __post_init__(self) -> None:
-        if self.u_degree not in (0, 1):
-            raise DegreeError(
-                f"u_degree {self.u_degree} would take the expansion past quadratic"
-            )
+    def __init__(self, spatial: SpatialExpr, exp_rate: int = 0, u_degree: int = 0) -> None:
+        if u_degree not in (0, 1):
+            raise DegreeError(f"u_degree {u_degree} would take the expansion past quadratic")
+        store(self, "spatial", spatial)
+        store(self, "exp_rate", exp_rate)
+        store(self, "u_degree", u_degree)
 
 
 def _as_specs(entry) -> tuple[CoefficientSpec, ...]:

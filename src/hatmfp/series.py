@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ConfigError, DomainError, ExponentError
+from .errors import ConfigError, DomainError, ExponentError, Value, store
 from .expr import (
     SpatialExpr,
     add,
@@ -69,19 +68,28 @@ def _as_fraction(value) -> Fraction:
     raise ExponentError(f"exponent part must be rational, got {value!r}")
 
 
-@dataclass(frozen=True, order=True)
-class GammaArg:
-    """Argument of a gamma token: the value a + b*alpha."""
+class GammaArg(Value):
+    """Argument of a gamma token: the value a + b*alpha, ordered by (a, b)."""
 
-    a: Fraction
-    b: int
+    _fields = ("a", "b")
 
-    def __post_init__(self) -> None:
-        # Coefficient keys hash many of these; Fraction.__hash__ is slow.
-        object.__setattr__(self, "_hash", hash((self.a.numerator, self.a.denominator, self.b)))
+    def __init__(self, a: Fraction, b: int) -> None:
+        # Coefficient keys hash and compare many of these; Fraction's hash
+        # and equality are slow, so both go through integers.
+        ints = (a.numerator, a.denominator, b)
+        store(self, "a", a)
+        store(self, "b", b)
+        store(self, "_ints", ints)
+        store(self, "_hash", hash(ints))
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and self._ints == other._ints
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __lt__(self, other: "GammaArg") -> bool:
+        return (self.a, self.b) < (other.a, other.b)
 
     def value(self, alpha: float) -> float:
         return float(self.a) + self.b * alpha
@@ -99,13 +107,17 @@ def _cancel(num: Sequence[GammaArg], den: Sequence[GammaArg]):
     return kept_num, remaining
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Value):
     """factor * prod gamma(num) / prod gamma(den)."""
 
-    factor: float
-    num: tuple[GammaArg, ...]
-    den: tuple[GammaArg, ...]
+    _fields = ("factor", "num", "den")
+
+    def __init__(
+        self, factor: float, num: tuple[GammaArg, ...], den: tuple[GammaArg, ...]
+    ) -> None:
+        store(self, "factor", factor)
+        store(self, "num", num)
+        store(self, "den", den)
 
     def signature(self):
         return (self.num, self.den)
@@ -137,11 +149,13 @@ def _monomial(factor: float, num: Iterable[GammaArg], den: Iterable[GammaArg]) -
     return Monomial(factor, tuple(sorted(kept_num)), tuple(sorted(kept_den)))
 
 
-@dataclass(frozen=True)
-class Coefficient:
+class Coefficient(Value):
     """Sum of gamma-ratio monomials, symbolic in alpha."""
 
-    monomials: tuple[Monomial, ...]
+    _fields = ("monomials",)
+
+    def __init__(self, monomials: tuple[Monomial, ...]) -> None:
+        store(self, "monomials", monomials)
 
     @staticmethod
     def number(factor: float) -> "Coefficient":
@@ -232,27 +246,28 @@ COEF_ZERO = Coefficient(())
 COEF_ONE = Coefficient((Monomial(1.0, (), ()),))
 
 
-@dataclass(frozen=True)
-class TimeFactor:
+class TimeFactor(Value):
     """Time dependence t**(p + q*alpha) * exp(c*t)."""
 
-    p: Fraction
-    q: int
-    c: int
+    _fields = ("p", "q", "c")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _as_fraction(self.p))
-        if self.p < 0:
-            raise ExponentError(f"negative fixed exponent p={self.p}")
+    def __init__(self, p: Fraction, q: int, c: int) -> None:
+        p = _as_fraction(p)
+        if p < 0:
+            raise ExponentError(f"negative fixed exponent p={p}")
         # Keep p + q*alpha >= 0 for every alpha in (0, 1].
-        if self.q < 0 and self.p < -self.q:
-            raise ExponentError(
-                f"exponent {self.p} + {self.q}*alpha can go negative on (0, 1]"
-            )
-        # _collect keys every term on its time; Fraction.__hash__ is slow.
-        object.__setattr__(
-            self, "_hash", hash((self.p.numerator, self.p.denominator, self.q, self.c))
-        )
+        if q < 0 and p < -q:
+            raise ExponentError(f"exponent {p} + {q}*alpha can go negative on (0, 1]")
+        # _collect keys every term on its time: hashed and compared as integers.
+        ints = (p.numerator, p.denominator, q, c)
+        store(self, "p", p)
+        store(self, "q", q)
+        store(self, "c", c)
+        store(self, "_ints", ints)
+        store(self, "_hash", hash(ints))
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and self._ints == other._ints
 
     def __hash__(self) -> int:
         return self._hash
@@ -271,11 +286,13 @@ class TimeFactor:
 TIME_ONE = TimeFactor(Fraction(0), 0, 0)
 
 
-@dataclass(frozen=True)
-class FracTerm:
-    coef: Coefficient
-    spatial: SpatialExpr
-    time: TimeFactor
+class FracTerm(Value):
+    _fields = ("coef", "spatial", "time")
+
+    def __init__(self, coef: Coefficient, spatial: SpatialExpr, time: TimeFactor) -> None:
+        store(self, "coef", coef)
+        store(self, "spatial", spatial)
+        store(self, "time", time)
 
 
 def _parallel_key(coef: Coefficient) -> tuple[float, tuple]:
@@ -340,11 +357,13 @@ def _collect(terms: Iterable[FracTerm]) -> tuple[FracTerm, ...]:
     return tuple(item[2] for item in out)
 
 
-@dataclass(frozen=True)
-class FracSeries:
+class FracSeries(Value):
     """Finite sum of FracTerms; all operations return new series."""
 
-    terms: tuple[FracTerm, ...]
+    _fields = ("terms",)
+
+    def __init__(self, terms: tuple[FracTerm, ...]) -> None:
+        store(self, "terms", terms)
 
     @staticmethod
     def zero() -> "FracSeries":

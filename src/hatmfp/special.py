@@ -8,9 +8,8 @@ accuracy), with the domain errors normalised to package exceptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError, Value, store
 
 ML_REL_TOL = 1e-16
 ML_MAX_TERMS = 200
@@ -30,16 +29,16 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-@dataclass(frozen=True)
-class MLParams:
+class MLParams(Value):
     """Parameters of the Mittag-Leffler series E_{alpha,beta}."""
 
-    alpha: float
-    beta: float = 1.0
+    _fields = ("alpha", "beta")
 
-    def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise DomainError(f"mittag_leffler needs alpha > 0, got {self.alpha}")
+    def __init__(self, alpha: float, beta: float = 1.0) -> None:
+        if not alpha > 0.0:
+            raise DomainError(f"mittag_leffler needs alpha > 0, got {alpha}")
+        store(self, "alpha", alpha)
+        store(self, "beta", beta)
 
 
 def mittag_leffler(params: MLParams, z: float) -> float:

@@ -253,6 +253,16 @@ def test_hcurve_rejects_sweep_through_zero():
     assert result.exit_code == 2
 
 
+def test_hcurve_rejects_sweep_through_rounded_zero():
+    # -0.3 + 3 * 0.7 / 7 is -5.55e-17: the grid point that stands for 0
+    result = invoke(
+        "hcurve", "--preset", "4.1", "--probe", "1,0.3",
+        "--h-min", -0.3, "--h-max", 0.4, "--h-count", 8,
+    )
+    assert result.exit_code == 2
+    assert "hbar sweep must not include 0" in result.stderr
+
+
 # --------------------------------------------------------------------- compare
 
 

@@ -55,3 +55,13 @@ def test_hcurve_sweep_matches_h_curve(tmp_path):
         config = HatmConfig(alpha=0.5, hbar=-1.0, order=order)
         ((_, want),) = h_curve(preset("4.5"), config, probe, [-1.0])
         assert float(cell) == want
+
+
+def test_hcurve_sweep_drops_rounded_zero():
+    # -0.1 + (0.3 / 3) is 1.39e-17, a rounded 0, whose row would be u_0 alone
+    out = run_script(
+        "hcurve_sweep.py", "--preset", "4.1", "--orders", "1",
+        "--h-min", "-0.1", "--h-max", "0.2", "--h-count", "4",
+    )
+    header, *rows = csv.reader(out.splitlines())
+    assert [float(r[0]) for r in rows] == pytest.approx([-0.1, 0.1, 0.2])

@@ -1,0 +1,270 @@
+"""Value-record semantics of every immutable class in hatmfp, and a
+guard that the package runs as ``python -m hatmfp`` without dataclasses."""
+
+import importlib
+import inspect
+import os
+import pkgutil
+import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import hatmfp
+from hatmfp.cli import RunRequest
+from hatmfp.engine import BindEvent, HatmConfig, OperatorMonomial, ProblemSpec, TaylorEvent
+from hatmfp.errors import ConfigError, DegreeError, DomainError, ExponentError
+from hatmfp.expr import ONE, X, Y, Add, Const, Func, Mul, Pow, Var, normalize
+from hatmfp.fokker_planck import CoefficientSpec
+from hatmfp.series import (
+    Coefficient,
+    FracSeries,
+    FracTerm,
+    GammaArg,
+    Monomial,
+    TimeFactor,
+    _cancel,
+)
+from hatmfp.special import MLParams
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _token():
+    return GammaArg(Fraction(3, 2), 1)
+
+
+def _coef():
+    return Coefficient((Monomial(2.0, (_token(),), ()),))
+
+
+def _time():
+    return TimeFactor(Fraction(1, 2), 1, 0)
+
+
+def _spec():
+    return ProblemSpec(dim=1, operator=(OperatorMonomial(X, ((1, 0),)),), initial=X)
+
+
+# Each entry builds fresh (equal, not identical) keyword arguments, in
+# field order. SpatialExpr, the base of the six node classes, has no
+# fields and is never built itself.
+RECORDS = {
+    Const: lambda: dict(value=1.5),
+    Var: lambda: dict(name="x"),
+    Add: lambda: dict(children=(X, Y)),
+    Mul: lambda: dict(children=(X, Y)),
+    Pow: lambda: dict(base=X, exponent=Fraction(1, 2)),
+    Func: lambda: dict(kind="sinh", arg=X),
+    GammaArg: lambda: dict(a=Fraction(3, 2), b=1),
+    Monomial: lambda: dict(factor=2.0, num=(_token(),), den=()),
+    Coefficient: lambda: dict(monomials=(Monomial(2.0, (_token(),), ()),)),
+    TimeFactor: lambda: dict(p=Fraction(1, 2), q=1, c=0),
+    FracTerm: lambda: dict(coef=_coef(), spatial=X, time=_time()),
+    FracSeries: lambda: dict(terms=(FracTerm(_coef(), X, _time()),)),
+    OperatorMonomial: lambda: dict(coef=X, derivs=((1, 0), (0, 0)), exp_rate=1),
+    ProblemSpec: lambda: dict(
+        dim=1, operator=(OperatorMonomial(X, ((1, 0),)),), initial=X, source=FracSeries(())
+    ),
+    HatmConfig: lambda: dict(alpha=0.5, hbar=-0.7, order=3, taylor_terms=8),
+    TaylorEvent: lambda: dict(order=1, terms_expanded=2, taylor_terms=12),
+    BindEvent: lambda: dict(order=2, terms_bound=3),
+    RunRequest: lambda: dict(
+        problem=_spec(), config=HatmConfig(0.5, -1.0, 2), label="preset:4.1",
+        preset_id="4.1", fmt="json", out=None,
+    ),
+    CoefficientSpec: lambda: dict(spatial=X, exp_rate=1, u_degree=1),
+    MLParams: lambda: dict(alpha=0.5, beta=2.0),
+}
+
+# Another valid value for every field.
+OTHERS = {
+    Const: lambda: dict(value=2.5),
+    Var: lambda: dict(name="y"),
+    Add: lambda: dict(children=(X, X)),
+    Mul: lambda: dict(children=(Y, X)),
+    Pow: lambda: dict(base=Y, exponent=Fraction(3)),
+    Func: lambda: dict(kind="cosh", arg=Y),
+    GammaArg: lambda: dict(a=Fraction(5, 2), b=0),
+    Monomial: lambda: dict(factor=3.0, num=(), den=(_token(),)),
+    Coefficient: lambda: dict(monomials=()),
+    TimeFactor: lambda: dict(p=Fraction(1), q=2, c=1),
+    FracTerm: lambda: dict(coef=Coefficient(()), spatial=Y, time=TimeFactor(0, 0, 0)),
+    FracSeries: lambda: dict(terms=()),
+    OperatorMonomial: lambda: dict(coef=Y, derivs=((2, 0),), exp_rate=0),
+    ProblemSpec: lambda: dict(
+        dim=2, operator=(), initial=X * X, source=FracSeries.from_spatial(X)
+    ),
+    HatmConfig: lambda: dict(alpha=0.75, hbar=-0.5, order=4, taylor_terms=9),
+    TaylorEvent: lambda: dict(order=3, terms_expanded=4, taylor_terms=6),
+    BindEvent: lambda: dict(order=5, terms_bound=1),
+    RunRequest: lambda: dict(
+        problem=ProblemSpec(1, (), X), config=HatmConfig(0.5, -0.7, 2), label="file:w2.json",
+        preset_id=None, fmt="csv", out="out.csv",
+    ),
+    CoefficientSpec: lambda: dict(spatial=Y, exp_rate=0, u_degree=0),
+    MLParams: lambda: dict(alpha=0.75, beta=1.0),
+}
+
+records = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
+
+
+@records
+def test_equal_fields_give_equal_values(cls):
+    a, b = cls(**RECORDS[cls]()), cls(**RECORDS[cls]())
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert cls(*RECORDS[cls]().values()) == a  # positional construction
+
+
+@records
+def test_every_field_takes_part_in_equality(cls):
+    fields = RECORDS[cls]()
+    assert list(OTHERS[cls]()) == list(fields)
+    for name, value in OTHERS[cls]().items():
+        assert cls(**dict(fields, **{name: value})) != cls(**fields), name
+
+
+@records
+def test_same_fields_in_another_class_are_not_equal(cls):
+    other = type("Other" + cls.__name__, (cls,), {})
+    fields = RECORDS[cls]()
+    assert other(**fields) != cls(**fields)
+    assert cls(**fields) != tuple(fields.values())
+
+
+def test_sibling_nodes_are_not_equal():
+    assert Add((X, Y)) != Mul((X, Y))
+    assert Const(1.0) != 1.0
+
+
+@records
+def test_fields_are_read_only(cls):
+    value = cls(**RECORDS[cls]())
+    for name in [*RECORDS[cls](), "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == cls(**RECORDS[cls]())
+
+
+@records
+def test_repr_names_the_fields(cls):
+    fields = RECORDS[cls]()
+    inner = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(cls(**fields)) == f"{cls.__qualname__}({inner})"
+
+
+def test_defaults():
+    assert HatmConfig(alpha=0.5, hbar=-1.0, order=3) == HatmConfig(0.5, -1.0, 3, 12)
+    assert ProblemSpec(dim=1, operator=(), initial=X).source == FracSeries.zero()
+    assert ProblemSpec(1, (), X) == ProblemSpec(1, (), X, source=None)
+    assert OperatorMonomial(X, ((1, 0),)).exp_rate == 0
+    assert CoefficientSpec(X) == CoefficientSpec(X, exp_rate=0, u_degree=0)
+    assert CoefficientSpec(X, exp_rate=1).u_degree == 0
+    assert MLParams(0.5) == MLParams(alpha=0.5, beta=1.0)
+
+
+def test_cached_attributes_take_no_part_in_equality():
+    node = Add((Const(2.0), X))
+    normalize(node)  # caches the monomial table and canonical form on it
+    fresh = Add((Const(2.0), X))
+    assert node == fresh and hash(node) == hash(fresh)
+    series = FracSeries.from_spatial(X * X)
+    series.spatial_derivative("x")
+    assert series == FracSeries(series.terms)
+    assert repr(series) == repr(FracSeries(series.terms))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: HatmConfig(alpha=0.5, hbar=0, order=1), ConfigError, "hbar must be nonzero"),
+        (lambda: HatmConfig(0.0, -1.0, 1), ConfigError, "alpha must lie in (0, 1], got 0.0"),
+        (lambda: HatmConfig(0.5, -1.0, -1), ConfigError, "order must be >= 0, got -1"),
+        (lambda: HatmConfig(0.5, -1.0, 1, taylor_terms=0), ConfigError,
+         "taylor_terms must be >= 1, got 0"),
+        (lambda: ProblemSpec(dim=3, operator=(), initial=X), ConfigError,
+         "dim must be 1 or 2, got 3"),
+        (lambda: ProblemSpec(1, (OperatorMonomial(Y, ((1, 0),)),), X), ConfigError,
+         "variable y in a one-dimensional problem"),
+        (lambda: ProblemSpec(1, (OperatorMonomial(ONE, ((0, 1),)),), X), ConfigError,
+         "y-derivative in a one-dimensional problem"),
+        (lambda: OperatorMonomial(ONE, ()), DegreeError,
+         "an operator monomial takes one or two factors of u, got ()"),
+        (lambda: OperatorMonomial(ONE, ((3, 0),)), DegreeError,
+         "deriv exceeds second order: (3, 0)"),
+        (lambda: OperatorMonomial(ONE, ((-1, 0),)), DegreeError,
+         "deriv must be a pair of nonnegative orders, got (-1, 0)"),
+        (lambda: CoefficientSpec(X, u_degree=2), DegreeError,
+         "u_degree 2 would take the expansion past quadratic"),
+        (lambda: MLParams(alpha=0.0), DomainError, "mittag_leffler needs alpha > 0, got 0.0"),
+        (lambda: TimeFactor(Fraction(-1), 0, 0), ExponentError,
+         "negative fixed exponent p=-1"),
+        (lambda: TimeFactor(Fraction(1, 2), -1, 0), ExponentError,
+         "exponent 1/2 + -1*alpha can go negative on (0, 1]"),
+        (lambda: TimeFactor(0.5, 0, 0), ExponentError, "exponent part must be rational, got 0.5"),
+    ],
+)
+def test_validation_errors(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
+# ------------------------------------------------- integer-keyed equality
+
+
+def test_gamma_arg_equality_is_on_reduced_integers():
+    a, b = GammaArg(Fraction(2, 4), 1), GammaArg(Fraction(1, 2), 1)
+    assert a == b and hash(a) == hash(b)
+    assert GammaArg(Fraction(1), 0) == GammaArg(1, 0)
+    assert GammaArg(Fraction(1, 2), 1) != GammaArg(Fraction(1, 2), 2)
+    assert GammaArg(Fraction(1, 2), 1) != GammaArg(Fraction(1, 3), 1)
+    pairs = [(Fraction(3, 2), 0), (Fraction(1, 2), 2), (Fraction(1, 2), 1)]
+    assert [(t.a, t.b) for t in sorted(GammaArg(a, b) for a, b in pairs)] == sorted(pairs)
+
+
+def test_cancel_removes_shared_tokens_as_a_multiset():
+    half, one = GammaArg(Fraction(1, 2), 1), GammaArg(Fraction(1), 1)
+    num = [half, GammaArg(Fraction(2, 4), 1), one]
+    den = [GammaArg(Fraction(1, 2), 1), GammaArg(Fraction(3), 2)]
+    kept_num, kept_den = _cancel(num, den)
+    assert kept_num == [half, one]
+    assert kept_den == [GammaArg(Fraction(3), 2)]
+
+
+def test_time_factor_equality_is_on_reduced_integers():
+    a, b = TimeFactor(Fraction(2, 4), 1, 0), TimeFactor(Fraction(1, 2), 1, 0)
+    assert a == b and hash(a) == hash(b)
+    assert TimeFactor(1, 0, 0) == TimeFactor(Fraction(1), 0, 0)
+    assert TimeFactor(Fraction(1, 2), 1, 0) != TimeFactor(Fraction(1, 2), 1, 1)
+    assert TimeFactor(Fraction(1, 2), 1, 0) != GammaArg(Fraction(1, 2), 1)
+
+
+# ----------------------------------------------------------- tooling guard
+
+
+def test_package_runs_as_a_module_without_dataclasses():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "hatmfp", "hcurve", "--preset", "4.5", "--order", "2",
+         "--probe", "1,0.3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+
+    names = [m.name for m in pkgutil.iter_modules(hatmfp.__path__) if m.name != "__main__"]
+    for name in names:
+        module = importlib.import_module(f"hatmfp.{name}")
+        for cls_name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__:
+                assert not hasattr(cls, "__dataclass_fields__"), f"{name}.{cls_name}"
