@@ -12,8 +12,7 @@ roughly geometrically until they hit the arithmetic floor.
 import argparse
 
 from hatmfp.engine import HatmConfig, partial_sum, run
-from hatmfp.fokker_planck import PRESET_IDS, preset
-from hatmfp.oracles import CLOSED_FORM_LABELS, reference_solution
+from hatmfp.fokker_planck import PRESET_IDS, closed_form, preset, reference_solution
 
 
 def worst_error(preset_id, total, alpha, xs, ts, y):
@@ -55,7 +54,7 @@ def main() -> None:
             ]
             cells = [f"{pid:>10}", f"{alpha:>6.2f}"] + [f"{e:>12.3e}" for e in errs]
             print("  ".join(cells))
-        print(f"{'':>10}  reference: {CLOSED_FORM_LABELS[pid]}")
+        print(f"{'':>10}  reference: {closed_form(pid)}")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from .errors import (
     DomainError,
     ExponentError,
     HatmError,
-    OracleError,
     PoleError,
     PresetError,
     SingularityError,
@@ -57,8 +56,8 @@ from .fokker_planck import (
     load_problem,
     preset,
     problem_from_obj,
+    reference_solution,
 )
-from .oracles import reference_solution
 from .series import Coefficient, FracSeries, FracTerm, GammaArg, TimeFactor
 from .special import MLParams, gamma, log_gamma, mittag_leffler
 

@@ -21,8 +21,7 @@ from .engine import HatmConfig, ProblemSpec, partial_sum, residual, run, run_rep
 from .engine import h_curve as engine_h_curve
 from .errors import ConfigError, HatmError, SingularityError, Value, store
 from .expr import to_prefix
-from .fokker_planck import PRESET_IDS, load_problem, preset
-from .oracles import reference_solution
+from .fokker_planck import PRESET_IDS, load_problem, preset, reference_solution
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -124,23 +124,6 @@ class HatmConfig(Value):
         store(self, "taylor_terms", taylor_terms)
 
 
-class TaylorEvent(Value):
-    _fields = ("order", "terms_expanded", "taylor_terms")  # order: deformation step m
-
-    def __init__(self, order: int, terms_expanded: int, taylor_terms: int) -> None:
-        store(self, "order", order)
-        store(self, "terms_expanded", terms_expanded)
-        store(self, "taylor_terms", taylor_terms)
-
-
-class BindEvent(Value):
-    _fields = ("order", "terms_bound")  # order: deformation step m
-
-    def __init__(self, order: int, terms_bound: int) -> None:
-        store(self, "order", order)
-        store(self, "terms_bound", terms_bound)
-
-
 def _derived(series: FracSeries, deriv: MultiIndex) -> FracSeries:
     out = series
     for _ in range(deriv[0]):
@@ -197,7 +180,7 @@ def deformation_step(
     cfg: HatmConfig,
     history: Sequence[FracSeries],
     m: int,
-    events: list[TaylorEvent | BindEvent] | None = None,
+    events: dict | None = None,
 ) -> FracSeries:
     """v_m = J^alpha[build_rm], Taylor-expanding exp(c*t) factors first.
 
@@ -205,12 +188,18 @@ def deformation_step(
     bound to numbers at cfg.alpha and collected again, which sums them
     into one term per time. A term alone at its time keeps its gamma
     tokens, whose exact cancellation in later steps binding would lose.
-    The result is valid at cfg.alpha only."""
+    The result is valid at cfg.alpha only.
+
+    Given an events dict, an expansion appends the row {"order",
+    "terms_expanded", "taylor_terms"} to its "taylor_events" list and a
+    binding the row {"order", "terms_bound"} to "bind_events"."""
     rhs = build_rm(problem, history, m)
     exponential = sum(1 for t in rhs.terms if t.time.c != 0)
     if exponential:
         if events is not None:
-            events.append(TaylorEvent(m, exponential, cfg.taylor_terms))
+            events.setdefault("taylor_events", []).append(
+                {"order": m, "terms_expanded": exponential, "taylor_terms": cfg.taylor_terms}
+            )
         rhs = rhs.taylor_expand(cfg.taylor_terms)
     v = rhs.frac_integral()
     per_time = Counter(t.time for t in v.terms)
@@ -218,7 +207,7 @@ def deformation_step(
     if not bound:
         return v
     if events is not None:
-        events.append(BindEvent(m, bound))
+        events.setdefault("bind_events", []).append({"order": m, "terms_bound": bound})
     return FracSeries(
         tuple(
             FracTerm(Coefficient.number(t.coef.value(cfg.alpha)), t.spatial, t.time)
@@ -265,7 +254,7 @@ def recombine_values(values: Sequence[float], hbar: float) -> list[float]:
 def run(
     problem: ProblemSpec,
     cfg: HatmConfig,
-    events: list[TaylorEvent | BindEvent] | None = None,
+    events: dict | None = None,
 ) -> list[FracSeries]:
     """Iterates [u_0, ..., u_order] at cfg.hbar, valid at cfg.alpha only
     (deformation_step binds the coefficients of terms sharing a time)."""
@@ -339,7 +328,7 @@ def run_report(
     problem_label: str = "custom",
 ) -> dict:
     """Run and package everything a caller needs to replay the result."""
-    events: list[TaylorEvent | BindEvent] = []
+    events: dict = {"taylor_events": [], "bind_events": []}
     started = _time.perf_counter()
     iterates = run(problem, cfg, events)
     elapsed = _time.perf_counter() - started
@@ -354,19 +343,6 @@ def run_report(
         },
         "iterates": [s.to_obj() for s in iterates],
         "partial_sum": total.to_obj(),
-        "taylor_events": [
-            {
-                "order": e.order,
-                "terms_expanded": e.terms_expanded,
-                "taylor_terms": e.taylor_terms,
-            }
-            for e in events
-            if isinstance(e, TaylorEvent)
-        ],
-        "bind_events": [
-            {"order": e.order, "terms_bound": e.terms_bound}
-            for e in events
-            if isinstance(e, BindEvent)
-        ],
+        **events,
         "wall_time_s": elapsed,
     }

@@ -39,10 +39,6 @@ class PresetError(HatmError, ValueError):
     """Unknown built-in problem id."""
 
 
-class OracleError(HatmError):
-    """No reference solution registered for the requested problem."""
-
-
 # Immutable records without generated code: a subclass names its fields in
 # ``_fields`` and sets each one from its ``__init__`` with ``store``. That
 # bypasses Value.__setattr__ and, unlike writing self.__dict__, keeps the

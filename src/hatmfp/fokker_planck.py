@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -34,6 +35,7 @@ from .expr import (
     cosh,
     coth,
     differentiate,
+    evaluate,
     monomials,
     mul,
     parse_prefix,
@@ -42,6 +44,7 @@ from .expr import (
     to_prefix,
 )
 from .series import FracSeries, FracTerm, Coefficient, TimeFactor, _collect
+from .special import MLParams, gamma, mittag_leffler
 
 _VARS = ("x", "y")
 
@@ -233,25 +236,51 @@ def _preset_45() -> ProblemSpec:
     return build_forward(1, drift, diffusion, pow_(X, 2))
 
 
+# id -> (builder, closed form of the exact solution). A preset solves to
+# f(x, y) * E_alpha(t^alpha), its operator acting as the identity on
+# multiples of f, except 4.1, which solves to f + t^alpha/gamma(alpha+1).
 _PRESETS = {
-    "4.1": _preset_41,
-    "4.2": _preset_42,
-    "4.3": _preset_43,
-    "4.4": _preset_44,
-    "4.5": _preset_45,
+    "4.1": (_preset_41, "x + t^a/G(a+1)"),
+    "4.2": (_preset_42, "sinh(x) E_a(t^a)"),
+    "4.3": (_preset_43, "(x+1) E_a(t^a)"),
+    "4.4": (_preset_44, "x E_a(t^a)"),
+    "4.5": (_preset_45, "x^2 E_a(t^a)"),
 }
 
 PRESET_IDS = tuple(sorted(_PRESETS))
 
 
-def preset(preset_id: str) -> ProblemSpec:
+def _entry(preset_id: str) -> tuple:
     try:
-        builder = _PRESETS[preset_id]
+        return _PRESETS[preset_id]
     except KeyError:
         raise PresetError(
             f"unknown preset {preset_id!r}; known: {', '.join(PRESET_IDS)}"
         ) from None
-    return builder()
+
+
+def preset(preset_id: str) -> ProblemSpec:
+    return _entry(preset_id)[0]()
+
+
+def closed_form(preset_id: str) -> str:
+    """The exact solution of a preset, as a label."""
+    return _entry(preset_id)[1]
+
+
+@lru_cache(maxsize=None)
+def _initial(preset_id: str) -> SpatialExpr:
+    return preset(preset_id).initial
+
+
+def reference_solution(
+    preset_id: str, x: float, t: float, alpha: float, y: float = 0.0
+) -> float:
+    """Exact solution value at (x, y, t) for a preset problem."""
+    f = evaluate(_initial(preset_id), x, y)
+    if preset_id == "4.1":
+        return f + t**alpha / gamma(alpha + 1.0)
+    return f * mittag_leffler(MLParams(alpha), t**alpha)
 
 
 # -- problem definition files -----------------------------------------

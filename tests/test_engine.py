@@ -388,9 +388,9 @@ def test_unshared_times_keep_gamma_tokens():
     # every iterate of 4.5 holds at most one term per time, so nothing
     # binds and each coefficient past u_0 keeps its gamma tokens
     for hbar in (-1.0, -0.7):
-        events = []
+        events = {}
         iterates = run(preset("4.5"), cfg(alpha=0.5, hbar=hbar, order=10), events)
-        assert events == []
+        assert events == {}
         for u in iterates[1:]:
             assert all(mono.den for t in u.terms for mono in t.coef.monomials)
 
@@ -401,23 +401,24 @@ def test_taylor_events_recorded():
     prob = ProblemSpec(
         dim=1, operator=(OperatorMonomial(ONE, ((1, 0),), exp_rate=1),), initial=X
     )
-    events = []
+    events = {}
     run(prob, cfg(alpha=0.5, order=3, taylor_terms=9), events)
-    assert events, "surviving exponential coefficients must force expansions"
-    assert all(e.taylor_terms == 9 for e in events)
-    assert all(e.terms_expanded > 0 for e in events)
-    assert [e.order for e in events] == sorted(e.order for e in events)
+    rows = events["taylor_events"]
+    assert rows, "surviving exponential coefficients must force expansions"
+    assert all(e["taylor_terms"] == 9 for e in rows)
+    assert all(e["terms_expanded"] > 0 for e in rows)
+    assert [e["order"] for e in rows] == sorted(e["order"] for e in rows)
 
 
 def test_hyperbolic_preset_needs_no_expansion():
     # the e^t parts of the sinh problem cancel identically on the iterate
     # family, so nothing survives to be expanded
-    events = []
+    events = {}
     run(preset("4.2"), cfg(alpha=0.5, order=4), events)
-    assert events == []
-    events41 = []
+    assert events == {}
+    events41 = {}
     run(preset("4.1"), cfg(order=2), events41)
-    assert events41 == []
+    assert events41 == {}
 
 
 def test_hyperbolic_iterates_are_single_sinh_terms():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import hatmfp
 from hatmfp.engine import HatmConfig, apply_operator, partial_sum, run
 from hatmfp.errors import ConfigError, DegreeError, PresetError
 from hatmfp.expr import (
@@ -25,10 +26,12 @@ from hatmfp.fokker_planck import (
     CoefficientSpec,
     build_backward,
     build_forward,
+    closed_form,
     load_problem,
     preset,
     problem_from_obj,
     problem_to_obj,
+    reference_solution,
 )
 from hatmfp.series import FracSeries
 
@@ -286,6 +289,17 @@ def test_preset_initial_profiles():
 def test_unknown_preset():
     with pytest.raises(PresetError, match="4.1"):
         preset("9.9")
+
+
+def test_presets_carry_their_exact_solutions():
+    assert hatmfp.reference_solution is reference_solution
+    # at alpha = 1: 4.1 is x + t, 4.5 is x^2 e^t
+    assert reference_solution("4.1", 0.5, 2.0, 1.0) == 2.5
+    assert reference_solution("4.5", 1.5, 1.0, 1.0) == pytest.approx(2.25 * math.e, rel=1e-12)
+    assert closed_form("4.5") == "x^2 E_a(t^a)"
+    for lookup in (lambda: reference_solution("9.9", 1.0, 0.5, 1.0), lambda: closed_form("9.9")):
+        with pytest.raises(PresetError, match="4.1"):
+            lookup()
 
 
 def test_plane_preset_merged_groups():

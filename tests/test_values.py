@@ -15,7 +15,7 @@ import pytest
 
 import hatmfp
 from hatmfp.cli import RunRequest
-from hatmfp.engine import BindEvent, HatmConfig, OperatorMonomial, ProblemSpec, TaylorEvent
+from hatmfp.engine import HatmConfig, OperatorMonomial, ProblemSpec
 from hatmfp.errors import ConfigError, DegreeError, DomainError, ExponentError
 from hatmfp.expr import ONE, X, Y, Add, Const, Func, Mul, Pow, Var, normalize
 from hatmfp.fokker_planck import CoefficientSpec
@@ -70,8 +70,6 @@ RECORDS = {
         dim=1, operator=(OperatorMonomial(X, ((1, 0),)),), initial=X, source=FracSeries(())
     ),
     HatmConfig: lambda: dict(alpha=0.5, hbar=-0.7, order=3, taylor_terms=8),
-    TaylorEvent: lambda: dict(order=1, terms_expanded=2, taylor_terms=12),
-    BindEvent: lambda: dict(order=2, terms_bound=3),
     RunRequest: lambda: dict(
         problem=_spec(), config=HatmConfig(0.5, -1.0, 2), label="preset:4.1",
         preset_id="4.1", fmt="json", out=None,
@@ -99,8 +97,6 @@ OTHERS = {
         dim=2, operator=(), initial=X * X, source=FracSeries.from_spatial(X)
     ),
     HatmConfig: lambda: dict(alpha=0.75, hbar=-0.5, order=4, taylor_terms=9),
-    TaylorEvent: lambda: dict(order=3, terms_expanded=4, taylor_terms=6),
-    BindEvent: lambda: dict(order=5, terms_bound=1),
     RunRequest: lambda: dict(
         problem=ProblemSpec(1, (), X), config=HatmConfig(0.5, -0.7, 2), label="file:w2.json",
         preset_id=None, fmt="csv", out="out.csv",
