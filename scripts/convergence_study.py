@@ -33,6 +33,10 @@ def main() -> None:
     parser.add_argument("--hbar", type=float, default=-1.0)
     parser.add_argument("--grid-points", type=int, default=5)
     args = parser.parse_args()
+    if min(args.orders) < 0:
+        parser.error("orders must be >= 0")
+    if args.grid_points < 2:
+        parser.error("--grid-points must be >= 2")
 
     n = args.grid_points
     xs = [0.5 + 1.5 * i / (n - 1) for i in range(n)]

@@ -42,10 +42,13 @@ def main() -> None:
     args = parser.parse_args()
     if min(args.orders) < 0:
         parser.error("orders must be >= 0")
+    if args.h_count < 1:
+        parser.error("--h-count must be >= 1")
 
     problem = preset(args.preset) if args.preset else load_problem(args.problem)
-    step = (args.h_max - args.h_min) / max(args.h_count - 1, 1)
-    h_values = [args.h_min + i * step for i in range(args.h_count)]
+    # The grid of `hatmfp hcurve`, so that rows match it by exact hbar.
+    lo, hi, gaps = args.h_min, args.h_max, max(args.h_count - 1, 1)
+    h_values = [lo + i * (hi - lo) / gaps for i in range(args.h_count)]
     # hbar = 0 is excluded, and so is a point within rounding of it.
     rounding = 1e-12 * max(abs(args.h_min), abs(args.h_max))
     h_values = [h for h in h_values if abs(h) > rounding]

@@ -11,6 +11,7 @@ both numerically (at the bound alpha) and as its gamma-token ratio.
 import argparse
 
 from hatmfp.engine import HatmConfig, partial_sum, run
+from hatmfp.errors import ConfigError
 from hatmfp.expr import to_prefix
 from hatmfp.fokker_planck import PRESET_IDS, preset
 from hatmfp.series import Coefficient, GammaArg
@@ -65,7 +66,10 @@ def main() -> None:
     args = parser.parse_args()
 
     problem = preset(args.preset)
-    config = HatmConfig(alpha=args.alpha, hbar=args.hbar, order=args.order)
+    try:
+        config = HatmConfig(alpha=args.alpha, hbar=args.hbar, order=args.order)
+    except ConfigError as exc:
+        parser.error(str(exc))
     iterates = run(problem, config)
     x, y, t = args.probe
 

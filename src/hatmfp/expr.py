@@ -679,36 +679,40 @@ def _tokenize(text: str) -> Iterator[str]:
         yield token
 
 
-def _parse_number(token: str) -> Fraction:
+def parse_rational(value) -> Fraction:
+    """A rational from its text or a JSON number; DomainError if it is none."""
     try:
-        return Fraction(token)
-    except ValueError:
-        raise DomainError(f"bad numeric token {token!r}") from None
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"bad numeric token {value!r}") from None
 
 
 def parse_prefix(text: str) -> SpatialExpr:
     """Parse the prefix notation produced by ``to_prefix``."""
+    if not isinstance(text, str):
+        raise DomainError(f"a prefix expression is a string, got {text!r}")
     tokens = list(_tokenize(text))
     pos = 0
 
-    def parse() -> SpatialExpr:
+    def take() -> str:
         nonlocal pos
         if pos >= len(tokens):
             raise DomainError("unexpected end of expression")
-        token = tokens[pos]
         pos += 1
+        return tokens[pos - 1]
+
+    def parse() -> SpatialExpr:
+        token = take()
         if token == ")":
             raise DomainError("unexpected ')'")
         if token != "(":
             if token in ("x", "y"):
                 return var(token)
-            return const(float(_parse_number(token)))
-        op = tokens[pos]
-        pos += 1
+            return const(float(parse_rational(token)))
+        op = take()
         if op == "pow":
             base = parse()
-            exponent = _parse_number(tokens[pos])
-            pos += 1
+            exponent = parse_rational(take())
             expect_close()
             return pow_(base, exponent)
         args = []

@@ -39,6 +39,7 @@ from .expr import (
     monomials,
     mul,
     parse_prefix,
+    parse_rational,
     pow_,
     sinh,
     to_prefix,
@@ -291,12 +292,14 @@ def _source_from_obj(obj) -> FracSeries:
         return FracSeries.zero()
     terms = []
     for item in obj:
+        if not isinstance(item, dict):
+            raise TypeError(f"a source term must be an object, got {item!r}")
         terms.append(
             FracTerm(
                 Coefficient.number(float(item.get("coef", 1.0))),
                 parse_prefix(item["expr"]),
                 TimeFactor(
-                    Fraction(str(item.get("p", 0))),
+                    parse_rational(item.get("p", 0)),
                     int(item.get("q", 0)),
                     int(item.get("c", 0)),
                 ),
@@ -338,7 +341,8 @@ def load_problem(path: str | Path) -> ProblemSpec:
 
 
 def problem_to_obj(form: str, dim: int, drift, diffusion, initial, source=None) -> dict:
-    """Inverse convenience for writing definition files from code."""
+    """Inverse convenience for writing definition files from code. A file
+    holds plain numbers, so a source coefficient in alpha raises ConfigError."""
 
     def spec_obj(spec: CoefficientSpec):
         out: dict = {"expr": to_prefix(spec.spatial)}
@@ -362,6 +366,8 @@ def problem_to_obj(form: str, dim: int, drift, diffusion, initial, source=None) 
         "f": to_prefix(initial),
     }
     if source is not None and not source.is_zero:
+        if any(m.num or m.den for t in source.terms for m in t.coef.monomials):
+            raise ConfigError("a problem file cannot hold a source coefficient in alpha")
         obj["g"] = [
             {
                 "expr": to_prefix(t.spatial),

@@ -51,6 +51,7 @@ from .expr import (
     monomials,
     mul,
     parse_prefix,
+    parse_rational,
     to_prefix,
 )
 
@@ -243,7 +244,6 @@ def _normalize_monomials(monomials: Iterable[Monomial]) -> Coefficient:
 
 
 COEF_ZERO = Coefficient(())
-COEF_ONE = Coefficient((Monomial(1.0, (), ()),))
 
 
 class TimeFactor(Value):
@@ -545,7 +545,7 @@ def _term_obj(term: FracTerm) -> dict:
 
 
 def _gamma_arg_from_obj(obj) -> GammaArg:
-    return GammaArg(Fraction(str(obj[0])), int(obj[1]))
+    return GammaArg(parse_rational(obj[0]), int(obj[1]))
 
 
 def _term_from_obj(obj: dict) -> FracTerm:
@@ -559,5 +559,5 @@ def _term_from_obj(obj: dict) -> FracTerm:
             for m in obj["coef_tokens"]
         )
     )
-    time = TimeFactor(Fraction(str(obj["p"])), int(obj["q"]), int(obj["c"]))
+    time = TimeFactor(parse_rational(obj["p"]), int(obj["q"]), int(obj["c"]))
     return FracTerm(coef, parse_prefix(obj["spatial"]), time)

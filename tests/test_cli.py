@@ -357,6 +357,27 @@ def test_unreadable_problem_files_exit_two(tmp_path):
     assert invoke("solve", "--problem", str(bad)).exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"f": "(pow x"},
+        {"f": "("},
+        {"f": "1/0"},
+        {"g": [{"expr": "x", "p": "1/0"}]},
+        {"f": 5},
+        {"A": [{"expr": 5}]},
+        {"g": ["x"]},
+        {"A": ["(recip 0)"]},
+    ],
+)
+def test_malformed_problem_files_exit_two(tmp_path, change):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**COTH_PROBLEM, **change}), encoding="utf-8")
+    result = invoke("solve", "--problem", str(path), "--order", "1")
+    assert result.exit_code == 2, result.exception
+    assert "malformed" in result.output or "invalid" in result.output
+
+
 def test_malformed_points_exit_two():
     assert invoke("residual", "--preset", "4.1", "--point", "oops").exit_code == 2
     assert invoke("hcurve", "--preset", "4.1", "--probe", "1,2,3,4").exit_code == 2

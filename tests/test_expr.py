@@ -268,6 +268,19 @@ def test_normalize_opaque_fallbacks():
     assert normalize(r) is r
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(pow (mul -1 x) 1/2)",  # the power of a monomial leaves the real domain
+        "(recip (add x (mul -1 x)))",  # the base collects to 0
+        "(coth (add x (mul -1 x)))",  # the argument collects to the pole 0
+    ],
+)
+def test_canonical_form_falls_back_to_one_opaque_atom(text):
+    e = parse_prefix(text)
+    assert monomials(e) == ((((e, 1),), 1.0),)
+
+
 def test_normalize_keeps_derivatives_compact():
     # repeated (operator-style) differentiation through normalize stays small
     e = coth(X)
@@ -342,6 +355,12 @@ def test_prefix_rejects_garbage():
     for text in ("(mul x", "(frob x)", "(pow x)", "x y", "(sinh x y)", "()"):
         with pytest.raises(DomainError):
             parse_prefix(text)
+
+
+@pytest.mark.parametrize("text", ["(pow x", "(", "1/0", "(pow x 1/0)", 5, None])
+def test_prefix_rejects_truncated_and_non_text_input(text):
+    with pytest.raises(DomainError):
+        parse_prefix(text)
 
 
 @given(small_trees())

@@ -382,6 +382,16 @@ def test_problem_obj_with_source():
     assert problem_from_obj(out) == prob
 
 
+def test_problem_to_obj_refuses_a_source_coefficient_in_alpha():
+    # J^alpha[x t^alpha] = Gamma(1+alpha)/Gamma(1+2 alpha) x t^(2 alpha): at
+    # alpha = 0.5 its coefficient is sqrt(pi)/2, where a file binding
+    # alpha = 1 would hold 1/2
+    source = FracSeries.from_spatial(X, q=1).frac_integral()
+    assert source.evaluate(1.0, 1.0, 0.5) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-12)
+    with pytest.raises(ConfigError, match="alpha"):
+        problem_to_obj("backward", 1, [X], [[ONE]], X, source=source)
+
+
 def test_problem_obj_sums_and_degrees():
     obj = {
         "form": "forward",

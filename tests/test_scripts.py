@@ -7,22 +7,28 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from hatmfp.cli import main
 from hatmfp.engine import HatmConfig, h_curve
 from hatmfp.fokker_planck import preset
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def launch(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def run_script(name, *args):
+    proc = launch(name, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -65,3 +71,36 @@ def test_hcurve_sweep_drops_rounded_zero():
     )
     header, *rows = csv.reader(out.splitlines())
     assert [float(r[0]) for r in rows] == pytest.approx([-0.1, 0.1, 0.2])
+
+
+def test_hcurve_sweep_grid_is_the_cli_grid():
+    # hcurve's default sweep; i * step and i * (hi - lo) / 18 differ in
+    # the last bit at -2, -0.2 and 19 of its points
+    sweep = run_script(
+        "hcurve_sweep.py", "--preset", "4.5", "--orders", "2",
+        "--h-min", "-2", "--h-max", "-0.2", "--h-count", "19",
+    )
+    cli = CliRunner().invoke(main, [
+        "hcurve", "--preset", "4.5", "--alpha", "0.75", "--order", "2",
+        "--probe", "1,0.3", "--format", "csv",
+    ])
+    assert cli.exit_code == 0, cli.output
+    script_rows = list(csv.reader(sweep.splitlines()))[1:]
+    cli_rows = list(csv.reader(cli.output.splitlines()))[1:]
+    assert len(script_rows) == 19
+    assert script_rows == cli_rows
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("convergence_study.py", ("--grid-points", "1")),
+        ("convergence_study.py", ("--presets", "4.1", "--orders", "1", "-1")),
+        ("iterate_tables.py", ("--order", "-1")),
+        ("hcurve_sweep.py", ("--preset", "4.1", "--h-count", "0")),
+    ],
+)
+def test_scripts_reject_bad_numeric_flags(name, args):
+    proc = launch(name, *args)
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr

@@ -450,6 +450,20 @@ def test_json_round_trip_preserves_tokens():
     assert again == s
 
 
+@pytest.mark.parametrize(
+    "where, bad",
+    [("p", "1/0"), ("p", "half"), ("num", [["1/0", 1]]), ("den", [["x", 1]])],
+)
+def test_from_obj_rejects_a_bad_rational(where, bad):
+    (obj,) = FracSeries.from_spatial(X, q=1).frac_integral().to_obj()
+    if where == "p":
+        obj["p"] = bad
+    else:
+        obj["coef_tokens"][0][where] = bad
+    with pytest.raises(DomainError, match="bad numeric token"):
+        FracSeries.from_obj([obj])
+
+
 def test_json_is_plain_data():
     s = FracSeries.from_spatial(X, q=2)
     parsed = json.loads(s.to_json())
