@@ -12,6 +12,7 @@ roughly geometrically until they hit the arithmetic floor.
 import argparse
 
 from hatmfp.engine import HatmConfig, partial_sum, run
+from hatmfp.errors import ConfigError
 from hatmfp.fokker_planck import PRESET_IDS, closed_form, preset, reference_solution
 
 
@@ -41,7 +42,11 @@ def main() -> None:
     n = args.grid_points
     xs = [0.5 + 1.5 * i / (n - 1) for i in range(n)]
     ts = [i / (n - 1) for i in range(n)]
-    top = max(args.orders)
+    try:
+        top = max(args.orders)
+        configs = [HatmConfig(alpha=a, hbar=args.hbar, order=top) for a in args.alphas]
+    except ConfigError as exc:
+        parser.error(str(exc))
 
     header = ["preset", "alpha"] + [f"order {k}" for k in args.orders]
     widths = [10, 6] + [12] * len(args.orders)
@@ -49,8 +54,8 @@ def main() -> None:
     for pid in args.presets:
         problem = preset(pid)
         y = 1.0 if problem.dim == 2 else 0.0
-        for alpha in args.alphas:
-            config = HatmConfig(alpha=alpha, hbar=args.hbar, order=top)
+        for config in configs:
+            alpha = config.alpha
             iterates = run(problem, config)
             errs = [
                 worst_error(pid, partial_sum(iterates, k), alpha, xs, ts, y)

@@ -16,6 +16,7 @@ import csv
 import sys
 
 from hatmfp.engine import HatmConfig, recombine_values, run
+from hatmfp.errors import ConfigError
 from hatmfp.fokker_planck import PRESET_IDS, load_problem, preset
 
 
@@ -45,7 +46,11 @@ def main() -> None:
     if args.h_count < 1:
         parser.error("--h-count must be >= 1")
 
-    problem = preset(args.preset) if args.preset else load_problem(args.problem)
+    try:
+        problem = preset(args.preset) if args.preset else load_problem(args.problem)
+        config = HatmConfig(alpha=args.alpha, hbar=-1.0, order=max(args.orders))
+    except (ConfigError, OSError) as exc:
+        parser.error(str(exc))
     # The grid of `hatmfp hcurve`, so that rows match it by exact hbar.
     lo, hi, gaps = args.h_min, args.h_max, max(args.h_count - 1, 1)
     h_values = [lo + i * (hi - lo) / gaps for i in range(args.h_count)]
@@ -53,7 +58,7 @@ def main() -> None:
     rounding = 1e-12 * max(abs(args.h_min), abs(args.h_max))
     h_values = [h for h in h_values if abs(h) > rounding]
 
-    free = run(problem, HatmConfig(alpha=args.alpha, hbar=-1.0, order=max(args.orders)))
+    free = run(problem, config)
     x, y, t = args.probe
     values = [v.evaluate(x=x, y=y, t=t, alpha=args.alpha) for v in free]
     rows = []

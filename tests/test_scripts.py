@@ -98,6 +98,10 @@ def test_hcurve_sweep_grid_is_the_cli_grid():
         ("convergence_study.py", ("--presets", "4.1", "--orders", "1", "-1")),
         ("iterate_tables.py", ("--order", "-1")),
         ("hcurve_sweep.py", ("--preset", "4.1", "--h-count", "0")),
+        ("convergence_study.py", ("--presets", "4.1", "--alphas", "0")),
+        ("iterate_tables.py", ("--hbar", "0")),
+        ("hcurve_sweep.py", ("--preset", "4.1", "--alpha", "1.5")),
+        ("hcurve_sweep.py", ("--problem", "no-such-problem.json")),
     ],
 )
 def test_scripts_reject_bad_numeric_flags(name, args):
