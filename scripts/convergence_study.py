@@ -42,8 +42,8 @@ def main() -> None:
     n = args.grid_points
     xs = [0.5 + 1.5 * i / (n - 1) for i in range(n)]
     ts = [i / (n - 1) for i in range(n)]
+    top = max(args.orders)
     try:
-        top = max(args.orders)
         configs = [HatmConfig(alpha=a, hbar=args.hbar, order=top) for a in args.alphas]
     except ConfigError as exc:
         parser.error(str(exc))
