@@ -1,4 +1,12 @@
-"""Command-line interface.
+"""Series solver for time-fractional drift-diffusion equations: builds
+homotopy iterates symbolically, then evaluates, compares against
+reference solutions, or sweeps the convergence-control parameter.
+
+Examples:
+  hatmfp solve --preset 4.3 --alpha 0.5 --order 3
+  hatmfp eval --preset 4.2 --order 12 --format csv
+  hatmfp hcurve --preset 4.3 --probe 1,0.2 --format csv
+  hatmfp compare --preset 4.1 --alpha 0.75 --order 10
 
 Exit codes: 0 on success, 2 on invalid configuration or flags, 3 on
 domain errors raised while solving or evaluating (singular evaluation
@@ -8,17 +16,16 @@ violations, ...).
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
+import math
+import re
 import sys
-from functools import wraps
 from pathlib import Path
 
-import click
-
-from .engine import HatmConfig, ProblemSpec, partial_sum, residual, run, run_report
-from .engine import h_curve as engine_h_curve
+from .engine import HatmConfig, ProblemSpec, h_curve, partial_sum, residual, run, run_report
 from .errors import ConfigError, HatmError, SingularityError, Value, store
 from .expr import to_prefix
 from .fokker_planck import PRESET_IDS, load_problem, preset, reference_solution
@@ -26,7 +33,7 @@ from .fokker_planck import PRESET_IDS, load_problem, preset, reference_solution
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
 
@@ -36,8 +43,7 @@ def _csv_text(header: list[str], rows: list[list], trailer: str | None = None) -
     sink = io.StringIO()
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     if trailer is not None:
         sink.write(trailer + "\n")
     return sink.getvalue()
@@ -47,9 +53,16 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def finite(text: str) -> float:
+    """Type of every float option: nan and +-inf are refused."""
+    if math.isfinite(value := float(text)):
+        return value
+    raise ValueError(text)
+
+
 def _grid(lo: float, hi: float, count: int) -> list[float]:
     if count < 1:
-        raise click.UsageError("grid counts must be >= 1")
+        raise argparse.ArgumentError(None, "grid counts must be >= 1")
     if count == 1:
         return [lo]
     return [lo + i * (hi - lo) / (count - 1) for i in range(count)]
@@ -57,16 +70,14 @@ def _grid(lo: float, hi: float, count: int) -> list[float]:
 
 def _parse_point(text: str, dim: int) -> tuple[float, float, float]:
     try:
-        parts = [float(p) for p in text.split(",")]
+        parts = [finite(p) for p in text.split(",")]
     except ValueError:
-        raise click.UsageError(f"bad point {text!r}; expected x[,y],t") from None
-    if len(parts) == 2:
-        if dim == 2:
-            raise click.UsageError(f"point {text!r} needs x,y,t for a 2-d problem")
-        return (parts[0], 0.0, parts[1])
-    if len(parts) == 3:
-        return (parts[0], parts[1], parts[2])
-    raise click.UsageError(f"bad point {text!r}; expected x[,y],t")
+        parts = []
+    if len(parts) == 2 and dim == 2:
+        raise argparse.ArgumentError(None, f"point {text!r} needs x,y,t for a 2-d problem")
+    if len(parts) not in (2, 3):
+        raise argparse.ArgumentError(None, f"bad point {text!r}; expected x[,y],t")
+    return (parts[0], 0.0, parts[1]) if len(parts) == 2 else tuple(parts)
 
 
 class RunRequest(Value):
@@ -88,12 +99,12 @@ class RunRequest(Value):
         """Partial sum of the iterates up to the configured order."""
         return partial_sum(run(self.problem, self.config), self.config.order)
 
-    def grid(self, x_min, x_max, x_count, y_min, y_max, y_count, t_min, t_max, t_count):
-        """(x, y, t) grid points, t fastest; y is 0 in a 1-d problem."""
-        ys = _grid(y_min, y_max, y_count) if self.problem.dim == 2 else [0.0]
-        for x in _grid(x_min, x_max, x_count):
+    def grid(self, args: argparse.Namespace):
+        """(x, y, t) points of the grid options, t fastest; y is 0 in 1-d."""
+        ys = _grid(args.y_min, args.y_max, args.y_count) if self.problem.dim == 2 else [0.0]
+        for x in _grid(args.x_min, args.x_max, args.x_count):
             for y in ys:
-                for t in _grid(t_min, t_max, t_count):
+                for t in _grid(args.t_min, args.t_max, args.t_count):
                     yield x, y, t
 
     def axes(self, *columns: str) -> list[str]:
@@ -114,98 +125,7 @@ class RunRequest(Value):
         _emit(text, self.out)
 
 
-class _Main(click.Group):
-    """Subcommand group; a HatmError raised by any subcommand ends the
-    run with `error: ...` on stderr and exit code 3."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except HatmError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-
-
-@click.group(cls=_Main)
-def main() -> None:
-    """Series solver for time-fractional drift-diffusion equations.
-
-    Builds homotopy iterates symbolically, then evaluates, compares
-    against reference solutions, or sweeps the convergence-control
-    parameter.
-
-    \b
-    Examples:
-      hatmfp solve --preset 4.3 --alpha 0.5 --order 3
-      hatmfp eval --preset 4.2 --order 12 --format csv
-      hatmfp hcurve --preset 4.3 --probe 1,0.2 --format csv
-      hatmfp compare --preset 4.1 --alpha 0.75 --order 10
-    """
-
-
-_SOURCE_OPTIONS = (
-    click.option("--preset", "preset_id", type=click.Choice(PRESET_IDS), default=None,
-                 help="Built-in problem id."),
-    click.option("--problem", "problem_path", type=click.Path(exists=True, dir_okay=False),
-                 default=None, help="Problem definition JSON file."),
-    click.option("--alpha", type=float, default=1.0, show_default=True,
-                 help="Caputo order in (0, 1]."),
-)
-_HBAR_OPTION = click.option("--hbar", type=float, default=-1.0, show_default=True,
-                            help="Convergence-control parameter.")
-_RUN_OPTIONS = (
-    click.option("--order", type=int, default=10, show_default=True,
-                 help="Number of deformation steps M."),
-    click.option("--taylor-terms", type=int, default=12, show_default=True,
-                 help="Powers of t kept when expanding exp(c*t)."),
-    click.option("--format", "fmt", type=click.Choice(("json", "csv")),
-                 default="json", show_default=True),
-    click.option("--out", type=click.Path(dir_okay=False), default=None,
-                 help="Write output here instead of stdout."),
-)
-_GRID_OPTIONS = tuple(
-    click.option(name, type=int if name.endswith("count") else float,
-                 default=default, show_default=True)
-    for name, default in (
-        ("--x-min", 0.5), ("--x-max", 2.0), ("--x-count", 4),
-        ("--y-min", 1.0), ("--y-max", 1.0), ("--y-count", 1),
-        ("--t-min", 0.0), ("--t-max", 1.0), ("--t-count", 5),
-    )
-)
-
-
-def _command(name: str, *own_options, with_hbar: bool = True):
-    """Register subcommand `name` with the shared options (`--hbar` only
-    if it reads it) followed by its own; the body receives the validated
-    RunRequest and its own options as keywords."""
-
-    def decorate(body):
-        @wraps(body)
-        def command(preset_id, problem_path, alpha, order, taylor_terms, fmt, out,
-                    hbar=-1.0, **own):
-            if (preset_id is None) == (problem_path is None):
-                raise click.UsageError("give exactly one of --preset or --problem")
-            try:
-                if preset_id is not None:
-                    spec, label = preset(preset_id), f"preset:{preset_id}"
-                else:
-                    spec, label = load_problem(problem_path), f"file:{Path(problem_path).name}"
-                config = HatmConfig(alpha=alpha, hbar=hbar, order=order,
-                                    taylor_terms=taylor_terms)
-            except ConfigError as exc:
-                raise click.UsageError(str(exc)) from exc
-            return body(RunRequest(spec, config, label, preset_id, fmt, out), **own)
-
-        hbar_option = (_HBAR_OPTION,) if with_hbar else ()
-        for option in reversed(_SOURCE_OPTIONS + hbar_option + _RUN_OPTIONS + own_options):
-            command = option(command)
-        return main.command(name=name)(command)
-
-    return decorate
-
-
-@_command("solve")
-def solve(req: RunRequest) -> None:
+def solve(req: RunRequest, args: argparse.Namespace) -> None:
     """Run the deformation recursion and write the iterate report."""
     if req.fmt == "json":
         _emit(_json_text(run_report(req.problem, req.config, req.label)), req.out)
@@ -219,14 +139,13 @@ def solve(req: RunRequest) -> None:
     req.write(["iterate", "term", "p", "q", "c", "coef", "spatial"], rows)
 
 
-@_command("eval", *_GRID_OPTIONS)
-def eval_cmd(req: RunRequest, **grid) -> None:
+def eval_cmd(req: RunRequest, args: argparse.Namespace) -> None:
     """Evaluate the partial sum on a grid."""
     total = req.total()
     alpha = req.config.alpha
     with_exact = req.preset_id is not None and alpha == 1.0
     rows = []
-    for x, y, t in req.grid(**grid):
+    for x, y, t in req.grid(args):
         place = req.place(x, y, t)
         try:
             value = total.evaluate(x=x, y=y, t=t, alpha=alpha)
@@ -242,36 +161,25 @@ def eval_cmd(req: RunRequest, **grid) -> None:
     req.write(req.axes("u", *exact_columns, "status"), rows)
 
 
-@_command("residual", click.option("--point", "points", multiple=True, required=True,
-                                   help="Probe point x[,y],t; repeatable."))
-def residual_cmd(req: RunRequest, points) -> None:
+def residual_cmd(req: RunRequest, args: argparse.Namespace) -> None:
     """Residual of the full equation at probe points."""
-    probes = [_parse_point(p, req.problem.dim) for p in points]
+    probes = [_parse_point(p, req.problem.dim) for p in args.points]
     values = residual(req.problem, req.total(), req.config, probes)
     rows = [req.place(*probe) + [repr(value)] for probe, value in zip(probes, values)]
     req.write(req.axes("residual"), rows)
 
 
-@_command(
-    "hcurve",
-    click.option("--probe", required=True, help="Probe point x[,y],t."),
-    click.option("--h-min", type=float, default=-2.0, show_default=True),
-    click.option("--h-max", type=float, default=-0.2, show_default=True),
-    click.option("--h-count", type=int, default=19, show_default=True),
-    with_hbar=False,
-)
-def hcurve_cmd(req: RunRequest, probe, h_min, h_max, h_count) -> None:
+def hcurve_cmd(req: RunRequest, args: argparse.Namespace) -> None:
     """Sweep the convergence-control parameter at a probe point."""
-    point = _parse_point(probe, req.problem.dim)
-    h_values = _grid(h_min, h_max, h_count)
+    point = _parse_point(args.probe, req.problem.dim)
+    h_values = _grid(args.h_min, args.h_max, args.h_count)
     # A point within rounding of 0 (-0.3 + 3 * 0.7/7, say) stands for 0.
-    if any(abs(h) <= 1e-12 * max(abs(h_min), abs(h_max)) for h in h_values):
-        raise click.UsageError("hbar sweep must not include 0")
-    req.write(["hbar", "value"], engine_h_curve(req.problem, req.config, point, h_values))
+    if any(abs(h) <= 1e-12 * max(abs(args.h_min), abs(args.h_max)) for h in h_values):
+        raise argparse.ArgumentError(None, "hbar sweep must not include 0")
+    req.write(["hbar", "value"], h_curve(req.problem, req.config, point, h_values))
 
 
-@_command("compare", *_GRID_OPTIONS)
-def compare_cmd(req: RunRequest, **grid) -> None:
+def compare_cmd(req: RunRequest, args: argparse.Namespace) -> None:
     """Compare the partial sum against the registered reference solution."""
     if req.preset_id is None:
         raise HatmError("compare needs a preset; no reference solution is registered for files")
@@ -279,7 +187,7 @@ def compare_cmd(req: RunRequest, **grid) -> None:
     alpha = req.config.alpha
     rows = []
     worst = 0.0
-    for x, y, t in req.grid(**grid):
+    for x, y, t in req.grid(args):
         value = total.evaluate(x=x, y=y, t=t, alpha=alpha)
         exact = reference_solution(req.preset_id, x, t, alpha, y)
         err = abs(value - exact)
@@ -289,5 +197,94 @@ def compare_cmd(req: RunRequest, **grid) -> None:
               trailer=f"# max_abs_err={worst!r}", max_abs_err=worst)
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+class _Parser(argparse.ArgumentParser):
+    """Reads `-1,0.3` and `-1e-3` as values; argparse alone reads only `-1`, `-0.5`."""
+
+    def _parse_optional(self, arg_string):
+        if re.match(r"-\.?\d", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The hatmfp parser; a subcommand sets `body`, which runs it, and its `parser`."""
+    shared = argparse.ArgumentParser(add_help=False)
+    source = shared.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=PRESET_IDS, help="built-in problem id")
+    source.add_argument("--problem", metavar="FILE", help="problem definition JSON file")
+    shared.add_argument("--alpha", type=finite, default=1.0,
+                        help="Caputo order in (0, 1] (default: %(default)s)")
+    shared.add_argument("--order", type=int, default=10,
+                        help="number of deformation steps M (default: %(default)s)")
+    shared.add_argument("--taylor-terms", type=int, default=12,
+                        help="powers of t kept when expanding exp(c*t) (default: %(default)s)")
+    shared.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
+                        help="(default: %(default)s)")
+    shared.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
+    hbar = argparse.ArgumentParser(add_help=False)
+    hbar.add_argument("--hbar", type=finite, default=-1.0,
+                      help="convergence-control parameter (default: %(default)s)")
+    grid = argparse.ArgumentParser(add_help=False)
+    for name, default in (
+        ("x-min", 0.5), ("x-max", 2.0), ("x-count", 4),
+        ("y-min", 1.0), ("y-max", 1.0), ("y-count", 1),
+        ("t-min", 0.0), ("t-max", 1.0), ("t-count", 5),
+    ):
+        grid.add_argument(f"--{name}", type=int if name.endswith("count") else finite,
+                          default=default, help="(default: %(default)s)")
+
+    description, epilog = __doc__.split("\n\n", 1)
+    parser = _Parser(
+        prog="hatmfp", description=description, epilog=epilog, allow_abbrev=False,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    commands = parser.add_subparsers(title="commands", dest="command", required=True)
+
+    def command(name: str, body, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, parents=[shared, *parents], help=body.__doc__,
+                                  description=body.__doc__, allow_abbrev=False)
+        sub.set_defaults(body=body, parser=sub)
+        return sub
+
+    command("solve", solve, hbar)
+    command("eval", eval_cmd, hbar, grid)
+    command("residual", residual_cmd, hbar).add_argument(
+        "--point", dest="points", action="append", required=True,
+        help="probe point x[,y],t; repeatable")
+    hcurve = command("hcurve", hcurve_cmd)
+    hcurve.add_argument("--probe", required=True, help="probe point x[,y],t")
+    hcurve.add_argument("--h-min", type=finite, default=-2.0, help="(default: %(default)s)")
+    hcurve.add_argument("--h-max", type=finite, default=-0.2, help="(default: %(default)s)")
+    hcurve.add_argument("--h-count", type=int, default=19, help="(default: %(default)s)")
+    command("compare", compare_cmd, hbar, grid)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one hatmfp command and return its exit code: 0, or 3 with an
+    `error: ...` line for a HatmError. Invalid flags exit 2 from the parser."""
+    args = _parser().parse_args(argv)
+    try:
+        if args.preset is not None:
+            spec, label = preset(args.preset), f"preset:{args.preset}"
+        else:
+            spec, label = load_problem(args.problem), f"file:{Path(args.problem).name}"
+        config = HatmConfig(alpha=args.alpha, hbar=getattr(args, "hbar", -1.0),
+                            order=args.order, taylor_terms=args.taylor_terms)
+    except (ConfigError, OSError) as exc:
+        args.parser.error(str(exc))
+    if args.out is not None and Path(args.out).is_dir():
+        args.parser.error(f"argument --out: {args.out} is a directory")
+    try:
+        args.body(RunRequest(spec, config, label, args.preset, args.fmt, args.out), args)
+    except argparse.ArgumentError as exc:  # a flag value that a command body checks
+        args.parser.error(str(exc))
+    except HatmError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    return 0
+
+
+# perfbench/traced.py runs the command through click's entry point,
+# `main.main(args=..., prog_name=...)`; this keeps that call working.
+main.main = lambda args=None, prog_name=None: sys.exit(main(args))

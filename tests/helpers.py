@@ -1,13 +1,18 @@
 """Shared fixtures for the suite: closed-form iterate coefficients,
 random-series builders, the direct hbar recursion, the symbolic residual,
-the problems the engine is checked on, and small comparison utilities."""
+the problems the engine is checked on, small comparison utilities and an
+in-process runner of the command line."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
+from hatmfp.cli import main
 from hatmfp.engine import HatmConfig, ProblemSpec, apply_operator
 from hatmfp.expr import ONE, SpatialExpr, add, cosh, evaluate, mul, pow_, sinh, X, Y
 from hatmfp.fokker_planck import CoefficientSpec, build_backward, build_forward, preset
@@ -169,3 +174,23 @@ PROBLEMS = {
         {"order": 4},
     ),
 }
+
+
+def invoke_cli(*args) -> SimpleNamespace:
+    """Run `hatmfp ARGS...` in this process. The result has exit_code,
+    stdout, stderr, output (stdout then stderr) and exception: the
+    exception that ended the run, or None when it exited 0."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    exception = None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            exit_code = main([str(a) for a in args])
+        except SystemExit as exc:
+            exit_code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+            exception = exc if exit_code else None
+        except Exception as exc:
+            exit_code, exception = 1, exc
+    return SimpleNamespace(
+        exit_code=exit_code, stdout=stdout.getvalue(), stderr=stderr.getvalue(),
+        output=stdout.getvalue() + stderr.getvalue(), exception=exception,
+    )

@@ -2,18 +2,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from hatmfp.cli import main
+from helpers import invoke_cli as invoke
 from hatmfp.series import FracSeries
 
-runner = CliRunner()
-
-
-def invoke(*args):
-    return runner.invoke(main, [str(a) for a in args])
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def rows_of(csv_text):
@@ -242,7 +241,7 @@ def test_hcurve_takes_no_hbar():
     # the sweep recombines the hbar = -1 iterates; no single hbar applies
     result = invoke("hcurve", "--preset", "4.1", "--probe", "1,0.3", "--hbar", -0.5)
     assert result.exit_code == 2
-    assert "No such option" in result.stderr
+    assert "unrecognized arguments: --hbar" in result.stderr
 
 
 def test_hcurve_rejects_sweep_through_zero():
@@ -382,3 +381,83 @@ def test_malformed_points_exit_two():
     assert invoke("residual", "--preset", "4.1", "--point", "oops").exit_code == 2
     assert invoke("hcurve", "--preset", "4.1", "--probe", "1,2,3,4").exit_code == 2
     assert invoke("eval", "--preset", "4.1", "--x-count", "0").exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("solve", "--preset", "4.1", "--hbar", "nan"),
+        ("solve", "--preset", "4.1", "--alpha", "inf"),
+        ("eval", "--preset", "4.1", "--order", "2", "--t-max", "inf", "--t-count", "2"),
+        ("compare", "--preset", "4.1", "--order", "2", "--x-min=-inf"),
+        ("hcurve", "--preset", "4.1", "--order", "2", "--probe", "nan,0.3"),
+        ("hcurve", "--preset", "4.1", "--order", "2", "--probe", "1,0.3", "--h-min=-inf"),
+        ("residual", "--preset", "4.1", "--order", "2", "--point", "1,inf"),
+    ],
+    ids=["hbar", "alpha", "t-max", "x-min", "probe", "h-min", "point"],
+)
+def test_non_finite_flags_exit_two(args):
+    result = invoke(*args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+
+
+# ---------------------------------------------------------------------- parser
+
+
+COMMAND_OPTIONS = {
+    "solve": ["--hbar"],
+    "eval": ["--hbar", "--x-min", "--y-count", "--t-max"],
+    "residual": ["--hbar", "--point"],
+    "hcurve": ["--probe", "--h-min", "--h-max", "--h-count"],
+    "compare": ["--hbar", "--x-count", "--y-min", "--t-min"],
+}
+
+
+def test_help_lists_commands():
+    result = invoke("--help")
+    assert result.exit_code == 0
+    assert all(name in result.stdout for name in COMMAND_OPTIONS)
+    assert "hatmfp hcurve --preset 4.3 --probe 1,0.2 --format csv" in result.stdout
+
+
+@pytest.mark.parametrize("name", COMMAND_OPTIONS)
+def test_command_help_lists_its_options(name):
+    result = invoke(name, "--help")
+    assert result.exit_code == 0
+    shared = ["--preset", "--problem", "--alpha", "--order", "--taylor-terms", "--format",
+              "--out"]
+    assert all(option in result.stdout for option in shared + COMMAND_OPTIONS[name])
+    assert ("--hbar" in result.stdout) == (name != "hcurve")
+
+
+def test_abbreviated_flags_exit_two():
+    # --alp would be --alpha under prefix matching, which the parser turns off
+    result = invoke("solve", "--preset", "4.1", "--alp", "0.5")
+    assert result.exit_code == 2
+    assert "unrecognized arguments: --alp" in result.stderr
+
+
+def test_negative_values_follow_their_flags():
+    # -1,0.3 and -1e0 are values, as they were under click; argparse alone
+    # reads them as flags and takes only -1 or -0.5 for values
+    args = ("hcurve", "--preset", "4.1", "--order", "2", "--h-count", "2", "--format", "csv")
+    spaced = invoke(*args, "--probe", "-1,0.3", "--h-min", "-1e0")
+    joined = invoke(*args, "--probe=-1,0.3", "--h-min=-1e0")
+    assert spaced.exit_code == 0, spaced.output
+    assert spaced.stdout == joined.stdout
+    assert rows_of(spaced.stdout)[1][0] == "-1.0"
+
+
+def test_cli_import_leaves_click_out():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, hatmfp.cli; print('click' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

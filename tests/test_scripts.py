@@ -7,9 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from hatmfp.cli import main
+from helpers import invoke_cli
 from hatmfp.engine import HatmConfig, h_curve
 from hatmfp.fokker_planck import preset
 
@@ -80,10 +79,10 @@ def test_hcurve_sweep_grid_is_the_cli_grid():
         "hcurve_sweep.py", "--preset", "4.5", "--orders", "2",
         "--h-min", "-2", "--h-max", "-0.2", "--h-count", "19",
     )
-    cli = CliRunner().invoke(main, [
+    cli = invoke_cli(
         "hcurve", "--preset", "4.5", "--alpha", "0.75", "--order", "2",
         "--probe", "1,0.3", "--format", "csv",
-    ])
+    )
     assert cli.exit_code == 0, cli.output
     script_rows = list(csv.reader(sweep.splitlines()))[1:]
     cli_rows = list(csv.reader(cli.output.splitlines()))[1:]
