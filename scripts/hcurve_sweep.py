@@ -15,6 +15,7 @@ import argparse
 import csv
 import sys
 
+from hatmfp.cli import _grid
 from hatmfp.engine import HatmConfig, recombine_values, run
 from hatmfp.errors import ConfigError
 from hatmfp.fokker_planck import PRESET_IDS, load_problem, preset
@@ -51,10 +52,9 @@ def main() -> None:
         config = HatmConfig(alpha=args.alpha, hbar=-1.0, order=max(args.orders))
     except (ConfigError, OSError) as exc:
         parser.error(str(exc))
-    # The grid of `hatmfp hcurve`, so that rows match it by exact hbar.
-    lo, hi, gaps = args.h_min, args.h_max, max(args.h_count - 1, 1)
-    h_values = [lo + i * (hi - lo) / gaps for i in range(args.h_count)]
+    # The grid of `hatmfp hcurve`, so that rows match it by exact hbar;
     # hbar = 0 is excluded, and so is a point within rounding of it.
+    h_values = _grid(args.h_min, args.h_max, args.h_count)
     rounding = 1e-12 * max(abs(args.h_min), abs(args.h_max))
     h_values = [h for h in h_values if abs(h) > rounding]
 

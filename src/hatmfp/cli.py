@@ -65,7 +65,7 @@ def _grid(lo: float, hi: float, count: int) -> list[float]:
         raise argparse.ArgumentError(None, "grid counts must be >= 1")
     if count == 1:
         return [lo]
-    return [lo + i * (hi - lo) / (count - 1) for i in range(count)]
+    return [lo + i * (hi - lo) / (count - 1) for i in range(count - 1)] + [hi]
 
 
 def _parse_point(text: str, dim: int) -> tuple[float, float, float]:

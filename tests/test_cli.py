@@ -223,6 +223,18 @@ def test_hcurve_sweep():
     assert all(isinstance(r["value"], float) for r in rows)
 
 
+def test_hcurve_sweep_ends_at_h_max():
+    # lo + 9 * (hi - lo) / 9 is -0.20000000000000018 for lo = -2, hi = -0.2
+    result = invoke(
+        "hcurve", "--preset", "4.3", "--order", "2", "--probe", "1,0.2",
+        "--h-max", -0.2, "--h-count", 10, "--format", "csv",
+    )
+    assert result.exit_code == 0
+    hbars = [row[0] for row in rows_of(result.stdout)[1:]]
+    assert hbars[0] == "-2.0" and hbars[-1] == "-0.2"
+    assert len(hbars) == 10
+
+
 def test_hcurve_single_point_matches_eval():
     h = invoke(
         "hcurve", "--preset", "4.3", "--alpha", "0.75", "--order", "4",

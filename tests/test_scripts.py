@@ -73,8 +73,8 @@ def test_hcurve_sweep_drops_rounded_zero():
 
 
 def test_hcurve_sweep_grid_is_the_cli_grid():
-    # hcurve's default sweep; i * step and i * (hi - lo) / 18 differ in
-    # the last bit at -2, -0.2 and 19 of its points
+    # hcurve's default sweep; two formulas for its points would differ in
+    # the last bit at -2, -0.2 and 19 of them
     sweep = run_script(
         "hcurve_sweep.py", "--preset", "4.5", "--orders", "2",
         "--h-min", "-2", "--h-max", "-0.2", "--h-count", "19",
