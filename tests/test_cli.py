@@ -399,14 +399,13 @@ def test_malformed_points_exit_two():
     "args",
     [
         ("solve", "--preset", "4.1", "--hbar", "nan"),
-        ("solve", "--preset", "4.1", "--alpha", "inf"),
         ("eval", "--preset", "4.1", "--order", "2", "--t-max", "inf", "--t-count", "2"),
         ("compare", "--preset", "4.1", "--order", "2", "--x-min=-inf"),
         ("hcurve", "--preset", "4.1", "--order", "2", "--probe", "nan,0.3"),
         ("hcurve", "--preset", "4.1", "--order", "2", "--probe", "1,0.3", "--h-min=-inf"),
         ("residual", "--preset", "4.1", "--order", "2", "--point", "1,inf"),
     ],
-    ids=["hbar", "alpha", "t-max", "x-min", "probe", "h-min", "point"],
+    ids=["hbar", "t-max", "x-min", "probe", "h-min", "point"],
 )
 def test_non_finite_flags_exit_two(args):
     result = invoke(*args)
@@ -453,8 +452,8 @@ def test_abbreviated_flags_exit_two():
 
 
 def test_negative_values_follow_their_flags():
-    # -1,0.3 and -1e0 are values, as they were under click; argparse alone
-    # reads them as flags and takes only -1 or -0.5 for values
+    # -1,0.3 and -1e0 are read as values; argparse alone reads them as
+    # flags and takes only words like -1 or -0.5 for values
     args = ("hcurve", "--preset", "4.1", "--order", "2", "--h-count", "2", "--format", "csv")
     spaced = invoke(*args, "--probe", "-1,0.3", "--h-min", "-1e0")
     joined = invoke(*args, "--probe=-1,0.3", "--h-min=-1e0")
