@@ -90,7 +90,9 @@ class GammaArg(Value):
         return self._hash
 
     def __lt__(self, other: "GammaArg") -> bool:
-        return (self.a, self.b) < (other.a, other.b)
+        # (a, b) order on the integers; denominators are positive
+        (n, d, b), (on, od, ob) = self._ints, other._ints
+        return (n * od, b) < (on * d, ob)
 
     def value(self, alpha: float) -> float:
         return float(self.a) + self.b * alpha

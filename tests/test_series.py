@@ -38,6 +38,18 @@ def test_gamma_arg_value():
     assert m.value(0.75) == pytest.approx(math.gamma(2.5), rel=1e-14)
 
 
+@given(
+    st.lists(
+        st.tuples(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                  st.integers(-4, 4)),
+        max_size=12,
+    )
+)
+def test_gamma_args_sort_by_a_then_b(pairs):
+    args = [GammaArg(a, b) for a, b in pairs]
+    assert sorted(args) == sorted(args, key=lambda g: (g.a, g.b))
+
+
 def test_gamma_ratio_round_trip_is_exact():
     c = Coefficient.number(1.7)
     a, b = GammaArg(Fraction(1), 1), GammaArg(Fraction(1), 2)
