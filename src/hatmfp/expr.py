@@ -7,17 +7,19 @@ folding and absorbing 0/1 in sums, products and powers.
 
 Equality is exact. ``monomials`` expands a tree into a canonical table
 of float coefficients over products of atoms (variables, sinh and cosh
-of a canonical argument, opaque powers), ``normalize`` builds the tree
-of that table, and ``monic`` scales it so its largest monomial is 1.
-Two trees with the same canonical table get the same node, so identity
-of canonical nodes is equality of their monomial sums. Fingerprints
-(evaluations on a fixed panel of sample points, away from the poles of
-coth, csch and 1/x) remain only as an aid for tests and diagnostics;
-no merge decision rests on them.
+of a canonical argument, opaque powers), and ``monic_table`` scales it
+so its largest monomial is 1; ``monic_sum`` and ``monic_derivative`` add
+and differentiate tables without building trees. ``canonical`` builds
+the tree of a table (``normalize`` and ``monic`` give the trees of
+``monomials`` and ``monic_table``). Two trees with the same canonical
+table get the same node, so identity of canonical nodes is equality of
+their monomial sums. Fingerprints (evaluations on a fixed panel of
+sample points, away from the poles of coth, csch and 1/x) remain only
+as an aid for tests and diagnostics; no merge decision rests on them.
 
 Nodes are hash-consed: the module-level constructors return one shared
-object per distinct tree, and hash, node count, variable set and
-monomial table are cached on the node. Repeated
+object per distinct tree, and hash, node count, variable set, monomial
+table, monic table and its derivatives are cached on the node. Repeated
 differentiation and collection therefore build a shared DAG, and every
 traversal here costs one visit per distinct subtree rather than one per
 path. Build through the constructors; instantiating the node classes
@@ -503,18 +505,21 @@ def _reduced(sig: _MonoSig, coef: float) -> list[tuple[_MonoSig, float]]:
 def _summed(monos: Iterable[tuple[_MonoSig, float]]) -> dict:
     """Table of a monomial sum. A merged coefficient below EXPAND_DROP_TOL
     times its largest addend is cancellation residue and drops."""
-    table: dict[_MonoSig, float] = {}
-    peaks: dict[_MonoSig, float] = {}
+    slots: dict[_MonoSig, list[float]] = {}  # signature: [sum, largest |addend|]
     for sig, coef in monos:
         for s, c in _reduced(sig, coef):
-            table[s] = table.get(s, 0.0) + c
-            peaks[s] = max(peaks.get(s, 0.0), abs(c))
-        if len(table) > EXPAND_CAP:
+            slot = slots.setdefault(s, [0.0, 0.0])
+            slot[0] += c
+            slot[1] = max(slot[1], abs(c))
+        if len(slots) > EXPAND_CAP:
             raise _ExpandOverflow
-    return {s: c for s, c in table.items() if abs(c) > EXPAND_DROP_TOL * peaks[s]}
+    return {s: c for s, (c, peak) in slots.items() if abs(c) > EXPAND_DROP_TOL * peak}
 
 
 def _product(ta: dict, tb: dict) -> dict:
+    if len(ta) == 1 and () in ta:  # a constant scales a reduced table
+        k = ta[()]
+        return {s: v for s, c in tb.items() if abs(v := k * c) > EXPAND_DROP_TOL * abs(v)}
     return _summed(
         (_sig_mul(sa, sb), ca * cb) for sa, ca in ta.items() for sb, cb in tb.items()
     )
@@ -609,6 +614,14 @@ def _canonical(monos: tuple) -> SpatialExpr:
     return node
 
 
+def canonical(monos: tuple, node: SpatialExpr | None = None) -> SpatialExpr:
+    """The interned tree of a canonical table; `node` itself when it
+    already is that tree, which skips rebuilding it."""
+    if node is not None and node.__dict__.get("_norm") is node and node._monos == monos:
+        return node
+    return _canonical(monos)
+
+
 def normalize(expr: SpatialExpr) -> SpatialExpr:
     """Canonical monomial-sum form, built from ``monomials(expr)``.
 
@@ -625,26 +638,61 @@ def normalize(expr: SpatialExpr) -> SpatialExpr:
     return norm
 
 
-def monic(expr: SpatialExpr) -> tuple[float, SpatialExpr]:
-    """(scale, node) with expr == scale * node and node canonical, its
-    largest-|c| monomial (the first one on ties) scaled to exactly 1.
+def _monic_of(monos: tuple) -> tuple[float, tuple]:
+    """(scale, monos / scale) of a sorted table: its largest-|c|
+    coefficient (the first one on ties) becomes exactly 1."""
+    if not monos:
+        return 0.0, ()
+    scale = max((c for _, c in monos), key=abs)
+    return scale, monos if scale == 1.0 else tuple((s, c / scale) for s, c in monos)
 
-    Proportional trees that round alike share the node. (0.0, ZERO) for
-    the zero function.
-    """
+
+def monic_table(expr: SpatialExpr) -> tuple[float, tuple]:
+    """(scale, monos) with expr == scale * (the monomial sum monos), its
+    largest monomial exactly 1, cached on the node. Proportional trees
+    that round alike share the table; (0.0, ()) for the zero function."""
     got = expr.__dict__.get("_monic")
     if got is None:
-        monos = monomials(expr)
-        if not monos:
-            got = (0.0, ZERO)
-        else:
-            scale = max((c for _, c in monos), key=abs)
-            if scale == 1.0:
-                got = (1.0, normalize(expr))
-            else:
-                got = (scale, _canonical(tuple((s, c / scale) for s, c in monos)))
+        got = _monic_of(monomials(expr))
         object.__setattr__(expr, "_monic", got)
     return got
+
+
+def monic_sum(weighted: list[tuple[float, tuple]]) -> tuple[float, tuple]:
+    """monic_table of the sum of weight * table over (weight, table) pairs."""
+    try:
+        table = _summed((s, w * c) for w, monos in weighted for s, c in monos)
+        return _monic_of(tuple(sorted(table.items())))
+    except _ExpandOverflow:  # the sum stays one opaque atom
+        return monic_table(add(*(mul(const(w), _canonical(m)) for w, m in weighted)))
+
+
+def monic_derivative(expr: SpatialExpr, name: str) -> tuple[float, tuple]:
+    """monic_table of the partial derivative in `name`, cached on the node:
+    each monomial of the table times the derivative tables of its atoms."""
+    key = "_d" + var(name).name
+    got = expr.__dict__.get(key)
+    if got is None:
+        try:
+            parts = []
+            for sig, c in monomials(expr):
+                for i, (atom, e) in enumerate(sig):
+                    rest = sig[:i] + (((atom, e - 1),) if e != 1 else ()) + sig[i + 1 :]
+                    datom = _table(differentiate(atom, name))
+                    parts.append(_product({rest: c}, {s: e * k for s, k in datom.items()}))
+            table = _summed(item for part in parts for item in part.items())
+            got = _monic_of(tuple(sorted(table.items())))
+        except _ExpandOverflow:
+            got = monic_table(differentiate(expr, name))
+        object.__setattr__(expr, key, got)
+    return got
+
+
+def monic(expr: SpatialExpr) -> tuple[float, SpatialExpr]:
+    """(scale, node) with expr == scale * node and node the canonical tree
+    of monic_table(expr); (0.0, ZERO) for the zero function."""
+    scale, monos = monic_table(expr)
+    return scale, canonical(monos, expr)
 
 
 def _format_number(value: float) -> str:

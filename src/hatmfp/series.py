@@ -18,19 +18,22 @@ tokens, which then holds at that alpha only (engine.deformation_step
 does this for terms that share a time).
 
 A collected series holds each term as (Coefficient, monic canonical
-polynomial, TimeFactor): the spatial part is the ``expr.monic`` node of
-its monomial table, whose largest monomial is exactly 1, and the scale
-lives in the coefficient. Interning makes node identity exact equality,
-so every merge is a hash lookup, in three passes:
+polynomial, TimeFactor): the spatial part is the tree of its monic
+monomial table (``expr.monic_table``), whose largest monomial is
+exactly 1, and the scale lives in the coefficient. Tables are exact
+canonical forms, so every merge is a hash lookup, in three passes:
 
-1. group by (time, spatial node) and sum the coefficients;
+1. group by (time, monic table) and sum the coefficients;
 2. group by (time, gamma-token signature, factors divided by the
-   largest factor) and sum the spatial tables, weighted by those
-   largest factors;
+   largest factor) and sum the monic tables, weighted by those
+   largest factors (``expr.monic_sum``);
 3. repeat pass 1 on the result.
 
 Keying on both axes keeps iterates compact whether their terms share
-spatial shapes or coefficients.
+spatial shapes or coefficients. The passes build no tree: a term that
+leaves the collect gets one through ``expr.canonical``, which keeps an
+input node that already is that tree. A spatial derivative starts from
+the tables of ``expr.monic_derivative``.
 """
 
 from __future__ import annotations
@@ -43,12 +46,11 @@ from typing import Iterable, Sequence
 from .errors import ConfigError, DomainError, ExponentError, Value, store
 from .expr import (
     SpatialExpr,
-    add,
-    const,
-    differentiate,
+    canonical,
     evaluate,
-    monic,
-    monomials,
+    monic_derivative,
+    monic_sum,
+    monic_table,
     mul,
     parse_prefix,
     parse_rational,
@@ -304,55 +306,58 @@ def _parallel_key(coef: Coefficient) -> tuple[float, tuple]:
     return pivot, (coef.signature(), tuple(m.factor / pivot for m in coef.monomials))
 
 
-def _by_spatial(terms: Iterable[tuple[TimeFactor, SpatialExpr, Coefficient]]) -> dict:
-    """{(time, node): summed coefficient} of (time, node, coefficient) triples."""
+def _by_table(entries: Iterable[tuple]) -> list[tuple]:
+    """(time, table, coefficient, node) entries with equal (time, table)
+    merged: their coefficients summed, the first node kept."""
     groups: dict = {}
-    for time, node, coef in terms:
-        groups.setdefault((time, node), []).append(coef)
-    return {
-        key: coefs[0] if len(coefs) == 1 else _normalize_monomials(
+    for time, monos, coef, node in entries:
+        groups.setdefault((time, monos), ([], node))[0].append(coef)
+    return [
+        (time, monos, coefs[0] if len(coefs) == 1 else _normalize_monomials(
             m for c in coefs for m in c.monomials
-        )
-        for key, coefs in groups.items()
-    }
+        ), node)
+        for (time, monos), (coefs, node) in groups.items()
+    ]
 
 
 def _collect(terms: Iterable[FracTerm]) -> tuple[FracTerm, ...]:
-    """Merge terms on exact keys in the three passes of the module
-    docstring; terms come out ordered by time, then spatial table."""
-    monic_terms = []
-    for term in terms:
-        if term.coef.is_zero:
-            continue
-        scale, node = monic(term.spatial)
-        if scale != 0.0:
-            monic_terms.append((term.time, node, term.coef.scaled(scale)))
-    merged = _by_spatial(monic_terms)
+    return _collect_tables(
+        (t.time, t.coef, monic_table(t.spatial), t.spatial) for t in terms if not t.coef.is_zero
+    )
 
+
+def _collect_tables(entries: Iterable[tuple]) -> tuple[FracTerm, ...]:
+    """Merge (time, coefficient, monic table, node) entries on exact keys
+    in the three passes of the module docstring; terms come out ordered
+    by time, then spatial table."""
+    monic_terms = [
+        (time, monos, coef.scaled(scale), node)
+        for time, coef, (scale, monos), node in entries
+        if scale != 0.0
+    ]
     parallel: dict = {}
-    for (time, node), coef in merged.items():
+    for time, monos, coef, node in _by_table(monic_terms):
         if coef.is_zero:
             continue
         pivot, key = _parallel_key(coef)
-        parallel.setdefault((time, key), []).append((pivot, node, coef))
+        parallel.setdefault((time, key), []).append((pivot, monos, coef, node))
     combined = []
     for (time, (signature, factors)), members in parallel.items():
         if len(members) == 1:
-            _, node, coef = members[0]
+            _, monos, coef, node = members[0]
         else:
-            total = add(*(mul(const(pivot), node) for pivot, node, _ in members))
-            scale, node = monic(total)
+            scale, monos = monic_sum([(pivot, monos) for pivot, monos, _, _ in members])
             if scale == 0.0:
                 continue
             unit = Coefficient(
                 tuple(Monomial(f, num, den) for f, (num, den) in zip(factors, signature))
             )
-            coef = unit.scaled(scale)
-        combined.append((time, node, coef))
+            coef, node = unit.scaled(scale), None
+        combined.append((time, monos, coef, node))
 
     out = [
-        (time.sort_key, monomials(node), FracTerm(coef, node, time))
-        for (time, node), coef in _by_spatial(combined).items()
+        (time.sort_key, monos, FracTerm(coef, canonical(monos, node), time))
+        for time, monos, coef, node in _by_table(combined)
         if not coef.is_zero
     ]
     out.sort(key=lambda item: item[:2])
@@ -422,8 +427,9 @@ class FracSeries(Value):
         key = "_d" + name
         got = self.__dict__.get(key)
         if got is None:
-            terms = (FracTerm(t.coef, differentiate(t.spatial, name), t.time) for t in self.terms)
-            got = FracSeries(_collect(terms))
+            got = FracSeries(_collect_tables(
+                (t.time, t.coef, monic_derivative(t.spatial, name), None) for t in self.terms
+            ))
             object.__setattr__(self, key, got)
         return got
 

@@ -26,6 +26,9 @@ from hatmfp.expr import (
     FINGERPRINT_POINTS,
     is_numerically_equal,
     monic,
+    monic_derivative,
+    monic_sum,
+    monic_table,
     monomials,
     mul,
     normalize,
@@ -322,6 +325,41 @@ def test_monic_scales_largest_monomial_to_one():
     assert monic(mul(3, add(mul(-4, sinh(X)), mul(2, X))))[1] is node
     assert monic(node) == (1.0, node)
     assert monic(add(X, mul(-1, X))) == (0.0, ZERO)
+
+
+@given(small_trees())
+@settings(max_examples=60, deadline=None)
+def test_derivative_table_is_the_table_of_the_derivative_tree(e):
+    node = normalize(e)
+    for name in ("x", "y"):
+        assert monic_derivative(node, name) == monic_table(differentiate(node, name))
+
+
+def test_derivative_table_is_cached_and_checks_the_variable():
+    node = normalize(mul(X, sinh(Y)))
+    assert monic_derivative(node, "y") is monic_derivative(node, "y")
+    assert monic_derivative(node, "y") == (1.0, monic_table(mul(X, cosh(Y)))[1])
+    with pytest.raises(DomainError):
+        monic_derivative(node, "z")
+
+
+def test_monic_sum_weights_tables():
+    _, a = monic_table(add(sinh(X), X))
+    _, b = monic_table(add(sinh(X), mul(-1, X)))
+    assert monic_sum([(2.0, a), (-2.0, b)]) == monic_table(mul(4, X))
+
+
+def test_table_sums_and_derivatives_past_the_cap_stay_opaque(monkeypatch):
+    # four monomials each; the derivative of p and the sum p + q have eight
+    p = normalize(mul(sinh(X), add(*(pow_(X, k) for k in (3, 5, 7, 11)))))
+    q = normalize(add(*(pow_(Y, k) for k in (3, 5, 7, 11))))
+    monkeypatch.setattr(expr_module, "EXPAND_CAP", 4)
+    assert monic_derivative(p, "x") == (1.0, ((((differentiate(p, "x"), 1),), 1.0),))
+    scale, ((((atom, e),), c),) = monic_sum([(1.0, monomials(p)), (1.0, monomials(q))])
+    assert (scale, e, c) == (1.0, 1, 1.0)
+    assert evaluate(atom, 0.4, 0.2) == pytest.approx(
+        evaluate(p, 0.4, 0.2) + evaluate(q, 0.4, 0.2), rel=1e-15
+    )
 
 
 def test_expansion_overflow_leaves_an_opaque_atom(monkeypatch):

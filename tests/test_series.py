@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_series
+from hatmfp import expr as expr_module
 from hatmfp.errors import ConfigError, DomainError, ExponentError
 from hatmfp.expr import X, Y, add, cosh, evaluate, mul, normalize, pow_, sinh
 from hatmfp.series import (
@@ -410,6 +411,16 @@ def test_collect_terms_are_monic():
     (term,) = s.terms
     assert term.spatial is normalize(add(sinh(X), mul(-0.5, X)))
     assert term.coef.monomials[0].factor == -6.0
+
+
+def test_collect_returns_a_canonical_monic_node_as_is(monkeypatch):
+    node = normalize(add(sinh(X), mul(-0.5, X)))
+    t0 = TimeFactor(Fraction(0), 1, 0)
+    s = FracSeries((FracTerm(Coefficient.number(3.0), node, t0),))
+    monkeypatch.setattr(expr_module, "_canonical", lambda monos: pytest.fail("tree rebuilt"))
+    (term,) = s.collected().terms
+    assert term.spatial is node
+    assert term.coef == Coefficient.number(3.0)
 
 
 def test_collect_merges_parallel_coefficients():
