@@ -11,6 +11,7 @@ roughly geometrically until they hit the arithmetic floor.
 
 import argparse
 
+from hatmfp.cli import finite
 from hatmfp.engine import HatmConfig, partial_sum, run
 from hatmfp.errors import ConfigError
 from hatmfp.fokker_planck import PRESET_IDS, closed_form, preset, reference_solution
@@ -29,9 +30,9 @@ def main() -> None:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("--presets", nargs="+", choices=PRESET_IDS, default=list(PRESET_IDS))
-    parser.add_argument("--alphas", type=float, nargs="+", default=[0.5, 0.75, 1.0])
+    parser.add_argument("--alphas", type=finite, nargs="+", default=[0.5, 0.75, 1.0])
     parser.add_argument("--orders", type=int, nargs="+", default=[2, 4, 8, 16])
-    parser.add_argument("--hbar", type=float, default=-1.0)
+    parser.add_argument("--hbar", type=finite, default=-1.0)
     parser.add_argument("--grid-points", type=int, default=5)
     args = parser.parse_args()
     if min(args.orders) < 0:

@@ -15,7 +15,7 @@ import argparse
 import csv
 import sys
 
-from hatmfp.cli import _grid
+from hatmfp.cli import _grid, finite
 from hatmfp.engine import HatmConfig, recombine_values, run
 from hatmfp.errors import ConfigError
 from hatmfp.fokker_planck import PRESET_IDS, load_problem, preset
@@ -28,17 +28,17 @@ def main() -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--preset", choices=PRESET_IDS)
     source.add_argument("--problem", help="problem definition JSON file")
-    parser.add_argument("--alpha", type=float, default=0.75)
+    parser.add_argument("--alpha", type=finite, default=0.75)
     parser.add_argument("--orders", type=int, nargs="+", default=[4, 8])
     parser.add_argument(
         "--probe",
-        type=float,
+        type=finite,
         nargs=3,
         metavar=("X", "Y", "T"),
         default=(1.0, 0.0, 0.3),
     )
-    parser.add_argument("--h-min", type=float, default=-2.0)
-    parser.add_argument("--h-max", type=float, default=-0.05)
+    parser.add_argument("--h-min", type=finite, default=-2.0)
+    parser.add_argument("--h-max", type=finite, default=-0.05)
     parser.add_argument("--h-count", type=int, default=40)
     parser.add_argument("--out", help="CSV path (default: stdout)")
     args = parser.parse_args()

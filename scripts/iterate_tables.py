@@ -10,6 +10,7 @@ both numerically (at the bound alpha) and as its gamma-token ratio.
 
 import argparse
 
+from hatmfp.cli import finite
 from hatmfp.engine import HatmConfig, partial_sum, run
 from hatmfp.errors import ConfigError
 from hatmfp.expr import to_prefix
@@ -52,12 +53,12 @@ def main() -> None:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("--preset", choices=PRESET_IDS, default="4.3")
-    parser.add_argument("--alpha", type=float, default=0.75)
-    parser.add_argument("--hbar", type=float, default=-1.0)
+    parser.add_argument("--alpha", type=finite, default=0.75)
+    parser.add_argument("--hbar", type=finite, default=-1.0)
     parser.add_argument("--order", type=int, default=3)
     parser.add_argument(
         "--probe",
-        type=float,
+        type=finite,
         nargs=3,
         metavar=("X", "Y", "T"),
         default=(1.0, 0.0, 0.5),

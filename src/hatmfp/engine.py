@@ -112,6 +112,8 @@ class HatmConfig(Value):
 
     def __init__(self, alpha: float, hbar: float, order: int, taylor_terms: int = 12) -> None:
         _check_alpha(alpha)
+        if not math.isfinite(hbar):
+            raise ConfigError(f"hbar must be finite, got {hbar}")
         if hbar == 0.0:
             raise ConfigError("hbar must be nonzero")
         if order < 0:

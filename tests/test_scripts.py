@@ -101,6 +101,11 @@ def test_hcurve_sweep_grid_is_the_cli_grid():
         ("iterate_tables.py", ("--hbar", "0")),
         ("hcurve_sweep.py", ("--preset", "4.1", "--alpha", "1.5")),
         ("hcurve_sweep.py", ("--problem", "no-such-problem.json")),
+        ("iterate_tables.py", ("--preset", "4.1", "--hbar", "nan", "--order", "1")),
+        ("convergence_study.py", ("--presets", "4.1", "--hbar", "inf", "--orders", "1")),
+        ("hcurve_sweep.py", ("--preset", "4.1", "--orders", "1",
+                             "--probe", "nan", "0", "0.3", "--h-count", "2")),
+        ("hcurve_sweep.py", ("--preset", "4.1", "--orders", "1", "--h-min", "nan")),
     ],
 )
 def test_scripts_reject_bad_numeric_flags(name, args):

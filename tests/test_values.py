@@ -181,6 +181,8 @@ def test_cached_attributes_take_no_part_in_equality():
     "build, error, message",
     [
         (lambda: HatmConfig(alpha=0.5, hbar=0, order=1), ConfigError, "hbar must be nonzero"),
+        (lambda: HatmConfig(0.5, float("nan"), 1), ConfigError, "hbar must be finite, got nan"),
+        (lambda: HatmConfig(0.5, float("-inf"), 1), ConfigError, "hbar must be finite, got -inf"),
         (lambda: HatmConfig(0.0, -1.0, 1), ConfigError, "alpha must lie in (0, 1], got 0.0"),
         (lambda: HatmConfig(0.5, -1.0, -1), ConfigError, "order must be >= 0, got -1"),
         (lambda: HatmConfig(0.5, -1.0, 1, taylor_terms=0), ConfigError,
