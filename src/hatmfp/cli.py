@@ -275,6 +275,8 @@ def main(argv: list[str] | None = None) -> int:
         args.parser.error(str(exc))
     if args.out is not None and Path(args.out).is_dir():
         args.parser.error(f"argument --out: {args.out} is a directory")
+    if args.out is not None and not Path(args.out).parent.is_dir():
+        args.parser.error(f"argument --out: no directory {Path(args.out).parent}")
     try:
         args.body(RunRequest(spec, config, label, args.preset, args.fmt, args.out), args)
     except argparse.ArgumentError as exc:  # a flag value that a command body checks

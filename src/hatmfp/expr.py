@@ -1,21 +1,24 @@
 """Immutable symbolic expressions over the spatial variables x and y.
 
 Drift and diffusion coefficients live here: hyperbolic functions,
-rational powers and polynomial combinations. Trees never rewrite
-themselves; the only construction-time simplifications are constant
-folding and absorbing 0/1 in sums, products and powers.
+rational powers and polynomial combinations. Trees have two function
+kinds, sinh and cosh, the atoms of the monomial tables: tanh, coth,
+csch and 1/u are built from them and powers at construction. Trees
+never rewrite themselves; the only construction-time simplifications
+are constant folding and absorbing 0/1 in sums, products and powers.
 
 Equality is exact. ``monomials`` expands a tree into a canonical table
 of float coefficients over products of atoms (variables, sinh and cosh
 of a canonical argument, opaque powers), and ``monic_table`` scales it
 so its largest monomial is 1; ``monic_sum`` and ``monic_derivative`` add
-and differentiate tables without building trees. ``canonical`` builds
-the tree of a table (``normalize`` and ``monic`` give the trees of
-``monomials`` and ``monic_table``). Two trees with the same canonical
-table get the same node, so identity of canonical nodes is equality of
-their monomial sums. Fingerprints (evaluations on a fixed panel of
-sample points, away from the poles of coth, csch and 1/x) remain only
-as an aid for tests and diagnostics; no merge decision rests on them.
+and differentiate tables without building trees. Only a product can
+blow a table up, so only a product checks ``EXPAND_CAP``. ``canonical``
+is the one builder of the tree of a table (``normalize`` gives the tree
+of ``monomials``). Two trees with the same canonical table get the same
+node, so identity of canonical nodes is equality of their monomial
+sums. Fingerprints (evaluations on a fixed panel of sample points, away
+from the poles of coth, csch and 1/x) remain only as an aid for tests
+and diagnostics; no merge decision rests on them.
 
 Nodes are hash-consed: the module-level constructors return one shared
 object per distinct tree, and hash, node count, variable set, monomial
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Union
 
 from .errors import DomainError, SingularityError, Value, store
 
@@ -125,7 +128,7 @@ class Pow(SpatialExpr):
 
 
 class Func(SpatialExpr):
-    _fields = ("kind", "arg")  # kind: sinh | cosh | tanh | coth | csch | recip
+    _fields = ("kind", "arg")  # kind: sinh | cosh
 
     def __init__(self, kind: str, arg: SpatialExpr) -> None:
         store(self, "kind", kind)
@@ -183,6 +186,8 @@ def _coerce(value: SpatialExpr | Number) -> SpatialExpr:
 
 def const(value: Number) -> Const:
     v = float(value)
+    if not math.isfinite(v):  # a fold such as 1e200 * 1e200 overflows to inf
+        raise DomainError(f"constant {v} is not a finite float")
     return _shared(("c", v), Const, v)  # type: ignore[return-value]
 
 
@@ -264,20 +269,7 @@ def _pow_value(value: float, exponent: Fraction) -> float:
     return value ** float(exponent)
 
 
-def _guarded_div(numerator: float, denominator: float) -> float:
-    if abs(denominator) < SINGULAR_FLOOR:
-        raise SingularityError(f"division by {denominator}")
-    return numerator / denominator
-
-
-_FUNC_EVAL = {
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "tanh": math.tanh,
-    "coth": lambda v: _guarded_div(math.cosh(v), math.sinh(v)),
-    "csch": lambda v: _guarded_div(1.0, math.sinh(v)),
-    "recip": lambda v: _guarded_div(1.0, v),
-}
+_FUNC_EVAL = {"sinh": math.sinh, "cosh": math.cosh}
 
 
 def _func(kind: str, arg: SpatialExpr | Number) -> SpatialExpr:
@@ -295,20 +287,21 @@ def cosh(arg: SpatialExpr | Number) -> SpatialExpr:
     return _func("cosh", arg)
 
 
+# tanh, coth, csch and 1/u are built from the table atoms: sinh, cosh, powers.
 def tanh(arg: SpatialExpr | Number) -> SpatialExpr:
-    return _func("tanh", arg)
+    return mul(sinh(arg), pow_(cosh(arg), -1))
 
 
 def coth(arg: SpatialExpr | Number) -> SpatialExpr:
-    return _func("coth", arg)
+    return mul(cosh(arg), pow_(sinh(arg), -1))
 
 
 def csch(arg: SpatialExpr | Number) -> SpatialExpr:
-    return _func("csch", arg)
+    return pow_(sinh(arg), -1)
 
 
 def recip(arg: SpatialExpr | Number) -> SpatialExpr:
-    return _func("recip", arg)
+    return pow_(arg, -1)
 
 
 @lru_cache(maxsize=None)
@@ -335,28 +328,13 @@ def differentiate(expr: SpatialExpr, name: str) -> SpatialExpr:
             differentiate(expr.base, name),
         )
     if isinstance(expr, Func):
-        inner = differentiate(expr.arg, name)
-        a = expr.arg
-        if expr.kind == "sinh":
-            outer = cosh(a)
-        elif expr.kind == "cosh":
-            outer = sinh(a)
-        elif expr.kind == "tanh":
-            outer = add(ONE, mul(const(-1), pow_(tanh(a), 2)))
-        elif expr.kind == "coth":
-            outer = mul(const(-1), pow_(csch(a), 2))
-        elif expr.kind == "csch":
-            outer = mul(const(-1), coth(a), csch(a))
-        elif expr.kind == "recip":
-            outer = mul(const(-1), pow_(a, -2))
-        else:  # pragma: no cover - constructors keep kinds closed
-            raise DomainError(f"unknown function kind {expr.kind!r}")
-        return mul(outer, inner)
+        outer = cosh(expr.arg) if expr.kind == "sinh" else sinh(expr.arg)
+        return mul(outer, differentiate(expr.arg, name))
     raise DomainError(f"cannot differentiate {expr!r}")  # pragma: no cover
 
 
 def evaluate(expr: SpatialExpr, x: float, y: float = 0.0) -> float:
-    """Evaluate at a point; singular divisions raise, never return NaN."""
+    """Evaluate at a point; a pole raises SingularityError, an overflow DomainError."""
     memo: dict[int, float] = {}
 
     def walk(e: SpatialExpr) -> float:
@@ -382,7 +360,10 @@ def evaluate(expr: SpatialExpr, x: float, y: float = 0.0) -> float:
         memo[id(e)] = out
         return out
 
-    return walk(expr)
+    try:
+        return walk(expr)
+    except OverflowError:
+        raise DomainError(f"spatial value overflows a float at x={x}, y={y}") from None
 
 
 def fingerprint(expr: SpatialExpr) -> Fingerprint:
@@ -450,7 +431,8 @@ def variables(expr: SpatialExpr) -> set[str]:
     return set(vs)
 
 
-# A product whose expansion passes this many monomials stays one opaque atom.
+# A product of two tables with more than this many pairs of monomials
+# stays one opaque atom.
 EXPAND_CAP = 20000
 
 # Relative threshold below which an expanded monomial is cancellation dust.
@@ -464,9 +446,6 @@ class _ExpandOverflow(Exception):
 # A monomial signature: atoms with their exact exponents, sorted by the
 # atom's prefix form so equal products always share one signature.
 _MonoSig = tuple  # tuple[tuple[SpatialExpr, Fraction], ...]
-
-# tanh, coth and csch as exponents of (sinh u, cosh u).
-_HYPERBOLIC = {"sinh": (1, 0), "cosh": (0, 1), "tanh": (1, -1), "coth": (-1, 1), "csch": (-1, 0)}
 
 
 def _sig_mul(sa: _MonoSig, sb: _MonoSig) -> _MonoSig:
@@ -511,8 +490,6 @@ def _summed(monos: Iterable[tuple[_MonoSig, float]]) -> dict:
             slot = slots.setdefault(s, [0.0, 0.0])
             slot[0] += c
             slot[1] = max(slot[1], abs(c))
-        if len(slots) > EXPAND_CAP:
-            raise _ExpandOverflow
     return {s: c for s, (c, peak) in slots.items() if abs(c) > EXPAND_DROP_TOL * peak}
 
 
@@ -520,6 +497,8 @@ def _product(ta: dict, tb: dict) -> dict:
     if len(ta) == 1 and () in ta:  # a constant scales a reduced table
         k = ta[()]
         return {s: v for s, c in tb.items() if abs(v := k * c) > EXPAND_DROP_TOL * abs(v)}
+    if len(ta) > 1 and len(tb) > 1 and len(ta) * len(tb) > EXPAND_CAP:
+        raise _ExpandOverflow  # only here: sums and derivatives grow linearly
     return _summed(
         (_sig_mul(sa, sb), ca * cb) for sa, ca in ta.items() for sb, cb in tb.items()
     )
@@ -531,7 +510,7 @@ def _atom_table(atom: SpatialExpr) -> dict:
     return {((atom, 1),): 1.0}
 
 
-def _power_table(expr: SpatialExpr, base: SpatialExpr, exponent: Fraction) -> dict:
+def _power_table(expr: Pow, base: SpatialExpr, exponent: Fraction) -> dict:
     if exponent.denominator == 1:
         exponent = exponent.numerator  # int exponents hash faster in signatures
     bt = _table(base)
@@ -544,8 +523,7 @@ def _power_table(expr: SpatialExpr, base: SpatialExpr, exponent: Fraction) -> di
     if exponent.denominator == 1 and 1 < exponent <= 64:
         return reduce(_product, [bt] * int(exponent), {(): 1.0})
     try:  # an opaque atom over the canonical base
-        norm = normalize(base)
-        atom = recip(norm) if isinstance(expr, Func) else pow_(norm, exponent)
+        atom = pow_(normalize(base), exponent)
     except (DomainError, SingularityError):
         atom = expr
     return _atom_table(atom)
@@ -558,25 +536,16 @@ def _expand(expr: SpatialExpr) -> dict:
         return reduce(_product, (_table(c) for c in expr.children), {(): 1.0})
     if isinstance(expr, Pow):
         return _power_table(expr, expr.base, expr.exponent)
-    if isinstance(expr, Func):
-        if expr.kind == "recip":
-            return _power_table(expr, expr.arg, Fraction(-1))
-        arg = normalize(expr.arg)
-        if not isinstance(arg, Const):
-            pairs = zip((sinh(arg), cosh(arg)), _HYPERBOLIC[expr.kind])
-            return {tuple(sorted((a, e) for a, e in pairs if e)): 1.0}
-        try:  # the argument collected to a constant
-            return _atom_table(_func(expr.kind, arg))
-        except SingularityError:
-            return _atom_table(expr)
+    if isinstance(expr, Func):  # over the canonical argument, maybe a constant
+        return _atom_table(_func(expr.kind, normalize(expr.arg)))
     return _atom_table(expr)
 
 
 def _table(expr: SpatialExpr) -> dict:
     """Monomial table {signature: coefficient} of the tree, cached on it.
 
-    A product that overflows EXPAND_CAP makes its node one opaque atom:
-    exact, only less compact.
+    A node whose expansion multiplies two tables past EXPAND_CAP is one
+    opaque atom: exact, only less compact.
     """
     table = expr.__dict__.get("_table")
     if table is None:
@@ -591,12 +560,11 @@ def _table(expr: SpatialExpr) -> dict:
 def monomials(expr: SpatialExpr) -> tuple[tuple[_MonoSig, float], ...]:
     """Canonical monomial table of the tree: ((signature, coefficient), ...).
 
-    Atoms are variables, sinh and cosh of a canonical argument (tanh,
-    coth and csch become powers of these, and cosh keeps an exponent
-    below 2), powers and reciprocals whose base stays opaque, and trees
-    too large to expand. Equal-signature monomials merge and cancelled
-    ones drop, so two trees share a table exactly when they expand to
-    the same monomial sum. Empty for the zero function.
+    Atoms are variables, sinh and cosh of a canonical argument (cosh
+    keeps an exponent below 2), powers whose base stays opaque, and
+    trees too large to expand. Equal-signature monomials merge and
+    cancelled ones drop, so two trees share a table exactly when they
+    expand to the same monomial sum. Empty for the zero function.
     """
     monos = expr.__dict__.get("_monos")
     if monos is None:
@@ -605,21 +573,13 @@ def monomials(expr: SpatialExpr) -> tuple[tuple[_MonoSig, float], ...]:
     return monos
 
 
-def _canonical(monos: tuple) -> SpatialExpr:
-    """The tree of a canonical table: sum of coefficient * atom powers."""
+def canonical(monos: tuple) -> SpatialExpr:
+    """The interned tree of a canonical table: sum of coefficient * atom powers."""
     node = add(*(mul(const(c), *(pow_(a, e) for a, e in sig)) for sig, c in monos))
     object.__setattr__(node, "_monos", monos)
     object.__setattr__(node, "_table", dict(monos))
     object.__setattr__(node, "_norm", node)
     return node
-
-
-def canonical(monos: tuple, node: SpatialExpr | None = None) -> SpatialExpr:
-    """The interned tree of a canonical table; `node` itself when it
-    already is that tree, which skips rebuilding it."""
-    if node is not None and node.__dict__.get("_norm") is node and node._monos == monos:
-        return node
-    return _canonical(monos)
 
 
 def normalize(expr: SpatialExpr) -> SpatialExpr:
@@ -633,7 +593,7 @@ def normalize(expr: SpatialExpr) -> SpatialExpr:
     """
     norm = expr.__dict__.get("_norm")
     if norm is None:
-        norm = _canonical(monomials(expr))
+        norm = canonical(monomials(expr))
         object.__setattr__(expr, "_norm", norm)
     return norm
 
@@ -660,11 +620,8 @@ def monic_table(expr: SpatialExpr) -> tuple[float, tuple]:
 
 def monic_sum(weighted: list[tuple[float, tuple]]) -> tuple[float, tuple]:
     """monic_table of the sum of weight * table over (weight, table) pairs."""
-    try:
-        table = _summed((s, w * c) for w, monos in weighted for s, c in monos)
-        return _monic_of(tuple(sorted(table.items())))
-    except _ExpandOverflow:  # the sum stays one opaque atom
-        return monic_table(add(*(mul(const(w), _canonical(m)) for w, m in weighted)))
+    table = _summed((s, w * c) for w, monos in weighted for s, c in monos)
+    return _monic_of(tuple(sorted(table.items())))
 
 
 def monic_derivative(expr: SpatialExpr, name: str) -> tuple[float, tuple]:
@@ -673,26 +630,16 @@ def monic_derivative(expr: SpatialExpr, name: str) -> tuple[float, tuple]:
     key = "_d" + var(name).name
     got = expr.__dict__.get(key)
     if got is None:
-        try:
-            parts = []
-            for sig, c in monomials(expr):
-                for i, (atom, e) in enumerate(sig):
-                    rest = sig[:i] + (((atom, e - 1),) if e != 1 else ()) + sig[i + 1 :]
-                    datom = _table(differentiate(atom, name))
-                    parts.append(_product({rest: c}, {s: e * k for s, k in datom.items()}))
-            table = _summed(item for part in parts for item in part.items())
-            got = _monic_of(tuple(sorted(table.items())))
-        except _ExpandOverflow:
-            got = monic_table(differentiate(expr, name))
+        parts = []
+        for sig, c in monomials(expr):
+            for i, (atom, e) in enumerate(sig):
+                rest = sig[:i] + (((atom, e - 1),) if e != 1 else ()) + sig[i + 1 :]
+                datom = _table(differentiate(atom, name))
+                parts.append(_product({rest: c}, {s: e * k for s, k in datom.items()}))
+        table = _summed(item for part in parts for item in part.items())
+        got = _monic_of(tuple(sorted(table.items())))
         object.__setattr__(expr, key, got)
     return got
-
-
-def monic(expr: SpatialExpr) -> tuple[float, SpatialExpr]:
-    """(scale, node) with expr == scale * node and node the canonical tree
-    of monic_table(expr); (0.0, ZERO) for the zero function."""
-    scale, monos = monic_table(expr)
-    return scale, canonical(monos, expr)
 
 
 def _format_number(value: float) -> str:
@@ -719,12 +666,8 @@ def to_prefix(expr: SpatialExpr) -> str:
     raise DomainError(f"cannot serialize {expr!r}")  # pragma: no cover
 
 
-_FUNC_NAMES = ("sinh", "cosh", "tanh", "coth", "csch", "recip")
-
-
-def _tokenize(text: str) -> Iterator[str]:
-    for token in text.replace("(", " ( ").replace(")", " ) ").split():
-        yield token
+# Every function name of the prefix notation, read by its constructor.
+_FUNCS = {"sinh": sinh, "cosh": cosh, "tanh": tanh, "coth": coth, "csch": csch, "recip": recip}
 
 
 def parse_rational(value) -> Fraction:
@@ -735,11 +678,19 @@ def parse_rational(value) -> Fraction:
         raise DomainError(f"bad numeric token {value!r}") from None
 
 
+def parse_integer(value) -> int:
+    """An integer from its text or a JSON number; DomainError if it is none."""
+    n = parse_rational(value)
+    if n.denominator != 1:
+        raise DomainError(f"{value!r} is not an integer")
+    return int(n)
+
+
 def parse_prefix(text: str) -> SpatialExpr:
     """Parse the prefix notation produced by ``to_prefix``."""
     if not isinstance(text, str):
         raise DomainError(f"a prefix expression is a string, got {text!r}")
-    tokens = list(_tokenize(text))
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
     def take() -> str:
@@ -771,10 +722,10 @@ def parse_prefix(text: str) -> SpatialExpr:
             return add(*args)
         if op == "mul":
             return mul(*args)
-        if op in _FUNC_NAMES:
+        if op in _FUNCS:
             if len(args) != 1:
                 raise DomainError(f"{op} takes one argument")
-            return _func(op, args[0])
+            return _FUNCS[op](args[0])
         raise DomainError(f"unknown operator {op!r}")
 
     def expect_close() -> None:
@@ -783,7 +734,10 @@ def parse_prefix(text: str) -> SpatialExpr:
             raise DomainError("missing ')'")
         pos += 1
 
-    result = parse()
+    try:
+        result = parse()
+    except OverflowError:  # a constant, or a sinh, cosh or power of constants
+        raise DomainError(f"a value in {text!r} does not fit in a float") from None
     if pos != len(tokens):
         raise DomainError(f"trailing tokens in {text!r}")
     return result

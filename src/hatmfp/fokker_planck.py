@@ -38,6 +38,7 @@ from .expr import (
     evaluate,
     monomials,
     mul,
+    parse_integer,
     parse_prefix,
     parse_rational,
     pow_,
@@ -82,8 +83,8 @@ def _as_specs(entry) -> tuple[CoefficientSpec, ...]:
         return (
             CoefficientSpec(
                 parse_prefix(entry["expr"]),
-                int(entry.get("exp_rate", 0)),
-                int(entry.get("u_degree", 0)),
+                parse_integer(entry.get("exp_rate", 0)),
+                parse_integer(entry.get("u_degree", 0)),
             ),
         )
     if isinstance(entry, (list, tuple)):
@@ -296,12 +297,12 @@ def _source_from_obj(obj) -> FracSeries:
             raise TypeError(f"a source term must be an object, got {item!r}")
         terms.append(
             FracTerm(
-                Coefficient.number(float(item.get("coef", 1.0))),
+                Coefficient.number(float(parse_rational(item.get("coef", 1.0)))),
                 parse_prefix(item["expr"]),
                 TimeFactor(
                     parse_rational(item.get("p", 0)),
-                    int(item.get("q", 0)),
-                    int(item.get("c", 0)),
+                    parse_integer(item.get("q", 0)),
+                    parse_integer(item.get("c", 0)),
                 ),
             )
         )
@@ -312,7 +313,7 @@ def problem_from_obj(obj: dict) -> ProblemSpec:
     """Build a problem from its JSON object form."""
     try:
         form = obj["form"]
-        dim = int(obj["dim"])
+        dim = parse_integer(obj["dim"])
         drift = [_as_specs(entry) for entry in obj["A"]]
         diffusion = [[_as_specs(entry) for entry in row] for row in obj["B"]]
         initial = parse_prefix(obj["f"])
@@ -324,7 +325,7 @@ def problem_from_obj(obj: dict) -> ProblemSpec:
         raise ConfigError(f"form must be 'forward' or 'backward', got {form!r}")
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed problem definition: {exc}") from exc
     except HatmError as exc:
         raise ConfigError(f"invalid problem definition: {exc}") from exc
@@ -332,10 +333,9 @@ def problem_from_obj(obj: dict) -> ProblemSpec:
 
 def load_problem(path: str | Path) -> ProblemSpec:
     """Read a problem definition JSON file."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"problem file {path} is not valid JSON: {exc}") from exc
     return problem_from_obj(obj)
 

@@ -30,10 +30,11 @@ canonical forms, so every merge is a hash lookup, in three passes:
 3. repeat pass 1 on the result.
 
 Keying on both axes keeps iterates compact whether their terms share
-spatial shapes or coefficients. The passes build no tree: a term that
-leaves the collect gets one through ``expr.canonical``, which keeps an
-input node that already is that tree. A spatial derivative starts from
-the tables of ``expr.monic_derivative``.
+spatial shapes or coefficients. The passes build no tree: each term
+that leaves the collect gets one from its table through
+``expr.canonical``, the one table-to-tree builder, whose interning
+returns the same node for the same table. A spatial derivative starts
+from the tables of ``expr.monic_derivative``.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .expr import (
     monic_sum,
     monic_table,
     mul,
+    parse_integer,
     parse_prefix,
     parse_rational,
     to_prefix,
@@ -307,57 +309,57 @@ def _parallel_key(coef: Coefficient) -> tuple[float, tuple]:
 
 
 def _by_table(entries: Iterable[tuple]) -> list[tuple]:
-    """(time, table, coefficient, node) entries with equal (time, table)
-    merged: their coefficients summed, the first node kept."""
+    """(time, table, coefficient) entries with equal (time, table)
+    merged: their coefficients summed."""
     groups: dict = {}
-    for time, monos, coef, node in entries:
-        groups.setdefault((time, monos), ([], node))[0].append(coef)
+    for time, monos, coef in entries:
+        groups.setdefault((time, monos), []).append(coef)
     return [
         (time, monos, coefs[0] if len(coefs) == 1 else _normalize_monomials(
             m for c in coefs for m in c.monomials
-        ), node)
-        for (time, monos), (coefs, node) in groups.items()
+        ))
+        for (time, monos), coefs in groups.items()
     ]
 
 
 def _collect(terms: Iterable[FracTerm]) -> tuple[FracTerm, ...]:
     return _collect_tables(
-        (t.time, t.coef, monic_table(t.spatial), t.spatial) for t in terms if not t.coef.is_zero
+        (t.time, t.coef, monic_table(t.spatial)) for t in terms if not t.coef.is_zero
     )
 
 
 def _collect_tables(entries: Iterable[tuple]) -> tuple[FracTerm, ...]:
-    """Merge (time, coefficient, monic table, node) entries on exact keys
-    in the three passes of the module docstring; terms come out ordered
-    by time, then spatial table."""
+    """Merge (time, coefficient, monic table) entries on exact keys in
+    the three passes of the module docstring; terms come out ordered by
+    time, then spatial table."""
     monic_terms = [
-        (time, monos, coef.scaled(scale), node)
-        for time, coef, (scale, monos), node in entries
+        (time, monos, coef.scaled(scale))
+        for time, coef, (scale, monos) in entries
         if scale != 0.0
     ]
     parallel: dict = {}
-    for time, monos, coef, node in _by_table(monic_terms):
+    for time, monos, coef in _by_table(monic_terms):
         if coef.is_zero:
             continue
         pivot, key = _parallel_key(coef)
-        parallel.setdefault((time, key), []).append((pivot, monos, coef, node))
+        parallel.setdefault((time, key), []).append((pivot, monos, coef))
     combined = []
     for (time, (signature, factors)), members in parallel.items():
         if len(members) == 1:
-            _, monos, coef, node = members[0]
+            _, monos, coef = members[0]
         else:
-            scale, monos = monic_sum([(pivot, monos) for pivot, monos, _, _ in members])
+            scale, monos = monic_sum([(pivot, monos) for pivot, monos, _ in members])
             if scale == 0.0:
                 continue
             unit = Coefficient(
                 tuple(Monomial(f, num, den) for f, (num, den) in zip(factors, signature))
             )
-            coef, node = unit.scaled(scale), None
-        combined.append((time, monos, coef, node))
+            coef = unit.scaled(scale)
+        combined.append((time, monos, coef))
 
     out = [
-        (time.sort_key, monos, FracTerm(coef, canonical(monos, node), time))
-        for time, monos, coef, node in _by_table(combined)
+        (time.sort_key, monos, FracTerm(coef, canonical(monos), time))
+        for time, monos, coef in _by_table(combined)
         if not coef.is_zero
     ]
     out.sort(key=lambda item: item[:2])
@@ -428,7 +430,7 @@ class FracSeries(Value):
         got = self.__dict__.get(key)
         if got is None:
             got = FracSeries(_collect_tables(
-                (t.time, t.coef, monic_derivative(t.spatial, name), None) for t in self.terms
+                (t.time, t.coef, monic_derivative(t.spatial, name)) for t in self.terms
             ))
             object.__setattr__(self, key, got)
         return got
@@ -497,15 +499,19 @@ class FracSeries(Value):
                 raise ExponentError(
                     f"negative time exponent {exponent} at alpha={alpha}"
                 )
-            if t == 0.0:
-                tpow = 1.0 if exponent == 0.0 else 0.0
-            else:
-                tpow = t**exponent
-            if tpow == 0.0:
-                continue
-            value = term.coef.value(alpha) * evaluate(term.spatial, x, y) * tpow
-            if term.time.c != 0:
-                value *= math.exp(term.time.c * t)
+            try:
+                if t == 0.0:
+                    tpow = 1.0 if exponent == 0.0 else 0.0
+                else:
+                    tpow = t**exponent
+                if tpow == 0.0:
+                    continue
+                value = term.coef.value(alpha) * evaluate(term.spatial, x, y) * tpow
+                if term.time.c != 0:
+                    value *= math.exp(term.time.c * t)
+            except OverflowError:
+                raise DomainError(f"series value overflows a float at x={x}, y={y}, "
+                                  f"t={t}") from None
             total += value
         return total
 
@@ -553,7 +559,10 @@ def _term_obj(term: FracTerm) -> dict:
 
 
 def _gamma_arg_from_obj(obj) -> GammaArg:
-    return GammaArg(parse_rational(obj[0]), int(obj[1]))
+    a, b = parse_rational(obj[0]), parse_integer(obj[1])
+    if a < 0 or a + b <= 0:  # lgamma would drop the sign, or hit a pole
+        raise DomainError(f"gamma token {obj!r} is not positive for every alpha in (0, 1]")
+    return GammaArg(a, b)
 
 
 def _term_from_obj(obj: dict) -> FracTerm:
@@ -567,5 +576,5 @@ def _term_from_obj(obj: dict) -> FracTerm:
             for m in obj["coef_tokens"]
         )
     )
-    time = TimeFactor(parse_rational(obj["p"]), int(obj["q"]), int(obj["c"]))
+    time = TimeFactor(parse_rational(obj["p"]), parse_integer(obj["q"]), parse_integer(obj["c"]))
     return FracTerm(coef, parse_prefix(obj["spatial"]), time)

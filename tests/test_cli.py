@@ -389,6 +389,60 @@ def test_malformed_problem_files_exit_two(tmp_path, change):
     assert "malformed" in result.output or "invalid" in result.output
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"A": [{"expr": "1", "exp_rate": 1.5}]},
+        {"dim": 1.7},
+        {"A": [{"expr": "1", "u_degree": 0.9}]},
+        {"g": [{"expr": "x", "q": 0.5}]},
+        {"g": [{"expr": "x", "c": 0.5}]},
+        {"g": [{"expr": "x", "coef": math.nan}]},
+        {"g": [{"expr": "x", "coef": "1e999"}]},
+        {"f": "(mul 1e999 x)"},
+        {"f": "(mul 1e200 1e200 x)"},
+        b"\xff\xfe not utf-8",
+    ],
+    ids=["exp_rate", "dim", "u_degree", "q", "c", "nan-coef", "huge-coef", "huge-const",
+         "huge-fold", "not-utf-8"],
+)
+def test_bad_numbers_and_bytes_in_problem_files_exit_two(tmp_path, content):
+    path = tmp_path / "problem.json"
+    if isinstance(content, dict):
+        content = json.dumps({**COTH_PROBLEM, **content}).encode()
+    path.write_bytes(content)
+    result = invoke("solve", "--problem", str(path), "--order", "1")
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.stderr and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("eval", "--x-min", 800, "--x-max", 800, "--x-count", 1),
+        ("compare", "--x-min", 800, "--x-max", 800, "--x-count", 1),
+        ("residual", "--point", "800,0.3"),
+        ("hcurve", "--probe", "800,0.3"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_evaluation_overflow_exits_three(args):
+    # sinh(800) and cosh(800) overflow a float
+    result = invoke(*args[:1], "--preset", "4.2", "--order", 2, *args[1:])
+    assert result.exit_code == 3, result.exception
+    assert result.stderr.startswith("error:") and "overflows a float" in result.stderr
+
+
+def test_out_into_a_missing_directory_exits_two_before_running(tmp_path):
+    out = tmp_path / "no" / "such" / "x.json"
+    result = invoke("solve", "--preset", "4.1", "--order", 1, "--out", out)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "--out" in result.stderr and "Traceback" not in result.stderr
+    assert not out.parent.exists()
+
+
 def test_malformed_points_exit_two():
     assert invoke("residual", "--preset", "4.1", "--point", "oops").exit_code == 2
     assert invoke("hcurve", "--preset", "4.1", "--probe", "1,2,3,4").exit_code == 2

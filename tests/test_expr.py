@@ -14,8 +14,11 @@ from hatmfp.expr import (
     ZERO,
     Add,
     Const,
+    Func,
     Mul,
+    Pow,
     add,
+    canonical,
     const,
     cosh,
     coth,
@@ -25,7 +28,6 @@ from hatmfp.expr import (
     fingerprint,
     FINGERPRINT_POINTS,
     is_numerically_equal,
-    monic,
     monic_derivative,
     monic_sum,
     monic_table,
@@ -105,6 +107,44 @@ def test_evaluate_basics():
     assert evaluate(pow_(X, Fraction(3, 2)), 4.0) == 8.0
     assert evaluate(coth(X), 1.0) == pytest.approx(math.cosh(1) / math.sinh(1), rel=1e-15)
     assert evaluate(csch(X), 1.0) == pytest.approx(1 / math.sinh(1), rel=1e-15)
+
+
+def _func_kinds(e) -> set:
+    if isinstance(e, Func):
+        return {e.kind} | _func_kinds(e.arg)
+    if isinstance(e, (Add, Mul)):
+        return set().union(*(_func_kinds(c) for c in e.children))
+    return _func_kinds(e.base) if isinstance(e, Pow) else set()
+
+
+U = add(X, mul(2, Y))
+M = mul(2, X, Y)
+
+
+@pytest.mark.parametrize(
+    "build, arg, table, ref",
+    [
+        (tanh, X, {((cosh(X), -1), (sinh(X), 1)): 1.0}, math.tanh),
+        (tanh, U, {((cosh(U), -1), (sinh(U), 1)): 1.0}, math.tanh),
+        (coth, X, {((cosh(X), 1), (sinh(X), -1)): 1.0}, lambda v: math.cosh(v) / math.sinh(v)),
+        (coth, U, {((cosh(U), 1), (sinh(U), -1)): 1.0}, lambda v: math.cosh(v) / math.sinh(v)),
+        (csch, X, {((sinh(X), -1),): 1.0}, lambda v: 1 / math.sinh(v)),
+        (csch, U, {((sinh(U), -1),): 1.0}, lambda v: 1 / math.sinh(v)),
+        (recip, X, {((X, -1),): 1.0}, lambda v: 1 / v),
+        (recip, M, {((X, -1), (Y, -1)): 0.5}, lambda v: 1 / v),
+    ],
+)
+def test_other_functions_are_built_from_table_atoms(build, arg, table, ref):
+    name = build.__name__
+    for e in (build(arg), parse_prefix(f"({name} {to_prefix(arg)})")):
+        assert _func_kinds(e) <= {"sinh", "cosh"}
+        assert dict(monomials(e)) == table
+        for px, py in ((0.37, 0.2), (1.3, -0.45), (-2.1, 0.8)):
+            want = ref(evaluate(arg, px, py))
+            assert abs(evaluate(e, px, py) - want) <= 1e-15 * abs(want)
+    if name != "tanh":
+        with pytest.raises(SingularityError):
+            evaluate(build(X), 0.0)
 
 
 def test_evaluate_singularities():
@@ -281,7 +321,10 @@ def test_normalize_opaque_fallbacks():
 )
 def test_canonical_form_falls_back_to_one_opaque_atom(text):
     e = parse_prefix(text)
-    assert monomials(e) == ((((e, 1),), 1.0),)
+    # coth u is cosh(u) * sinh(u)**-1: cosh(0) folds to 1, and the
+    # power of sinh(0) is the atom
+    atom = e.children[1] if text.startswith("(coth") else e
+    assert monomials(e) == ((((atom, 1),), 1.0),)
 
 
 def test_normalize_keeps_derivatives_compact():
@@ -319,12 +362,14 @@ def test_monomials_table_is_exact():
 
 
 def test_monic_scales_largest_monomial_to_one():
-    scale, node = monic(add(mul(-4, sinh(X)), mul(2, X)))
+    scale, monos = monic_table(add(mul(-4, sinh(X)), mul(2, X)))
     assert scale == -4.0
+    node = canonical(monos)
     assert node is normalize(add(sinh(X), mul(-0.5, X)))
-    assert monic(mul(3, add(mul(-4, sinh(X)), mul(2, X))))[1] is node
-    assert monic(node) == (1.0, node)
-    assert monic(add(X, mul(-1, X))) == (0.0, ZERO)
+    assert monic_table(mul(3, add(mul(-4, sinh(X)), mul(2, X))))[1] == monos
+    assert monic_table(node) == (1.0, monos)
+    assert monic_table(add(X, mul(-1, X))) == (0.0, ())
+    assert canonical(()) is ZERO
 
 
 @given(small_trees())
@@ -349,17 +394,23 @@ def test_monic_sum_weights_tables():
     assert monic_sum([(2.0, a), (-2.0, b)]) == monic_table(mul(4, X))
 
 
-def test_table_sums_and_derivatives_past_the_cap_stay_opaque(monkeypatch):
+def test_expansion_cap_guards_products_only(monkeypatch):
     # four monomials each; the derivative of p and the sum p + q have eight
-    p = normalize(mul(sinh(X), add(*(pow_(X, k) for k in (3, 5, 7, 11)))))
-    q = normalize(add(*(pow_(Y, k) for k in (3, 5, 7, 11))))
+    ks = (3, 5, 7, 11)
+    p = normalize(mul(sinh(X), add(*(pow_(X, k) for k in ks))))
+    q = normalize(add(*(pow_(Y, k) for k in ks)))
+    # the tables at the default cap, from trees of their own
+    dp = add(*(add(mul(cosh(X), pow_(X, k)), mul(k, sinh(X), pow_(X, k - 1))) for k in ks))
+    want_d = monic_table(dp)
+    want_s = monic_table(add(*(pow_(Y, k) for k in ks), *(mul(sinh(X), pow_(X, k)) for k in ks)))
+    assert len(want_d[1]) == len(want_s[1]) == 8
     monkeypatch.setattr(expr_module, "EXPAND_CAP", 4)
-    assert monic_derivative(p, "x") == (1.0, ((((differentiate(p, "x"), 1),), 1.0),))
-    scale, ((((atom, e),), c),) = monic_sum([(1.0, monomials(p)), (1.0, monomials(q))])
-    assert (scale, e, c) == (1.0, 1, 1.0)
-    assert evaluate(atom, 0.4, 0.2) == pytest.approx(
-        evaluate(p, 0.4, 0.2) + evaluate(q, 0.4, 0.2), rel=1e-15
-    )
+    # sums and derivatives grow linearly and expand past the cap
+    assert monic_derivative(p, "x") == want_d
+    assert monic_sum([(1.0, monomials(p)), (1.0, monomials(q))]) == want_s
+    # a product of two three-monomial tables has nine pairs
+    e = mul(add(X, mul(7, Y), 3), add(pow_(X, 2), mul(-2, Y), 5))
+    assert monomials(e) == ((((e, 1),), 1.0),)
 
 
 def test_expansion_overflow_leaves_an_opaque_atom(monkeypatch):
@@ -395,7 +446,11 @@ def test_prefix_rejects_garbage():
             parse_prefix(text)
 
 
-@pytest.mark.parametrize("text", ["(pow x", "(", "1/0", "(pow x 1/0)", 5, None])
+@pytest.mark.parametrize(
+    "text",
+    ["(pow x", "(", "1/0", "(pow x 1/0)", 5, None,
+     "1e999", "(mul 1e200 1e200 x)", "(sinh 1000)", "(pow 10 400)"],  # past the float range
+)
 def test_prefix_rejects_truncated_and_non_text_input(text):
     with pytest.raises(DomainError):
         parse_prefix(text)

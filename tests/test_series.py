@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_series
-from hatmfp import expr as expr_module
 from hatmfp.errors import ConfigError, DomainError, ExponentError
 from hatmfp.expr import X, Y, add, cosh, evaluate, mul, normalize, pow_, sinh
 from hatmfp.series import (
@@ -413,14 +412,16 @@ def test_collect_terms_are_monic():
     assert term.coef.monomials[0].factor == -6.0
 
 
-def test_collect_returns_a_canonical_monic_node_as_is(monkeypatch):
+def test_collect_returns_a_canonical_monic_node_as_is():
+    # the one table-to-tree builder returns the interned node of a table
     node = normalize(add(sinh(X), mul(-0.5, X)))
     t0 = TimeFactor(Fraction(0), 1, 0)
     s = FracSeries((FracTerm(Coefficient.number(3.0), node, t0),))
-    monkeypatch.setattr(expr_module, "_canonical", lambda monos: pytest.fail("tree rebuilt"))
     (term,) = s.collected().terms
     assert term.spatial is node
     assert term.coef == Coefficient.number(3.0)
+    (dterm,) = s.spatial_derivative("x").terms
+    assert dterm.spatial is normalize(add(cosh(X), -0.5))
 
 
 def test_collect_merges_parallel_coefficients():
@@ -485,6 +486,32 @@ def test_from_obj_rejects_a_bad_rational(where, bad):
         obj["coef_tokens"][0][where] = bad
     with pytest.raises(DomainError, match="bad numeric token"):
         FracSeries.from_obj([obj])
+
+
+@pytest.mark.parametrize(
+    "where, bad",
+    [
+        ("num", [["-1/2", 0]]),  # gamma(-1/2) < 0, and lgamma drops the sign
+        ("num", [["0", 0]]),  # the pole at 0
+        ("den", [["-1/2", 1]]),  # -1/2 + alpha <= 0 for alpha <= 1/2
+        ("den", [["1", 0.5]]),  # b is an integer
+        ("q", 0.5),
+        ("c", 1.5),
+    ],
+)
+def test_from_obj_refuses_tokens_off_the_positive_axis_and_fractional_integers(where, bad):
+    (obj,) = FracSeries.from_spatial(X, q=1).frac_integral().to_obj()
+    if where in ("q", "c"):
+        obj[where] = bad
+    else:
+        obj["coef_tokens"][0][where] = bad
+    with pytest.raises(DomainError):
+        FracSeries.from_obj([obj])
+    # a + b*alpha with a = 0 stays positive on (0, 1]
+    obj = {"coef_tokens": [{"factor": 2.0, "num": [["0", 1]], "den": []}],
+           "spatial": "x", "p": "0", "q": 0, "c": 0}
+    value = FracSeries.from_obj([obj]).evaluate(1.5, 1.0, 0.5)
+    assert value == pytest.approx(3.0 * math.gamma(0.5), rel=1e-14)
 
 
 def test_json_is_plain_data():
