@@ -6,6 +6,7 @@ Examples:
   hatmfp solve --preset 4.3 --alpha 0.5 --order 3
   hatmfp eval --preset 4.2 --order 12 --format csv
   hatmfp hcurve --preset 4.3 --probe 1,0.2 --format csv
+  hatmfp hcurve --preset 4.2 --alpha 0.5 --order 4 8 12 --probe 1,0.3 --format csv
   hatmfp compare --preset 4.1 --alpha 0.75 --order 10
 
 Exit codes: 0 on success, 2 on invalid configuration or flags, 3 on
@@ -176,7 +177,13 @@ def hcurve_cmd(req: RunRequest, args: argparse.Namespace) -> None:
     # A point within rounding of 0 (-0.3 + 3 * 0.7/7, say) stands for 0.
     if any(abs(h) <= 1e-12 * max(abs(args.h_min), abs(args.h_max)) for h in h_values):
         raise argparse.ArgumentError(None, "hbar sweep must not include 0")
-    req.write(["hbar", "value"], h_curve(req.problem, req.config, point, h_values))
+    if min(args.order) < 0:
+        raise argparse.ArgumentError(None, f"order must be >= 0, got {min(args.order)}")
+    # One run at the largest order holds every smaller order's partial sum.
+    rows = [[h] + [sums[n] for n in args.order]
+            for h, sums in h_curve(req.problem, req.config, point, h_values)]
+    columns = [f"order_{n}" for n in args.order] if len(args.order) > 1 else ["value"]
+    req.write(["hbar", *columns], rows)
 
 
 def compare_cmd(req: RunRequest, args: argparse.Namespace) -> None:
@@ -208,19 +215,24 @@ class _Parser(argparse.ArgumentParser):
 
 def _parser() -> argparse.ArgumentParser:
     """The hatmfp parser; a subcommand sets `body`, which runs it, and its `parser`."""
-    shared = argparse.ArgumentParser(add_help=False)
-    source = shared.add_mutually_exclusive_group(required=True)
-    source.add_argument("--preset", choices=PRESET_IDS, help="built-in problem id")
-    source.add_argument("--problem", metavar="FILE", help="problem definition JSON file")
-    shared.add_argument("--alpha", type=finite, default=1.0,
-                        help="Caputo order in (0, 1] (default: %(default)s)")
-    shared.add_argument("--order", type=int, default=10,
-                        help="number of deformation steps M (default: %(default)s)")
-    shared.add_argument("--taylor-terms", type=int, default=12,
-                        help="powers of t kept when expanding exp(c*t) (default: %(default)s)")
-    shared.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
-                        help="(default: %(default)s)")
-    shared.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
+
+    def options(**order) -> argparse.ArgumentParser:
+        """The options of every command; `order` configures --order."""
+        shared = argparse.ArgumentParser(add_help=False)
+        source = shared.add_mutually_exclusive_group(required=True)
+        source.add_argument("--preset", choices=PRESET_IDS, help="built-in problem id")
+        source.add_argument("--problem", metavar="FILE", help="problem definition JSON file")
+        shared.add_argument("--alpha", type=finite, default=1.0,
+                            help="Caputo order in (0, 1] (default: %(default)s)")
+        shared.add_argument("--order", type=int, **order)
+        shared.add_argument("--taylor-terms", type=int, default=12,
+                            help="powers of t kept when expanding exp(c*t) (default: %(default)s)")
+        shared.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
+                            help="(default: %(default)s)")
+        shared.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
+        return shared
+
+    shared = options(default=10, help="number of deformation steps M (default: %(default)s)")
     hbar = argparse.ArgumentParser(add_help=False)
     hbar.add_argument("--hbar", type=finite, default=-1.0,
                       help="convergence-control parameter (default: %(default)s)")
@@ -241,22 +253,25 @@ def _parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(title="commands", dest="command", required=True)
 
     def command(name: str, body, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        sub = commands.add_parser(name, parents=[shared, *parents], help=body.__doc__,
+        sub = commands.add_parser(name, parents=parents, help=body.__doc__,
                                   description=body.__doc__, allow_abbrev=False)
         sub.set_defaults(body=body, parser=sub)
         return sub
 
-    command("solve", solve, hbar)
-    command("eval", eval_cmd, hbar, grid)
-    command("residual", residual_cmd, hbar).add_argument(
+    command("solve", solve, shared, hbar)
+    command("eval", eval_cmd, shared, hbar, grid)
+    command("residual", residual_cmd, shared, hbar).add_argument(
         "--point", dest="points", action="append", required=True,
         help="probe point x[,y],t; repeatable")
-    hcurve = command("hcurve", hcurve_cmd)
+    hcurve = command("hcurve", hcurve_cmd, options(
+        nargs="+", default=[10],
+        help="one or more numbers of deformation steps M, one value column each; the run "
+             "goes to the largest (default: 10)"))
     hcurve.add_argument("--probe", required=True, help="probe point x[,y],t")
     hcurve.add_argument("--h-min", type=finite, default=-2.0, help="(default: %(default)s)")
     hcurve.add_argument("--h-max", type=finite, default=-0.2, help="(default: %(default)s)")
     hcurve.add_argument("--h-count", type=int, default=19, help="(default: %(default)s)")
-    command("compare", compare_cmd, hbar, grid)
+    command("compare", compare_cmd, shared, hbar, grid)
     return parser
 
 
@@ -270,7 +285,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             spec, label = load_problem(args.problem), f"file:{Path(args.problem).name}"
         config = HatmConfig(alpha=args.alpha, hbar=getattr(args, "hbar", -1.0),
-                            order=args.order, taylor_terms=args.taylor_terms)
+                            order=max(args.order) if args.command == "hcurve" else args.order,
+                            taylor_terms=args.taylor_terms)
     except (ConfigError, OSError) as exc:
         args.parser.error(str(exc))
     if args.out is not None and Path(args.out).is_dir():

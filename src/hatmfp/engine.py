@@ -306,21 +306,24 @@ def h_curve(
     cfg: HatmConfig,
     probe: tuple[float, float, float],
     h_values: Sequence[float],
-) -> list[tuple[float, float]]:
-    """Partial-sum value at the probe point for each convergence-control
-    parameter; the flat stretch of this curve marks usable hbar.
+) -> list[tuple[float, list[float]]]:
+    """(hbar, [S_0, ..., S_order]) for each convergence-control parameter:
+    S_n is the partial sum up to order n at the probe point. The flat
+    stretch of the curve S_n(hbar) marks usable hbar, and it widens with n.
 
     The recursion runs once, at hbar = -1, and each of its iterates is
     evaluated once at the probe; every hbar recombines those numbers
-    (recombine_values). The weights grow like |1+hbar|^order, so the
-    rounding error of a row grows with them when |1+hbar| > 1."""
+    (recombine_values) and sums each prefix of them. The weights grow like
+    |1+hbar|^order, so the rounding error of a row grows with them when
+    |1+hbar| > 1."""
     px, py, pt = probe
     free = run(problem, HatmConfig(cfg.alpha, -1.0, cfg.order, cfg.taylor_terms))
     values = [v.evaluate(x=px, y=py, t=pt, alpha=cfg.alpha) for v in free]
     out = []
     for h in h_values:
         HatmConfig(cfg.alpha, h, cfg.order, cfg.taylor_terms)  # validates h != 0
-        out.append((h, sum(recombine_values(values, h))))
+        u = recombine_values(values, h)
+        out.append((h, [sum(u[: n + 1]) for n in range(len(u))]))
     return out
 
 

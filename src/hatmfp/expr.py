@@ -275,7 +275,10 @@ _FUNC_EVAL = {"sinh": math.sinh, "cosh": math.cosh}
 def _func(kind: str, arg: SpatialExpr | Number) -> SpatialExpr:
     arg = _coerce(arg)
     if isinstance(arg, Const):
-        return const(_FUNC_EVAL[kind](arg.value))
+        try:
+            return const(_FUNC_EVAL[kind](arg.value))
+        except OverflowError:
+            raise DomainError(f"{kind}({arg.value!r}) does not fit in a float") from None
     return _shared(("f", kind, arg), Func, kind, arg)
 
 
@@ -435,8 +438,8 @@ def variables(expr: SpatialExpr) -> set[str]:
 # stays one opaque atom.
 EXPAND_CAP = 20000
 
-# Relative threshold below which an expanded monomial is cancellation dust.
-EXPAND_DROP_TOL = 1e-13
+# Relative threshold below which a merged monomial is cancellation dust.
+DROP_TOL = 1e-13
 
 
 class _ExpandOverflow(Exception):
@@ -481,22 +484,30 @@ def _reduced(sig: _MonoSig, coef: float) -> list[tuple[_MonoSig, float]]:
     return [(sig, coef)]
 
 
+def keyed_sum(items: Iterable[tuple]) -> dict:
+    """{key: sum of its values}, added in the order given, for monomial
+    tables and coefficients alike. A sum below DROP_TOL times its largest
+    addend is cancellation residue and drops; one that is not finite
+    raises DomainError."""
+    slots: dict = {}  # key: [sum, largest |addend|]
+    for key, value in items:
+        slot = slots.setdefault(key, [0.0, 0.0])
+        slot[0] += value
+        slot[1] = max(slot[1], abs(value))
+    if not all(math.isfinite(total) for total, _ in slots.values()):
+        raise DomainError("a sum of monomial coefficients overflows a float")
+    return {key: c for key, (c, peak) in slots.items() if abs(c) > DROP_TOL * peak}
+
+
 def _summed(monos: Iterable[tuple[_MonoSig, float]]) -> dict:
-    """Table of a monomial sum. A merged coefficient below EXPAND_DROP_TOL
-    times its largest addend is cancellation residue and drops."""
-    slots: dict[_MonoSig, list[float]] = {}  # signature: [sum, largest |addend|]
-    for sig, coef in monos:
-        for s, c in _reduced(sig, coef):
-            slot = slots.setdefault(s, [0.0, 0.0])
-            slot[0] += c
-            slot[1] = max(slot[1], abs(c))
-    return {s: c for s, (c, peak) in slots.items() if abs(c) > EXPAND_DROP_TOL * peak}
+    """Table of a monomial sum, its cosh powers reduced."""
+    return keyed_sum(item for sig, coef in monos for item in _reduced(sig, coef))
 
 
 def _product(ta: dict, tb: dict) -> dict:
     if len(ta) == 1 and () in ta:  # a constant scales a reduced table
         k = ta[()]
-        return {s: v for s, c in tb.items() if abs(v := k * c) > EXPAND_DROP_TOL * abs(v)}
+        return keyed_sum((s, k * c) for s, c in tb.items())
     if len(ta) > 1 and len(tb) > 1 and len(ta) * len(tb) > EXPAND_CAP:
         raise _ExpandOverflow  # only here: sums and derivatives grow linearly
     return _summed(
@@ -518,7 +529,7 @@ def _power_table(expr: Pow, base: SpatialExpr, exponent: Fraction) -> dict:
         ((sig, coef),) = bt.items()
         try:
             return _summed([(_sig_pow(sig, exponent), _pow_value(coef, exponent))])
-        except (DomainError, SingularityError):
+        except (DomainError, SingularityError, OverflowError):
             pass
     if exponent.denominator == 1 and 1 < exponent <= 64:
         return reduce(_product, [bt] * int(exponent), {(): 1.0})
@@ -736,7 +747,7 @@ def parse_prefix(text: str) -> SpatialExpr:
 
     try:
         result = parse()
-    except OverflowError:  # a constant, or a sinh, cosh or power of constants
+    except OverflowError:  # a constant, or a power of constants
         raise DomainError(f"a value in {text!r} does not fit in a float") from None
     if pos != len(tokens):
         raise DomainError(f"trailing tokens in {text!r}")

@@ -49,6 +49,7 @@ from .expr import (
     SpatialExpr,
     canonical,
     evaluate,
+    keyed_sum,
     monic_derivative,
     monic_sum,
     monic_table,
@@ -58,9 +59,6 @@ from .expr import (
     parse_rational,
     to_prefix,
 )
-
-# Relative threshold below which a merged coefficient is cancellation dust.
-COLLECT_DROP_TOL = 1e-13
 
 
 def _as_fraction(value) -> Fraction:
@@ -140,20 +138,20 @@ class Monomial(Value):
 
 def _monomial(factor: float, num: Iterable[GammaArg], den: Iterable[GammaArg]) -> Monomial:
     num, den = _cancel(tuple(num), tuple(den))
-    # Tokens without an alpha part are plain numbers; fold them away.
-    kept_num = []
-    for arg in num:
-        if arg.b == 0:
-            factor *= math.gamma(float(arg.a))
-        else:
-            kept_num.append(arg)
-    kept_den = []
-    for arg in den:
-        if arg.b == 0:
-            factor /= math.gamma(float(arg.a))
-        else:
-            kept_den.append(arg)
-    return Monomial(factor, tuple(sorted(kept_num)), tuple(sorted(kept_den)))
+    # Tokens without an alpha part are plain numbers; fold away those whose
+    # gamma fits in a float. Monomial.value resolves the rest in log space.
+    kept: tuple[list, list] = ([], [])
+    for side, args in enumerate((num, den)):
+        for arg in args:
+            try:
+                folded = math.gamma(float(arg.a)) if arg.b == 0 else None
+            except OverflowError:
+                folded = None
+            if folded is None:
+                kept[side].append(arg)
+            else:
+                factor = factor / folded if side else factor * folded
+    return Monomial(factor, tuple(sorted(kept[0])), tuple(sorted(kept[1])))
 
 
 class Coefficient(Value):
@@ -228,25 +226,9 @@ class Coefficient(Value):
 
 
 def _normalize_monomials(monomials: Iterable[Monomial]) -> Coefficient:
-    """Merge same-token monomials; drop exact zeros and cancellation dust."""
-    merged: dict = {}
-    peak: dict = {}
-    for mono in monomials:
-        key = mono.signature()
-        if key in merged:
-            prev = merged[key]
-            merged[key] = Monomial(prev.factor + mono.factor, mono.num, mono.den)
-            peak[key] = max(peak[key], abs(mono.factor))
-        else:
-            merged[key] = mono
-            peak[key] = abs(mono.factor)
-    kept = [
-        m
-        for key, m in merged.items()
-        if m.factor != 0.0 and abs(m.factor) > COLLECT_DROP_TOL * peak[key]
-    ]
-    kept.sort(key=lambda m: m.signature())
-    return Coefficient(tuple(kept))
+    """Merge same-token monomials (expr.keyed_sum), sorted by tokens."""
+    sums = keyed_sum((m.signature(), m.factor) for m in monomials)
+    return Coefficient(tuple(Monomial(f, *key) for key, f in sorted(sums.items())))
 
 
 COEF_ZERO = Coefficient(())
@@ -576,5 +558,7 @@ def _term_from_obj(obj: dict) -> FracTerm:
             for m in obj["coef_tokens"]
         )
     )
+    if not all(math.isfinite(m.factor) for m in coef.monomials):
+        raise DomainError(f"coefficient factors must be finite, got {obj['coef_tokens']!r}")
     time = TimeFactor(parse_rational(obj["p"]), parse_integer(obj["q"]), parse_integer(obj["c"]))
     return FracTerm(coef, parse_prefix(obj["spatial"]), time)

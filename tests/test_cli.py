@@ -7,9 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from helpers import invoke_cli as invoke
+from hatmfp.engine import HatmConfig, h_curve
+from hatmfp.fokker_planck import preset
 from hatmfp.series import FracSeries
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -223,6 +226,24 @@ def test_hcurve_sweep():
     assert all(isinstance(r["value"], float) for r in rows)
 
 
+def test_hcurve_sweep_matches_h_curve():
+    # one run at the largest order; each column is one of its partial sums
+    probe = (1.0, 0.0, 0.3)
+    result = invoke(
+        "hcurve", "--preset", "4.5", "--alpha", "0.5", "--order", "2", "3",
+        "--probe", "1.0,0.3", "--h-min", "-1.5", "--h-max", "-0.5", "--h-count", "3",
+        "--format", "csv",
+    )
+    assert result.exit_code == 0, result.output
+    header, *rows = rows_of(result.stdout)
+    assert header == ["hbar", "order_2", "order_3"]
+    config = HatmConfig(alpha=0.5, hbar=-1.0, order=3)
+    want = h_curve(preset("4.5"), config, probe, [-1.5, -1.0, -0.5])
+    assert len(rows) == len(want) == 3
+    for row, (h, sums) in zip(rows, want):
+        assert [float(cell) for cell in row] == [h, sums[2], sums[3]]
+
+
 def test_hcurve_sweep_ends_at_h_max():
     # lo + 9 * (hi - lo) / 9 is -0.20000000000000018 for lo = -2, hi = -0.2
     result = invoke(
@@ -348,7 +369,12 @@ def test_csv_and_json_tables_agree(problem_file, args):
 def test_config_errors_exit_two():
     assert invoke("solve", "--preset", "4.1", "--hbar", "0").exit_code == 2
     assert invoke("solve", "--preset", "4.1", "--alpha", "1.5").exit_code == 2
+    assert invoke("hcurve", "--preset", "4.1", "--probe", "1,0.3", "--alpha", "1.5").exit_code == 2
     assert invoke("solve", "--preset", "4.1", "--order", "-2").exit_code == 2
+    # hcurve takes several orders, each >= 0; every other command takes one
+    several = ("hcurve", "--preset", "4.1", "--probe", "1,0.3", "--order", "3", "-1")
+    assert invoke(*several).exit_code == 2
+    assert invoke("solve", "--preset", "4.1", "--order", "3", "4").exit_code == 2
     assert invoke("solve", "--preset", "9.9").exit_code == 2
 
 
@@ -402,9 +428,10 @@ def test_malformed_problem_files_exit_two(tmp_path, change):
         {"f": "(mul 1e999 x)"},
         {"f": "(mul 1e200 1e200 x)"},
         b"\xff\xfe not utf-8",
+        {"g": [{"expr": "x", "coef": 1e308}, {"expr": "x", "coef": 1e308}]},
     ],
     ids=["exp_rate", "dim", "u_degree", "q", "c", "nan-coef", "huge-coef", "huge-const",
-         "huge-fold", "not-utf-8"],
+         "huge-fold", "not-utf-8", "overflowing-source-sum"],
 )
 def test_bad_numbers_and_bytes_in_problem_files_exit_two(tmp_path, content):
     path = tmp_path / "problem.json"
@@ -434,6 +461,34 @@ def test_evaluation_overflow_exits_three(args):
     assert result.stderr.startswith("error:") and "overflows a float" in result.stderr
 
 
+def test_overflowing_monomial_exits_three(tmp_path):
+    # (1e200 x + 1)^2 expands to 1e400 x^2 + 2e200 x + 1; the first term is
+    # refused, not dropped from u_0
+    path = tmp_path / "problem.json"
+    f = "(mul (add (mul 1e200 x) 1) (add (mul 1e200 x) 1))"
+    path.write_text(json.dumps({**COTH_PROBLEM, "A": [0], "B": [[1]], "f": f}), encoding="utf-8")
+    result = invoke("solve", "--problem", str(path), "--order", "1", "--format", "csv")
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and "overflows a float" in result.stderr
+
+
+def test_source_with_a_large_power_of_t_solves(tmp_path):
+    # J^alpha of t^200 carries gamma(201) / gamma(201 + alpha); gamma(201)
+    # overflows a float, the ratio does not
+    path = tmp_path / "problem.json"
+    source = [{"expr": "x", "coef": 1.0, "p": "200"}]
+    path.write_text(json.dumps({**COTH_PROBLEM, "A": [0], "B": [[1]], "f": "x", "g": source}),
+                    encoding="utf-8")
+    result = invoke("solve", "--problem", str(path), "--alpha", "0.5", "--order", "1",
+                    "--format", "csv")
+    assert result.exit_code == 0, result.stderr
+    (u1,) = [row for row in rows_of(result.stdout)[1:] if row[0] == "1"]
+    assert u1[2:5] == ["200", "1", "0"]
+    want = float(mpmath.gamma(201) / mpmath.gamma(mpmath.mpf(201.5)))
+    assert float(u1[5]) == pytest.approx(want, rel=1e-12)
+
+
 def test_out_into_a_missing_directory_exits_two_before_running(tmp_path):
     out = tmp_path / "no" / "such" / "x.json"
     result = invoke("solve", "--preset", "4.1", "--order", 1, "--out", out)
@@ -447,6 +502,7 @@ def test_malformed_points_exit_two():
     assert invoke("residual", "--preset", "4.1", "--point", "oops").exit_code == 2
     assert invoke("hcurve", "--preset", "4.1", "--probe", "1,2,3,4").exit_code == 2
     assert invoke("eval", "--preset", "4.1", "--x-count", "0").exit_code == 2
+    assert invoke("hcurve", "--preset", "4.1", "--probe", "1,0.3", "--h-count", "0").exit_code == 2
 
 
 @pytest.mark.parametrize(

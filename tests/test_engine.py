@@ -296,12 +296,12 @@ def test_h_curve_pairs_and_flat_region():
     hs = [-1.05, -1.0, -0.95]
     pairs = h_curve(prob, c, (1.0, 0.0, 0.3), hs)
     assert [h for h, _ in pairs] == hs
-    near = [v for _, v in pairs]
-    wide = [v for _, v in h_curve(prob, c, (1.0, 0.0, 0.3), [-2.0, -1.0, -0.2])]
+    near = [sums[-1] for _, sums in pairs]
+    wide = [sums[-1] for _, sums in h_curve(prob, c, (1.0, 0.0, 0.3), [-2.0, -1.0, -0.2])]
     assert max(near) - min(near) < (max(wide) - min(wide)) / 100.0
     # the h = -1 entry is the plain run
     want = partial_sum(run(prob, c), 8).evaluate(1.0, 0.3, 0.75)
-    assert pairs[1][1] == pytest.approx(want, rel=1e-14)
+    assert pairs[1][1][8] == pytest.approx(want, rel=1e-14)
 
 
 def test_h_curve_runs_recursion_once(monkeypatch):
@@ -339,8 +339,8 @@ def test_h_curve_collects_once_per_run(monkeypatch):
 def test_h_curve_exact_point():
     # the unit-drift problem sums to x + t at alpha = 1, so the curve
     # value at hbar = -1, probe (1, 1), is exactly 2
-    (pair,) = h_curve(preset("4.1"), cfg(alpha=1.0, order=3), (1.0, 0.0, 1.0), [-1.0])
-    assert pair[1] == pytest.approx(2.0, rel=1e-14)
+    ((_, sums),) = h_curve(preset("4.1"), cfg(alpha=1.0, order=3), (1.0, 0.0, 1.0), [-1.0])
+    assert sums[3] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_h_curve_rejects_zero():

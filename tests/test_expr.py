@@ -93,6 +93,12 @@ def test_var_names_guarded():
         differentiate(X, "z")
 
 
+def test_hyperbolic_of_a_large_constant_is_a_domain_error():
+    for build in (sinh, cosh):
+        with pytest.raises(DomainError, match="does not fit in a float"):
+            build(1000)
+
+
 def test_fractional_power_of_negative_constant():
     with pytest.raises(DomainError):
         pow_(const(-2.0), Fraction(1, 2))
@@ -278,6 +284,17 @@ def test_normalize_merges_monomials():
 def test_normalize_exact_cancellation():
     e = add(mul(sinh(X), cosh(X)), mul(-1, cosh(X), sinh(X)))
     assert normalize(e) is ZERO
+
+
+def test_normalize_refuses_an_overflowing_monomial():
+    # 1e300 * (1e10 x + 1) scales a table by a constant; (1e200 x + 1)^2
+    # multiplies two tables; (1e200 x)^2 raises one monomial to a power.
+    # None drops the term that overflows.
+    trees = (mul(1e300, add(mul(1e10, X), 1)), pow_(add(mul(1e200, X), 1), 2),
+             pow_(mul(1e200, X), 2))
+    for e in trees:
+        with pytest.raises(DomainError, match="overflows a float"):
+            normalize(e)
 
 
 def test_normalize_is_idempotent_and_cached():

@@ -48,17 +48,21 @@ def test_run_matches_direct_recursion(name, hbar, alpha):
 )
 def test_h_curve_matches_recombined_partial_sum(name, hbar, alpha):
     # h_curve evaluates each hbar-free iterate once and recombines the
-    # numbers; the reference recombines the series and evaluates the sum.
+    # numbers; the reference recombines the series and evaluates each
+    # partial sum S_0..S_M.
     problem, keywords = PROBLEMS[name]
     cfg = HatmConfig(alpha=alpha, hbar=-1.0, **keywords)
     free = run(problem, cfg)
-    total = partial_sum(recombine(free, hbar), cfg.order)
+    recombined = recombine(free, hbar)
+    totals = [partial_sum(recombined, n) for n in range(cfg.order + 1)]
     y = 0.8 if problem.dim == 2 else 0.0
     for x, t in POINTS:
-        ((_, got),) = h_curve(problem, cfg, (x, y, t), [hbar])
-        want = total.evaluate(x, t, alpha, y)
-        scale = max(abs(want), abs(free[0].evaluate(x, t, alpha, y)))
-        assert abs(got - want) <= 1e-12 * scale, (x, t, got, want)
+        ((_, sums),) = h_curve(problem, cfg, (x, y, t), [hbar])
+        assert len(sums) == len(totals)
+        for n, (got, total) in enumerate(zip(sums, totals)):
+            want = total.evaluate(x, t, alpha, y)
+            scale = max(abs(want), abs(free[0].evaluate(x, t, alpha, y)))
+            assert abs(got - want) <= 1e-12 * scale, (n, x, t, got, want)
 
 
 @pytest.mark.parametrize("hbar", (-2.5, -2.3))

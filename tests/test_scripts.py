@@ -1,16 +1,12 @@
 """Each script under scripts/ runs end to end at tiny orders."""
 
-import csv
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-
-from helpers import invoke_cli
-from hatmfp.engine import HatmConfig, h_curve
-from hatmfp.fokker_planck import preset
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,71 +40,40 @@ def test_script_prints_report(name, args):
     assert run_script(name, *args).strip()
 
 
-def test_hcurve_sweep_matches_h_curve(tmp_path):
-    out = tmp_path / "sweep.csv"
-    probe = (1.0, 0.0, 0.3)
-    run_script(
-        "hcurve_sweep.py", "--preset", "4.5", "--alpha", "0.5", "--orders", "2", "3",
-        "--probe", *probe, "--h-min", "-1.5", "--h-max", "-0.5", "--h-count", "3",
-        "--out", out,
-    )
-    header, *rows = csv.reader(out.read_text(encoding="utf-8").splitlines())
-    assert header == ["hbar", "order_2", "order_3"]
-    assert [float(r[0]) for r in rows] == [-1.5, -1.0, -0.5]
-    (at_minus_one,) = [r for r in rows if float(r[0]) == -1.0]
-    for order, cell in zip((2, 3), at_minus_one[1:]):
-        config = HatmConfig(alpha=0.5, hbar=-1.0, order=order)
-        ((_, want),) = h_curve(preset("4.5"), config, probe, [-1.0])
-        assert float(cell) == want
-
-
-def test_hcurve_sweep_drops_rounded_zero():
-    # -0.1 + (0.3 / 3) is 1.39e-17, a rounded 0, whose row would be u_0 alone
-    out = run_script(
-        "hcurve_sweep.py", "--preset", "4.1", "--orders", "1",
-        "--h-min", "-0.1", "--h-max", "0.2", "--h-count", "4",
-    )
-    header, *rows = csv.reader(out.splitlines())
-    assert [float(r[0]) for r in rows] == pytest.approx([-0.1, 0.1, 0.2])
-
-
-def test_hcurve_sweep_grid_is_the_cli_grid():
-    # hcurve's default sweep; two formulas for its points would differ in
-    # the last bit at -2, -0.2 and 19 of them
-    sweep = run_script(
-        "hcurve_sweep.py", "--preset", "4.5", "--orders", "2",
-        "--h-min", "-2", "--h-max", "-0.2", "--h-count", "19",
-    )
-    cli = invoke_cli(
-        "hcurve", "--preset", "4.5", "--alpha", "0.75", "--order", "2",
-        "--probe", "1,0.3", "--format", "csv",
-    )
-    assert cli.exit_code == 0, cli.output
-    script_rows = list(csv.reader(sweep.splitlines()))[1:]
-    cli_rows = list(csv.reader(cli.output.splitlines()))[1:]
-    assert len(script_rows) == 19
-    assert script_rows == cli_rows
-
-
 @pytest.mark.parametrize(
     "name, args",
     [
-        ("convergence_study.py", ("--grid-points", "1")),
-        ("convergence_study.py", ("--presets", "4.1", "--orders", "1", "-1")),
-        ("iterate_tables.py", ("--order", "-1")),
-        ("hcurve_sweep.py", ("--preset", "4.1", "--h-count", "0")),
-        ("convergence_study.py", ("--presets", "4.1", "--alphas", "0")),
-        ("iterate_tables.py", ("--hbar", "0")),
-        ("hcurve_sweep.py", ("--preset", "4.1", "--alpha", "1.5")),
-        ("hcurve_sweep.py", ("--problem", "no-such-problem.json")),
-        ("iterate_tables.py", ("--preset", "4.1", "--hbar", "nan", "--order", "1")),
-        ("convergence_study.py", ("--presets", "4.1", "--hbar", "inf", "--orders", "1")),
-        ("hcurve_sweep.py", ("--preset", "4.1", "--orders", "1",
-                             "--probe", "nan", "0", "0.3", "--h-count", "2")),
-        ("hcurve_sweep.py", ("--preset", "4.1", "--orders", "1", "--h-min", "nan")),
+        pytest.param("convergence_study.py", ("--grid-points", "1"),
+                     id="convergence_study.py-args0"),
+        pytest.param("convergence_study.py", ("--presets", "4.1", "--orders", "1", "-1"),
+                     id="convergence_study.py-args1"),
+        pytest.param("iterate_tables.py", ("--order", "-1"), id="iterate_tables.py-args2"),
+        pytest.param("convergence_study.py", ("--presets", "4.1", "--alphas", "0"),
+                     id="convergence_study.py-args4"),
+        pytest.param("iterate_tables.py", ("--hbar", "0"), id="iterate_tables.py-args5"),
+        pytest.param("iterate_tables.py", ("--preset", "4.1", "--hbar", "nan", "--order", "1"),
+                     id="iterate_tables.py-args8"),
+        pytest.param("convergence_study.py",
+                     ("--presets", "4.1", "--hbar", "inf", "--orders", "1"),
+                     id="convergence_study.py-args9"),
     ],
 )
 def test_scripts_reject_bad_numeric_flags(name, args):
     proc = launch(name, *args)
     assert proc.returncode == 2, proc.stderr
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_scripts_import_no_private_names():
+    # a script runs on the package's public names only
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hatmfp"):
+                names = node.module.split(".") + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [part for alias in node.names if alias.name.startswith("hatmfp")
+                         for part in alias.name.split(".")]
+            else:
+                continue
+            private = [n for n in names if n.startswith("_") and not n.endswith("__")]
+            assert not private, (path.name, ast.unparse(node))

@@ -497,6 +497,9 @@ def test_from_obj_rejects_a_bad_rational(where, bad):
         ("den", [["1", 0.5]]),  # b is an integer
         ("q", 0.5),
         ("c", 1.5),
+        ("factor", math.nan),  # evaluate would return nan
+        ("factor", math.inf),
+        ("factor", "1e999"),
     ],
 )
 def test_from_obj_refuses_tokens_off_the_positive_axis_and_fractional_integers(where, bad):
