@@ -13,12 +13,14 @@ and v_k, so a nonlinear term needs no Adomian or He polynomials. Any
 exp(c*t) factors are Taylor-expanded before integration, and those
 truncations are recorded on the run report.
 
-Coefficients stay symbolic in alpha until terms share a TimeFactor
-after a step's exact collect: those terms are bound at cfg.alpha and
-summed into one term per time (also recorded on the report), so the
+Coefficients stay symbolic in alpha until a step's exact collect
+leaves terms that share a TimeFactor, or a coefficient that is a sum of
+several monomials: those terms are bound at cfg.alpha, and the terms of
+one time summed into one term (also recorded on the report), so the
 iterates of a run are valid at cfg.alpha only. A term alone at its time
-keeps its gamma tokens, so problems whose iterates never share a time,
-such as the collapsing presets, stay fully symbolic.
+with a one-monomial coefficient keeps its gamma tokens, so problems
+whose iterates never share a time, such as the collapsing presets, stay
+fully symbolic.
 
 With the auxiliary function H = 1, the iterates of the deformation
 equation u_m = chi_m u_{m-1} + hbar * Linv[R_m] (chi_1 = 0, else 1) at
@@ -186,9 +188,10 @@ def deformation_step(
 ) -> FracSeries:
     """v_m = J^alpha[build_rm], Taylor-expanding exp(c*t) factors first.
 
-    Terms that still share a TimeFactor after the exact collect are
-    bound to numbers at cfg.alpha and collected again, which sums them
-    into one term per time. A term alone at its time keeps its gamma
+    Terms that still share a TimeFactor after the exact collect, and
+    terms whose coefficient has several monomials, are bound to numbers
+    at cfg.alpha and collected again, which sums each time into one
+    term. A term alone at its time with one monomial keeps its gamma
     tokens, whose exact cancellation in later steps binding would lose.
     The result is valid at cfg.alpha only.
 
@@ -205,17 +208,17 @@ def deformation_step(
         rhs = rhs.taylor_expand(cfg.taylor_terms)
     v = rhs.frac_integral()
     per_time = Counter(t.time for t in v.terms)
-    bound = sum(n for n in per_time.values() if n > 1)
-    if not bound:
+    binds = [per_time[t.time] > 1 or len(t.coef.monomials) > 1 for t in v.terms]
+    if not any(binds):
         return v
     if events is not None:
-        events.setdefault("bind_events", []).append({"order": m, "terms_bound": bound})
+        events.setdefault("bind_events", []).append({"order": m, "terms_bound": sum(binds)})
     return FracSeries(
         tuple(
             FracTerm(Coefficient.number(t.coef.value(cfg.alpha)), t.spatial, t.time)
-            if per_time[t.time] > 1
+            if bind
             else t
-            for t in v.terms
+            for t, bind in zip(v.terms, binds)
         )
     ).collected()
 

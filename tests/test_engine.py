@@ -441,6 +441,16 @@ def test_backward_iterate_stays_compact():
     assert size <= 550
 
 
+def test_backward_coefficients_are_bound_to_one_monomial():
+    # W1 runs every term alone at its time; a coefficient that is a sum
+    # of gamma monomials is bound at alpha, so none grows past one
+    prob = build_backward(
+        1, [mul(-1, X)], [[CoefficientSpec(pow_(X, 2), exp_rate=1)]], cosh(X)
+    )
+    for u in run(prob, cfg(alpha=0.5, hbar=-1.0, order=5)):
+        assert all(len(t.coef.monomials) <= 1 for t in u.terms)
+
+
 def test_run_is_deterministic():
     prob = preset("4.4")
     c = cfg(alpha=0.75, hbar=-0.9, order=6)
