@@ -48,7 +48,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import ConfigError, DegreeError, ExponentError, Value, store
-from .expr import SpatialExpr, evaluate, mul, variables
+from .expr import SpatialExpr, evaluate, monomials, mul, table_product, variables
 from .series import Coefficient, FracSeries, FracTerm, TimeFactor, _check_alpha
 
 MultiIndex = tuple[int, int]  # derivative orders in (x, y)
@@ -161,7 +161,10 @@ def apply_operator(
                 terms.append(
                     FracTerm(
                         reduce(Coefficient.times, (f.coef for f in factors)),
-                        mul(mono.coef, *(f.spatial for f in factors)),
+                        table_product(
+                            [monomials(mono.coef), *(f.monos for f in factors)],
+                            lambda: mul(mono.coef, *(f.spatial for f in factors)),
+                        ),
                         reduce(TimeFactor.plus, (f.time for f in factors)).plus(rate),
                     )
                 )
@@ -215,7 +218,7 @@ def deformation_step(
         events.setdefault("bind_events", []).append({"order": m, "terms_bound": sum(binds)})
     return FracSeries(
         tuple(
-            FracTerm(Coefficient.number(t.coef.value(cfg.alpha)), t.spatial, t.time)
+            FracTerm(Coefficient.number(t.coef.value(cfg.alpha)), t.monos, t.time)
             if bind
             else t
             for t, bind in zip(v.terms, binds)

@@ -9,25 +9,25 @@ are constant folding and absorbing 0/1 in sums, products and powers.
 
 Equality is exact. ``monomials`` expands a tree into a canonical table
 of float coefficients over products of atoms (variables, sinh and cosh
-of a canonical argument, opaque powers), and ``monic_table`` scales it
-so its largest monomial is 1; ``monic_sum`` and ``monic_derivative`` add
-and differentiate tables without building trees. Only a product can
-blow a table up, so only a product checks ``EXPAND_CAP``. ``canonical``
-is the one builder of the tree of a table (``normalize`` gives the tree
-of ``monomials``). Two trees with the same canonical table get the same
-node, so identity of canonical nodes is equality of their monomial
-sums. Fingerprints (evaluations on a fixed panel of sample points, away
-from the poles of coth, csch and 1/x) remain only as an aid for tests
-and diagnostics; no merge decision rests on them.
+of a canonical argument, opaque powers), and ``monic`` scales a table
+so its largest monomial is 1. ``monic_sum``, ``table_product``,
+``table_derivative`` and ``table_value`` add, multiply, differentiate
+and evaluate tables without building trees: the series algebra works
+on tables alone. Only a product can blow a table up, so only a product
+checks ``EXPAND_CAP``. ``canonical`` is the one builder of the tree of
+a table, for output (``normalize`` gives the tree of ``monomials``).
+Two trees with the same canonical table get the same node, so identity
+of canonical nodes is equality of their monomial sums. Fingerprints
+(evaluations on a fixed panel of sample points, away from the poles of
+coth, csch and 1/x) remain only as an aid for tests and diagnostics; no
+merge decision rests on them.
 
 Nodes are hash-consed: the module-level constructors return one shared
-object per distinct tree, and hash, node count, variable set, monomial
-table, monic table and its derivatives are cached on the node. Repeated
-differentiation and collection therefore build a shared DAG, and every
-traversal here costs one visit per distinct subtree rather than one per
-path. Build through the constructors; instantiating the node classes
-directly still gives correct (structural) equality but skips the
-sharing.
+object per distinct tree, and hash, node count, variable set and
+monomial table are cached on the node. Every traversal here costs one
+visit per distinct subtree rather than one per path. Build through the
+constructors; instantiating the node classes directly still gives
+correct (structural) equality but skips the sharing.
 """
 
 from __future__ import annotations
@@ -152,11 +152,12 @@ def _structural_key(expr: SpatialExpr) -> tuple:
 
 
 def _node_hash(self: SpatialExpr) -> int:
-    h = self.__dict__.get("_hash")
-    if h is None:
+    try:
+        return self._hash
+    except AttributeError:
         h = hash(_structural_key(self))
         object.__setattr__(self, "_hash", h)
-    return h
+        return h
 
 
 # Value's hash recomputes over the whole tree on every call; nodes use
@@ -374,10 +375,6 @@ def fingerprint(expr: SpatialExpr) -> Fingerprint:
     return tuple(evaluate(expr, x, y) for x, y in FINGERPRINT_POINTS)
 
 
-def fp_norm(fp: Fingerprint) -> float:
-    return max(abs(v) for v in fp)
-
-
 def is_numerically_equal(a: SpatialExpr, b: SpatialExpr) -> bool:
     """Fingerprint agreement within REL_TOL (ABS_TOL near zero)."""
     fa, fb = fingerprint(a), fingerprint(b)
@@ -393,7 +390,7 @@ def proportional_ratio(fa: Fingerprint, fb: Fingerprint) -> float | None:
     if denom == 0.0:
         return None
     ratio = sum(va * vb for va, vb in zip(fa, fb)) / denom
-    scale = max(fp_norm(fa), abs(ratio) * fp_norm(fb))
+    scale = max(max(map(abs, fa)), abs(ratio) * max(map(abs, fb)))
     tol = max(ABS_TOL, REL_TOL * scale)
     if all(abs(va - ratio * vb) <= tol for va, vb in zip(fa, fb)):
         return ratio
@@ -609,7 +606,7 @@ def normalize(expr: SpatialExpr) -> SpatialExpr:
     return norm
 
 
-def _monic_of(monos: tuple) -> tuple[float, tuple]:
+def monic(monos: tuple) -> tuple[float, tuple]:
     """(scale, monos / scale) of a sorted table: its largest-|c|
     coefficient (the first one on ties) becomes exactly 1."""
     if not monos:
@@ -618,39 +615,53 @@ def _monic_of(monos: tuple) -> tuple[float, tuple]:
     return scale, monos if scale == 1.0 else tuple((s, c / scale) for s, c in monos)
 
 
-def monic_table(expr: SpatialExpr) -> tuple[float, tuple]:
-    """(scale, monos) with expr == scale * (the monomial sum monos), its
-    largest monomial exactly 1, cached on the node. Proportional trees
-    that round alike share the table; (0.0, ()) for the zero function."""
-    got = expr.__dict__.get("_monic")
-    if got is None:
-        got = _monic_of(monomials(expr))
-        object.__setattr__(expr, "_monic", got)
-    return got
-
-
 def monic_sum(weighted: list[tuple[float, tuple]]) -> tuple[float, tuple]:
-    """monic_table of the sum of weight * table over (weight, table) pairs."""
+    """monic of the sum of weight * table over (weight, table) pairs."""
     table = _summed((s, w * c) for w, monos in weighted for s, c in monos)
-    return _monic_of(tuple(sorted(table.items())))
+    return monic(tuple(sorted(table.items())))
 
 
-def monic_derivative(expr: SpatialExpr, name: str) -> tuple[float, tuple]:
-    """monic_table of the partial derivative in `name`, cached on the node:
-    each monomial of the table times the derivative tables of its atoms."""
-    key = "_d" + var(name).name
-    got = expr.__dict__.get(key)
-    if got is None:
+def table_product(tables: list[tuple], tree: Callable[[], SpatialExpr]) -> tuple:
+    """Sorted table of the product of the tables, rounded as the table of
+    the tree ``tree()``: one-monomial tables first, as ``mul`` folds their
+    constants. Past EXPAND_CAP that tree is the one opaque atom."""
+    try:
+        table = reduce(_product, sorted((dict(t) for t in tables), key=lambda t: len(t) > 1))
+    except _ExpandOverflow:
+        return ((((tree(), 1),), 1.0),)
+    return tuple(sorted(table.items()))
+
+
+def table_derivative(monos: tuple, name: str) -> tuple:
+    """Sorted table of the partial derivative in `name`: each monomial
+    times the derivative tables of its atoms."""
+    name = var(name).name
+    items = []
+    for sig, c in monos:
+        for i, (atom, e) in enumerate(sig):
+            rest = sig[:i] + (((atom, e - 1),) if e != 1 else ()) + sig[i + 1 :]
+            for s, k in _table(differentiate(atom, name)).items():
+                items.append((_sig_mul(rest, s), c * (e * k)))
+    return tuple(sorted(_summed(items).items()))
+
+
+def table_value(monos: tuple, x: float, y: float, atoms: dict) -> float:
+    """Value at (x, y) of a table, bit for bit ``evaluate(canonical(monos))``
+    but for an opaque product atom, which ``mul`` would splice into its
+    monomial; atoms caches the value of each atom at (x, y)."""
+    try:
         parts = []
-        for sig, c in monomials(expr):
-            for i, (atom, e) in enumerate(sig):
-                rest = sig[:i] + (((atom, e - 1),) if e != 1 else ()) + sig[i + 1 :]
-                datom = _table(differentiate(atom, name))
-                parts.append(_product({rest: c}, {s: e * k for s, k in datom.items()}))
-        table = _summed(item for part in parts for item in part.items())
-        got = _monic_of(tuple(sorted(table.items())))
-        object.__setattr__(expr, key, got)
-    return got
+        for sig, c in monos:
+            value = c
+            for atom, e in sig:
+                got = atoms.get(atom)
+                if got is None:
+                    got = atoms[atom] = evaluate(atom, x, y)
+                value *= got if e == 1 else _pow_value(got, e)
+            parts.append(value)
+    except OverflowError:
+        raise DomainError(f"spatial value overflows a float at x={x}, y={y}") from None
+    return parts[0] if len(parts) == 1 else sum(parts, 0.0)
 
 
 def _format_number(value: float) -> str:

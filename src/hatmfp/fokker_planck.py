@@ -298,7 +298,7 @@ def _source_from_obj(obj) -> FracSeries:
         terms.append(
             FracTerm(
                 Coefficient.number(float(parse_rational(item.get("coef", 1.0)))),
-                parse_prefix(item["expr"]),
+                monomials(parse_prefix(item["expr"])),
                 TimeFactor(
                     parse_rational(item.get("p", 0)),
                     parse_integer(item.get("q", 0)),

@@ -4,24 +4,23 @@ A series is a finite sum of terms
 
     coef(alpha) * f(x, y) * t**(p + q*alpha) * exp(c*t)
 
-with f an immutable spatial tree, p a nonnegative rational, q and c
-integers. Coefficients stay symbolic in alpha: each one is a sum of
-monomials (float factor times a ratio of gamma values whose arguments
-live on the p-q grid, i.e. of the form a + b*alpha). The Caputo
-derivative and the fractional integral then act as exact exponent
-shifts that append cancelling gamma tokens, so a derivative/integral
-round trip restores a term bit for bit. Nothing in this module binds a
-numeric alpha except evaluate() and Coefficient.value(), where the gamma
-ratios are resolved in log space. A caller may bind a coefficient
-itself, as Coefficient.number(coef.value(alpha)): a monomial without
-tokens, which then holds at that alpha only (engine.deformation_step
-does this for terms that share a time).
+with f a sum of spatial monomials, held as its canonical table
+(``expr.monomials``), p a nonnegative rational, q and c integers.
+Coefficients stay symbolic in alpha: each one is a sum of monomials
+(float factor times a ratio of gamma values whose arguments live on the
+p-q grid, i.e. of the form a + b*alpha). The Caputo derivative and the
+fractional integral then act as exact exponent shifts that append
+cancelling gamma tokens, so a derivative/integral round trip restores a
+term bit for bit. Nothing in this module binds a numeric alpha except
+evaluate() and Coefficient.value(), where the gamma ratios are resolved
+in log space. A caller may bind a coefficient itself, as
+Coefficient.number(coef.value(alpha)): a monomial without tokens, which
+then holds at that alpha only (engine.deformation_step does this).
 
-A collected series holds each term as (Coefficient, monic canonical
-polynomial, TimeFactor): the spatial part is the tree of its monic
-monomial table (``expr.monic_table``), whose largest monomial is
-exactly 1, and the scale lives in the coefficient. Tables are exact
-canonical forms, so every merge is a hash lookup, in three passes:
+A term is (Coefficient, table, TimeFactor); after a collect its table
+is monic, its largest monomial exactly 1 (``expr.monic``), and the
+scale lives in the coefficient. Tables are exact canonical forms, so
+every merge is a hash lookup, in three passes:
 
 1. group by (time, monic table) and sum the coefficients;
 2. group by (time, gamma-token signature, factors divided by the
@@ -30,11 +29,12 @@ canonical forms, so every merge is a hash lookup, in three passes:
 3. repeat pass 1 on the result.
 
 Keying on both axes keeps iterates compact whether their terms share
-spatial shapes or coefficients. The passes build no tree: each term
-that leaves the collect gets one from its table through
-``expr.canonical``, the one table-to-tree builder, whose interning
-returns the same node for the same table. A spatial derivative starts
-from the tables of ``expr.monic_derivative``.
+spatial shapes or coefficients. Products, spatial derivatives and
+evaluation work on the tables too (``expr.table_product``,
+``expr.table_derivative``, ``expr.table_value``). The algebra builds
+no tree but the opaque atom of a product past ``expr.EXPAND_CAP``;
+``FracTerm.spatial`` builds one from the table through
+``expr.canonical``, for output only.
 """
 
 from __future__ import annotations
@@ -48,25 +48,23 @@ from .errors import ConfigError, DomainError, ExponentError, Value, store
 from .expr import (
     SpatialExpr,
     canonical,
-    evaluate,
     keyed_sum,
-    monic_derivative,
+    monic,
     monic_sum,
-    monic_table,
+    monomials,
     mul,
     parse_integer,
     parse_prefix,
     parse_rational,
+    table_derivative,
+    table_product,
+    table_value,
     to_prefix,
 )
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (Fraction, int, str)):
         return Fraction(value)
     raise ExponentError(f"exponent part must be rational, got {value!r}")
 
@@ -275,19 +273,20 @@ TIME_ONE = TimeFactor(Fraction(0), 0, 0)
 
 
 class FracTerm(Value):
-    _fields = ("coef", "spatial", "time")
+    """coef * (the monomial sum monos) * time, monos a sorted table of
+    ``expr.monomials``: pass ``monomials(tree)`` for a tree."""
 
-    def __init__(self, coef: Coefficient, spatial: SpatialExpr, time: TimeFactor) -> None:
+    _fields = ("coef", "monos", "time")
+
+    def __init__(self, coef: Coefficient, monos: tuple, time: TimeFactor) -> None:
         store(self, "coef", coef)
-        store(self, "spatial", spatial)
+        store(self, "monos", monos)
         store(self, "time", time)
 
-
-def _parallel_key(coef: Coefficient) -> tuple[float, tuple]:
-    """(pivot, key): coef has the factors of key scaled by pivot, the
-    factor of largest magnitude (the first one on ties)."""
-    pivot = max((m.factor for m in coef.monomials), key=abs)
-    return pivot, (coef.signature(), tuple(m.factor / pivot for m in coef.monomials))
+    @property
+    def spatial(self) -> SpatialExpr:
+        """The interned tree of the table, for output."""
+        return canonical(self.monos)
 
 
 def _by_table(entries: Iterable[tuple]) -> list[tuple]:
@@ -305,25 +304,20 @@ def _by_table(entries: Iterable[tuple]) -> list[tuple]:
 
 
 def _collect(terms: Iterable[FracTerm]) -> tuple[FracTerm, ...]:
-    return _collect_tables(
-        (t.time, t.coef, monic_table(t.spatial)) for t in terms if not t.coef.is_zero
-    )
-
-
-def _collect_tables(entries: Iterable[tuple]) -> tuple[FracTerm, ...]:
-    """Merge (time, coefficient, monic table) entries on exact keys in
-    the three passes of the module docstring; terms come out ordered by
-    time, then spatial table."""
-    monic_terms = [
-        (time, monos, coef.scaled(scale))
-        for time, coef, (scale, monos) in entries
-        if scale != 0.0
-    ]
+    """Merge terms on exact keys in the three passes of the module
+    docstring; terms come out ordered by time, then spatial table."""
+    monic_terms = []
+    for t in terms:
+        scale, monos = monic(t.monos)
+        if scale != 0.0 and not t.coef.is_zero:
+            monic_terms.append((t.time, monos, t.coef.scaled(scale)))
     parallel: dict = {}
     for time, monos, coef in _by_table(monic_terms):
         if coef.is_zero:
             continue
-        pivot, key = _parallel_key(coef)
+        # coef is the factors of key scaled by pivot, the largest in magnitude
+        pivot = max((m.factor for m in coef.monomials), key=abs)
+        key = (coef.signature(), tuple(m.factor / pivot for m in coef.monomials))
         parallel.setdefault((time, key), []).append((pivot, monos, coef))
     combined = []
     for (time, (signature, factors)), members in parallel.items():
@@ -340,7 +334,7 @@ def _collect_tables(entries: Iterable[tuple]) -> tuple[FracTerm, ...]:
         combined.append((time, monos, coef))
 
     out = [
-        (time.sort_key, monos, FracTerm(coef, canonical(monos), time))
+        (time.sort_key, monos, FracTerm(coef, monos, time))
         for time, monos, coef in _by_table(combined)
         if not coef.is_zero
     ]
@@ -362,14 +356,10 @@ class FracSeries(Value):
 
     @staticmethod
     def from_spatial(
-        expr: SpatialExpr,
-        factor: float = 1.0,
-        p=0,
-        q: int = 0,
-        c: int = 0,
+        expr: SpatialExpr, factor: float = 1.0, p=0, q: int = 0, c: int = 0
     ) -> "FracSeries":
-        term = FracTerm(Coefficient.number(factor), expr, TimeFactor(_as_fraction(p), q, c))
-        return FracSeries(_collect([term]))
+        time = TimeFactor(_as_fraction(p), q, c)
+        return FracSeries(_collect([FracTerm(Coefficient.number(factor), monomials(expr), time)]))
 
     @property
     def is_zero(self) -> bool:
@@ -393,12 +383,16 @@ class FracSeries(Value):
         if k == 1.0:
             return self
         return FracSeries(
-            tuple(FracTerm(t.coef.scaled(k), t.spatial, t.time) for t in self.terms)
+            tuple(FracTerm(t.coef.scaled(k), t.monos, t.time) for t in self.terms)
         )
 
     def multiply(self, other: "FracSeries") -> "FracSeries":
         products = [
-            FracTerm(a.coef.times(b.coef), mul(a.spatial, b.spatial), a.time.plus(b.time))
+            FracTerm(
+                a.coef.times(b.coef),
+                table_product([a.monos, b.monos], lambda: mul(a.spatial, b.spatial)),
+                a.time.plus(b.time),
+            )
             for a in self.terms
             for b in other.terms
         ]
@@ -411,8 +405,8 @@ class FracSeries(Value):
         key = "_d" + name
         got = self.__dict__.get(key)
         if got is None:
-            got = FracSeries(_collect_tables(
-                (t.time, t.coef, monic_derivative(t.spatial, name)) for t in self.terms
+            got = FracSeries(_collect(
+                FracTerm(t.coef, table_derivative(t.monos, name), t.time) for t in self.terms
             ))
             object.__setattr__(self, key, got)
         return got
@@ -430,7 +424,7 @@ class FracSeries(Value):
             coef = term.coef.gamma_ratio(
                 GammaArg(1 + tf.p, tf.q), GammaArg(1 + tf.p, tf.q + step)
             )
-            out.append(FracTerm(coef, term.spatial, shifted))
+            out.append(FracTerm(coef, term.monos, shifted))
         return FracSeries(_collect(out))
 
     def caputo_derivative(self) -> "FracSeries":
@@ -460,13 +454,8 @@ class FracSeries(Value):
                 continue
             for j in range(n_terms):
                 weight = tf.c**j / math.factorial(j)
-                out.append(
-                    FracTerm(
-                        term.coef.scaled(weight),
-                        term.spatial,
-                        TimeFactor(tf.p + j, tf.q, 0),
-                    )
-                )
+                time = TimeFactor(tf.p + j, tf.q, 0)
+                out.append(FracTerm(term.coef.scaled(weight), term.monos, time))
         return FracSeries(_collect(out))
 
     def evaluate(self, x: float, t: float, alpha: float, y: float = 0.0) -> float:
@@ -475,12 +464,11 @@ class FracSeries(Value):
         if t < 0.0:
             raise DomainError(f"series are defined for t >= 0, got t={t}")
         total = 0.0
+        atoms: dict = {}
         for term in self.terms:
             exponent = term.time.exponent(alpha)
             if exponent < 0.0:
-                raise ExponentError(
-                    f"negative time exponent {exponent} at alpha={alpha}"
-                )
+                raise ExponentError(f"negative time exponent {exponent} at alpha={alpha}")
             try:
                 if t == 0.0:
                     tpow = 1.0 if exponent == 0.0 else 0.0
@@ -488,7 +476,7 @@ class FracSeries(Value):
                     tpow = t**exponent
                 if tpow == 0.0:
                     continue
-                value = term.coef.value(alpha) * evaluate(term.spatial, x, y) * tpow
+                value = term.coef.value(alpha) * table_value(term.monos, x, y, atoms) * tpow
                 if term.time.c != 0:
                     value *= math.exp(term.time.c * t)
             except OverflowError:
@@ -561,4 +549,4 @@ def _term_from_obj(obj: dict) -> FracTerm:
     if not all(math.isfinite(m.factor) for m in coef.monomials):
         raise DomainError(f"coefficient factors must be finite, got {obj['coef_tokens']!r}")
     time = TimeFactor(parse_rational(obj["p"]), parse_integer(obj["q"]), parse_integer(obj["c"]))
-    return FracTerm(coef, parse_prefix(obj["spatial"]), time)
+    return FracTerm(coef, monomials(parse_prefix(obj["spatial"])), time)

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 from hatmfp.cli import main
 from hatmfp.engine import HatmConfig, ProblemSpec, apply_operator
-from hatmfp.expr import ONE, SpatialExpr, add, cosh, evaluate, mul, pow_, sinh, X, Y
+from hatmfp.expr import ONE, SpatialExpr, add, cosh, evaluate, monomials, mul, pow_, sinh, X, Y
 from hatmfp.fokker_planck import CoefficientSpec, build_backward, build_forward, preset
 from hatmfp.series import FracSeries, FracTerm, Coefficient, TimeFactor
 
@@ -65,6 +65,17 @@ def q_coefficient_map(series: FracSeries, alpha: float, x: float, y: float = 0.0
     return out
 
 
+def tree_value(series: FracSeries, x: float, t: float, alpha: float, y: float = 0.0) -> float:
+    """The value of a series of pure powers of t, walking the tree of each
+    term: the reference for FracSeries.evaluate at t > 0."""
+    total = 0.0
+    for term in series.terms:
+        assert term.time.c == 0, "exponential factor left in iterate"
+        spatial = evaluate(term.spatial, x, y)
+        total += term.coef.value(alpha) * spatial * t ** term.time.exponent(alpha)
+    return total
+
+
 def assert_q_map_close(got: dict[int, float], want: dict[int, float], rel: float):
     scale = max(abs(v) for v in want.values())
     for q in sorted(set(got) | set(want)):
@@ -96,7 +107,7 @@ def random_series(rng: random.Random, n_terms: int = 4, with_exp: bool = False) 
         p = rng.choice(P_POOL)
         q = rng.randint(1, 3)
         c = rng.choice((-1, 0, 1, 2)) if with_exp else 0
-        terms.append(FracTerm(coef, spatial, TimeFactor(p, q, c)))
+        terms.append(FracTerm(coef, monomials(spatial), TimeFactor(p, q, c)))
     return FracSeries(tuple(terms)).collected()
 
 

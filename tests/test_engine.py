@@ -9,8 +9,9 @@ from helpers import (
     identity_coeffs,
     q_coefficient_map,
     symbolic_residual,
+    tree_value,
 )
-from hatmfp import engine, series
+from hatmfp import engine, expr, fokker_planck, series
 from hatmfp.errors import ConfigError, DegreeError, ExponentError
 from hatmfp.engine import (
     HatmConfig,
@@ -449,6 +450,40 @@ def test_backward_coefficients_are_bound_to_one_monomial():
     )
     for u in run(prob, cfg(alpha=0.5, hbar=-1.0, order=5)):
         assert all(len(t.coef.monomials) <= 1 for t in u.terms)
+
+
+def test_run_builds_no_tree(monkeypatch):
+    # a term's spatial part is its table: W1's recursion multiplies,
+    # differentiates and collects tables, and builds a tree for none
+    prob = build_backward(
+        1, [mul(-1, X)], [[CoefficientSpec(pow_(X, 2), exp_rate=1)]], cosh(X)
+    )
+    monomials(prob.initial)  # the input's atoms get their canonical arguments
+    calls = []
+    original = expr.canonical
+
+    def counted(monos):
+        calls.append(monos)
+        return original(monos)
+
+    for module in (expr, series, engine, fokker_planck):
+        if getattr(module, "canonical", None) is original:
+            monkeypatch.setattr(module, "canonical", counted)
+    iterates = run(prob, cfg(alpha=0.5, hbar=-1.0, order=4))
+    assert len(iterates[4].terms) > 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_evaluate_is_the_tree_walk_bit_for_bit(name):
+    # the table sum applies the operations of the walk over each term's
+    # tree, in the same order
+    problem, keywords = PROBLEMS[name]
+    keywords = {**keywords, **{"W1": {"order": 3}, "W2": {"order": 6}}.get(name, {})}
+    alpha = 0.5
+    for u in run(problem, HatmConfig(alpha=alpha, hbar=-0.7, **keywords)):
+        for x, y, t in ((0.7, 0.6, 0.3), (1.3, 1.1, 0.8), (2.1, 0.4, 1.0)):
+            assert u.evaluate(x, t, alpha, y) == tree_value(u, x, t, alpha, y)
 
 
 def test_run_is_deterministic():

@@ -28,9 +28,8 @@ from hatmfp.expr import (
     fingerprint,
     FINGERPRINT_POINTS,
     is_numerically_equal,
-    monic_derivative,
+    monic,
     monic_sum,
-    monic_table,
     monomials,
     mul,
     normalize,
@@ -40,11 +39,13 @@ from hatmfp.expr import (
     recip,
     sinh,
     size,
+    table_derivative,
     tanh,
     to_prefix,
     var,
     variables,
 )
+from hatmfp.series import FracSeries
 
 
 # ---------------------------------------------------------------- construction
@@ -378,6 +379,10 @@ def test_monomials_table_is_exact():
     assert normalize(add(p, mul(-1, p))) is ZERO
 
 
+def monic_table(e):
+    return monic(monomials(e))
+
+
 def test_monic_scales_largest_monomial_to_one():
     scale, monos = monic_table(add(mul(-4, sinh(X)), mul(2, X)))
     assert scale == -4.0
@@ -394,15 +399,19 @@ def test_monic_scales_largest_monomial_to_one():
 def test_derivative_table_is_the_table_of_the_derivative_tree(e):
     node = normalize(e)
     for name in ("x", "y"):
-        assert monic_derivative(node, name) == monic_table(differentiate(node, name))
+        want = monic_table(differentiate(node, name))
+        assert monic(table_derivative(monomials(node), name)) == want
 
 
 def test_derivative_table_is_cached_and_checks_the_variable():
+    # the derivative of a table is kept on the series that holds it
     node = normalize(mul(X, sinh(Y)))
-    assert monic_derivative(node, "y") is monic_derivative(node, "y")
-    assert monic_derivative(node, "y") == (1.0, monic_table(mul(X, cosh(Y)))[1])
+    s = FracSeries.from_spatial(node)
+    assert s.spatial_derivative("y") is s.spatial_derivative("y")
+    want = (1.0, monic_table(mul(X, cosh(Y)))[1])
+    assert monic(table_derivative(monomials(node), "y")) == want
     with pytest.raises(DomainError):
-        monic_derivative(node, "z")
+        table_derivative(monomials(node), "z")
 
 
 def test_monic_sum_weights_tables():
@@ -423,7 +432,7 @@ def test_expansion_cap_guards_products_only(monkeypatch):
     assert len(want_d[1]) == len(want_s[1]) == 8
     monkeypatch.setattr(expr_module, "EXPAND_CAP", 4)
     # sums and derivatives grow linearly and expand past the cap
-    assert monic_derivative(p, "x") == want_d
+    assert monic(table_derivative(monomials(p), "x")) == want_d
     assert monic_sum([(1.0, monomials(p)), (1.0, monomials(q))]) == want_s
     # a product of two three-monomial tables has nine pairs
     e = mul(add(X, mul(7, Y), 3), add(pow_(X, 2), mul(-2, Y), 5))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import random_series
 from hatmfp.errors import ConfigError, DomainError, ExponentError
-from hatmfp.expr import X, Y, add, cosh, evaluate, mul, normalize, pow_, sinh
+from hatmfp.expr import X, Y, add, cosh, evaluate, monomials, mul, normalize, pow_, sinh
 from hatmfp.series import (
     Coefficient,
     FracSeries,
@@ -329,16 +329,20 @@ def test_evaluate_exponential_factor():
 
 
 def test_collect_merges_equal_spatial_parts():
-    t1 = FracTerm(Coefficient.number(2.0), mul(X, X), TimeFactor(Fraction(0), 1, 0))
-    t2 = FracTerm(Coefficient.number(3.0), pow_(X, 2), TimeFactor(Fraction(0), 1, 0))
+    t1 = FracTerm(Coefficient.number(2.0), monomials(mul(X, X)), TimeFactor(Fraction(0), 1, 0))
+    t2 = FracTerm(Coefficient.number(3.0), monomials(pow_(X, 2)), TimeFactor(Fraction(0), 1, 0))
     s = FracSeries((t1, t2)).collected()
     assert len(s.terms) == 1
     assert s.evaluate(2.0, 1.0, 1.0) == pytest.approx(20.0, rel=1e-12)
 
 
 def test_collect_drops_cancelled_groups():
-    t1 = FracTerm(Coefficient.number(1.0), mul(sinh(X), cosh(X)), TimeFactor(Fraction(0), 0, 0))
-    t2 = FracTerm(Coefficient.number(-0.5), mul(2, cosh(X), sinh(X)), TimeFactor(Fraction(0), 0, 0))
+    t1 = FracTerm(
+        Coefficient.number(1.0), monomials(mul(sinh(X), cosh(X))), TimeFactor(Fraction(0), 0, 0)
+    )
+    t2 = FracTerm(
+        Coefficient.number(-0.5), monomials(mul(2, cosh(X), sinh(X))), TimeFactor(Fraction(0), 0, 0)
+    )
     assert FracSeries((t1, t2)).collected().is_zero
 
 
@@ -363,10 +367,10 @@ def test_basis_substitutes_known_tree():
     # equal monomial sums collect onto the one canonical node
     t = FracTerm(
         Coefficient.number(1.0),
-        add(mul(0.5, sinh(X)), mul(0.5, sinh(X))),
+        monomials(add(mul(0.5, sinh(X)), mul(0.5, sinh(X)))),
         TimeFactor(Fraction(0), 0, 0),
     )
-    u = FracTerm(Coefficient.number(1.0), mul(2, sinh(X)), TimeFactor(Fraction(0), 0, 0))
+    u = FracTerm(Coefficient.number(1.0), monomials(mul(2, sinh(X))), TimeFactor(Fraction(0), 0, 0))
     s = FracSeries((t, u)).collected()
     assert len(s.terms) == 1
     assert s.terms[0].spatial is sinh(X)
@@ -379,8 +383,8 @@ def test_collect_keeps_function_vanishing_on_sample_panel():
     t0 = TimeFactor(Fraction(0), 0, 0)
     s = FracSeries(
         (
-            FracTerm(Coefficient.number(1.0), sinh(X), t0),
-            FracTerm(Coefficient.number(-1.0), add(sinh(X), p), t0),
+            FracTerm(Coefficient.number(1.0), monomials(sinh(X)), t0),
+            FracTerm(Coefficient.number(-1.0), monomials(add(sinh(X), p)), t0),
         )
     ).collected()
     want = -evaluate(p, 2.0)
@@ -393,8 +397,8 @@ def test_collect_keeps_tiny_independent_terms():
     t0 = TimeFactor(Fraction(0), 0, 0)
     s = FracSeries(
         (
-            FracTerm(Coefficient.number(1.0), mul(1e-13, X), t0),
-            FracTerm(Coefficient.number(1.0), mul(1e-13, pow_(X, 2)), t0),
+            FracTerm(Coefficient.number(1.0), monomials(mul(1e-13, X)), t0),
+            FracTerm(Coefficient.number(1.0), monomials(mul(1e-13, pow_(X, 2))), t0),
         )
     ).collected()
     (term,) = s.terms
@@ -405,7 +409,7 @@ def test_collect_keeps_tiny_independent_terms():
 def test_collect_terms_are_monic():
     t0 = TimeFactor(Fraction(0), 1, 0)
     s = FracSeries(
-        (FracTerm(Coefficient.number(3.0), add(mul(-2, sinh(X)), X), t0),)
+        (FracTerm(Coefficient.number(3.0), monomials(add(mul(-2, sinh(X)), X)), t0),)
     ).collected()
     (term,) = s.terms
     assert term.spatial is normalize(add(sinh(X), mul(-0.5, X)))
@@ -416,7 +420,7 @@ def test_collect_returns_a_canonical_monic_node_as_is():
     # the one table-to-tree builder returns the interned node of a table
     node = normalize(add(sinh(X), mul(-0.5, X)))
     t0 = TimeFactor(Fraction(0), 1, 0)
-    s = FracSeries((FracTerm(Coefficient.number(3.0), node, t0),))
+    s = FracSeries((FracTerm(Coefficient.number(3.0), monomials(node), t0),))
     (term,) = s.collected().terms
     assert term.spatial is node
     assert term.coef == Coefficient.number(3.0)
@@ -431,9 +435,9 @@ def test_collect_merges_parallel_coefficients():
     t1 = TimeFactor(Fraction(0), 1, 0)
     s = FracSeries(
         (
-            FracTerm(c, pow_(cosh(X), 2), t1),
-            FracTerm(c.scaled(-1.0), pow_(sinh(X), 2), t1),
-            FracTerm(c.scaled(0.5), X, t1),
+            FracTerm(c, monomials(pow_(cosh(X), 2)), t1),
+            FracTerm(c.scaled(-1.0), monomials(pow_(sinh(X), 2)), t1),
+            FracTerm(c.scaled(0.5), monomials(X), t1),
         )
     ).collected()
     (term,) = s.terms

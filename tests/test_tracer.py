@@ -36,3 +36,6 @@ def test_traced_cli_runs(tmp_path, args):
     assert trace["exit_code"] == 0
     assert trace["stats"]
     assert trace["stats"]["engine.apply_operator"][0] > 0
+    # counts() sizes every term's tree, built from its table by FracTerm.spatial
+    assert trace["counts"]["max_tree_size"] >= 1
+    assert trace["counts"]["terms"]

@@ -17,7 +17,7 @@ import hatmfp
 from hatmfp.cli import RunRequest
 from hatmfp.engine import HatmConfig, OperatorMonomial, ProblemSpec
 from hatmfp.errors import ConfigError, DegreeError, DomainError, ExponentError
-from hatmfp.expr import ONE, X, Y, Add, Const, Func, Mul, Pow, Var, normalize
+from hatmfp.expr import ONE, X, Y, Add, Const, Func, Mul, Pow, Var, monomials, normalize
 from hatmfp.fokker_planck import CoefficientSpec
 from hatmfp.series import (
     Coefficient,
@@ -63,8 +63,8 @@ RECORDS = {
     Monomial: lambda: dict(factor=2.0, num=(_token(),), den=()),
     Coefficient: lambda: dict(monomials=(Monomial(2.0, (_token(),), ()),)),
     TimeFactor: lambda: dict(p=Fraction(1, 2), q=1, c=0),
-    FracTerm: lambda: dict(coef=_coef(), spatial=X, time=_time()),
-    FracSeries: lambda: dict(terms=(FracTerm(_coef(), X, _time()),)),
+    FracTerm: lambda: dict(coef=_coef(), monos=monomials(X), time=_time()),
+    FracSeries: lambda: dict(terms=(FracTerm(_coef(), monomials(X), _time()),)),
     OperatorMonomial: lambda: dict(coef=X, derivs=((1, 0), (0, 0)), exp_rate=1),
     ProblemSpec: lambda: dict(
         dim=1, operator=(OperatorMonomial(X, ((1, 0),)),), initial=X, source=FracSeries(())
@@ -90,7 +90,7 @@ OTHERS = {
     Monomial: lambda: dict(factor=3.0, num=(), den=(_token(),)),
     Coefficient: lambda: dict(monomials=()),
     TimeFactor: lambda: dict(p=Fraction(1), q=2, c=1),
-    FracTerm: lambda: dict(coef=Coefficient(()), spatial=Y, time=TimeFactor(0, 0, 0)),
+    FracTerm: lambda: dict(coef=Coefficient(()), monos=monomials(Y), time=TimeFactor(0, 0, 0)),
     FracSeries: lambda: dict(terms=()),
     OperatorMonomial: lambda: dict(coef=Y, derivs=((2, 0),), exp_rate=0),
     ProblemSpec: lambda: dict(
