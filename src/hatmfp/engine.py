@@ -158,16 +158,12 @@ def apply_operator(
         for split in splits:
             derived = [_derived(history[n], d).terms for n, d in zip(split, mono.derivs)]
             for factors in product(*derived):
-                terms.append(
-                    FracTerm(
-                        reduce(Coefficient.times, (f.coef for f in factors)),
-                        table_product(
-                            [monomials(mono.coef), *(f.monos for f in factors)],
-                            lambda: mul(mono.coef, *(f.spatial for f in factors)),
-                        ),
-                        reduce(TimeFactor.plus, (f.time for f in factors)).plus(rate),
-                    )
-                )
+                terms.append(FracTerm(
+                    reduce(Coefficient.times, (f.coef for f in factors)),
+                    table_product([monomials(mono.coef), *(f.monos for f in factors)],
+                                  lambda: mul(mono.coef, *(f.spatial for f in factors))),
+                    reduce(TimeFactor.plus, (f.time for f in factors)).plus(rate),
+                ))
     return FracSeries(tuple(terms)).collected()
 
 
@@ -216,14 +212,10 @@ def deformation_step(
         return v
     if events is not None:
         events.setdefault("bind_events", []).append({"order": m, "terms_bound": sum(binds)})
-    return FracSeries(
-        tuple(
-            FracTerm(Coefficient.number(t.coef.value(cfg.alpha)), t.monos, t.time)
-            if bind
-            else t
-            for t, bind in zip(v.terms, binds)
-        )
-    ).collected()
+    return FracSeries(tuple(
+        FracTerm(Coefficient.number(t.coef.value(cfg.alpha)), t.monos, t.time) if bind else t
+        for t, bind in zip(v.terms, binds)
+    )).collected()
 
 
 def _weights(m: int, hbar: float) -> Iterator[tuple[int, float]]:

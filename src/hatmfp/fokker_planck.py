@@ -80,6 +80,7 @@ def _as_specs(entry) -> tuple[CoefficientSpec, ...]:
         value = float(entry)
         return () if value == 0.0 else (CoefficientSpec(const(value)),)
     if isinstance(entry, dict):
+        _refuse_unknown(entry, ("expr", "exp_rate", "u_degree"), "operator entry")
         return (
             CoefficientSpec(
                 parse_prefix(entry["expr"]),
@@ -93,6 +94,12 @@ def _as_specs(entry) -> tuple[CoefficientSpec, ...]:
             out.extend(_as_specs(item))
         return tuple(out)
     raise ConfigError(f"cannot interpret coefficient entry {entry!r}")
+
+
+def _refuse_unknown(obj: dict, known: tuple[str, ...], where: str) -> None:
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"invalid {where}: unknown key {key!r}")
 
 
 def _unit(i: int) -> MultiIndex:
@@ -295,17 +302,12 @@ def _source_from_obj(obj) -> FracSeries:
     for item in obj:
         if not isinstance(item, dict):
             raise TypeError(f"a source term must be an object, got {item!r}")
-        terms.append(
-            FracTerm(
-                Coefficient.number(float(parse_rational(item.get("coef", 1.0)))),
-                monomials(parse_prefix(item["expr"])),
-                TimeFactor(
-                    parse_rational(item.get("p", 0)),
-                    parse_integer(item.get("q", 0)),
-                    parse_integer(item.get("c", 0)),
-                ),
-            )
-        )
+        _refuse_unknown(item, ("expr", "coef", "p", "q", "c"), "source term")
+        coef = Coefficient.number(float(parse_rational(item.get("coef", 1.0))))
+        monos = monomials(parse_prefix(item["expr"]))
+        p, q, c = (item.get(key, 0) for key in ("p", "q", "c"))
+        time = TimeFactor(parse_rational(p), parse_integer(q), parse_integer(c))
+        terms.append(FracTerm(coef, monos, time))
     return FracSeries(_collect(terms))
 
 
@@ -313,6 +315,7 @@ def problem_from_obj(obj: dict) -> ProblemSpec:
     """Build a problem from its JSON object form."""
     try:
         form = obj["form"]
+        _refuse_unknown(obj, ("form", "dim", "A", "B", "f", "g"), "problem definition")
         dim = parse_integer(obj["dim"])
         drift = [_as_specs(entry) for entry in obj["A"]]
         diffusion = [[_as_specs(entry) for entry in row] for row in obj["B"]]

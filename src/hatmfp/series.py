@@ -180,9 +180,10 @@ class Coefficient(Value):
             return COEF_ZERO
         if k == 1.0:
             return self
-        return Coefficient(
-            tuple(Monomial(m.factor * k, m.num, m.den) for m in self.monomials)
-        )
+        monomials = tuple(Monomial(m.factor * k, m.num, m.den) for m in self.monomials)
+        if not all(math.isfinite(m.factor) for m in monomials):
+            raise DomainError(f"a coefficient factor times {k!r} overflows a float")
+        return Coefficient(monomials)
 
     def gamma_ratio(self, num_arg: GammaArg, den_arg: GammaArg) -> "Coefficient":
         """Multiply by gamma(num_arg) / gamma(den_arg)."""
@@ -295,12 +296,11 @@ def _by_table(entries: Iterable[tuple]) -> list[tuple]:
     groups: dict = {}
     for time, monos, coef in entries:
         groups.setdefault((time, monos), []).append(coef)
-    return [
-        (time, monos, coefs[0] if len(coefs) == 1 else _normalize_monomials(
-            m for c in coefs for m in c.monomials
-        ))
-        for (time, monos), coefs in groups.items()
-    ]
+    out = []
+    for (time, monos), cs in groups.items():
+        coef = cs[0] if len(cs) == 1 else _normalize_monomials(m for c in cs for m in c.monomials)
+        out.append((time, monos, coef))
+    return out
 
 
 def _collect(terms: Iterable[FracTerm]) -> tuple[FracTerm, ...]:

@@ -405,6 +405,9 @@ def test_unreadable_problem_files_exit_two(tmp_path):
         {"A": [{"expr": 5}]},
         {"g": ["x"]},
         {"A": ["(recip 0)"]},
+        {"source": [{"expr": "x"}]},
+        {"A": [{"expr": "1", "exp_rte": 1}]},
+        {"g": [{"expr": "x", "cof": 2.0}]},
     ],
 )
 def test_malformed_problem_files_exit_two(tmp_path, change):
@@ -429,9 +432,10 @@ def test_malformed_problem_files_exit_two(tmp_path, change):
         {"f": "(mul 1e200 1e200 x)"},
         b"\xff\xfe not utf-8",
         {"g": [{"expr": "x", "coef": 1e308}, {"expr": "x", "coef": 1e308}]},
+        {"g": [{"expr": "(mul 1e10 x)", "coef": 1e300}]},
     ],
     ids=["exp_rate", "dim", "u_degree", "q", "c", "nan-coef", "huge-coef", "huge-const",
-         "huge-fold", "not-utf-8", "overflowing-source-sum"],
+         "huge-fold", "not-utf-8", "overflowing-source-sum", "overflowing-source-scale"],
 )
 def test_bad_numbers_and_bytes_in_problem_files_exit_two(tmp_path, content):
     path = tmp_path / "problem.json"

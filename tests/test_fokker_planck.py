@@ -421,6 +421,17 @@ def test_problem_from_obj_validation():
         )
 
 
+def test_problem_from_obj_names_an_unknown_key():
+    base = {"form": "forward", "dim": 1, "A": ["0"], "B": [["1"]], "f": "x"}
+    for change, key in (
+        ({"source": [{"expr": "x"}]}, "'source'"),
+        ({"A": [{"expr": "1", "exp_rte": 1}]}, "'exp_rte'"),
+        ({"g": [{"expr": "x", "cof": 2.0}]}, "'cof'"),
+    ):
+        with pytest.raises(ConfigError, match=f"unknown key {key}"):
+            problem_from_obj({**base, **change})
+
+
 def test_load_problem_file(tmp_path):
     obj = {
         "form": "backward",
