@@ -180,10 +180,10 @@ class Coefficient(Value):
             return COEF_ZERO
         if k == 1.0:
             return self
-        monomials = tuple(Monomial(m.factor * k, m.num, m.den) for m in self.monomials)
-        if not all(math.isfinite(m.factor) for m in monomials):
+        scaled = tuple(Monomial(m.factor * k, m.num, m.den) for m in self.monomials)
+        if not all(math.isfinite(m.factor) for m in scaled):
             raise DomainError(f"a coefficient factor times {k!r} overflows a float")
-        return Coefficient(monomials)
+        return Coefficient(scaled)
 
     def gamma_ratio(self, num_arg: GammaArg, den_arg: GammaArg) -> "Coefficient":
         """Multiply by gamma(num_arg) / gamma(den_arg)."""
