@@ -38,8 +38,6 @@ from .expr import (
     csch,
     differentiate,
     evaluate,
-    fingerprint,
-    is_numerically_equal,
     mul,
     parse_prefix,
     pow_,

@@ -8,6 +8,7 @@ Examples:
   hatmfp hcurve --preset 4.3 --probe 1,0.2 --format csv
   hatmfp hcurve --preset 4.2 --alpha 0.5 --order 4 8 12 --probe 1,0.3 --format csv
   hatmfp compare --preset 4.1 --alpha 0.75 --order 10
+  hatmfp compare --preset 4.2 --alpha 0.5 --order 2 4 8 16 --format csv
 
 Exit codes: 0 on success, 2 on invalid configuration or flags, 3 on
 domain errors raised while solving or evaluating (singular evaluation
@@ -177,8 +178,6 @@ def hcurve_cmd(req: RunRequest, args: argparse.Namespace) -> None:
     # A point within rounding of 0 (-0.3 + 3 * 0.7/7, say) stands for 0.
     if any(abs(h) <= 1e-12 * max(abs(args.h_min), abs(args.h_max)) for h in h_values):
         raise argparse.ArgumentError(None, "hbar sweep must not include 0")
-    if min(args.order) < 0:
-        raise argparse.ArgumentError(None, f"order must be >= 0, got {min(args.order)}")
     # One run at the largest order holds every smaller order's partial sum.
     rows = [[h] + [sums[n] for n in args.order]
             for h, sums in h_curve(req.problem, req.config, point, h_values)]
@@ -190,18 +189,24 @@ def compare_cmd(req: RunRequest, args: argparse.Namespace) -> None:
     """Compare the partial sum against the registered reference solution."""
     if req.preset_id is None:
         raise HatmError("compare needs a preset; no reference solution is registered for files")
-    total = req.total()
+    # One run at the largest order holds every smaller order's partial sum.
+    iterates = run(req.problem, req.config)
+    totals = [partial_sum(iterates, n) for n in args.order]
+    single = len(totals) == 1
     alpha = req.config.alpha
-    rows = []
-    worst = 0.0
+    rows, worst = [], [0.0] * len(totals)
     for x, y, t in req.grid(args):
-        value = total.evaluate(x=x, y=y, t=t, alpha=alpha)
+        values = [total.evaluate(x=x, y=y, t=t, alpha=alpha) for total in totals]
         exact = reference_solution(req.preset_id, x, t, alpha, y)
-        err = abs(value - exact)
-        worst = max(worst, err)
-        rows.append(req.place(x, y, t) + [repr(value), repr(exact), repr(err)])
-    req.write(req.axes("u", "u_ref", "abs_err"), rows,
-              trailer=f"# max_abs_err={worst!r}", max_abs_err=worst)
+        errs = [abs(value - exact) for value in values]
+        worst = [max(w, err) for w, err in zip(worst, errs)]
+        cells = [values[0], exact, errs[0]] if single else [exact, *errs]
+        rows.append(req.place(x, y, t) + [repr(cell) for cell in cells])
+    suffixes = [""] if single else [f"_order_{n}" for n in args.order]
+    columns = ["u", "u_ref", "abs_err"] if single else ["u_ref"] + [f"err{s}" for s in suffixes]
+    worst_of = {f"max_abs_err{s}": w for s, w in zip(suffixes, worst)}
+    req.write(req.axes(*columns), rows,
+              trailer="\n".join(f"# {key}={w!r}" for key, w in worst_of.items()), **worst_of)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -233,6 +238,10 @@ def _parser() -> argparse.ArgumentParser:
         return shared
 
     shared = options(default=10, help="number of deformation steps M (default: %(default)s)")
+    several = options(
+        nargs="+", default=[10],
+        help="one or more numbers of deformation steps M, each given once, one column each; "
+             "the run goes to the largest (default: 10)")
     hbar = argparse.ArgumentParser(add_help=False)
     hbar.add_argument("--hbar", type=finite, default=-1.0,
                       help="convergence-control parameter (default: %(default)s)")
@@ -263,15 +272,12 @@ def _parser() -> argparse.ArgumentParser:
     command("residual", residual_cmd, shared, hbar).add_argument(
         "--point", dest="points", action="append", required=True,
         help="probe point x[,y],t; repeatable")
-    hcurve = command("hcurve", hcurve_cmd, options(
-        nargs="+", default=[10],
-        help="one or more numbers of deformation steps M, one value column each; the run "
-             "goes to the largest (default: 10)"))
+    hcurve = command("hcurve", hcurve_cmd, several)
     hcurve.add_argument("--probe", required=True, help="probe point x[,y],t")
     hcurve.add_argument("--h-min", type=finite, default=-2.0, help="(default: %(default)s)")
     hcurve.add_argument("--h-max", type=finite, default=-0.2, help="(default: %(default)s)")
     hcurve.add_argument("--h-count", type=int, default=19, help="(default: %(default)s)")
-    command("compare", compare_cmd, shared, hbar, grid)
+    command("compare", compare_cmd, several, hbar, grid)
     return parser
 
 
@@ -284,9 +290,14 @@ def main(argv: list[str] | None = None) -> int:
             spec, label = preset(args.preset), f"preset:{args.preset}"
         else:
             spec, label = load_problem(args.problem), f"file:{Path(args.problem).name}"
+        # hcurve and compare take several orders and run to the largest
+        orders = args.order if isinstance(args.order, list) else [args.order]
+        if min(orders) < 0:
+            raise ConfigError(f"order must be >= 0, got {min(orders)}")
+        if len(set(orders)) < len(orders):
+            raise ConfigError(f"each order may be given once, got {' '.join(map(str, orders))}")
         config = HatmConfig(alpha=args.alpha, hbar=getattr(args, "hbar", -1.0),
-                            order=max(args.order) if args.command == "hcurve" else args.order,
-                            taylor_terms=args.taylor_terms)
+                            order=max(orders), taylor_terms=args.taylor_terms)
     except (ConfigError, OSError) as exc:
         args.parser.error(str(exc))
     if args.out is not None and Path(args.out).is_dir():

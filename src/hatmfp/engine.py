@@ -47,8 +47,8 @@ from functools import reduce
 from itertools import product
 from typing import Iterator, Sequence
 
-from .errors import ConfigError, DegreeError, ExponentError, Value, store
-from .expr import SpatialExpr, evaluate, monomials, mul, table_product, variables
+from .errors import ConfigError, DegreeError, DomainError, ExponentError, Value, store
+from .expr import SpatialExpr, evaluate, monomials, table_product, variables
 from .series import Coefficient, FracSeries, FracTerm, TimeFactor, _check_alpha
 
 MultiIndex = tuple[int, int]  # derivative orders in (x, y)
@@ -160,8 +160,7 @@ def apply_operator(
             for factors in product(*derived):
                 terms.append(FracTerm(
                     reduce(Coefficient.times, (f.coef for f in factors)),
-                    table_product([monomials(mono.coef), *(f.monos for f in factors)],
-                                  lambda: mul(mono.coef, *(f.spatial for f in factors))),
+                    table_product([monomials(mono.coef), *(f.monos for f in factors)]),
                     reduce(TimeFactor.plus, (f.time for f in factors)).plus(rate),
                 ))
     return FracSeries(tuple(terms)).collected()
@@ -222,7 +221,12 @@ def _weights(m: int, hbar: float) -> Iterator[tuple[int, float]]:
     """(k, weight) for each nonzero weight of v_k in u_m (m >= 1), from
     the binomial formula of the module docstring."""
     for k in range(1, m + 1):
-        weight = math.comb(m - 1, k - 1) * (-hbar) ** k * (1 + hbar) ** (m - k)
+        try:
+            weight = math.comb(m - 1, k - 1) * (-hbar) ** k * (1 + hbar) ** (m - k)
+        except OverflowError:
+            weight = math.inf
+        if not math.isfinite(weight):
+            raise DomainError(f"the weight of v_{k} in u_{m} overflows a float at hbar={hbar}")
         if weight != 0.0:
             yield k, weight
 
@@ -289,13 +293,19 @@ def residual(
     linear = s.caputo_derivative().add(problem.source.scale(-1.0))
     out = []
     for px, py, pt in points:
-        operator = sum(
-            evaluate(mono.coef, px, py)
-            * math.exp(mono.exp_rate * pt)
-            * math.prod(_derived(s, d).evaluate(px, pt, cfg.alpha, py) for d in mono.derivs)
-            for mono in problem.operator
-        )
-        out.append(abs(linear.evaluate(px, pt, cfg.alpha, py) - operator))
+        try:
+            operator = sum(
+                evaluate(mono.coef, px, py)
+                * math.exp(mono.exp_rate * pt)
+                * math.prod(_derived(s, d).evaluate(px, pt, cfg.alpha, py) for d in mono.derivs)
+                for mono in problem.operator
+            )
+            value = abs(linear.evaluate(px, pt, cfg.alpha, py) - operator)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise DomainError(f"the residual overflows a float at x={px}, y={py}, t={pt}")
+        out.append(value)
     return out
 
 
@@ -321,7 +331,10 @@ def h_curve(
     for h in h_values:
         HatmConfig(cfg.alpha, h, cfg.order, cfg.taylor_terms)  # validates h != 0
         u = recombine_values(values, h)
-        out.append((h, [sum(u[: n + 1]) for n in range(len(u))]))
+        sums = [sum(u[: n + 1]) for n in range(len(u))]
+        if not all(map(math.isfinite, sums)):
+            raise DomainError(f"a partial sum at hbar={h} overflows a float")
+        out.append((h, sums))
     return out
 
 

@@ -17,10 +17,8 @@ on tables alone. Only a product can blow a table up, so only a product
 checks ``EXPAND_CAP``. ``canonical`` is the one builder of the tree of
 a table, for output (``normalize`` gives the tree of ``monomials``).
 Two trees with the same canonical table get the same node, so identity
-of canonical nodes is equality of their monomial sums. Fingerprints
-(evaluations on a fixed panel of sample points, away from the poles of
-coth, csch and 1/x) remain only as an aid for tests and diagnostics; no
-merge decision rests on them.
+of canonical nodes is equality of their monomial sums: no merge decision
+rests on sampled values.
 
 Nodes are hash-consed: the module-level constructors return one shared
 object per distinct tree, and hash, node count, variable set and
@@ -44,15 +42,9 @@ Number = Union[int, float, Fraction]
 # Magnitudes below this count as a zero divisor.
 SINGULAR_FLOOR = 1e-300
 
-# Tolerances of the fingerprint comparisons (tests and diagnostics only).
+# Tolerances of proportional_ratio.
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
-
-FINGERPRINT_POINTS: tuple[tuple[float, float], ...] = tuple(
-    (x, y) for x in (0.531, 0.877, 1.203, 1.618) for y in (0.733, 1.414)
-)
-
-Fingerprint = tuple[float, ...]
 
 
 class SpatialExpr(Value):
@@ -365,27 +357,17 @@ def evaluate(expr: SpatialExpr, x: float, y: float = 0.0) -> float:
         return out
 
     try:
-        return walk(expr)
+        value = walk(expr)
     except OverflowError:
-        raise DomainError(f"spatial value overflows a float at x={x}, y={y}") from None
+        value = math.inf
+    if not math.isfinite(value):  # a float product or sum overflows without raising
+        raise DomainError(f"spatial value overflows a float at x={x}, y={y}")
+    return value
 
 
-def fingerprint(expr: SpatialExpr) -> Fingerprint:
-    """Evaluations on the fixed sample panel, in panel order."""
-    return tuple(evaluate(expr, x, y) for x, y in FINGERPRINT_POINTS)
-
-
-def is_numerically_equal(a: SpatialExpr, b: SpatialExpr) -> bool:
-    """Fingerprint agreement within REL_TOL (ABS_TOL near zero)."""
-    fa, fb = fingerprint(a), fingerprint(b)
-    return all(
-        abs(va - vb) <= max(ABS_TOL, REL_TOL * max(abs(va), abs(vb)))
-        for va, vb in zip(fa, fb)
-    )
-
-
-def proportional_ratio(fa: Fingerprint, fb: Fingerprint) -> float | None:
-    """Ratio r with fa ~= r * fb, or None if the panels are not parallel."""
+def proportional_ratio(fa: tuple[float, ...], fb: tuple[float, ...]) -> float | None:
+    """Ratio r with fa ~= r * fb, or None if two panels of values are not
+    parallel. No merge uses it; perfbench/traced.py still wraps it by name."""
     denom = sum(v * v for v in fb)
     if denom == 0.0:
         return None
@@ -621,14 +603,15 @@ def monic_sum(weighted: list[tuple[float, tuple]]) -> tuple[float, tuple]:
     return monic(tuple(sorted(table.items())))
 
 
-def table_product(tables: list[tuple], tree: Callable[[], SpatialExpr]) -> tuple:
+def table_product(tables: list[tuple]) -> tuple:
     """Sorted table of the product of the tables, rounded as the table of
-    the tree ``tree()``: one-monomial tables first, as ``mul`` folds their
-    constants. Past EXPAND_CAP that tree is the one opaque atom."""
+    their ``mul``: one-monomial tables first, as ``mul`` folds their
+    constants. Past EXPAND_CAP the product of their canonical trees is
+    one opaque atom."""
     try:
         table = reduce(_product, sorted((dict(t) for t in tables), key=lambda t: len(t) > 1))
     except _ExpandOverflow:
-        return ((((tree(), 1),), 1.0),)
+        return ((((mul(*(canonical(t) for t in tables)), 1),), 1.0),)
     return tuple(sorted(table.items()))
 
 

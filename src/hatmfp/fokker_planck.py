@@ -19,13 +19,14 @@ are separable pieces spatial(x, y) * exp(exp_rate * t).
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
 from .engine import MultiIndex, OperatorMonomial, ProblemSpec
-from .errors import ConfigError, DegreeError, HatmError, PresetError, Value, store
+from .errors import ConfigError, DegreeError, DomainError, HatmError, PresetError, Value, store
 from .expr import (
     SpatialExpr,
     X,
@@ -245,36 +246,19 @@ def _preset_45() -> ProblemSpec:
     return build_forward(1, drift, diffusion, pow_(X, 2))
 
 
-# id -> (builder, closed form of the exact solution). A preset solves to
-# f(x, y) * E_alpha(t^alpha), its operator acting as the identity on
-# multiples of f, except 4.1, which solves to f + t^alpha/gamma(alpha+1).
-_PRESETS = {
-    "4.1": (_preset_41, "x + t^a/G(a+1)"),
-    "4.2": (_preset_42, "sinh(x) E_a(t^a)"),
-    "4.3": (_preset_43, "(x+1) E_a(t^a)"),
-    "4.4": (_preset_44, "x E_a(t^a)"),
-    "4.5": (_preset_45, "x^2 E_a(t^a)"),
-}
+# id -> builder. A preset solves to f(x, y) * E_alpha(t^alpha), its
+# operator acting as the identity on multiples of f, except 4.1, which
+# solves to f + t^alpha/gamma(alpha+1) (reference_solution).
+_PRESETS = {"4.1": _preset_41, "4.2": _preset_42, "4.3": _preset_43, "4.4": _preset_44,
+            "4.5": _preset_45}
 
 PRESET_IDS = tuple(sorted(_PRESETS))
 
 
-def _entry(preset_id: str) -> tuple:
-    try:
-        return _PRESETS[preset_id]
-    except KeyError:
-        raise PresetError(
-            f"unknown preset {preset_id!r}; known: {', '.join(PRESET_IDS)}"
-        ) from None
-
-
 def preset(preset_id: str) -> ProblemSpec:
-    return _entry(preset_id)[0]()
-
-
-def closed_form(preset_id: str) -> str:
-    """The exact solution of a preset, as a label."""
-    return _entry(preset_id)[1]
+    if preset_id not in _PRESETS:
+        raise PresetError(f"unknown preset {preset_id!r}; known: {', '.join(PRESET_IDS)}")
+    return _PRESETS[preset_id]()
 
 
 @lru_cache(maxsize=None)
@@ -288,8 +272,12 @@ def reference_solution(
     """Exact solution value at (x, y, t) for a preset problem."""
     f = evaluate(_initial(preset_id), x, y)
     if preset_id == "4.1":
-        return f + t**alpha / gamma(alpha + 1.0)
-    return f * mittag_leffler(MLParams(alpha), t**alpha)
+        value = f + t**alpha / gamma(alpha + 1.0)
+    else:
+        value = f * mittag_leffler(MLParams(alpha), t**alpha)
+    if not math.isfinite(value):
+        raise DomainError(f"the reference solution overflows a float at x={x}, y={y}, t={t}")
+    return value
 
 
 # -- problem definition files -----------------------------------------

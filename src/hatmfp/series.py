@@ -52,7 +52,6 @@ from .expr import (
     monic,
     monic_sum,
     monomials,
-    mul,
     parse_integer,
     parse_prefix,
     parse_rational,
@@ -390,7 +389,7 @@ class FracSeries(Value):
         products = [
             FracTerm(
                 a.coef.times(b.coef),
-                table_product([a.monos, b.monos], lambda: mul(a.spatial, b.spatial)),
+                table_product([a.monos, b.monos]),
                 a.time.plus(b.time),
             )
             for a in self.terms
@@ -480,9 +479,11 @@ class FracSeries(Value):
                 if term.time.c != 0:
                     value *= math.exp(term.time.c * t)
             except OverflowError:
-                raise DomainError(f"series value overflows a float at x={x}, y={y}, "
-                                  f"t={t}") from None
+                total = math.inf
+                break
             total += value
+        if not math.isfinite(total):  # a float product or sum overflows without raising
+            raise DomainError(f"series value overflows a float at x={x}, y={y}, t={t}")
         return total
 
     # -- serialization -------------------------------------------------

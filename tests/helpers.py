@@ -1,7 +1,8 @@
 """Shared fixtures for the suite: closed-form iterate coefficients,
 random-series builders, the direct hbar recursion, the symbolic residual,
-the problems the engine is checked on, small comparison utilities and an
-in-process runner of the command line."""
+the problems the engine is checked on, small comparison utilities (among
+them values on a fixed panel of sample points) and an in-process runner
+of the command line."""
 
 from __future__ import annotations
 
@@ -74,6 +75,24 @@ def tree_value(series: FracSeries, x: float, t: float, alpha: float, y: float = 
         spatial = evaluate(term.spatial, x, y)
         total += term.coef.value(alpha) * spatial * t ** term.time.exponent(alpha)
     return total
+
+
+# A fixed panel of sample points, away from the poles of coth, csch and 1/x.
+PANEL = tuple((x, y) for x in (0.531, 0.877, 1.203, 1.618) for y in (0.733, 1.414))
+
+
+def panel_values(expr: SpatialExpr) -> tuple[float, ...]:
+    """Values of a tree on PANEL, in panel order."""
+    return tuple(evaluate(expr, x, y) for x, y in PANEL)
+
+
+def same_on_panel(a: SpatialExpr, b: SpatialExpr) -> bool:
+    """Whether two trees agree on PANEL within 1e-10 relative (1e-12
+    absolute near zero)."""
+    return all(
+        abs(va - vb) <= max(1e-12, 1e-10 * max(abs(va), abs(vb)))
+        for va, vb in zip(panel_values(a), panel_values(b))
+    )
 
 
 def assert_q_map_close(got: dict[int, float], want: dict[int, float], rel: float):

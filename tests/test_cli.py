@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,9 @@ from pathlib import Path
 import mpmath
 import pytest
 
+import hatmfp.cli as cli
 from helpers import invoke_cli as invoke
-from hatmfp.engine import HatmConfig, h_curve
+from hatmfp.engine import HatmConfig, h_curve, run
 from hatmfp.fokker_planck import preset
 from hatmfp.series import FracSeries
 
@@ -36,6 +38,16 @@ def problem_file(tmp_path):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(COTH_PROBLEM), encoding="utf-8")
     return str(path)
+
+
+# W1: backward, A = -x, B = x^2 e^t, f = cosh x
+W1_PROBLEM = {
+    "form": "backward",
+    "dim": 1,
+    "A": ["(mul -1 x)"],
+    "B": [[{"expr": "(pow x 2)", "exp_rate": 1}]],
+    "f": "(cosh x)",
+}
 
 
 # ----------------------------------------------------------------------- solve
@@ -327,6 +339,83 @@ def test_compare_rejects_problem_files(problem_file):
     assert "no reference solution" in result.stderr
 
 
+ORDERS = ("2", "4", "8", "16")
+
+
+@pytest.mark.parametrize(
+    "source",
+    [("--preset", "4.2", "--alpha", "0.5"),
+     ("--preset", "4.4", "--alpha", "0.75", "--y-min", "0.5", "--y-count", "2")],
+    ids=["4.2", "4.4"],
+)
+def test_compare_orders_match_single_order_runs(source):
+    # err_order_<n> and max_abs_err_order_<n> are the abs_err and max_abs_err
+    # of `compare --order n`, string for string
+    args = ("compare", *source, "--x-count", "3", "--t-count", "3")
+    coords = 3 if "4.4" in source else 2
+    header, *rows = rows_of(invoke(*args, "--order", *ORDERS, "--format", "csv").stdout)
+    rows, trailer = rows[: -len(ORDERS)], rows[-len(ORDERS):]
+    assert header[coords:] == ["u_ref"] + [f"err_order_{n}" for n in ORDERS]
+    report = json.loads(invoke(*args, "--order", *ORDERS).stdout)
+    assert list(report) == ["rows"] + [f"max_abs_err_order_{n}" for n in ORDERS]
+    for i, n in enumerate(ORDERS):
+        one_header, *one = rows_of(invoke(*args, "--order", n, "--format", "csv").stdout)
+        assert one_header[coords:] == ["u", "u_ref", "abs_err"]
+        assert [r[:coords] + r[coords + 1:] for r in one[:-1]] == [
+            r[: coords + 1] + [r[coords + 1 + i]] for r in rows
+        ]
+        (worst,) = one[-1]  # "# max_abs_err=<repr>"
+        assert trailer[i] == [worst.replace("max_abs_err=", f"max_abs_err_order_{n}=")]
+        single = json.loads(invoke(*args, "--order", n).stdout)
+        assert report[f"max_abs_err_order_{n}"] == single["max_abs_err"]
+        assert [row[f"err_order_{n}"] for row in report["rows"]] == [
+            row["abs_err"] for row in single["rows"]
+        ]
+
+
+def test_compare_runs_once_for_several_orders(monkeypatch):
+    calls = []
+
+    def counted(problem, config, *rest):
+        calls.append(config.order)
+        return run(problem, config, *rest)
+
+    monkeypatch.setattr(cli, "run", counted)
+    result = invoke("compare", "--preset", "4.3", "--order", *ORDERS, "--x-count", 2,
+                    "--t-count", 2)
+    assert result.exit_code == 0, result.output
+    assert calls == [16]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("--order", 1, -1), ("--order", 1, "--alpha", 0), ("--order", 1, "--hbar", "inf"),
+     ("--order", 1, "--x-count", 0)],
+    ids=["order", "alpha", "hbar", "x-count"],
+)
+def test_compare_rejects_bad_numeric_flags(args):
+    result = invoke("compare", "--preset", "4.1", *args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert "error:" in result.stderr and "Traceback" not in result.stderr
+    if args[:3] == ("--order", 1, -1):
+        assert "order must be >= 0, got -1" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("hcurve", "--probe", "1,0.3", "--h-count", 1), ("compare", "--x-count", 1)],
+    ids=lambda args: args[0],
+)
+def test_repeated_order_exits_two(args):
+    # one column per order: a repeated one would be a repeated JSON key
+    result = invoke(args[0], "--preset", "4.5", "--order", 2, 3, 2, *args[1:])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "each order may be given once, got 2 3 2" in result.stderr
+
+
 # ---------------------------------------------------------------- table forms
 
 
@@ -344,15 +433,20 @@ def test_compare_rejects_problem_files(problem_file):
          "--t-count", 2),
         ("compare", "--preset", "4.4", "--alpha", 0.75, "--order", 3, "--x-count", 2,
          "--y-min", 0.5, "--y-count", 2, "--t-count", 2),
+        ("compare", "--preset", "4.3", "--alpha", 0.5, "--order", 3, 1, "--x-count", 2,
+         "--t-count", 2),
     ],
-    ids=["eval", "eval-singular", "residual-2d", "hcurve", "compare", "compare-2d"],
+    ids=["eval", "eval-singular", "residual-2d", "hcurve", "compare", "compare-2d",
+         "compare-orders"],
 )
 def test_csv_and_json_tables_agree(problem_file, args):
     args = [problem_file if a == "PROBLEM" else a for a in args]
     header, *cells = rows_of(invoke(*args, "--format", "csv").output)
     report = json.loads(invoke(*args).output)
-    if args[0] == "compare":
-        assert cells.pop() == [f"# max_abs_err={report.pop('max_abs_err')!r}"]
+    if args[0] == "compare":  # one trailer line per worst error, in key order
+        trailer = [[f"# {key}={report.pop(key)!r}"] for key in list(report)[1:]]
+        assert trailer and cells[-len(trailer):] == trailer
+        del cells[-len(trailer):]
     assert list(report) == ["rows"]
     rows = report["rows"]
     assert rows and all(list(row) == header for row in rows)
@@ -451,18 +545,40 @@ def test_bad_numbers_and_bytes_in_problem_files_exit_two(tmp_path, content):
 @pytest.mark.parametrize(
     "args",
     [
-        ("eval", "--x-min", 800, "--x-max", 800, "--x-count", 1),
-        ("compare", "--x-min", 800, "--x-max", 800, "--x-count", 1),
-        ("residual", "--point", "800,0.3"),
-        ("hcurve", "--probe", "800,0.3"),
+        pytest.param(("eval", "4.2", "--x-min", 800, "--x-max", 800, "--x-count", 1), id="eval"),
+        pytest.param(("compare", "4.2", "--x-min", 800, "--x-max", 800, "--x-count", 1),
+                     id="compare"),
+        pytest.param(("residual", "4.2", "--point", "800,0.3"), id="residual"),
+        pytest.param(("hcurve", "4.2", "--probe", "800,0.3"), id="hcurve"),
+        pytest.param(("eval", "W1", "--alpha", 0.5, "--order", 1, "--x-min", 705,
+                      "--x-max", 705, "--x-count", 1, "--t-min", 0.5, "--t-max", 0.5,
+                      "--t-count", 1), id="eval-product"),
+        pytest.param(("residual", "W1", "--alpha", 0.5, "--order", 1, "--point", "705,0.5"),
+                     id="residual-product"),
+        pytest.param(("hcurve", "W1", "--alpha", 0.5, "--order", 1, "--probe", "705,0.5",
+                      "--h-count", 2), id="hcurve-product"),
+        pytest.param(("compare", "4.2", "--alpha", 0.5, "--order", 3, "--x-min", 709,
+                      "--x-max", 709, "--x-count", 1, "--t-min", 1, "--t-max", 1,
+                      "--t-count", 1), id="compare-reference"),
+        pytest.param(("residual", "W1", "--alpha", 0.5, "--order", 1, "--point", "1,800"),
+                     id="residual-exp"),
+        pytest.param(("hcurve", "4.5", "--order", 40, "--probe", "1,0.3",
+                      "--h-min", -1e8, "--h-max", -1e8, "--h-count", 1), id="hcurve-weights"),
     ],
-    ids=lambda args: args[0],
 )
-def test_evaluation_overflow_exits_three(args):
-    # sinh(800) and cosh(800) overflow a float
-    result = invoke(*args[:1], "--preset", "4.2", "--order", 2, *args[1:])
+def test_evaluation_overflow_exits_three(tmp_path, args):
+    # sinh(800) and cosh(800) overflow a float, as do, without raising, the
+    # float products x^2 cosh(705) of W1 and sinh(709) e of 4.2's reference
+    # solution, e^800 in W1's operator and (1e8)^k in the hbar weights
+    path = tmp_path / "w1.json"
+    path.write_text(json.dumps(W1_PROBLEM), encoding="utf-8")
+    source = ("--problem", path) if args[1] == "W1" else ("--preset", args[1])
+    order = () if "--order" in args else ("--order", 2)
+    result = invoke(args[0], *source, *order, *args[2:])
     assert result.exit_code == 3, result.exception
-    assert result.stderr.startswith("error:") and "overflows a float" in result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+    assert "overflows a float" in result.stderr
 
 
 def test_overflowing_monomial_exits_three(tmp_path):
@@ -574,6 +690,18 @@ def test_negative_values_follow_their_flags():
     assert spaced.exit_code == 0, spaced.output
     assert spaced.stdout == joined.stdout
     assert rows_of(spaced.stdout)[1][0] == "-1.0"
+
+
+def test_readme_command_line_examples_run():
+    # every `hatmfp ...` line of the README's "Command line" block
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                if line.startswith("hatmfp ")]
+    assert len(commands) >= 7
+    for argv in commands:
+        result = invoke(*argv)
+        assert result.exit_code == 0, (argv, result.output)
 
 
 def test_cli_import_leaves_click_out():

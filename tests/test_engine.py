@@ -109,6 +109,22 @@ def test_apply_operator_drift_only():
     assert later.evaluate(x, t, alpha) == out.evaluate(x, t, alpha)
 
 
+def test_apply_operator_past_the_expansion_cap_keeps_one_opaque_term(monkeypatch):
+    # N[u] = (x + 0.37) du/dx on u = (x^2 + 0.59 x) t^alpha: two monomials
+    # times two make four pairs; past a cap of 3 the product stays one atom
+    monkeypatch.setattr(expr, "EXPAND_CAP", 3)
+    prob = ProblemSpec(dim=1, operator=(OperatorMonomial(add(X, 0.37), ((1, 0),)),), initial=X)
+    u = FracSeries.from_spatial(add(pow_(X, 2), mul(0.59, X)), q=1)
+    out = apply_operator(prob, [u], 1)
+    (term,) = out.terms
+    (((atom, exponent),), coef) = term.monos[0]
+    assert len(term.monos) == 1 and (exponent, coef) == (1, 1.0)
+    assert atom is mul(add(X, 0.37), add(X, 0.295))  # the derivative, monic
+    alpha, x, t = 0.5, 1.3, 0.4
+    want = (x + 0.37) * (2 * x + 0.59) * t**alpha
+    assert out.evaluate(x, t, alpha) == pytest.approx(want, rel=1e-14)
+
+
 def test_apply_operator_quadratic_convolution():
     # N[u] = u * du/dx; with history (u0, u1) the homotopy convolution at
     # m=2 is u1*u0' + u0*u1'

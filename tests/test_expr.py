@@ -25,9 +25,6 @@ from hatmfp.expr import (
     csch,
     differentiate,
     evaluate,
-    fingerprint,
-    FINGERPRINT_POINTS,
-    is_numerically_equal,
     monic,
     monic_sum,
     monomials,
@@ -46,6 +43,7 @@ from hatmfp.expr import (
     variables,
 )
 from hatmfp.series import FracSeries
+from helpers import panel_values, same_on_panel
 
 
 # ---------------------------------------------------------------- construction
@@ -239,36 +237,23 @@ def test_derivative_matches_finite_difference(expr):
     assert abs(sym - num) <= 1e-6 * scale
 
 
-# ----------------------------------------------------------------- fingerprints
-
-
-def test_fingerprint_panel_is_fixed():
-    assert len(FINGERPRINT_POINTS) == 8
-    fp1 = fingerprint(mul(sinh(X), Y))
-    fp2 = fingerprint(mul(sinh(X), Y))
-    assert fp1 == fp2
-    assert fp1 == tuple(evaluate(mul(sinh(X), Y), px, py) for px, py in FINGERPRINT_POINTS)
-
-
-def test_fingerprint_finite_on_corpus_atoms():
-    for atom in (X, Y, coth(X), csch(X), recip(X), tanh(X), pow_(X, Fraction(-1, 2))):
-        assert all(math.isfinite(v) for v in fingerprint(atom))
+# ---------------------------------------------------------- sampled equality
 
 
 def test_numeric_equality_identities():
-    assert is_numerically_equal(mul(coth(X), sinh(X)), cosh(X))
-    assert is_numerically_equal(
+    assert same_on_panel(mul(coth(X), sinh(X)), cosh(X))
+    assert same_on_panel(
         add(pow_(coth(X), 2), mul(-1, pow_(csch(X), 2))), ONE
     )
-    assert not is_numerically_equal(sinh(X), cosh(X))
+    assert not same_on_panel(sinh(X), cosh(X))
 
 
 def test_proportional_ratio():
-    fa = fingerprint(mul(3.5, sinh(X)))
-    fb = fingerprint(sinh(X))
+    fa = panel_values(mul(3.5, sinh(X)))
+    fb = panel_values(sinh(X))
     assert proportional_ratio(fa, fb) == pytest.approx(3.5, rel=1e-12)
-    assert proportional_ratio(fingerprint(X), fingerprint(Y)) is None
-    assert proportional_ratio(fingerprint(X), fingerprint(ZERO)) is None
+    assert proportional_ratio(panel_values(X), panel_values(Y)) is None
+    assert proportional_ratio(panel_values(X), panel_values(ZERO)) is None
 
 
 # -------------------------------------------------------------------- normalize
@@ -303,7 +288,7 @@ def test_normalize_is_idempotent_and_cached():
     n = normalize(e)
     assert normalize(n) is n
     assert normalize(e) is n
-    assert is_numerically_equal(n, add(pow_(X, 2), const(-1)))
+    assert same_on_panel(n, add(pow_(X, 2), const(-1)))
 
 
 def test_normalize_value_preserving():
@@ -368,10 +353,10 @@ def test_normalize_reduces_hyperbolic_atoms():
 
 
 def test_monomials_table_is_exact():
-    # a polynomial that vanishes on every fingerprint panel abscissa is
-    # still a nonzero table
+    # a polynomial that vanishes on every sample panel abscissa is still a
+    # nonzero table
     p = mul(*(add(X, -r) for r in (0.531, 0.877, 1.203, 1.618)))
-    assert all(abs(v) < 1e-12 for v in fingerprint(p))
+    assert all(abs(v) < 1e-12 for v in panel_values(p))
     table = dict(monomials(p))
     assert len(table) == 5
     assert table[((X, 4),)] == 1.0
@@ -486,7 +471,7 @@ def test_prefix_rejects_truncated_and_non_text_input(text):
 @settings(max_examples=60, deadline=None)
 def test_prefix_round_trip_property(expr):
     again = parse_prefix(to_prefix(expr))
-    assert fingerprint(again) == fingerprint(expr)
+    assert panel_values(again) == panel_values(expr)
 
 
 # ----------------------------------------------------------------------- misc

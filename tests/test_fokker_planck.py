@@ -26,7 +26,6 @@ from hatmfp.fokker_planck import (
     CoefficientSpec,
     build_backward,
     build_forward,
-    closed_form,
     load_problem,
     preset,
     problem_from_obj,
@@ -257,7 +256,7 @@ def test_antisymmetric_mixed_diffusion_cancels():
 
 
 def test_builder_keeps_coefficient_vanishing_on_sample_panel():
-    # a drift that is zero at every fingerprint panel abscissa is still a
+    # a drift that is zero at every sample panel abscissa is still a
     # drift: u0 + u1 = cosh(x) - t p(x) sinh(x) at alpha = 1, hbar = -1
     p = mul(*(add(X, -r) for r in (0.531, 0.877, 1.203, 1.618)))
     prob = build_backward(1, [p], [[0]], cosh(X))
@@ -296,10 +295,8 @@ def test_presets_carry_their_exact_solutions():
     # at alpha = 1: 4.1 is x + t, 4.5 is x^2 e^t
     assert reference_solution("4.1", 0.5, 2.0, 1.0) == 2.5
     assert reference_solution("4.5", 1.5, 1.0, 1.0) == pytest.approx(2.25 * math.e, rel=1e-12)
-    assert closed_form("4.5") == "x^2 E_a(t^a)"
-    for lookup in (lambda: reference_solution("9.9", 1.0, 0.5, 1.0), lambda: closed_form("9.9")):
-        with pytest.raises(PresetError, match="4.1"):
-            lookup()
+    with pytest.raises(PresetError, match="4.1"):
+        reference_solution("9.9", 1.0, 0.5, 1.0)
 
 
 def test_plane_preset_merged_groups():

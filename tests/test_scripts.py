@@ -31,9 +31,8 @@ def run_script(name, *args):
 @pytest.mark.parametrize(
     "name, args",
     [
-        ("convergence_study.py", ("--presets", "4.1", "4.5", "--alphas", "0.5",
-                                  "--orders", "1", "2", "--grid-points", "2")),
-        ("iterate_tables.py", ("--preset", "4.3", "--hbar", "-0.7", "--order", "2")),
+        pytest.param("iterate_tables.py", ("--preset", "4.3", "--hbar", "-0.7", "--order", "2"),
+                     id="iterate_tables.py-args1"),
     ],
 )
 def test_script_prints_report(name, args):
@@ -43,19 +42,10 @@ def test_script_prints_report(name, args):
 @pytest.mark.parametrize(
     "name, args",
     [
-        pytest.param("convergence_study.py", ("--grid-points", "1"),
-                     id="convergence_study.py-args0"),
-        pytest.param("convergence_study.py", ("--presets", "4.1", "--orders", "1", "-1"),
-                     id="convergence_study.py-args1"),
         pytest.param("iterate_tables.py", ("--order", "-1"), id="iterate_tables.py-args2"),
-        pytest.param("convergence_study.py", ("--presets", "4.1", "--alphas", "0"),
-                     id="convergence_study.py-args4"),
         pytest.param("iterate_tables.py", ("--hbar", "0"), id="iterate_tables.py-args5"),
         pytest.param("iterate_tables.py", ("--preset", "4.1", "--hbar", "nan", "--order", "1"),
                      id="iterate_tables.py-args8"),
-        pytest.param("convergence_study.py",
-                     ("--presets", "4.1", "--hbar", "inf", "--orders", "1"),
-                     id="convergence_study.py-args9"),
     ],
 )
 def test_scripts_reject_bad_numeric_flags(name, args):

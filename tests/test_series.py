@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_series
+from hatmfp import expr as expr_module
 from hatmfp.errors import ConfigError, DomainError, ExponentError
-from hatmfp.expr import X, Y, add, cosh, evaluate, monomials, mul, normalize, pow_, sinh
+from hatmfp.expr import Mul, X, Y, add, cosh, evaluate, monomials, mul, normalize, pow_, sinh
 from hatmfp.series import (
     Coefficient,
     FracSeries,
@@ -265,6 +266,22 @@ def test_multiply_merges_exponents():
     assert len(prod.terms) == 1
     tf = prod.terms[0].time
     assert (tf.p, tf.q, tf.c) == (Fraction(1, 2), 3, 0)
+
+
+def test_multiply_past_the_expansion_cap_keeps_one_opaque_term(monkeypatch):
+    # two two-monomial tables make four pairs; past a cap of 3 the product
+    # stays one atom, the product of the two canonical trees
+    monkeypatch.setattr(expr_module, "EXPAND_CAP", 3)
+    a = FracSeries.from_spatial(add(X, 0.431), 2.0, q=1)
+    b = FracSeries.from_spatial(add(Y, 0.257), p=1)
+    prod = a.multiply(b)
+    (term,) = prod.terms
+    (((atom, exponent),), coef) = term.monos[0]
+    assert len(term.monos) == 1 and (exponent, coef) == (1, 1.0)
+    assert atom is mul(add(X, 0.431), add(Y, 0.257))
+    x, y, t, alpha = 0.8, 1.3, 0.4, 0.5
+    want = 2.0 * (x + 0.431) * (y + 0.257) * t ** (1 + alpha)
+    assert prod.evaluate(x, t, alpha, y) == pytest.approx(want, rel=1e-14)
 
 
 def test_spatial_derivative_orders():
