@@ -29,15 +29,14 @@ def gamma_token(arg: GammaArg) -> str:
 
 
 def symbolic_coefficient(coef: Coefficient) -> str:
-    parts = []
-    for mono in coef.monomials:
-        piece = f"{mono.factor:.6g}"
-        if mono.num:
-            piece += " " + " ".join(gamma_token(a) for a in mono.num)
-        if mono.den:
-            piece += " / " + " ".join(gamma_token(a) for a in mono.den)
-        parts.append(piece)
-    return "  +  ".join(parts) if parts else "0"
+    if coef.is_zero:
+        return "0"
+    piece = f"{coef.factor:.6g}"
+    if coef.num:
+        piece += " " + " ".join(gamma_token(a) for a in coef.num)
+    if coef.den:
+        piece += " / " + " ".join(gamma_token(a) for a in coef.den)
+    return piece
 
 
 def time_label(term, alpha: float) -> str:

@@ -357,7 +357,7 @@ def problem_to_obj(form: str, dim: int, drift, diffusion, initial, source=None) 
         "f": to_prefix(initial),
     }
     if source is not None and not source.is_zero:
-        if any(m.num or m.den for t in source.terms for m in t.coef.monomials):
+        if any(t.coef.num or t.coef.den for t in source.terms):
             raise ConfigError("a problem file cannot hold a source coefficient in alpha")
         obj["g"] = [
             {

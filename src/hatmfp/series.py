@@ -6,30 +6,31 @@ A series is a finite sum of terms
 
 with f a sum of spatial monomials, held as its canonical table
 (``expr.monomials``), p a nonnegative rational, q and c integers.
-Coefficients stay symbolic in alpha: each one is a sum of monomials
-(float factor times a ratio of gamma values whose arguments live on the
-p-q grid, i.e. of the form a + b*alpha). The Caputo derivative and the
-fractional integral then act as exact exponent shifts that append
-cancelling gamma tokens, so a derivative/integral round trip restores a
-term bit for bit. Nothing in this module binds a numeric alpha except
-evaluate() and Coefficient.value(), where the gamma ratios are resolved
-in log space. A caller may bind a coefficient itself, as
-Coefficient.number(coef.value(alpha)): a monomial without tokens, which
-then holds at that alpha only (engine.deformation_step does this).
+Coefficients stay symbolic in alpha: each one is a single gamma
+monomial, a float factor times a ratio of gamma values whose arguments
+live on the p-q grid, i.e. of the form a + b*alpha. The Caputo
+derivative and the fractional integral then act as exact exponent
+shifts that append cancelling gamma tokens, so a derivative/integral
+round trip restores a term bit for bit. Nothing in this module binds a
+numeric alpha except evaluate() and Coefficient.value(), where the
+gamma ratios are resolved in log space. A caller may bind a coefficient
+itself, as Coefficient.number(coef.value(alpha)): a coefficient without
+tokens, which then holds at that alpha only (engine.deformation_step
+does this).
 
 A term is (Coefficient, table, TimeFactor); after a collect its table
 is monic, its largest monomial exactly 1 (``expr.monic``), and the
-scale lives in the coefficient. Tables are exact canonical forms, so
-every merge is a hash lookup, in three passes:
+scale lives in the coefficient. Tables and gamma tokens are exact
+canonical forms, so every merge is a hash lookup, in two passes:
 
-1. group by (time, monic table) and sum the coefficients;
-2. group by (time, gamma-token signature, factors divided by the
-   largest factor) and sum the monic tables, weighted by those
-   largest factors (``expr.monic_sum``);
-3. repeat pass 1 on the result.
+1. group by (time, monic table, tokens) and sum the factors
+   (``expr.keyed_sum``);
+2. group by (time, tokens) and sum the monic tables, weighted by those
+   factors (``expr.monic_sum``).
 
-Keying on both axes keeps iterates compact whether their terms share
-spatial shapes or coefficients. Products, spatial derivatives and
+Terms with different tokens are never added into one coefficient, so
+after a collect no two terms share (time, tokens), and a time may hold
+several terms with different tokens. Products, spatial derivatives and
 evaluation work on the tables too (``expr.table_product``,
 ``expr.table_derivative``, ``expr.table_value``). The algebra builds
 no tree but the opaque atom of a product past ``expr.EXPAND_CAP``;
@@ -109,34 +110,18 @@ def _cancel(num: Sequence[GammaArg], den: Sequence[GammaArg]):
     return kept_num, remaining
 
 
-class Monomial(Value):
-    """factor * prod gamma(num) / prod gamma(den)."""
-
-    _fields = ("factor", "num", "den")
-
-    def __init__(
-        self, factor: float, num: tuple[GammaArg, ...], den: tuple[GammaArg, ...]
-    ) -> None:
-        store(self, "factor", factor)
-        store(self, "num", num)
-        store(self, "den", den)
-
-    def signature(self):
-        return (self.num, self.den)
-
-    def value(self, alpha: float) -> float:
-        log_ratio = 0.0
-        for arg in self.num:
-            log_ratio += math.lgamma(arg.value(alpha))
-        for arg in self.den:
-            log_ratio -= math.lgamma(arg.value(alpha))
-        return self.factor * math.exp(log_ratio)
+def _coefficient(factor: float, num: tuple, den: tuple) -> "Coefficient":
+    """The coefficient factor * num / den, COEF_ZERO for a zero factor;
+    DomainError if the factor is not finite."""
+    if not math.isfinite(factor):
+        raise DomainError(f"a coefficient factor overflows a float: {factor!r}")
+    return Coefficient(factor, num, den) if factor else COEF_ZERO
 
 
-def _monomial(factor: float, num: Iterable[GammaArg], den: Iterable[GammaArg]) -> Monomial:
+def _monomial(factor: float, num: Iterable[GammaArg], den: Iterable[GammaArg]) -> "Coefficient":
     num, den = _cancel(tuple(num), tuple(den))
     # Tokens without an alpha part are plain numbers; fold away those whose
-    # gamma fits in a float. Monomial.value resolves the rest in log space.
+    # gamma fits in a float. Coefficient.value resolves the rest in log space.
     kept: tuple[list, list] = ([], [])
     for side, args in enumerate((num, den)):
         for arg in args:
@@ -148,88 +133,76 @@ def _monomial(factor: float, num: Iterable[GammaArg], den: Iterable[GammaArg]) -
                 kept[side].append(arg)
             else:
                 factor = factor / folded if side else factor * folded
-    return Monomial(factor, tuple(sorted(kept[0])), tuple(sorted(kept[1])))
+    return _coefficient(factor, tuple(sorted(kept[0])), tuple(sorted(kept[1])))
 
 
 class Coefficient(Value):
-    """Sum of gamma-ratio monomials, symbolic in alpha."""
+    """factor * prod gamma(num) / prod gamma(den): one gamma-ratio
+    monomial, symbolic in alpha. Zero is COEF_ZERO, factor 0.0 and no
+    tokens."""
 
-    _fields = ("monomials",)
+    _fields = ("factor", "num", "den")
 
-    def __init__(self, monomials: tuple[Monomial, ...]) -> None:
-        store(self, "monomials", monomials)
+    def __init__(
+        self, factor: float, num: tuple[GammaArg, ...], den: tuple[GammaArg, ...]
+    ) -> None:
+        store(self, "factor", factor)
+        store(self, "num", num)
+        store(self, "den", den)
 
     @staticmethod
     def number(factor: float) -> "Coefficient":
-        return _normalize_monomials([Monomial(float(factor), (), ())])
-
-    def plus(self, other: "Coefficient") -> "Coefficient":
-        return _normalize_monomials(list(self.monomials) + list(other.monomials))
+        return _coefficient(float(factor), (), ())
 
     def times(self, other: "Coefficient") -> "Coefficient":
-        products = [
-            _monomial(a.factor * b.factor, a.num + b.num, a.den + b.den)
-            for a in self.monomials
-            for b in other.monomials
-        ]
-        return _normalize_monomials(products)
+        return _monomial(self.factor * other.factor, self.num + other.num, self.den + other.den)
 
     def scaled(self, k: float) -> "Coefficient":
         if k == 0.0:
             return COEF_ZERO
         if k == 1.0:
             return self
-        scaled = tuple(Monomial(m.factor * k, m.num, m.den) for m in self.monomials)
-        if not all(math.isfinite(m.factor) for m in scaled):
-            raise DomainError(f"a coefficient factor times {k!r} overflows a float")
-        return Coefficient(scaled)
+        return _coefficient(self.factor * k, self.num, self.den)
 
     def gamma_ratio(self, num_arg: GammaArg, den_arg: GammaArg) -> "Coefficient":
         """Multiply by gamma(num_arg) / gamma(den_arg)."""
-        return _normalize_monomials(
-            [
-                _monomial(m.factor, m.num + (num_arg,), m.den + (den_arg,))
-                for m in self.monomials
-            ]
-        )
+        return _monomial(self.factor, self.num + (num_arg,), self.den + (den_arg,))
 
     def value(self, alpha: float) -> float:
-        return sum(m.value(alpha) for m in self.monomials)
+        log_ratio = 0.0
+        for arg in self.num:
+            log_ratio += math.lgamma(arg.value(alpha))
+        for arg in self.den:
+            log_ratio -= math.lgamma(arg.value(alpha))
+        return self.factor * math.exp(log_ratio)
 
     @property
     def is_zero(self) -> bool:
-        return not self.monomials
+        return self.factor == 0.0
 
     def signature(self):
-        return tuple(m.signature() for m in self.monomials)
+        return (self.num, self.den)
+
+    # perfbench/traced.py wraps plus and parallel_ratio and reads monomials by name.
+    def plus(self, other: "Coefficient") -> "Coefficient":
+        """Sum of two coefficients with the same tokens."""
+        if self.signature() != other.signature():
+            raise DomainError("coefficients with different gamma tokens do not add into one")
+        summed = keyed_sum([(None, self.factor), (None, other.factor)])
+        return _coefficient(summed.get(None, 0.0), self.num, self.den)
 
     def parallel_ratio(self, other: "Coefficient") -> float | None:
-        """Ratio r with other ~= r * self, or None.
-
-        Requires identical token structure; factors must then agree up
-        to one common scale.
-        """
-        if self.signature() != other.signature():
+        """other.factor / self.factor for the same tokens, else None."""
+        if self.is_zero or self.signature() != other.signature():
             return None
-        pivot = max(range(len(self.monomials)), key=lambda i: abs(self.monomials[i].factor))
-        base = self.monomials[pivot].factor
-        if base == 0.0:
-            return None
-        ratio = other.monomials[pivot].factor / base
-        for mine, theirs in zip(self.monomials, other.monomials):
-            want = ratio * mine.factor
-            if abs(theirs.factor - want) > 1e-12 * max(abs(theirs.factor), abs(want)) + 1e-300:
-                return None
-        return ratio
+        return other.factor / self.factor
+
+    @property
+    def monomials(self) -> tuple:
+        return () if self.is_zero else (self,)
 
 
-def _normalize_monomials(monomials: Iterable[Monomial]) -> Coefficient:
-    """Merge same-token monomials (expr.keyed_sum), sorted by tokens."""
-    sums = keyed_sum((m.signature(), m.factor) for m in monomials)
-    return Coefficient(tuple(Monomial(f, *key) for key, f in sorted(sums.items())))
-
-
-COEF_ZERO = Coefficient(())
+COEF_ZERO = Coefficient(0.0, (), ())
 
 
 class TimeFactor(Value):
@@ -289,56 +262,24 @@ class FracTerm(Value):
         return canonical(self.monos)
 
 
-def _by_table(entries: Iterable[tuple]) -> list[tuple]:
-    """(time, table, coefficient) entries with equal (time, table)
-    merged: their coefficients summed."""
-    groups: dict = {}
-    for time, monos, coef in entries:
-        groups.setdefault((time, monos), []).append(coef)
-    out = []
-    for (time, monos), cs in groups.items():
-        coef = cs[0] if len(cs) == 1 else _normalize_monomials(m for c in cs for m in c.monomials)
-        out.append((time, monos, coef))
-    return out
-
-
 def _collect(terms: Iterable[FracTerm]) -> tuple[FracTerm, ...]:
-    """Merge terms on exact keys in the three passes of the module
-    docstring; terms come out ordered by time, then spatial table."""
-    monic_terms = []
+    """Merge terms on exact keys in the two passes of the module
+    docstring; terms come out sorted by time, spatial table, tokens."""
+    entries = []
     for t in terms:
         scale, monos = monic(t.monos)
         if scale != 0.0 and not t.coef.is_zero:
-            monic_terms.append((t.time, monos, t.coef.scaled(scale)))
-    parallel: dict = {}
-    for time, monos, coef in _by_table(monic_terms):
-        if coef.is_zero:
-            continue
-        # coef is the factors of key scaled by pivot, the largest in magnitude
-        pivot = max((m.factor for m in coef.monomials), key=abs)
-        key = (coef.signature(), tuple(m.factor / pivot for m in coef.monomials))
-        parallel.setdefault((time, key), []).append((pivot, monos, coef))
-    combined = []
-    for (time, (signature, factors)), members in parallel.items():
-        if len(members) == 1:
-            _, monos, coef = members[0]
-        else:
-            scale, monos = monic_sum([(pivot, monos) for pivot, monos, _ in members])
-            if scale == 0.0:
-                continue
-            unit = Coefficient(
-                tuple(Monomial(f, num, den) for f, (num, den) in zip(factors, signature))
-            )
-            coef = unit.scaled(scale)
-        combined.append((time, monos, coef))
-
-    out = [
-        (time.sort_key, monos, FracTerm(coef, monos, time))
-        for time, monos, coef in _by_table(combined)
-        if not coef.is_zero
-    ]
-    out.sort(key=lambda item: item[:2])
-    return tuple(item[2] for item in out)
+            entries.append(((t.time, monos, t.coef.num, t.coef.den), t.coef.factor * scale))
+    shared: dict = {}
+    for (time, monos, num, den), factor in keyed_sum(entries).items():
+        shared.setdefault((time, num, den), []).append((factor, monos))
+    out = []
+    for (time, num, den), weighted in shared.items():
+        factor, monos = weighted[0] if len(weighted) == 1 else monic_sum(weighted)
+        if factor != 0.0:
+            out.append(FracTerm(Coefficient(factor, num, den), monos, time))
+    out.sort(key=lambda t: (t.time.sort_key, t.monos, t.coef.num, t.coef.den))
+    return tuple(out)
 
 
 class FracSeries(Value):
@@ -493,7 +434,7 @@ class FracSeries(Value):
 
     @staticmethod
     def from_obj(obj: Sequence) -> "FracSeries":
-        return FracSeries(tuple(_term_from_obj(item) for item in obj))
+        return FracSeries(tuple(t for item in obj for t in _terms_from_obj(item)))
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj())
@@ -513,14 +454,14 @@ def _gamma_arg_obj(arg: GammaArg) -> list:
 
 
 def _term_obj(term: FracTerm) -> dict:
+    coef = term.coef
     return {
         "coef_tokens": [
             {
-                "factor": m.factor,
-                "num": [_gamma_arg_obj(a) for a in m.num],
-                "den": [_gamma_arg_obj(a) for a in m.den],
+                "factor": coef.factor,
+                "num": [_gamma_arg_obj(a) for a in coef.num],
+                "den": [_gamma_arg_obj(a) for a in coef.den],
             }
-            for m in term.coef.monomials
         ],
         "spatial": to_prefix(term.spatial),
         "p": str(term.time.p),
@@ -536,18 +477,31 @@ def _gamma_arg_from_obj(obj) -> GammaArg:
     return GammaArg(a, b)
 
 
-def _term_from_obj(obj: dict) -> FracTerm:
-    coef = Coefficient(
-        tuple(
-            Monomial(
-                float(m["factor"]),
-                tuple(_gamma_arg_from_obj(a) for a in m["num"]),
-                tuple(_gamma_arg_from_obj(a) for a in m["den"]),
-            )
-            for m in obj["coef_tokens"]
+def _factor_from_obj(value) -> float:
+    try:
+        return float(parse_rational(value))
+    except OverflowError:
+        raise DomainError(f"coefficient factor {value!r} overflows a float") from None
+
+
+def _terms_from_obj(obj: dict) -> list[FracTerm]:
+    """One term per monomial of coef_tokens, all at the term's time and
+    table: a report may list several monomials for one term."""
+    tokens = obj.get("coef_tokens") if isinstance(obj, dict) else None
+    if not isinstance(tokens, list) or not all(
+        isinstance(m, dict) and "factor" in m
+        and isinstance(m.get("num"), list) and isinstance(m.get("den"), list)
+        for m in tokens
+    ):
+        raise DomainError(f"coef_tokens is not a list of factor, num, den objects: {tokens!r}")
+    coefs = [
+        Coefficient(
+            _factor_from_obj(m["factor"]),
+            tuple(_gamma_arg_from_obj(a) for a in m["num"]),
+            tuple(_gamma_arg_from_obj(a) for a in m["den"]),
         )
-    )
-    if not all(math.isfinite(m.factor) for m in coef.monomials):
-        raise DomainError(f"coefficient factors must be finite, got {obj['coef_tokens']!r}")
+        for m in tokens
+    ]
     time = TimeFactor(parse_rational(obj["p"]), parse_integer(obj["q"]), parse_integer(obj["c"]))
-    return FracTerm(coef, monomials(parse_prefix(obj["spatial"])), time)
+    monos = monomials(parse_prefix(obj["spatial"]))
+    return [FracTerm(coef, monos, time) for coef in coefs]

@@ -12,7 +12,6 @@ import math
 from .errors import ConvergenceError, DomainError, PoleError, Value, store
 
 ML_REL_TOL = 1e-16
-ML_MAX_TERMS = 200
 
 
 def gamma(x: float) -> float:
@@ -41,27 +40,58 @@ class MLParams(Value):
         store(self, "beta", beta)
 
 
+def _ml_term(zk: float, z: float, k: int, x: float) -> float:
+    """z**k / gamma(x), given zk, z**k as repeated float products: their
+    quotient while both fit a float, from logarithms past that, and inf
+    where the term itself overflows."""
+    if math.isfinite(zk):
+        try:
+            return zk / gamma(x)
+        except OverflowError:
+            if zk == 0.0:
+                return 0.0
+            log_zk = math.log(abs(zk))
+    else:
+        log_zk = k * math.log(abs(z))
+    try:
+        return math.copysign(math.exp(log_zk - math.lgamma(x)), zk)
+    except OverflowError:
+        return math.inf
+
+
 def mittag_leffler(params: MLParams, z: float) -> float:
     """E_{alpha,beta}(z) = sum_k z^k / gamma(alpha*k + beta).
 
-    Terms are accumulated until one drops below ML_REL_TOL times the
-    running sum; if ML_MAX_TERMS terms do not get there the series is
-    treated as non-convergent at this argument.
+    The terms rise to a peak near k = |z|**(1/alpha) / alpha and fall
+    after it; the sum stops at the first term past the peak below
+    ML_REL_TOL times the running sum. A sum that overflows a float, that
+    needs more than (3 |z|**(1/alpha) + 40) / alpha terms (capped at a
+    million, for alpha near 0), or whose largest term exceeds it by
+    more than 1 / sqrt(ML_REL_TOL), so that cancellation left less than
+    half its digits, is treated as non-convergent at this argument.
     """
-    total = 0.0
+    alpha, beta = params.alpha, params.beta
+    try:
+        reach = abs(z) ** (1.0 / alpha)
+    except OverflowError:
+        reach = math.inf
+    budget = min((3.0 * reach + 40.0) / alpha, 1e6)
+    total = largest = 0.0
     zk = 1.0  # z**k, updated in place
-    for k in range(ML_MAX_TERMS):
-        try:
-            term = zk / gamma(params.alpha * k + params.beta)
-        except OverflowError:
-            break
+    k = 0
+    while k <= budget:
+        term = _ml_term(zk, z, k, alpha * k + beta)
         total += term
         if not math.isfinite(total):
             break
-        if abs(term) <= ML_REL_TOL * abs(total):
+        largest = max(largest, abs(term))
+        if k * alpha >= reach and abs(term) <= ML_REL_TOL * abs(total):
+            if largest * math.sqrt(ML_REL_TOL) > abs(total):
+                break
             return total
         zk *= z
+        k += 1
     raise ConvergenceError(
-        f"mittag_leffler did not converge in {ML_MAX_TERMS} terms "
-        f"(alpha={params.alpha}, beta={params.beta}, z={z})"
+        f"mittag_leffler did not converge by term {k} "
+        f"(alpha={alpha}, beta={beta}, z={z})"
     )

@@ -333,6 +333,19 @@ def test_compare_csv_trailer():
     assert float(lines[-1].split("=", 1)[1]) < 1e-6
 
 
+def test_compare_reference_at_large_t():
+    # the reference of 4.2 at t = 50 is sinh(0.5) E_{1/2}(sqrt 50), with
+    # E_{1/2}(sqrt 50) = 1.037e22 summed past gamma's float range
+    result = invoke("compare", "--preset", "4.2", "--alpha", "0.5", "--order", "2",
+                    "--t-min", "50", "--t-max", "50", "--t-count", "1", "--x-count", "1")
+    assert result.exit_code == 0, result.stderr
+    (row,) = json.loads(result.stdout)["rows"]
+    with mpmath.workdps(40):
+        z = mpmath.sqrt(50)
+        want = mpmath.sinh(0.5) * mpmath.exp(z * z) * mpmath.erfc(-z)  # E_{1/2}(z)
+    assert float(row["u_ref"]) == pytest.approx(float(want), rel=1e-12)
+
+
 def test_compare_rejects_problem_files(problem_file):
     result = invoke("compare", "--problem", problem_file, "--order", "2")
     assert result.exit_code == 3

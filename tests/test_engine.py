@@ -409,7 +409,7 @@ def test_unshared_times_keep_gamma_tokens():
         iterates = run(preset("4.5"), cfg(alpha=0.5, hbar=hbar, order=10), events)
         assert events == {}
         for u in iterates[1:]:
-            assert all(mono.den for t in u.terms for mono in t.coef.monomials)
+            assert all(t.coef.den for t in u.terms)
 
 
 def test_taylor_events_recorded():
@@ -447,25 +447,15 @@ def test_hyperbolic_iterates_are_single_sinh_terms():
 
 def test_backward_iterate_stays_compact():
     # W1: backward, A = -x, B = x^2 e^t, f = cosh x. Binding the terms
-    # that share a time leaves u_3 one term per time: 34 terms and 480
+    # that share a time leaves u_3 one term per time: 34 terms and 205
     # coefficient plus spatial monomials.
     prob = build_backward(
         1, [mul(-1, X)], [[CoefficientSpec(pow_(X, 2), exp_rate=1)]], cosh(X)
     )
     u3 = run(prob, cfg(alpha=0.5, hbar=-1.0, order=3))[3]
     assert len({t.time for t in u3.terms}) == len(u3.terms) == 34
-    size = sum(len(t.coef.monomials) + len(monomials(t.spatial)) for t in u3.terms)
+    size = sum(1 + len(monomials(t.spatial)) for t in u3.terms)
     assert size <= 550
-
-
-def test_backward_coefficients_are_bound_to_one_monomial():
-    # W1 runs every term alone at its time; a coefficient that is a sum
-    # of gamma monomials is bound at alpha, so none grows past one
-    prob = build_backward(
-        1, [mul(-1, X)], [[CoefficientSpec(pow_(X, 2), exp_rate=1)]], cosh(X)
-    )
-    for u in run(prob, cfg(alpha=0.5, hbar=-1.0, order=5)):
-        assert all(len(t.coef.monomials) <= 1 for t in u.terms)
 
 
 def test_run_builds_no_tree(monkeypatch):

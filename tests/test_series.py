@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_series
+from helpers import PROBLEMS, random_series
 from hatmfp import expr as expr_module
+from hatmfp.engine import HatmConfig, run
 from hatmfp.errors import ConfigError, DomainError, ExponentError
-from hatmfp.expr import Mul, X, Y, add, cosh, evaluate, monomials, mul, normalize, pow_, sinh
+from hatmfp.expr import (
+    Mul, X, Y, add, cosh, evaluate, monic, monomials, mul, normalize, pow_, sinh,
+)
 from hatmfp.series import (
     Coefficient,
     FracSeries,
     FracTerm,
     GammaArg,
-    Monomial,
     TimeFactor,
 )
 
@@ -35,8 +37,8 @@ def test_gamma_arg_value():
     g = GammaArg(Fraction(1), 2)  # the argument 1 + 2*alpha
     assert g.value(0.5) == pytest.approx(2.0, rel=1e-15)
     assert g.value(0.75) == pytest.approx(2.5, rel=1e-15)
-    m = Monomial(1.0, (g,), ())
-    assert m.value(0.75) == pytest.approx(math.gamma(2.5), rel=1e-14)
+    c = Coefficient(1.0, (g,), ())
+    assert c.value(0.75) == pytest.approx(math.gamma(2.5), rel=1e-14)
 
 
 @given(
@@ -58,9 +60,9 @@ def test_gamma_ratio_round_trip_is_exact():
     back = there.gamma_ratio(b, a)
     # multiset cancellation: tokens vanish, factor is untouched
     assert back == c
-    assert back.monomials[0].num == ()
-    assert back.monomials[0].den == ()
-    assert back.monomials[0].factor == 1.7
+    assert back.num == ()
+    assert back.den == ()
+    assert back.factor == 1.7
 
 
 def test_coefficient_merge_same_signature():
@@ -68,8 +70,9 @@ def test_coefficient_merge_same_signature():
     c1 = Coefficient.number(2.0).gamma_ratio(a, GammaArg(Fraction(1), 2))
     c2 = Coefficient.number(3.0).gamma_ratio(a, GammaArg(Fraction(1), 2))
     merged = c1.plus(c2)
-    assert len(merged.monomials) == 1
-    assert merged.monomials[0].factor == 5.0
+    assert merged == Coefficient.number(5.0).gamma_ratio(a, GammaArg(Fraction(1), 2))
+    with pytest.raises(DomainError, match="different gamma tokens"):
+        c1.plus(Coefficient.number(1.0))
 
 
 def test_coefficient_cancellation_drops_dust():
@@ -81,10 +84,9 @@ def test_coefficient_cancellation_drops_dust():
 def test_integer_b_tokens_fold_numerically():
     # gamma(3 + 0*alpha) is a plain number and folds into the factor
     c = Coefficient.number(1.0).gamma_ratio(GammaArg(Fraction(3), 0), GammaArg(Fraction(2), 0))
-    (m,) = c.monomials
-    assert m.num == ()
-    assert m.den == ()
-    assert m.factor == pytest.approx(2.0, rel=1e-15)
+    assert c.num == ()
+    assert c.den == ()
+    assert c.factor == pytest.approx(2.0, rel=1e-15)
 
 
 def test_coefficient_value_log_space():
@@ -430,7 +432,7 @@ def test_collect_terms_are_monic():
     ).collected()
     (term,) = s.terms
     assert term.spatial is normalize(add(sinh(X), mul(-0.5, X)))
-    assert term.coef.monomials[0].factor == -6.0
+    assert term.coef.factor == -6.0
 
 
 def test_collect_returns_a_canonical_monic_node_as_is():
@@ -459,6 +461,53 @@ def test_collect_merges_parallel_coefficients():
     ).collected()
     (term,) = s.terms
     assert term.spatial is normalize(add(1, mul(0.5, X)))
+
+
+def assert_collected(series):
+    """No two terms share (time, tokens), every table is monic, and the
+    terms are sorted by (time, table, tokens)."""
+    keys = [(t.time, t.coef.num, t.coef.den) for t in series.terms]
+    assert len(set(keys)) == len(keys)
+    assert all(monic(t.monos) == (1.0, t.monos) for t in series.terms)
+    order = [(t.time.sort_key, t.monos, t.coef.num, t.coef.den) for t in series.terms]
+    assert order == sorted(order)
+
+
+def test_collect_invariant():
+    rng = random.Random(19)
+    for _ in range(30):
+        s, other = random_series(rng, 5, with_exp=True), random_series(rng, 4)
+        pure = s.taylor_expand(4)
+        # frac_integral gives each term the tokens of its old time, so sums
+        # and products of integrals share times with different tokens
+        si, oi = pure.frac_integral(), other.frac_integral()
+        for series in (s.collected(), s.add(other), s.multiply(other), pure, si,
+                       si.caputo_derivative(), si.add(other), si.multiply(oi)):
+            assert_collected(series)
+    # W1 keeps one term per time: deformation_step binds the terms that
+    # share one
+    problem, _ = PROBLEMS["W1"]
+    for u in run(problem, HatmConfig(0.5, -1.0, 5)):
+        assert_collected(u)
+        assert len({t.time for t in u.terms}) == len(u.terms)
+
+
+def test_several_monomials_load_as_one_term_each():
+    # a term of an older report may list a sum of gamma monomials
+    tokens = [{"factor": 2.5, "num": [["1", 1]], "den": [["1", 2]]},
+              {"factor": -0.75, "num": [], "den": [["3/2", 1]]}]
+    obj = {"coef_tokens": tokens, "spatial": "(add x (sinh x))", "p": "1/2", "q": 1, "c": 0}
+    s = FracSeries.from_obj([obj])
+    time, monos = TimeFactor(Fraction(1, 2), 1, 0), monomials(add(X, sinh(X)))
+    assert [(t.coef.factor, t.monos, t.time) for t in s.terms] == [
+        (2.5, monos, time), (-0.75, monos, time)
+    ]
+    for alpha in ALPHAS:
+        x, t = 0.8, 0.3
+        coef = (2.5 * math.gamma(1 + alpha) / math.gamma(1 + 2 * alpha)
+                - 0.75 / math.gamma(1.5 + alpha))
+        want = coef * (x + math.sinh(x)) * t ** (0.5 + alpha)
+        assert s.evaluate(x, t, alpha) == pytest.approx(want, rel=1e-14)
 
 
 # --------------------------------------------------------------- serialization
@@ -521,11 +570,17 @@ def test_from_obj_rejects_a_bad_rational(where, bad):
         ("factor", math.nan),  # evaluate would return nan
         ("factor", math.inf),
         ("factor", "1e999"),
+        ("factor", "abc"),
+        ("factor", True),  # JSON true is not a number
+        ("coef_tokens", "x"),
+        ("coef_tokens", None),  # missing
     ],
 )
 def test_from_obj_refuses_tokens_off_the_positive_axis_and_fractional_integers(where, bad):
     (obj,) = FracSeries.from_spatial(X, q=1).frac_integral().to_obj()
-    if where in ("q", "c"):
+    if bad is None:
+        del obj[where]
+    elif where in ("q", "c", "coef_tokens"):
         obj[where] = bad
     else:
         obj["coef_tokens"][0][where] = bad

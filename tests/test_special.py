@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hatmfp.errors import ConvergenceError, DomainError, PoleError
-from hatmfp.special import ML_MAX_TERMS, MLParams, gamma, log_gamma, mittag_leffler
+from hatmfp.special import MLParams, gamma, log_gamma, mittag_leffler
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -108,14 +108,26 @@ def test_ml_monotone_fractional():
 
 
 def test_ml_nonconvergent_raises():
-    with pytest.raises(ConvergenceError):
-        mittag_leffler(MLParams(1.0), 300.0)
+    # E_{1/4}(60) is about 4 exp(60^4): the sum overflows a float
     with pytest.raises(ConvergenceError):
         mittag_leffler(MLParams(0.25), 60.0)
+    # E_{1/2}(-12) is about 0.047, from terms up to 1e62 that cancel
+    with pytest.raises(ConvergenceError):
+        mittag_leffler(MLParams(0.5), -12.0)
 
 
-def test_ml_cap_is_finite():
-    assert ML_MAX_TERMS == 200
+@pytest.mark.parametrize(
+    "alpha, z", [(1.0, 300.0), (0.5, math.sqrt(50.0)), (0.75, 60.0)]
+)
+def test_ml_past_gamma_overflow_matches_mpmath(alpha, z):
+    # the terms peak near k = z^(1/alpha) / alpha, past gamma's float range
+    # at 171; E_1(300) = e^300 and E_{1/2}(sqrt 50) = 1.037e22
+    with mpmath.workdps(60):
+        terms = int(3 * abs(z) ** (1 / alpha) / alpha) + 200
+        want = float(mpmath.fsum(
+            mpmath.mpf(z) ** k / mpmath.gamma(mpmath.mpf(alpha) * k + 1) for k in range(terms)
+        ))
+    assert mittag_leffler(MLParams(alpha), z) == pytest.approx(want, rel=1e-12)
 
 
 def test_ml_params_validation():

@@ -39,3 +39,5 @@ def test_traced_cli_runs(tmp_path, args):
     # counts() sizes every term's tree, built from its table by FracTerm.spatial
     assert trace["counts"]["max_tree_size"] >= 1
     assert trace["counts"]["terms"]
+    # every coefficient is one gamma monomial
+    assert trace["counts"]["coef_monomials"] == sum(trace["counts"]["terms"])

@@ -24,7 +24,6 @@ from hatmfp.series import (
     FracSeries,
     FracTerm,
     GammaArg,
-    Monomial,
     TimeFactor,
     _cancel,
 )
@@ -38,7 +37,7 @@ def _token():
 
 
 def _coef():
-    return Coefficient((Monomial(2.0, (_token(),), ()),))
+    return Coefficient(2.0, (_token(),), ())
 
 
 def _time():
@@ -60,8 +59,7 @@ RECORDS = {
     Pow: lambda: dict(base=X, exponent=Fraction(1, 2)),
     Func: lambda: dict(kind="sinh", arg=X),
     GammaArg: lambda: dict(a=Fraction(3, 2), b=1),
-    Monomial: lambda: dict(factor=2.0, num=(_token(),), den=()),
-    Coefficient: lambda: dict(monomials=(Monomial(2.0, (_token(),), ()),)),
+    Coefficient: lambda: dict(factor=2.0, num=(_token(),), den=()),
     TimeFactor: lambda: dict(p=Fraction(1, 2), q=1, c=0),
     FracTerm: lambda: dict(coef=_coef(), monos=monomials(X), time=_time()),
     FracSeries: lambda: dict(terms=(FracTerm(_coef(), monomials(X), _time()),)),
@@ -87,10 +85,11 @@ OTHERS = {
     Pow: lambda: dict(base=Y, exponent=Fraction(3)),
     Func: lambda: dict(kind="cosh", arg=Y),
     GammaArg: lambda: dict(a=Fraction(5, 2), b=0),
-    Monomial: lambda: dict(factor=3.0, num=(), den=(_token(),)),
-    Coefficient: lambda: dict(monomials=()),
+    Coefficient: lambda: dict(factor=3.0, num=(), den=(_token(),)),
     TimeFactor: lambda: dict(p=Fraction(1), q=2, c=1),
-    FracTerm: lambda: dict(coef=Coefficient(()), monos=monomials(Y), time=TimeFactor(0, 0, 0)),
+    FracTerm: lambda: dict(
+        coef=Coefficient(0.0, (), ()), monos=monomials(Y), time=TimeFactor(0, 0, 0)
+    ),
     FracSeries: lambda: dict(terms=()),
     OperatorMonomial: lambda: dict(coef=Y, derivs=((2, 0),), exp_rate=0),
     ProblemSpec: lambda: dict(
