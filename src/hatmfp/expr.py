@@ -20,12 +20,13 @@ Two trees with the same canonical table get the same node, so identity
 of canonical nodes is equality of their monomial sums: no merge decision
 rests on sampled values.
 
-Nodes are hash-consed: the module-level constructors return one shared
-object per distinct tree, and hash, node count, variable set and
-monomial table are cached on the node. Every traversal here costs one
-visit per distinct subtree rather than one per path. Build through the
-constructors; instantiating the node classes directly still gives
-correct (structural) equality but skips the sharing.
+Nodes are hash-consed: the module-level constructors and
+``parse_prefix`` return one shared object per distinct tree, so two
+nodes are equal exactly when they are identical, and they hash by
+identity. Node count, variable set and monomial table are cached on
+the node. Every traversal here costs one visit per distinct subtree
+rather than one per path. Build through the constructors only: a node
+class called directly makes a node equal to nothing else.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ ABS_TOL = 1e-12
 
 class SpatialExpr(Value):
     """Base node. Build through the module-level constructors."""
+
+    # Interned: one object per distinct tree, so equal means identical.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __add__(self, other: "SpatialExpr | Number") -> "SpatialExpr":
         return add(self, _coerce(other))
@@ -125,37 +130,6 @@ class Func(SpatialExpr):
     def __init__(self, kind: str, arg: SpatialExpr) -> None:
         store(self, "kind", kind)
         store(self, "arg", arg)
-
-
-def _structural_key(expr: SpatialExpr) -> tuple:
-    if isinstance(expr, Const):
-        return ("c", expr.value)
-    if isinstance(expr, Var):
-        return ("v", expr.name)
-    if isinstance(expr, Add):
-        return ("a", expr.children)
-    if isinstance(expr, Mul):
-        return ("m", expr.children)
-    if isinstance(expr, Pow):
-        return ("p", expr.base, expr.exponent)
-    if isinstance(expr, Func):
-        return ("f", expr.kind, expr.arg)
-    raise DomainError(f"unknown node {expr!r}")  # pragma: no cover
-
-
-def _node_hash(self: SpatialExpr) -> int:
-    try:
-        return self._hash
-    except AttributeError:
-        h = hash(_structural_key(self))
-        object.__setattr__(self, "_hash", h)
-        return h
-
-
-# Value's hash recomputes over the whole tree on every call; nodes use
-# the cached one (keys of child nodes are already cached, so a fresh
-# node hashes in one shallow step).
-SpatialExpr.__hash__ = _node_hash  # type: ignore[assignment]
 
 
 _INTERN: dict[tuple, SpatialExpr] = {}
@@ -671,6 +645,10 @@ def to_prefix(expr: SpatialExpr) -> str:
     raise DomainError(f"cannot serialize {expr!r}")  # pragma: no cover
 
 
+# Parentheses nest at most this deep in a prefix expression: the tree walks
+# recurse once per level, and a deeper tree would overflow Python's stack.
+MAX_NESTING = 100
+
 # Every function name of the prefix notation, read by its constructor.
 _FUNCS = {"sinh": sinh, "cosh": cosh, "tanh": tanh, "coth": coth, "csch": csch, "recip": recip}
 
@@ -692,7 +670,8 @@ def parse_integer(value) -> int:
 
 
 def parse_prefix(text: str) -> SpatialExpr:
-    """Parse the prefix notation produced by ``to_prefix``."""
+    """Parse the prefix notation produced by ``to_prefix``; DomainError
+    for parentheses nested more than MAX_NESTING deep."""
     if not isinstance(text, str):
         raise DomainError(f"a prefix expression is a string, got {text!r}")
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
@@ -705,7 +684,7 @@ def parse_prefix(text: str) -> SpatialExpr:
         pos += 1
         return tokens[pos - 1]
 
-    def parse() -> SpatialExpr:
+    def parse(depth: int) -> SpatialExpr:
         token = take()
         if token == ")":
             raise DomainError("unexpected ')'")
@@ -713,15 +692,17 @@ def parse_prefix(text: str) -> SpatialExpr:
             if token in ("x", "y"):
                 return var(token)
             return const(float(parse_rational(token)))
+        if depth == MAX_NESTING:
+            raise DomainError(f"expression nests deeper than {MAX_NESTING} levels")
         op = take()
         if op == "pow":
-            base = parse()
+            base = parse(depth + 1)
             exponent = parse_rational(take())
             expect_close()
             return pow_(base, exponent)
         args = []
         while pos < len(tokens) and tokens[pos] != ")":
-            args.append(parse())
+            args.append(parse(depth + 1))
         expect_close()
         if op == "add":
             return add(*args)
@@ -740,7 +721,7 @@ def parse_prefix(text: str) -> SpatialExpr:
         pos += 1
 
     try:
-        result = parse()
+        result = parse(0)
     except OverflowError:  # a constant, or a power of constants
         raise DomainError(f"a value in {text!r} does not fit in a float") from None
     if pos != len(tokens):

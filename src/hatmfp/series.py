@@ -393,7 +393,12 @@ class FracSeries(Value):
                 out.append(term)
                 continue
             for j in range(n_terms):
-                weight = tf.c**j / math.factorial(j)
+                try:
+                    weight = tf.c**j / math.factorial(j)
+                except OverflowError:  # an int quotient too large for a float
+                    raise DomainError(
+                        f"the Taylor weight {tf.c}**{j}/{j}! of exp({tf.c}*t) overflows a float"
+                    ) from None
                 time = TimeFactor(tf.p + j, tf.q, 0)
                 out.append(FracTerm(term.coef.scaled(weight), term.monos, time))
         return FracSeries(_collect(out))

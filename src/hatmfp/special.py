@@ -1,8 +1,8 @@
-"""Scalar special functions: gamma, log-gamma, and the one-parameter
-Mittag-Leffler family used by the reference solutions.
+"""Scalar special functions: gamma, and the one-parameter Mittag-Leffler
+family used by the reference solutions.
 
-gamma/log_gamma wrap the C library implementations (Lanczos-class
-accuracy), with the domain errors normalised to package exceptions.
+gamma wraps the C library implementation (Lanczos-class accuracy), with
+its poles normalised to a package exception.
 """
 
 from __future__ import annotations
@@ -19,13 +19,6 @@ def gamma(x: float) -> float:
     if x <= 0.0 and float(x).is_integer():
         raise PoleError(f"gamma has a pole at {x}")
     return math.gamma(x)
-
-
-def log_gamma(x: float) -> float:
-    """log(gamma(x)) for x > 0; avoids overflow of gamma itself."""
-    if x <= 0.0:
-        raise DomainError(f"log_gamma needs x > 0, got {x}")
-    return math.lgamma(x)
 
 
 class MLParams(Value):

@@ -14,6 +14,7 @@ import pytest
 import hatmfp.cli as cli
 from helpers import invoke_cli as invoke
 from hatmfp.engine import HatmConfig, h_curve, run
+from hatmfp.expr import MAX_NESTING
 from hatmfp.fokker_planck import preset
 from hatmfp.series import FracSeries
 
@@ -501,6 +502,19 @@ def test_unreadable_problem_files_exit_two(tmp_path):
     assert invoke("solve", "--problem", str(bad)).exit_code == 2
 
 
+def _nested_sinh(depth: int) -> str:
+    return "(sinh " * depth + "x" + ")" * depth
+
+
+def test_expression_at_the_nesting_limit_solves(tmp_path):
+    path = tmp_path / "problem.json"
+    f = _nested_sinh(MAX_NESTING)
+    path.write_text(json.dumps({**COTH_PROBLEM, "A": [1], "f": f}), encoding="utf-8")
+    result = invoke("solve", "--problem", str(path), "--order", "1", "--format", "csv")
+    assert result.exit_code == 0, result.exception
+    assert rows_of(result.stdout)[1][6] == f
+
+
 @pytest.mark.parametrize(
     "change",
     [
@@ -515,6 +529,7 @@ def test_unreadable_problem_files_exit_two(tmp_path):
         {"source": [{"expr": "x"}]},
         {"A": [{"expr": "1", "exp_rte": 1}]},
         {"g": [{"expr": "x", "cof": 2.0}]},
+        {"f": _nested_sinh(MAX_NESTING + 1)},
     ],
 )
 def test_malformed_problem_files_exit_two(tmp_path, change):
@@ -523,6 +538,7 @@ def test_malformed_problem_files_exit_two(tmp_path, change):
     result = invoke("solve", "--problem", str(path), "--order", "1")
     assert result.exit_code == 2, result.exception
     assert "malformed" in result.output or "invalid" in result.output
+    assert len([line for line in result.stderr.splitlines() if "error:" in line]) == 1
 
 
 @pytest.mark.parametrize(
@@ -592,6 +608,21 @@ def test_evaluation_overflow_exits_three(tmp_path, args):
     assert result.stdout == ""
     assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
     assert "overflows a float" in result.stderr
+
+
+@pytest.mark.parametrize("rate, terms", [(10**30, 1), (10**6, 100)], ids=["rate", "terms"])
+def test_overflowing_taylor_weight_exits_three(tmp_path, rate, terms):
+    # the weight rate**j / j! of the Taylor terms of exp(rate t) is an int
+    # quotient past the float range
+    path = tmp_path / "w1.json"
+    drift = [[{"expr": "(pow x 2)", "exp_rate": rate}]]
+    path.write_text(json.dumps({**W1_PROBLEM, "B": drift}), encoding="utf-8")
+    args = () if terms == 1 else ("--taylor-terms", terms)
+    result = invoke("solve", "--problem", path, "--alpha", 0.5, "--order", 1, *args)
+    assert result.exit_code == 3, result.exception
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+    assert "Taylor weight" in result.stderr and "overflows a float" in result.stderr
 
 
 def test_overflowing_monomial_exits_three(tmp_path):

@@ -467,6 +467,15 @@ def test_prefix_rejects_truncated_and_non_text_input(text):
         parse_prefix(text)
 
 
+def test_prefix_refuses_nesting_past_the_limit():
+    deep = "(add x " * expr_module.MAX_NESTING + "x" + ")" * expr_module.MAX_NESTING
+    assert normalize(parse_prefix(deep)) is mul(expr_module.MAX_NESTING + 1, X)
+    # a thousand levels would overflow the parser's own recursion
+    for depth in (expr_module.MAX_NESTING + 1, 1000):
+        with pytest.raises(DomainError, match="nests deeper than"):
+            parse_prefix("(add x " * depth + "x" + ")" * depth)
+
+
 @given(small_trees())
 @settings(max_examples=60, deadline=None)
 def test_prefix_round_trip_property(expr):

@@ -235,6 +235,9 @@ def test_taylor_expand_leaves_pure_powers_alone():
 def test_taylor_expand_guards():
     with pytest.raises(ConfigError):
         FracSeries.from_spatial(X, c=1).taylor_expand(0)
+    # (10**30)**11 / 11! is an int quotient that no float holds
+    with pytest.raises(DomainError, match="Taylor weight .* overflows a float"):
+        FracSeries.from_spatial(X, c=10**30).taylor_expand(12)
 
 
 # -------------------------------------------------------------------- algebra

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hatmfp.errors import ConvergenceError, DomainError, PoleError
-from hatmfp.special import MLParams, gamma, log_gamma, mittag_leffler
+from hatmfp.special import MLParams, gamma, mittag_leffler
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -49,19 +49,6 @@ def test_gamma_negative_nonpole():
 @given(st.floats(min_value=0.1, max_value=20.0))
 def test_gamma_recurrence(x):
     assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-12)
-
-
-def test_log_gamma_values():
-    assert log_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-14)
-    for i in range(40):
-        x = 0.1 * (500.0 ** (i / 39.0))
-        assert log_gamma(x) == pytest.approx(float(mpmath.loggamma(x)), rel=1e-12, abs=1e-13)
-
-
-@pytest.mark.parametrize("x", [0.0, -0.5, -3.0])
-def test_log_gamma_domain(x):
-    with pytest.raises(DomainError):
-        log_gamma(x)
 
 
 def test_ml_reduces_to_exp():

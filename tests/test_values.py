@@ -1,6 +1,9 @@
-"""Value-record semantics of every immutable class in hatmfp, and a
-guard that the package runs as ``python -m hatmfp`` without dataclasses."""
+"""Value-record semantics of every immutable class in hatmfp, the
+identity contract of the interned expression nodes, and guards that the
+package runs as ``python -m hatmfp`` without dataclasses and builds
+nodes only through its interning constructors."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -17,7 +20,30 @@ import hatmfp
 from hatmfp.cli import RunRequest
 from hatmfp.engine import HatmConfig, OperatorMonomial, ProblemSpec
 from hatmfp.errors import ConfigError, DegreeError, DomainError, ExponentError
-from hatmfp.expr import ONE, X, Y, Add, Const, Func, Mul, Pow, Var, monomials, normalize
+from hatmfp.expr import (
+    ONE,
+    X,
+    Y,
+    Add,
+    Const,
+    Func,
+    Mul,
+    Pow,
+    SpatialExpr,
+    Var,
+    add,
+    canonical,
+    const,
+    cosh,
+    monomials,
+    mul,
+    normalize,
+    parse_prefix,
+    pow_,
+    sinh,
+    to_prefix,
+    var,
+)
 from hatmfp.fokker_planck import CoefficientSpec
 from hatmfp.series import (
     Coefficient,
@@ -104,16 +130,37 @@ OTHERS = {
     MLParams: lambda: dict(alpha=0.75, beta=1.0),
 }
 
+# The interning constructor of each node class, called with the fields in
+# order. Nodes are equal exactly when identical, so a node is only ever
+# built through these.
+NODE_BUILDERS = {
+    Const: const,
+    Var: var,
+    Add: lambda children: add(*children),
+    Mul: lambda children: mul(*children),
+    Pow: pow_,
+    Func: lambda kind, arg: {"sinh": sinh, "cosh": cosh}[kind](arg),
+}
+
+
+def build(cls, fields):
+    """A record from its fields; a node through its interning constructor."""
+    if cls in NODE_BUILDERS:
+        return NODE_BUILDERS[cls](*fields.values())
+    return cls(**fields)
+
+
 records = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
 
 
 @records
 def test_equal_fields_give_equal_values(cls):
-    a, b = cls(**RECORDS[cls]()), cls(**RECORDS[cls]())
-    assert a is not b
+    a, b = build(cls, RECORDS[cls]()), build(cls, RECORDS[cls]())
+    assert (a is b) == (cls in NODE_BUILDERS)  # nodes are shared, records are not
     assert a == b and not a != b
     assert hash(a) == hash(b)
-    assert cls(*RECORDS[cls]().values()) == a  # positional construction
+    if cls not in NODE_BUILDERS:
+        assert cls(*RECORDS[cls]().values()) == a  # positional construction
 
 
 @records
@@ -121,38 +168,38 @@ def test_every_field_takes_part_in_equality(cls):
     fields = RECORDS[cls]()
     assert list(OTHERS[cls]()) == list(fields)
     for name, value in OTHERS[cls]().items():
-        assert cls(**dict(fields, **{name: value})) != cls(**fields), name
+        assert build(cls, dict(fields, **{name: value})) != build(cls, fields), name
 
 
 @records
 def test_same_fields_in_another_class_are_not_equal(cls):
     other = type("Other" + cls.__name__, (cls,), {})
     fields = RECORDS[cls]()
-    assert other(**fields) != cls(**fields)
-    assert cls(**fields) != tuple(fields.values())
+    assert other(**fields) != build(cls, fields)
+    assert build(cls, fields) != tuple(fields.values())
 
 
 def test_sibling_nodes_are_not_equal():
-    assert Add((X, Y)) != Mul((X, Y))
-    assert Const(1.0) != 1.0
+    assert add(X, Y) != mul(X, Y)
+    assert const(1.0) != 1.0
 
 
 @records
 def test_fields_are_read_only(cls):
-    value = cls(**RECORDS[cls]())
+    value = build(cls, RECORDS[cls]())
     for name in [*RECORDS[cls](), "extra"]:
         with pytest.raises(AttributeError):
             setattr(value, name, None)
         with pytest.raises(AttributeError):
             delattr(value, name)
-    assert value == cls(**RECORDS[cls]())
+    assert value == build(cls, RECORDS[cls]())
 
 
 @records
 def test_repr_names_the_fields(cls):
     fields = RECORDS[cls]()
     inner = ", ".join(f"{name}={value!r}" for name, value in fields.items())
-    assert repr(cls(**fields)) == f"{cls.__qualname__}({inner})"
+    assert repr(build(cls, fields)) == f"{cls.__qualname__}({inner})"
 
 
 def test_defaults():
@@ -166,10 +213,10 @@ def test_defaults():
 
 
 def test_cached_attributes_take_no_part_in_equality():
-    node = Add((Const(2.0), X))
+    node = add(const(2.0), X)
     normalize(node)  # caches the monomial table and canonical form on it
-    fresh = Add((Const(2.0), X))
-    assert node == fresh and hash(node) == hash(fresh)
+    assert add(2.0, X) is node and hash(node) == object.__hash__(node)
+    assert repr(node) == "Add(children=(Const(value=2.0), Var(name='x')))"
     series = FracSeries.from_spatial(X * X)
     series.spatial_derivative("x")
     assert series == FracSeries(series.terms)
@@ -211,6 +258,16 @@ def test_cached_attributes_take_no_part_in_equality():
 def test_validation_errors(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_equal_trees_are_one_node_with_the_identity_hash():
+    tree = add(sinh(Y), mul(sinh(Y), X))
+    assert sinh(Y) + sinh(Y) * X is tree
+    assert parse_prefix(to_prefix(tree)) is tree
+    assert canonical(monomials(tree)) is tree
+    assert normalize(mul(add(X, 1), sinh(Y))) is tree
+    assert SpatialExpr.__eq__ is object.__eq__ and SpatialExpr.__hash__ is object.__hash__
+    assert hash(tree) == object.__hash__(tree)
 
 
 # ------------------------------------------------- integer-keyed equality
@@ -265,3 +322,18 @@ def test_package_runs_as_a_module_without_dataclasses():
         for cls_name, cls in inspect.getmembers(module, inspect.isclass):
             if cls.__module__ == module.__name__:
                 assert not hasattr(cls, "__dataclass_fields__"), f"{name}.{cls_name}"
+
+
+def test_the_package_calls_no_node_class_directly():
+    # interning is the only way a node is made: expr._shared receives the
+    # classes as values and is the one place that calls them
+    nodes = {"Const", "Var", "Add", "Mul", "Pow", "Func"}
+    calls = []
+    for path in sorted((ROOT / "src" / "hatmfp").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in nodes:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []
