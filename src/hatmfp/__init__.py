@@ -57,6 +57,6 @@ from .fokker_planck import (
     reference_solution,
 )
 from .series import Coefficient, FracSeries, FracTerm, GammaArg, TimeFactor
-from .special import MLParams, gamma, mittag_leffler
+from .special import gamma, mittag_leffler
 
 __version__ = "0.1.0"

@@ -7,6 +7,7 @@ Examples:
   hatmfp eval --preset 4.2 --order 12 --format csv
   hatmfp hcurve --preset 4.3 --probe 1,0.2 --format csv
   hatmfp hcurve --preset 4.2 --alpha 0.5 --order 4 8 12 --probe 1,0.3 --format csv
+  hatmfp hcurve --preset 4.3 --alpha 0.75 --order 0 1 2 3 --probe 1,0.5 --h-min -0.7 --h-count 1
   hatmfp compare --preset 4.1 --alpha 0.75 --order 10
   hatmfp compare --preset 4.2 --alpha 0.5 --order 2 4 8 16 --format csv
 
@@ -77,6 +78,8 @@ def _parse_point(text: str, dim: int) -> tuple[float, float, float]:
         parts = []
     if len(parts) == 2 and dim == 2:
         raise argparse.ArgumentError(None, f"point {text!r} needs x,y,t for a 2-d problem")
+    if len(parts) == 3 and dim == 1:
+        raise argparse.ArgumentError(None, f"point {text!r} needs x,t for a 1-d problem")
     if len(parts) not in (2, 3):
         raise argparse.ArgumentError(None, f"bad point {text!r}; expected x[,y],t")
     return (parts[0], 0.0, parts[1]) if len(parts) == 2 else tuple(parts)
@@ -144,23 +147,14 @@ def solve(req: RunRequest, args: argparse.Namespace) -> None:
 def eval_cmd(req: RunRequest, args: argparse.Namespace) -> None:
     """Evaluate the partial sum on a grid."""
     total = req.total()
-    alpha = req.config.alpha
-    with_exact = req.preset_id is not None and alpha == 1.0
     rows = []
     for x, y, t in req.grid(args):
-        place = req.place(x, y, t)
         try:
-            value = total.evaluate(x=x, y=y, t=t, alpha=alpha)
+            cells = [repr(total.evaluate(x=x, y=y, t=t, alpha=req.config.alpha)), "ok"]
         except SingularityError:
-            rows.append(place + [""] * (3 if with_exact else 1) + ["singular"])
-            continue
-        row = place + [repr(value)]
-        if with_exact:
-            exact = reference_solution(req.preset_id, x, t, alpha, y)
-            row += [repr(exact), repr(abs(value - exact))]
-        rows.append(row + ["ok"])
-    exact_columns = ("u_exact", "abs_err") if with_exact else ()
-    req.write(req.axes("u", *exact_columns, "status"), rows)
+            cells = ["", "singular"]
+        rows.append(req.place(x, y, t) + cells)
+    req.write(req.axes("u", "status"), rows)
 
 
 def residual_cmd(req: RunRequest, args: argparse.Namespace) -> None:

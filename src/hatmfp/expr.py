@@ -23,10 +23,11 @@ rests on sampled values.
 Nodes are hash-consed: the module-level constructors and
 ``parse_prefix`` return one shared object per distinct tree, so two
 nodes are equal exactly when they are identical, and they hash by
-identity. Node count, variable set and monomial table are cached on
-the node. Every traversal here costs one visit per distinct subtree
-rather than one per path. Build through the constructors only: a node
-class called directly makes a node equal to nothing else.
+identity. A node records its depth when it is interned; node count,
+variable set and monomial table are cached on it. Every traversal here
+costs one visit per distinct subtree rather than one per path. Build
+through the constructors only: a node class called directly makes a
+node equal to nothing else.
 """
 
 from __future__ import annotations
@@ -139,6 +140,12 @@ def _shared(key: tuple, ctor: Callable[..., SpatialExpr], *args) -> SpatialExpr:
     node = _INTERN.get(key)
     if node is None:
         node = ctor(*args)
+        # Parentheses nested in the node's prefix form: 0 for a leaf, else
+        # one more than its deepest child (Add/Mul pass their children as
+        # one tuple, Pow and Func their base or argument).
+        below = args[0] if isinstance(args[0], tuple) else args
+        depth = max((c.depth + 1 for c in below if isinstance(c, SpatialExpr)), default=0)
+        object.__setattr__(node, "depth", depth)
         _INTERN[key] = node
     return node
 
@@ -648,6 +655,15 @@ def to_prefix(expr: SpatialExpr) -> str:
 # Parentheses nest at most this deep in a prefix expression: the tree walks
 # recurse once per level, and a deeper tree would overflow Python's stack.
 MAX_NESTING = 100
+
+
+def within_nesting(expr: SpatialExpr) -> SpatialExpr:
+    """The tree itself, where a caller's tree enters; DomainError if it
+    nests deeper than MAX_NESTING levels, the limit of ``parse_prefix``."""
+    if expr.depth > MAX_NESTING:
+        raise DomainError(f"expression nests deeper than {MAX_NESTING} levels")
+    return expr
+
 
 # Every function name of the prefix notation, read by its constructor.
 _FUNCS = {"sinh": sinh, "cosh": cosh, "tanh": tanh, "coth": coth, "csch": csch, "recip": recip}

@@ -32,6 +32,7 @@ from .expr import (
     X,
     Y,
     add,
+    canonical,
     const,
     cosh,
     coth,
@@ -45,9 +46,10 @@ from .expr import (
     pow_,
     sinh,
     to_prefix,
+    within_nesting,
 )
 from .series import FracSeries, FracTerm, Coefficient, TimeFactor, _collect
-from .special import MLParams, gamma, mittag_leffler
+from .special import gamma, mittag_leffler
 
 _VARS = ("x", "y")
 
@@ -61,7 +63,7 @@ class CoefficientSpec(Value):
     def __init__(self, spatial: SpatialExpr, exp_rate: int = 0, u_degree: int = 0) -> None:
         if u_degree not in (0, 1):
             raise DegreeError(f"u_degree {u_degree} would take the expansion past quadratic")
-        store(self, "spatial", spatial)
+        store(self, "spatial", within_nesting(spatial))
         store(self, "exp_rate", exp_rate)
         store(self, "u_degree", u_degree)
 
@@ -112,17 +114,17 @@ def _pair(i: int, j: int) -> MultiIndex:
 
 
 def _merge_monomials(operator) -> tuple[OperatorMonomial, ...]:
-    """Sum coefficient trees of repeated derivative patterns and drop
-    the ones that cancel (mixed-derivative pairs land here); one-factor
-    monomials come first."""
+    """Sum coefficient trees of repeated derivative patterns, in canonical
+    form, and drop the ones that cancel (mixed-derivative pairs land
+    here); one-factor monomials come first."""
     groups: dict = {}
     for mono in operator:
         groups.setdefault((tuple(sorted(mono.derivs)), mono.exp_rate), []).append(mono.coef)
     out = []
     for (derivs, rate), coefs in groups.items():
-        coef = add(*coefs)
-        if monomials(coef):
-            out.append(OperatorMonomial(coef, derivs, rate))
+        monos = monomials(add(*coefs))
+        if monos:
+            out.append(OperatorMonomial(canonical(monos), derivs, rate))
     return tuple(sorted(out, key=lambda m: len(m.derivs)))
 
 
@@ -274,7 +276,7 @@ def reference_solution(
     if preset_id == "4.1":
         value = f + t**alpha / gamma(alpha + 1.0)
     else:
-        value = f * mittag_leffler(MLParams(alpha), t**alpha)
+        value = f * mittag_leffler(alpha, t**alpha)
     if not math.isfinite(value):
         raise DomainError(f"the reference solution overflows a float at x={x}, y={y}, t={t}")
     return value

@@ -60,6 +60,7 @@ from .expr import (
     table_product,
     table_value,
     to_prefix,
+    within_nesting,
 )
 
 
@@ -299,7 +300,8 @@ class FracSeries(Value):
         expr: SpatialExpr, factor: float = 1.0, p=0, q: int = 0, c: int = 0
     ) -> "FracSeries":
         time = TimeFactor(_as_fraction(p), q, c)
-        return FracSeries(_collect([FracTerm(Coefficient.number(factor), monomials(expr), time)]))
+        monos = monomials(within_nesting(expr))
+        return FracSeries(_collect([FracTerm(Coefficient.number(factor), monos, time)]))
 
     @property
     def is_zero(self) -> bool:

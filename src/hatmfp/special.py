@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConvergenceError, DomainError, PoleError, Value, store
+from .errors import ConvergenceError, DomainError, PoleError
 
 ML_REL_TOL = 1e-16
 
@@ -19,18 +19,6 @@ def gamma(x: float) -> float:
     if x <= 0.0 and float(x).is_integer():
         raise PoleError(f"gamma has a pole at {x}")
     return math.gamma(x)
-
-
-class MLParams(Value):
-    """Parameters of the Mittag-Leffler series E_{alpha,beta}."""
-
-    _fields = ("alpha", "beta")
-
-    def __init__(self, alpha: float, beta: float = 1.0) -> None:
-        if not alpha > 0.0:
-            raise DomainError(f"mittag_leffler needs alpha > 0, got {alpha}")
-        store(self, "alpha", alpha)
-        store(self, "beta", beta)
 
 
 def _ml_term(zk: float, z: float, k: int, x: float) -> float:
@@ -52,8 +40,8 @@ def _ml_term(zk: float, z: float, k: int, x: float) -> float:
         return math.inf
 
 
-def mittag_leffler(params: MLParams, z: float) -> float:
-    """E_{alpha,beta}(z) = sum_k z^k / gamma(alpha*k + beta).
+def mittag_leffler(alpha: float, z: float) -> float:
+    """E_alpha(z) = sum_k z^k / gamma(alpha*k + 1), for alpha > 0.
 
     The terms rise to a peak near k = |z|**(1/alpha) / alpha and fall
     after it; the sum stops at the first term past the peak below
@@ -63,7 +51,8 @@ def mittag_leffler(params: MLParams, z: float) -> float:
     more than 1 / sqrt(ML_REL_TOL), so that cancellation left less than
     half its digits, is treated as non-convergent at this argument.
     """
-    alpha, beta = params.alpha, params.beta
+    if not alpha > 0.0:
+        raise DomainError(f"mittag_leffler needs alpha > 0, got {alpha}")
     try:
         reach = abs(z) ** (1.0 / alpha)
     except OverflowError:
@@ -73,7 +62,7 @@ def mittag_leffler(params: MLParams, z: float) -> float:
     zk = 1.0  # z**k, updated in place
     k = 0
     while k <= budget:
-        term = _ml_term(zk, z, k, alpha * k + beta)
+        term = _ml_term(zk, z, k, alpha * k + 1.0)
         total += term
         if not math.isfinite(total):
             break
@@ -84,7 +73,4 @@ def mittag_leffler(params: MLParams, z: float) -> float:
             return total
         zk *= z
         k += 1
-    raise ConvergenceError(
-        f"mittag_leffler did not converge by term {k} "
-        f"(alpha={alpha}, beta={beta}, z={z})"
-    )
+    raise ConvergenceError(f"mittag_leffler did not converge by term {k} (alpha={alpha}, z={z})")

@@ -136,21 +136,19 @@ def test_eval_grid_against_partial_sum():
     for row in rows:
         want = total.evaluate(float(row["x"]), float(row["t"]), 0.75)
         assert float(row["u"]) == want  # same run, same floats
-        assert "u_exact" not in row  # only emitted at alpha = 1
+        assert set(row) == {"x", "t", "u", "status"}
 
 
-def test_eval_reference_columns_at_alpha_one():
-    result = invoke(
-        "eval", "--preset", "4.1", "--order", "3", "--format", "csv",
-        "--x-count", 2, "--t-count", 3,
-    )
-    assert result.exit_code == 0
-    table = rows_of(result.output)
-    assert table[0] == ["x", "t", "u", "u_exact", "abs_err", "status"]
-    assert len(table) == 1 + 2 * 3
-    # the unit-drift sum is exact from the first iterate on
-    assert all(float(r[4]) < 1e-12 for r in table[1:])
-    assert {r[5] for r in table[1:]} == {"ok"}
+def test_eval_columns_are_the_same_for_every_alpha():
+    # the reference solution is compare's job; eval writes u and status only
+    args = ("--preset", "4.1", "--order", "3", "--format", "csv", "--x-count", 2, "--t-count", 3)
+    for alpha in ("1", "0.5"):
+        result = invoke("eval", *args, "--alpha", alpha)
+        assert result.exit_code == 0, result.output
+        table = rows_of(result.output)
+        assert table[0] == ["x", "t", "u", "status"]
+        assert len(table) == 1 + 2 * 3
+        assert {r[3] for r in table[1:]} == {"ok"}
 
 
 def test_eval_two_dimensional_grid():
@@ -223,6 +221,15 @@ def test_residual_csv_header():
 def test_residual_needs_full_point_in_two_d():
     result = invoke("residual", "--preset", "4.4", "--point", "1,0.3")
     assert result.exit_code == 2
+
+
+def test_one_d_point_refuses_a_y():
+    # x,y,t on a 1-d problem would silently drop y
+    for command, *args in (("residual", "--point", "1,5,0.3"),
+                           ("hcurve", "--order", "1", "--probe", "1,5,0.3")):
+        result = invoke(command, "--preset", "4.1", *args)
+        assert result.exit_code == 2
+        assert "needs x,t for a 1-d problem" in result.stderr
 
 
 # ---------------------------------------------------------------------- hcurve
@@ -736,16 +743,24 @@ def test_negative_values_follow_their_flags():
     assert rows_of(spaced.stdout)[1][0] == "-1.0"
 
 
-def test_readme_command_line_examples_run():
-    # every `hatmfp ...` line of the README's "Command line" block
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
-                if line.startswith("hatmfp ")]
+def _every_example_runs(text: str) -> None:
+    commands = [shlex.split(line, comments=True)[1:] for line in text.splitlines()
+                if line.strip().startswith("hatmfp ")]
     assert len(commands) >= 7
     for argv in commands:
         result = invoke(*argv)
         assert result.exit_code == 0, (argv, result.output)
+
+
+def test_readme_command_line_examples_run():
+    # every `hatmfp ...` line of the README's "Command line" block
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    _every_example_runs(text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0])
+
+
+def test_help_examples_run():
+    # every `hatmfp ...` line of the module docstring, which --help prints
+    _every_example_runs(cli.__doc__)
 
 
 def test_cli_import_leaves_click_out():

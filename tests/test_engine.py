@@ -25,8 +25,12 @@ from hatmfp.engine import (
     run,
     run_report,
 )
-from hatmfp.expr import ONE, X, Y, add, const, cosh, evaluate, monomials, mul, pow_, sinh
-from hatmfp.fokker_planck import CoefficientSpec, build_backward, build_forward, preset
+from hatmfp.expr import (
+    ONE, X, Y, add, canonical, const, cosh, evaluate, monomials, mul, pow_, sinh, to_prefix,
+)
+from hatmfp.fokker_planck import (
+    PRESET_IDS, CoefficientSpec, build_backward, build_forward, preset,
+)
 from hatmfp.series import FracSeries
 
 
@@ -278,6 +282,14 @@ MIXED = build_forward(
     [[[CoefficientSpec(cosh(X), u_degree=1), CoefficientSpec(pow_(X, 2), exp_rate=1)]]],
     add(X, 1),
 )
+
+
+def test_operator_coefficients_are_canonical():
+    # a merged coefficient is stored as the tree of its table: MIXED's
+    # x u e^t term once kept (add (mul 2 x) (mul 2 x))
+    for problem in [preset(pid) for pid in PRESET_IDS] + [MIXED]:
+        for mono in problem.operator:
+            assert mono.coef is canonical(monomials(mono.coef)), to_prefix(mono.coef)
 
 
 @pytest.mark.parametrize(

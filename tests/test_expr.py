@@ -42,6 +42,7 @@ from hatmfp.expr import (
     var,
     variables,
 )
+from hatmfp.fokker_planck import CoefficientSpec
 from hatmfp.series import FracSeries
 from helpers import panel_values, same_on_panel
 
@@ -474,6 +475,35 @@ def test_prefix_refuses_nesting_past_the_limit():
     for depth in (expr_module.MAX_NESTING + 1, 1000):
         with pytest.raises(DomainError, match="nests deeper than"):
             parse_prefix("(add x " * depth + "x" + ")" * depth)
+
+
+def _parentheses(text: str) -> int:
+    depth = deepest = 0
+    for ch in text:
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        deepest = max(deepest, depth)
+    return deepest
+
+
+@given(small_trees())
+@settings(max_examples=60, deadline=None)
+def test_depth_counts_the_parentheses_of_the_prefix_form(expr):
+    assert expr.depth == _parentheses(to_prefix(expr))
+
+
+def test_api_trees_past_the_nesting_limit_are_refused_where_they_enter():
+    nests = [X]
+    for _ in range(300):
+        nests.append(sinh(nests[-1]))
+    deep, limit = nests[300], nests[expr_module.MAX_NESTING]
+    assert (deep.depth, limit.depth) == (300, expr_module.MAX_NESTING)
+    for enter in (FracSeries.from_spatial, CoefficientSpec):
+        with pytest.raises(DomainError, match="nests deeper than"):
+            enter(deep)
+    # the limit enters; its derivative is one level deeper and still builds
+    assert not FracSeries.from_spatial(limit).is_zero
+    assert CoefficientSpec(limit).spatial is limit
+    assert differentiate(limit, "x").depth > expr_module.MAX_NESTING
 
 
 @given(small_trees())

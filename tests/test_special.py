@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hatmfp.errors import ConvergenceError, DomainError, PoleError
-from hatmfp.special import MLParams, gamma, mittag_leffler
+from hatmfp.special import gamma, mittag_leffler
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -55,27 +55,20 @@ def test_ml_reduces_to_exp():
     for i in range(51):
         z = -5.0 + 10.0 * i / 50.0
         want = math.exp(z)
-        assert mittag_leffler(MLParams(1.0), z) == pytest.approx(want, rel=1e-12)
+        assert mittag_leffler(1.0, z) == pytest.approx(want, rel=1e-12)
 
 
 def test_ml_alpha_two_is_cosh_sqrt():
     for z in (0.0, 0.3, 1.0, 2.7, 6.0):
         want = math.cosh(math.sqrt(z))
-        assert mittag_leffler(MLParams(2.0), z) == pytest.approx(want, rel=1e-12)
-
-
-def test_ml_beta_two_identity():
-    # E_{1,2}(z) = (e^z - 1)/z
-    for z in (0.2, 1.0, 3.0):
-        want = (math.exp(z) - 1.0) / z
-        assert mittag_leffler(MLParams(1.0, beta=2.0), z) == pytest.approx(want, rel=1e-12)
+        assert mittag_leffler(2.0, z) == pytest.approx(want, rel=1e-12)
 
 
 def test_ml_against_mpmath_fractional():
     for alpha in (0.5, 0.75, 0.9):
         for z in (0.0, 0.25, 0.7, 1.0):
             want = float(mpmath.re(mpmath.mp.mpf(1) * mpmath_ml(alpha, z)))
-            got = mittag_leffler(MLParams(alpha), z)
+            got = mittag_leffler(alpha, z)
             assert got == pytest.approx(want, rel=1e-10), (alpha, z)
 
 
@@ -85,22 +78,21 @@ def mpmath_ml(alpha: float, z: float, terms: int = 300):
 
 
 def test_ml_at_zero_is_one():
-    assert mittag_leffler(MLParams(0.5), 0.0) == 1.0
+    assert mittag_leffler(0.5, 0.0) == 1.0
 
 
 def test_ml_monotone_fractional():
-    params = MLParams(0.5)
-    values = [mittag_leffler(params, z / 10.0) for z in range(31)]
+    values = [mittag_leffler(0.5, z / 10.0) for z in range(31)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_ml_nonconvergent_raises():
     # E_{1/4}(60) is about 4 exp(60^4): the sum overflows a float
     with pytest.raises(ConvergenceError):
-        mittag_leffler(MLParams(0.25), 60.0)
+        mittag_leffler(0.25, 60.0)
     # E_{1/2}(-12) is about 0.047, from terms up to 1e62 that cancel
     with pytest.raises(ConvergenceError):
-        mittag_leffler(MLParams(0.5), -12.0)
+        mittag_leffler(0.5, -12.0)
 
 
 @pytest.mark.parametrize(
@@ -114,17 +106,16 @@ def test_ml_past_gamma_overflow_matches_mpmath(alpha, z):
         want = float(mpmath.fsum(
             mpmath.mpf(z) ** k / mpmath.gamma(mpmath.mpf(alpha) * k + 1) for k in range(terms)
         ))
-    assert mittag_leffler(MLParams(alpha), z) == pytest.approx(want, rel=1e-12)
+    assert mittag_leffler(alpha, z) == pytest.approx(want, rel=1e-12)
 
 
 def test_ml_params_validation():
-    with pytest.raises(DomainError):
-        MLParams(alpha=0.0)
-    with pytest.raises(DomainError):
-        MLParams(alpha=-0.3)
+    for alpha in (0.0, -0.3, math.nan):
+        with pytest.raises(DomainError, match="needs alpha > 0"):
+            mittag_leffler(alpha, 1.0)
 
 
 @given(st.floats(min_value=0.3, max_value=1.0), st.floats(min_value=0.0, max_value=2.0))
 @settings(max_examples=40)
 def test_ml_positive_on_positive_axis(alpha, z):
-    assert mittag_leffler(MLParams(alpha), z) >= 1.0
+    assert mittag_leffler(alpha, z) >= 1.0

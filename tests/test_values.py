@@ -53,7 +53,7 @@ from hatmfp.series import (
     TimeFactor,
     _cancel,
 )
-from hatmfp.special import MLParams
+from hatmfp.special import mittag_leffler
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -99,7 +99,6 @@ RECORDS = {
         preset_id="4.1", fmt="json", out=None,
     ),
     CoefficientSpec: lambda: dict(spatial=X, exp_rate=1, u_degree=1),
-    MLParams: lambda: dict(alpha=0.5, beta=2.0),
 }
 
 # Another valid value for every field.
@@ -127,7 +126,6 @@ OTHERS = {
         preset_id=None, fmt="csv", out="out.csv",
     ),
     CoefficientSpec: lambda: dict(spatial=Y, exp_rate=0, u_degree=0),
-    MLParams: lambda: dict(alpha=0.75, beta=1.0),
 }
 
 # The interning constructor of each node class, called with the fields in
@@ -209,7 +207,6 @@ def test_defaults():
     assert OperatorMonomial(X, ((1, 0),)).exp_rate == 0
     assert CoefficientSpec(X) == CoefficientSpec(X, exp_rate=0, u_degree=0)
     assert CoefficientSpec(X, exp_rate=1).u_degree == 0
-    assert MLParams(0.5) == MLParams(alpha=0.5, beta=1.0)
 
 
 def test_cached_attributes_take_no_part_in_equality():
@@ -247,7 +244,7 @@ def test_cached_attributes_take_no_part_in_equality():
          "deriv must be a pair of nonnegative orders, got (-1, 0)"),
         (lambda: CoefficientSpec(X, u_degree=2), DegreeError,
          "u_degree 2 would take the expansion past quadratic"),
-        (lambda: MLParams(alpha=0.0), DomainError, "mittag_leffler needs alpha > 0, got 0.0"),
+        (lambda: mittag_leffler(0.0, 1.0), DomainError, "mittag_leffler needs alpha > 0, got 0.0"),
         (lambda: TimeFactor(Fraction(-1), 0, 0), ExponentError,
          "negative fixed exponent p=-1"),
         (lambda: TimeFactor(Fraction(1, 2), -1, 0), ExponentError,
