@@ -23,7 +23,6 @@ from .errors import (
     DomainError,
     ExponentError,
     HatmError,
-    PoleError,
     PresetError,
     SingularityError,
 )
@@ -57,6 +56,6 @@ from .fokker_planck import (
     reference_solution,
 )
 from .series import Coefficient, FracSeries, FracTerm, GammaArg, TimeFactor
-from .special import gamma, mittag_leffler
+from .special import mittag_leffler
 
 __version__ = "0.1.0"

@@ -47,7 +47,10 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import ConfigError, DegreeError, DomainError, ExponentError, Value, store
-from .expr import SpatialExpr, evaluate, monomials, table_product, variables
+from .expr import (
+    MAX_OPERATOR_NESTING, SpatialExpr, evaluate, monomials, table_product, variables,
+    within_nesting,
+)
 from .series import Coefficient, FracSeries, FracTerm, TimeFactor, _check_alpha
 
 MultiIndex = tuple[int, int]  # derivative orders in (x, y)
@@ -75,7 +78,7 @@ class OperatorMonomial(Value):
             )
         for deriv in derivs:
             _check_multi_index(deriv, "deriv")
-        store(self, "coef", coef)
+        store(self, "coef", within_nesting(coef, MAX_OPERATOR_NESTING))
         store(self, "derivs", derivs)
         store(self, "exp_rate", exp_rate)
 

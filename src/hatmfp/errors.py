@@ -10,10 +10,6 @@ class ConfigError(HatmError, ValueError):
     """Invalid run configuration (alpha out of range, hbar = 0, ...)."""
 
 
-class PoleError(HatmError, ValueError):
-    """Gamma requested at a non-positive integer."""
-
-
 class DomainError(HatmError, ValueError):
     """Argument outside a function's real domain."""
 

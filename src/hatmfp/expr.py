@@ -10,7 +10,7 @@ are constant folding and absorbing 0/1 in sums, products and powers.
 Equality is exact. ``monomials`` expands a tree into a canonical table
 of float coefficients over products of atoms (variables, sinh and cosh
 of a canonical argument, opaque powers), and ``monic`` scales a table
-so its largest monomial is 1. ``monic_sum``, ``table_product``,
+so its largest monomial is 1. ``keyed_sum``, ``table_product``,
 ``table_derivative`` and ``table_value`` add, multiply, differentiate
 and evaluate tables without building trees: the series algebra works
 on tables alone. Only a product can blow a table up, so only a product
@@ -445,10 +445,12 @@ def _reduced(sig: _MonoSig, coef: float) -> list[tuple[_MonoSig, float]]:
 
 
 def keyed_sum(items: Iterable[tuple]) -> dict:
-    """{key: sum of its values}, added in the order given, for monomial
-    tables and coefficients alike. A sum below DROP_TOL times its largest
-    addend is cancellation residue and drops; one that is not finite
-    raises DomainError."""
+    """{key: sum of its values}, added in the order given. Keyed on
+    monomial signatures, it sums canonical tables into a canonical table,
+    as a series collect does with the weighted tables of one (time,
+    tokens) key. A sum below DROP_TOL times its largest addend is
+    cancellation residue and drops; one that is not finite raises
+    DomainError."""
     slots: dict = {}  # key: [sum, largest |addend|]
     for key, value in items:
         slot = slots.setdefault(key, [0.0, 0.0])
@@ -578,12 +580,6 @@ def monic(monos: tuple) -> tuple[float, tuple]:
     return scale, monos if scale == 1.0 else tuple((s, c / scale) for s, c in monos)
 
 
-def monic_sum(weighted: list[tuple[float, tuple]]) -> tuple[float, tuple]:
-    """monic of the sum of weight * table over (weight, table) pairs."""
-    table = _summed((s, w * c) for w, monos in weighted for s, c in monos)
-    return monic(tuple(sorted(table.items())))
-
-
 def table_product(tables: list[tuple]) -> tuple:
     """Sorted table of the product of the tables, rounded as the table of
     their ``mul``: one-monomial tables first, as ``mul`` folds their
@@ -655,13 +651,18 @@ def to_prefix(expr: SpatialExpr) -> str:
 # Parentheses nest at most this deep in a prefix expression: the tree walks
 # recurse once per level, and a deeper tree would overflow Python's stack.
 MAX_NESTING = 100
+# An operator coefficient may nest deeper: the builders store the canonical
+# form of a caller's tree and its derivatives, and writing (pow (cosh u) 2)
+# as (add 1 (pow (sinh u) 2)) makes a tree up to half as deep again (151
+# levels from 100). The walks of a run overflow the stack from about 180.
+MAX_OPERATOR_NESTING = 160
 
 
-def within_nesting(expr: SpatialExpr) -> SpatialExpr:
+def within_nesting(expr: SpatialExpr, limit: int = MAX_NESTING) -> SpatialExpr:
     """The tree itself, where a caller's tree enters; DomainError if it
-    nests deeper than MAX_NESTING levels, the limit of ``parse_prefix``."""
-    if expr.depth > MAX_NESTING:
-        raise DomainError(f"expression nests deeper than {MAX_NESTING} levels")
+    nests deeper than limit levels, by default the limit of ``parse_prefix``."""
+    if expr.depth > limit:
+        raise DomainError(f"expression nests deeper than {limit} levels")
     return expr
 
 

@@ -48,8 +48,8 @@ from .expr import (
     to_prefix,
     within_nesting,
 )
-from .series import FracSeries, FracTerm, Coefficient, TimeFactor, _collect
-from .special import gamma, mittag_leffler
+from .series import FracSeries, FracTerm, Coefficient, TimeFactor, _check_alpha, _collect
+from .special import mittag_leffler
 
 _VARS = ("x", "y")
 
@@ -271,10 +271,12 @@ def _initial(preset_id: str) -> SpatialExpr:
 def reference_solution(
     preset_id: str, x: float, t: float, alpha: float, y: float = 0.0
 ) -> float:
-    """Exact solution value at (x, y, t) for a preset problem."""
+    """Exact solution value at (x, y, t) for a preset problem; alpha lies
+    in (0, 1], as for every run."""
+    _check_alpha(alpha)
     f = evaluate(_initial(preset_id), x, y)
     if preset_id == "4.1":
-        value = f + t**alpha / gamma(alpha + 1.0)
+        value = f + t**alpha / math.gamma(alpha + 1.0)
     else:
         value = f * mittag_leffler(alpha, t**alpha)
     if not math.isfinite(value):

@@ -20,16 +20,13 @@ does this).
 
 A term is (Coefficient, table, TimeFactor); after a collect its table
 is monic, its largest monomial exactly 1 (``expr.monic``), and the
-scale lives in the coefficient. Tables and gamma tokens are exact
-canonical forms, so every merge is a hash lookup, in two passes:
-
-1. group by (time, monic table, tokens) and sum the factors
-   (``expr.keyed_sum``);
-2. group by (time, tokens) and sum the monic tables, weighted by those
-   factors (``expr.monic_sum``).
-
-Terms with different tokens are never added into one coefficient, so
-after a collect no two terms share (time, tokens), and a time may hold
+scale lives in the coefficient. A collect merges on one exact key,
+(time, tokens): the tables of a key's terms are summed, weighted by
+their factors (``expr.keyed_sum``), and the sum is made monic. The
+tables are canonical already, so the sum needs no reduction, and no
+whole table is hashed or compared. Terms with different tokens are
+never added into one coefficient, so after a collect no two terms share
+(time, tokens), the terms are sorted by that key, and a time may hold
 several terms with different tokens. Products, spatial derivatives and
 evaluation work on the tables too (``expr.table_product``,
 ``expr.table_derivative``, ``expr.table_value``). The algebra builds
@@ -51,7 +48,6 @@ from .expr import (
     canonical,
     keyed_sum,
     monic,
-    monic_sum,
     monomials,
     parse_integer,
     parse_prefix,
@@ -264,22 +260,24 @@ class FracTerm(Value):
 
 
 def _collect(terms: Iterable[FracTerm]) -> tuple[FracTerm, ...]:
-    """Merge terms on exact keys in the two passes of the module
-    docstring; terms come out sorted by time, spatial table, tokens."""
-    entries = []
+    """Merge terms on their (time, tokens) key, as the module docstring
+    says; terms come out sorted by that key."""
+    groups: dict = {}
     for t in terms:
-        scale, monos = monic(t.monos)
-        if scale != 0.0 and not t.coef.is_zero:
-            entries.append(((t.time, monos, t.coef.num, t.coef.den), t.coef.factor * scale))
-    shared: dict = {}
-    for (time, monos, num, den), factor in keyed_sum(entries).items():
-        shared.setdefault((time, num, den), []).append((factor, monos))
+        if not t.coef.is_zero:
+            groups.setdefault((t.time, t.coef.num, t.coef.den), []).append(t)
     out = []
-    for (time, num, den), weighted in shared.items():
-        factor, monos = weighted[0] if len(weighted) == 1 else monic_sum(weighted)
-        if factor != 0.0:
-            out.append(FracTerm(Coefficient(factor, num, den), monos, time))
-    out.sort(key=lambda t: (t.time.sort_key, t.monos, t.coef.num, t.coef.den))
+    for (time, num, den), group in groups.items():
+        if len(group) == 1:
+            weight, table = group[0].coef.factor, group[0].monos
+        else:
+            summed = keyed_sum((s, t.coef.factor * c) for t in group for s, c in t.monos)
+            weight, table = 1.0, tuple(sorted(summed.items()))
+        scale, monos = monic(table)
+        coef = _coefficient(weight * scale, num, den)
+        if not coef.is_zero:
+            out.append(FracTerm(coef, monos, time))
+    out.sort(key=lambda t: (t.time.sort_key, t.coef.num, t.coef.den))
     return tuple(out)
 
 

@@ -1,24 +1,14 @@
-"""Scalar special functions: gamma, and the one-parameter Mittag-Leffler
-family used by the reference solutions.
-
-gamma wraps the C library implementation (Lanczos-class accuracy), with
-its poles normalised to a package exception.
+"""The one-parameter Mittag-Leffler function used by the reference
+solutions; its gamma values come from the C library (``math.gamma``).
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError
 
 ML_REL_TOL = 1e-16
-
-
-def gamma(x: float) -> float:
-    """Gamma function on the real line, poles excluded."""
-    if x <= 0.0 and float(x).is_integer():
-        raise PoleError(f"gamma has a pole at {x}")
-    return math.gamma(x)
 
 
 def _ml_term(zk: float, z: float, k: int, x: float) -> float:
@@ -27,7 +17,7 @@ def _ml_term(zk: float, z: float, k: int, x: float) -> float:
     where the term itself overflows."""
     if math.isfinite(zk):
         try:
-            return zk / gamma(x)
+            return zk / math.gamma(x)
         except OverflowError:
             if zk == 0.0:
                 return 0.0

@@ -16,7 +16,9 @@ from types import SimpleNamespace
 from hatmfp.cli import main
 from hatmfp.engine import HatmConfig, ProblemSpec, apply_operator
 from hatmfp.expr import ONE, SpatialExpr, add, cosh, evaluate, monomials, mul, pow_, sinh, X, Y
-from hatmfp.fokker_planck import CoefficientSpec, build_backward, build_forward, preset
+from hatmfp.fokker_planck import (
+    CoefficientSpec, build_backward, build_forward, preset, problem_from_obj,
+)
 from hatmfp.series import FracSeries, FracTerm, Coefficient, TimeFactor
 
 
@@ -204,6 +206,18 @@ PROBLEMS = {
         {"order": 4},
     ),
 }
+
+
+# W3: forward, A = x u e^t + sinh x + 2, B = cosh x u + x^2 e^t, f = x + 1.
+# It does not collapse, and its collects sum several different tables at
+# one (time, tokens) key.
+MIXED_OBJ = {
+    "form": "forward", "dim": 1,
+    "A": [[{"expr": "x", "u_degree": 1, "exp_rate": 1}, "(sinh x)", "2"]],
+    "B": [[[{"expr": "(cosh x)", "u_degree": 1}, {"expr": "(pow x 2)", "exp_rate": 1}]]],
+    "f": "(add x 1)",
+}
+MIXED = problem_from_obj(MIXED_OBJ)
 
 
 def invoke_cli(*args) -> SimpleNamespace:

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from helpers import (
+    MIXED,
     PROBLEMS,
     assert_q_map_close,
     constant_image_coeffs,
@@ -12,7 +13,7 @@ from helpers import (
     tree_value,
 )
 from hatmfp import engine, expr, fokker_planck, series
-from hatmfp.errors import ConfigError, DegreeError, ExponentError
+from hatmfp.errors import ConfigError, DegreeError, DomainError, ExponentError
 from hatmfp.engine import (
     HatmConfig,
     OperatorMonomial,
@@ -26,7 +27,8 @@ from hatmfp.engine import (
     run_report,
 )
 from hatmfp.expr import (
-    ONE, X, Y, add, canonical, const, cosh, evaluate, monomials, mul, pow_, sinh, to_prefix,
+    ONE, X, Y, add, canonical, const, cosh, evaluate, monomials, mul, parse_prefix, pow_, sinh,
+    to_prefix,
 )
 from hatmfp.fokker_planck import (
     PRESET_IDS, CoefficientSpec, build_backward, build_forward, preset,
@@ -273,17 +275,6 @@ def test_residual_shrinks_with_order():
     assert prev < 1e-4
 
 
-# forward, A = x u e^t + sinh x + 2, B = cosh x u + x^2 e^t, f = x + 1;
-# the symbolic N[s] multiplies every pair of terms of s, so the oracle
-# is run at M = 1
-MIXED = build_forward(
-    1,
-    [[CoefficientSpec(X, exp_rate=1, u_degree=1), CoefficientSpec(sinh(X)), 2]],
-    [[[CoefficientSpec(cosh(X), u_degree=1), CoefficientSpec(pow_(X, 2), exp_rate=1)]]],
-    add(X, 1),
-)
-
-
 def test_operator_coefficients_are_canonical():
     # a merged coefficient is stored as the tree of its table: MIXED's
     # x u e^t term once kept (add (mul 2 x) (mul 2 x))
@@ -292,6 +283,28 @@ def test_operator_coefficients_are_canonical():
             assert mono.coef is canonical(monomials(mono.coef)), to_prefix(mono.coef)
 
 
+def test_operator_coefficients_past_the_allowance_are_refused():
+    deep = X
+    for _ in range(300):
+        deep = sinh(deep)
+    with pytest.raises(DomainError, match="nests deeper than"):
+        OperatorMonomial(deep, ((1, 0),))
+    # trees at the parse limit still build. The builders store canonical
+    # forms, and each (pow (cosh u) 2), stored as (add 1 (pow (sinh u) 2)),
+    # gains a level. The forward diffusion is left out: the second
+    # derivative of a deep nest has exponentially many monomials.
+    depths = []
+    for text in ("(sinh " * 100 + "x" + ")" * 100, "(pow (cosh " * 50 + "x" + ") 2)" * 50):
+        e = parse_prefix(text)
+        assert e.depth == expr.MAX_NESTING
+        for problem in (build_backward(1, [e], [[e]], X),
+                        build_forward(1, [CoefficientSpec(e, u_degree=1)], [[0]], X)):
+            depths += [mono.coef.depth for mono in problem.operator]
+    assert expr.MAX_NESTING < max(depths) <= expr.MAX_OPERATOR_NESTING
+
+
+# the symbolic N[s] multiplies every pair of terms of s, so the oracle is
+# run on MIXED at M = 1
 @pytest.mark.parametrize(
     "problem, keywords",
     [PROBLEMS["4.5"], PROBLEMS["W1"], PROBLEMS["W2"], (MIXED, {"order": 1})],

@@ -299,6 +299,14 @@ def test_presets_carry_their_exact_solutions():
         reference_solution("9.9", 1.0, 0.5, 1.0)
 
 
+def test_reference_solution_refuses_alpha_outside_the_unit_interval():
+    # these once gave values, 2.0 for 4.1 at alpha = 0, or a gamma pole
+    for pid in ("4.1", "4.2"):
+        for alpha in (0.0, -0.5, -1.0, 1.5):
+            with pytest.raises(ConfigError, match="alpha must lie in"):
+                reference_solution(pid, 1.0, 0.5, alpha)
+
+
 def test_plane_preset_merged_groups():
     # hand expansion of the two-dimensional drift (x, 5y) with diffusion
     # diag-plus-ones matrix ((x^2, 1), (1, y^2)):

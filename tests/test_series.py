@@ -466,13 +466,43 @@ def test_collect_merges_parallel_coefficients():
     assert term.spatial is normalize(add(1, mul(0.5, X)))
 
 
+def test_collect_weights_tables():
+    # the tables of one (time, tokens) key sum, weighted by their factors:
+    # sinh x + x and sinh x - x, weighted 2 and -2, sum to 4x
+    t0 = TimeFactor(Fraction(0), 1, 0)
+    s = FracSeries((
+        FracTerm(Coefficient.number(2.0), monomials(add(sinh(X), X)), t0),
+        FracTerm(Coefficient.number(-2.0), monomials(add(sinh(X), mul(-1, X))), t0),
+    ))
+    for collected in (s.collected(), FracSeries(s.terms[:1]).add(FracSeries(s.terms[1:]))):
+        (term,) = collected.terms
+        assert (term.coef, term.monos) == (Coefficient.number(4.0), monomials(X))
+    # proportional tables, 2 T + 3 (2 T), are one term 8 T with the tokens
+    c = Coefficient.number(1.0).gamma_ratio(GammaArg(Fraction(1), 1), GammaArg(Fraction(1), 2))
+    table = monomials(add(sinh(X), mul(0.5, X)))
+    s = FracSeries((
+        FracTerm(c.scaled(2.0), table, t0),
+        FracTerm(c.scaled(3.0), monomials(add(mul(2, sinh(X)), X)), t0),
+    )).collected()
+    assert [(t.coef, t.monos) for t in s.terms] == [(c.scaled(8.0), table)]
+    # 3 (x + x^2) - 1.5 (2x + 2x^2) leaves no term; the term at the same
+    # time with other tokens stays
+    other = FracTerm(Coefficient.number(1.0), monomials(X), t0)
+    s = FracSeries((
+        FracTerm(c.scaled(3.0), monomials(add(X, pow_(X, 2))), t0),
+        other,
+        FracTerm(c.scaled(-1.5), monomials(mul(2, add(X, pow_(X, 2)))), t0),
+    )).collected()
+    assert s.terms == (other,)
+
+
 def assert_collected(series):
     """No two terms share (time, tokens), every table is monic, and the
-    terms are sorted by (time, table, tokens)."""
+    terms are sorted by (time, tokens)."""
     keys = [(t.time, t.coef.num, t.coef.den) for t in series.terms]
     assert len(set(keys)) == len(keys)
     assert all(monic(t.monos) == (1.0, t.monos) for t in series.terms)
-    order = [(t.time.sort_key, t.monos, t.coef.num, t.coef.den) for t in series.terms]
+    order = [(t.time.sort_key, t.coef.num, t.coef.den) for t in series.terms]
     assert order == sorted(order)
 
 

@@ -1,14 +1,32 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hatmfp.errors import ConvergenceError, DomainError, PoleError
-from hatmfp.special import gamma, mittag_leffler
+from hatmfp.errors import ConvergenceError, DomainError
+from hatmfp.series import Coefficient, FracSeries, GammaArg
+from hatmfp.special import mittag_leffler
 
 SQRT_PI = math.sqrt(math.pi)
+
+# The package takes gamma values from the C library where a coefficient
+# folds a gamma token without an alpha part into its factor, and from
+# lgamma where Coefficient.value resolves the other tokens. The gamma
+# tests below check both.
+
+
+def folded(x: float) -> float:
+    """The factor of gamma(x) as a folded token."""
+    return Coefficient.number(1.0).gamma_ratio(GammaArg(Fraction(x), 0), GammaArg(1, 0)).factor
+
+
+def resolved(x: float) -> float:
+    """gamma(x) resolved in log space from the token (x - 1) + alpha at
+    alpha = 1."""
+    return Coefficient(1.0, (GammaArg(Fraction(x) - 1, 1),), ()).value(1.0)
 
 
 @pytest.mark.parametrize(
@@ -24,7 +42,8 @@ SQRT_PI = math.sqrt(math.pi)
     ],
 )
 def test_gamma_exact_values(x, want):
-    assert gamma(x) == pytest.approx(want, rel=1e-14)
+    assert folded(x) == pytest.approx(want, rel=1e-14)
+    assert resolved(x) == pytest.approx(want, rel=1e-14)
 
 
 def test_gamma_against_mpmath_grid():
@@ -32,23 +51,30 @@ def test_gamma_against_mpmath_grid():
     for i in range(60):
         x = 0.1 * (500.0 ** (i / 59.0))
         want = float(mpmath.gamma(x))
-        assert gamma(x) == pytest.approx(want, rel=1e-13), x
+        assert folded(x) == pytest.approx(want, rel=1e-13), x
+        assert resolved(x) == pytest.approx(want, rel=1e-13), x
 
 
 @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -7.0])
 def test_gamma_pole(x):
-    with pytest.raises(PoleError):
-        gamma(x)
+    # a token at a pole of gamma is refused where a report is read
+    obj = {"coef_tokens": [{"factor": 1.0, "num": [[str(Fraction(x)), 0]], "den": []}],
+           "spatial": "x", "p": "0", "q": 0, "c": 0}
+    with pytest.raises(DomainError, match="not positive"):
+        FracSeries.from_obj([obj])
 
 
 def test_gamma_negative_nonpole():
-    # reflection values on the negative axis stay available
-    assert gamma(-0.5) == pytest.approx(-2.0 * SQRT_PI, rel=1e-14)
+    # a folded token keeps the sign of gamma, which lgamma would drop
+    assert folded(-0.5) == pytest.approx(-2.0 * SQRT_PI, rel=1e-14)
 
 
 @given(st.floats(min_value=0.1, max_value=20.0))
 def test_gamma_recurrence(x):
-    assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-12)
+    # gamma(x + 1) / gamma(x) = x, as a ratio of tokens in alpha
+    a = Fraction(x)
+    ratio = Coefficient.number(1.0).gamma_ratio(GammaArg(a, 1), GammaArg(a - 1, 1))
+    assert ratio.value(1.0) == pytest.approx(x, rel=1e-12)
 
 
 def test_ml_reduces_to_exp():
