@@ -20,8 +20,6 @@ violations, ...).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import re
@@ -29,7 +27,7 @@ import sys
 from pathlib import Path
 
 from .engine import HatmConfig, ProblemSpec, h_curve, partial_sum, residual, run, run_report
-from .errors import ConfigError, HatmError, SingularityError, Value, store
+from .errors import ConfigError, HatmError, SingularityError
 from .expr import to_prefix
 from .fokker_planck import PRESET_IDS, load_problem, preset, reference_solution
 
@@ -42,14 +40,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _csv_text(header: list[str], rows: list[list], trailer: str | None = None) -> str:
-    """CSV of header and rows; float cells are written as their repr."""
-    sink = io.StringIO()
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    """CSV of header and rows, float cells as their repr. No cell (a number,
+    a prefix tree, a p such as 1/2, a status) holds a comma, quote or
+    newline, so none is quoted."""
+    lines = [",".join(map(str, row)) for row in [header, *rows]]
     if trailer is not None:
-        sink.write(trailer + "\n")
-    return sink.getvalue()
+        lines.append(trailer)
+    return "\n".join(lines) + "\n"
 
 
 def _json_text(obj) -> str:
@@ -85,122 +82,110 @@ def _parse_point(text: str, dim: int) -> tuple[float, float, float]:
     return (parts[0], 0.0, parts[1]) if len(parts) == 2 else tuple(parts)
 
 
-class RunRequest(Value):
-    """Validated CLI invocation: one problem source, a config and where
-    the output goes."""
-
-    _fields = ("problem", "config", "label", "preset_id", "fmt", "out")
-
-    def __init__(self, problem: ProblemSpec, config: HatmConfig, label: str,
-                 preset_id: str | None, fmt: str, out: str | None) -> None:
-        store(self, "problem", problem)
-        store(self, "config", config)
-        store(self, "label", label)
-        store(self, "preset_id", preset_id)
-        store(self, "fmt", fmt)
-        store(self, "out", out)
-
-    def total(self):
-        """Partial sum of the iterates up to the configured order."""
-        return partial_sum(run(self.problem, self.config), self.config.order)
-
-    def grid(self, args: argparse.Namespace):
-        """(x, y, t) points of the grid options, t fastest; y is 0 in 1-d."""
-        ys = _grid(args.y_min, args.y_max, args.y_count) if self.problem.dim == 2 else [0.0]
-        for x in _grid(args.x_min, args.x_max, args.x_count):
-            for y in ys:
-                for t in _grid(args.t_min, args.t_max, args.t_count):
-                    yield x, y, t
-
-    def axes(self, *columns: str) -> list[str]:
-        """Header of a point table: x, y (2-d only), t, then columns."""
-        return ["x"] + (["y"] if self.problem.dim == 2 else []) + ["t", *columns]
-
-    def place(self, x: float, y: float, t: float) -> list[str]:
-        """Coordinate cells of a point table row, matching axes()."""
-        return [repr(x)] + ([repr(y)] if self.problem.dim == 2 else []) + [repr(t)]
-
-    def write(self, header: list[str], rows, trailer: str | None = None, **extra) -> None:
-        """Emit a table: CSV with an optional trailer line, or JSON
-        {"rows": [{column: cell}, ...], **extra}."""
-        if self.fmt == "csv":
-            text = _csv_text(header, rows, trailer)
-        else:
-            text = _json_text({"rows": [dict(zip(header, r)) for r in rows], **extra})
-        _emit(text, self.out)
+def _points(args: argparse.Namespace, dim: int):
+    """(x, y, t) points of the grid options, t fastest; y is 0 in 1-d."""
+    ys = _grid(args.y_min, args.y_max, args.y_count) if dim == 2 else [0.0]
+    for x in _grid(args.x_min, args.x_max, args.x_count):
+        for y in ys:
+            for t in _grid(args.t_min, args.t_max, args.t_count):
+                yield x, y, t
 
 
-def solve(req: RunRequest, args: argparse.Namespace) -> None:
+def _axes(dim: int, *columns: str) -> list[str]:
+    """Header of a point table: x, y (2-d only), t, then columns."""
+    return ["x"] + (["y"] if dim == 2 else []) + ["t", *columns]
+
+
+def _place(dim: int, x: float, y: float, t: float) -> list[str]:
+    """Coordinate cells of a point table row, matching _axes."""
+    return [repr(x)] + ([repr(y)] if dim == 2 else []) + [repr(t)]
+
+
+def _write(args: argparse.Namespace, header: list[str], rows, trailer: str | None = None,
+           **extra) -> None:
+    """Emit a table: CSV with an optional trailer line, or JSON
+    {"rows": [{column: cell}, ...], **extra}."""
+    if args.fmt == "csv":
+        text = _csv_text(header, rows, trailer)
+    else:
+        text = _json_text({"rows": [dict(zip(header, r)) for r in rows], **extra})
+    _emit(text, args.out)
+
+
+def solve(args: argparse.Namespace, problem: ProblemSpec, config: HatmConfig) -> None:
     """Run the deformation recursion and write the iterate report."""
-    if req.fmt == "json":
-        _emit(_json_text(run_report(req.problem, req.config, req.label)), req.out)
+    if args.fmt == "json":
+        label = (f"preset:{args.preset}" if args.preset is not None
+                 else f"file:{Path(args.problem).name}")
+        _emit(_json_text(run_report(problem, config, label)), args.out)
         return
     rows = [
         [m, i, str(term.time.p), term.time.q, term.time.c,
-         term.coef.value(req.config.alpha), to_prefix(term.spatial)]
-        for m, series in enumerate(run(req.problem, req.config))
+         term.coef.value(config.alpha), to_prefix(term.spatial)]
+        for m, series in enumerate(run(problem, config))
         for i, term in enumerate(series.terms)
     ]
-    req.write(["iterate", "term", "p", "q", "c", "coef", "spatial"], rows)
+    _write(args, ["iterate", "term", "p", "q", "c", "coef", "spatial"], rows)
 
 
-def eval_cmd(req: RunRequest, args: argparse.Namespace) -> None:
+def eval_cmd(args: argparse.Namespace, problem: ProblemSpec, config: HatmConfig) -> None:
     """Evaluate the partial sum on a grid."""
-    total = req.total()
+    total = partial_sum(run(problem, config), config.order)
     rows = []
-    for x, y, t in req.grid(args):
+    for x, y, t in _points(args, problem.dim):
         try:
-            cells = [repr(total.evaluate(x=x, y=y, t=t, alpha=req.config.alpha)), "ok"]
+            cells = [repr(total.evaluate(x=x, y=y, t=t, alpha=config.alpha)), "ok"]
         except SingularityError:
             cells = ["", "singular"]
-        rows.append(req.place(x, y, t) + cells)
-    req.write(req.axes("u", "status"), rows)
+        rows.append(_place(problem.dim, x, y, t) + cells)
+    _write(args, _axes(problem.dim, "u", "status"), rows)
 
 
-def residual_cmd(req: RunRequest, args: argparse.Namespace) -> None:
+def residual_cmd(args: argparse.Namespace, problem: ProblemSpec, config: HatmConfig) -> None:
     """Residual of the full equation at probe points."""
-    probes = [_parse_point(p, req.problem.dim) for p in args.points]
-    values = residual(req.problem, req.total(), req.config, probes)
-    rows = [req.place(*probe) + [repr(value)] for probe, value in zip(probes, values)]
-    req.write(req.axes("residual"), rows)
+    probes = [_parse_point(p, problem.dim) for p in args.points]
+    total = partial_sum(run(problem, config), config.order)
+    values = residual(problem, total, config, probes)
+    rows = [_place(problem.dim, *probe) + [repr(value)] for probe, value in zip(probes, values)]
+    _write(args, _axes(problem.dim, "residual"), rows)
 
 
-def hcurve_cmd(req: RunRequest, args: argparse.Namespace) -> None:
+def hcurve_cmd(args: argparse.Namespace, problem: ProblemSpec, config: HatmConfig) -> None:
     """Sweep the convergence-control parameter at a probe point."""
-    point = _parse_point(args.probe, req.problem.dim)
+    point = _parse_point(args.probe, problem.dim)
     h_values = _grid(args.h_min, args.h_max, args.h_count)
     # A point within rounding of 0 (-0.3 + 3 * 0.7/7, say) stands for 0.
     if any(abs(h) <= 1e-12 * max(abs(args.h_min), abs(args.h_max)) for h in h_values):
         raise argparse.ArgumentError(None, "hbar sweep must not include 0")
     # One run at the largest order holds every smaller order's partial sum.
     rows = [[h] + [sums[n] for n in args.order]
-            for h, sums in h_curve(req.problem, req.config, point, h_values)]
+            for h, sums in h_curve(problem, config, point, h_values)]
     columns = [f"order_{n}" for n in args.order] if len(args.order) > 1 else ["value"]
-    req.write(["hbar", *columns], rows)
+    _write(args, ["hbar", *columns], rows)
 
 
-def compare_cmd(req: RunRequest, args: argparse.Namespace) -> None:
+def compare_cmd(args: argparse.Namespace, problem: ProblemSpec, config: HatmConfig) -> None:
     """Compare the partial sum against the registered reference solution."""
-    if req.preset_id is None:
+    if args.preset is None:
         raise HatmError("compare needs a preset; no reference solution is registered for files")
     # One run at the largest order holds every smaller order's partial sum.
-    iterates = run(req.problem, req.config)
+    iterates = run(problem, config)
     totals = [partial_sum(iterates, n) for n in args.order]
     single = len(totals) == 1
-    alpha = req.config.alpha
+    alpha = config.alpha
     rows, worst = [], [0.0] * len(totals)
-    for x, y, t in req.grid(args):
+    for x, y, t in _points(args, problem.dim):
         values = [total.evaluate(x=x, y=y, t=t, alpha=alpha) for total in totals]
-        exact = reference_solution(req.preset_id, x, t, alpha, y)
+        exact = reference_solution(args.preset, x, t, alpha, y)
         errs = [abs(value - exact) for value in values]
         worst = [max(w, err) for w, err in zip(worst, errs)]
         cells = [values[0], exact, errs[0]] if single else [exact, *errs]
-        rows.append(req.place(x, y, t) + [repr(cell) for cell in cells])
+        rows.append(_place(problem.dim, x, y, t) + [repr(cell) for cell in cells])
     suffixes = [""] if single else [f"_order_{n}" for n in args.order]
     columns = ["u", "u_ref", "abs_err"] if single else ["u_ref"] + [f"err{s}" for s in suffixes]
     worst_of = {f"max_abs_err{s}": w for s, w in zip(suffixes, worst)}
-    req.write(req.axes(*columns), rows,
-              trailer="\n".join(f"# {key}={w!r}" for key, w in worst_of.items()), **worst_of)
+    _write(args, _axes(problem.dim, *columns), rows,
+           trailer="\n".join(f"# {key}={w!r}" for key, w in worst_of.items()), **worst_of)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -280,10 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     `error: ...` line for a HatmError. Invalid flags exit 2 from the parser."""
     args = _parser().parse_args(argv)
     try:
-        if args.preset is not None:
-            spec, label = preset(args.preset), f"preset:{args.preset}"
-        else:
-            spec, label = load_problem(args.problem), f"file:{Path(args.problem).name}"
+        problem = preset(args.preset) if args.preset is not None else load_problem(args.problem)
         # hcurve and compare take several orders and run to the largest
         orders = args.order if isinstance(args.order, list) else [args.order]
         if min(orders) < 0:
@@ -299,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.out is not None and not Path(args.out).parent.is_dir():
         args.parser.error(f"argument --out: no directory {Path(args.out).parent}")
     try:
-        args.body(RunRequest(spec, config, label, args.preset, args.fmt, args.out), args)
+        args.body(args, problem, config)
     except argparse.ArgumentError as exc:  # a flag value that a command body checks
         args.parser.error(str(exc))
     except HatmError as exc:

@@ -62,12 +62,16 @@ from .expr import (
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, (Fraction, int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ExponentError(f"exponent part must be rational, got {value!r}")
 
 
 class GammaArg(Value):
-    """Argument of a gamma token: the value a + b*alpha, ordered by (a, b)."""
+    """Argument of a gamma token: the value a + b*alpha, ordered by (a, b).
+    DomainError unless it is positive for every alpha in (0, 1]."""
 
     _fields = ("a", "b")
 
@@ -75,6 +79,10 @@ class GammaArg(Value):
         # Coefficient keys hash and compare many of these; Fraction's hash
         # and equality are slow, so both go through integers.
         ints = (a.numerator, a.denominator, b)
+        # a < 0 or a + b <= 0 on the integers (the denominator is positive):
+        # lgamma would drop the sign of gamma there, or hit a pole
+        if ints[0] < 0 or ints[0] + b * ints[1] <= 0:
+            raise DomainError(f"gamma token ({a}, {b}) is not positive for every alpha in (0, 1]")
         store(self, "a", a)
         store(self, "b", b)
         store(self, "_ints", ints)
@@ -476,10 +484,7 @@ def _term_obj(term: FracTerm) -> dict:
 
 
 def _gamma_arg_from_obj(obj) -> GammaArg:
-    a, b = parse_rational(obj[0]), parse_integer(obj[1])
-    if a < 0 or a + b <= 0:  # lgamma would drop the sign, or hit a pole
-        raise DomainError(f"gamma token {obj!r} is not positive for every alpha in (0, 1]")
-    return GammaArg(a, b)
+    return GammaArg(parse_rational(obj[0]), parse_integer(obj[1]))
 
 
 def _factor_from_obj(value) -> float:

@@ -20,6 +20,7 @@ from hatmfp.fokker_planck import (
     CoefficientSpec, build_backward, build_forward, preset, problem_from_obj,
 )
 from hatmfp.series import FracSeries, FracTerm, Coefficient, TimeFactor
+from hatmfp.special import mittag_leffler
 
 
 def gamma1(k: int, alpha: float) -> float:
@@ -183,6 +184,18 @@ def symbolic_residual(
 
 
 # name -> (problem, HatmConfig keywords besides alpha and hbar)
+# Backward form with A = -x, B = x^2/2, f = 1 + x + x^2 + x^3. The operator
+# maps x^k to lambda_k x^k, lambda_k = k + k(k-1)/2, so the series does not
+# collapse onto f but converges to u = sum_k x^k E_alpha(lambda_k t^alpha).
+ORACLE = build_backward(
+    1, [mul(-1, X)], [[mul(0.5, pow_(X, 2))]], add(1, X, pow_(X, 2), pow_(X, 3))
+)
+
+
+def oracle_solution(x: float, t: float, alpha: float) -> float:
+    return sum(x**k * mittag_leffler(alpha, (k + k * (k - 1) / 2) * t**alpha) for k in range(4))
+
+
 PROBLEMS = {
     **{pid: (preset(pid), {"order": 4}) for pid in ("4.1", "4.2", "4.3", "4.4", "4.5")},
     # W2: forward, A = 0, B = u, f = sinh x (quadratic convolution)
@@ -197,6 +210,7 @@ PROBLEMS = {
         ),
         {"order": 2, "taylor_terms": 6},
     ),
+    "oracle": (ORACLE, {"order": 4}),
     # no operator: D^alpha u = t^alpha, u(x, 0) = x
     "source": (
         ProblemSpec(

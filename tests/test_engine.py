@@ -4,10 +4,12 @@ import pytest
 
 from helpers import (
     MIXED,
+    ORACLE,
     PROBLEMS,
     assert_q_map_close,
     constant_image_coeffs,
     identity_coeffs,
+    oracle_solution,
     q_coefficient_map,
     symbolic_residual,
     tree_value,
@@ -273,6 +275,28 @@ def test_residual_shrinks_with_order():
         assert prev is None or r < prev
         prev = r
     assert prev < 1e-4
+
+
+@pytest.mark.parametrize("alpha,bounds", [(0.75, (1e-8, 1e-5)), (1.0, (1e-13, 1e-7))])
+def test_convergent_oracle_that_does_not_collapse(alpha, bounds):
+    # one term per iterate, whose table moves away from f's; at M = 24 the
+    # partial sum meets the mode sum at t = 0.3 and 0.5
+    iterates = run(ORACLE, cfg(alpha=alpha, hbar=-1.0, order=24))
+    assert all(len(u.terms) == 1 for u in iterates)
+    assert len({u.terms[0].monos for u in iterates}) > 1
+    total = partial_sum(iterates, 24)
+    for t, bound in zip((0.3, 0.5), bounds):
+        exact = oracle_solution(1.0, t, alpha)
+        assert abs(total.evaluate(1.0, t, alpha) - exact) <= bound * abs(exact), t
+
+
+def test_convergent_oracle_residual_falls_with_order():
+    values = []
+    for order in (4, 8, 12, 16):
+        c = cfg(alpha=0.75, hbar=-1.0, order=order)
+        (r,) = residual(ORACLE, partial_sum(run(ORACLE, c), order), c, [(1.0, 0.0, 0.3)])
+        values.append(r)
+    assert all(a > b for a, b in zip(values, values[1:])), values
 
 
 def test_operator_coefficients_are_canonical():

@@ -43,8 +43,9 @@ def test_gamma_arg_value():
 
 @given(
     st.lists(
-        st.tuples(st.fractions(min_value=-20, max_value=20, max_denominator=12),
-                  st.integers(-4, 4)),
+        # tokens on the positive axis: a >= 0 and a + b > 0
+        st.tuples(st.fractions(min_value=0, max_value=20, max_denominator=12),
+                  st.integers(-4, 4)).filter(lambda ab: ab[0] + ab[1] > 0),
         max_size=12,
     )
 )

@@ -24,9 +24,8 @@ def folded(x: float) -> float:
 
 
 def resolved(x: float) -> float:
-    """gamma(x) resolved in log space from the token (x - 1) + alpha at
-    alpha = 1."""
-    return Coefficient(1.0, (GammaArg(Fraction(x) - 1, 1),), ()).value(1.0)
+    """gamma(x) resolved in log space from an unfolded token x + 0*alpha."""
+    return Coefficient(1.0, (GammaArg(Fraction(x), 0),), ()).value(1.0)
 
 
 @pytest.mark.parametrize(
@@ -65,15 +64,41 @@ def test_gamma_pole(x):
 
 
 def test_gamma_negative_nonpole():
-    # a folded token keeps the sign of gamma, which lgamma would drop
-    assert folded(-0.5) == pytest.approx(-2.0 * SQRT_PI, rel=1e-14)
+    # gamma(-0.5) < 0, whose sign lgamma would drop: the token is refused
+    with pytest.raises(DomainError, match="not positive"):
+        folded(-0.5)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # gamma(-1.5 + 0.75) < 0
+        lambda: Coefficient(1.0, (GammaArg(Fraction(-3, 2), 1),), ()).value(0.75),
+        # the pole of gamma at 0
+        lambda: Coefficient.number(1.0).gamma_ratio(GammaArg(Fraction(0), 0), GammaArg(1, 0)),
+        # 1/2 - alpha is negative at alpha = 1
+        lambda: GammaArg(Fraction(1, 2), -1),
+        # 1 - alpha is 0 at alpha = 1
+        lambda: GammaArg(Fraction(1), -1),
+    ],
+    ids=["negative", "pole", "negative-at-one", "pole-at-one"],
+)
+def test_gamma_token_off_the_positive_axis_is_refused_where_made(make):
+    with pytest.raises(DomainError, match="not positive"):
+        make()
+
+
+def test_gamma_tokens_on_the_positive_axis_are_made():
+    # alpha > 0 and 3/2 - alpha >= 1/2 on (0, 1]
+    assert GammaArg(Fraction(0), 1).value(0.5) == 0.5
+    assert GammaArg(Fraction(3, 2), -1).value(1.0) == 0.5
 
 
 @given(st.floats(min_value=0.1, max_value=20.0))
 def test_gamma_recurrence(x):
     # gamma(x + 1) / gamma(x) = x, as a ratio of tokens in alpha
     a = Fraction(x)
-    ratio = Coefficient.number(1.0).gamma_ratio(GammaArg(a, 1), GammaArg(a - 1, 1))
+    ratio = Coefficient(1.0, (GammaArg(a, 1),), (GammaArg(a, 0),))
     assert ratio.value(1.0) == pytest.approx(x, rel=1e-12)
 
 

@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 import hatmfp
-from hatmfp.cli import RunRequest
 from hatmfp.engine import HatmConfig, OperatorMonomial, ProblemSpec
 from hatmfp.errors import ConfigError, DegreeError, DomainError, ExponentError
 from hatmfp.expr import (
@@ -70,10 +69,6 @@ def _time():
     return TimeFactor(Fraction(1, 2), 1, 0)
 
 
-def _spec():
-    return ProblemSpec(dim=1, operator=(OperatorMonomial(X, ((1, 0),)),), initial=X)
-
-
 # Each entry builds fresh (equal, not identical) keyword arguments, in
 # field order. SpatialExpr, the base of the six node classes, has no
 # fields and is never built itself.
@@ -94,10 +89,6 @@ RECORDS = {
         dim=1, operator=(OperatorMonomial(X, ((1, 0),)),), initial=X, source=FracSeries(())
     ),
     HatmConfig: lambda: dict(alpha=0.5, hbar=-0.7, order=3, taylor_terms=8),
-    RunRequest: lambda: dict(
-        problem=_spec(), config=HatmConfig(0.5, -1.0, 2), label="preset:4.1",
-        preset_id="4.1", fmt="json", out=None,
-    ),
     CoefficientSpec: lambda: dict(spatial=X, exp_rate=1, u_degree=1),
 }
 
@@ -121,10 +112,6 @@ OTHERS = {
         dim=2, operator=(), initial=X * X, source=FracSeries.from_spatial(X)
     ),
     HatmConfig: lambda: dict(alpha=0.75, hbar=-0.5, order=4, taylor_terms=9),
-    RunRequest: lambda: dict(
-        problem=ProblemSpec(1, (), X), config=HatmConfig(0.5, -0.7, 2), label="file:w2.json",
-        preset_id=None, fmt="csv", out="out.csv",
-    ),
     CoefficientSpec: lambda: dict(spatial=Y, exp_rate=0, u_degree=0),
 }
 
@@ -250,6 +237,10 @@ def test_cached_attributes_take_no_part_in_equality():
         (lambda: TimeFactor(Fraction(1, 2), -1, 0), ExponentError,
          "exponent 1/2 + -1*alpha can go negative on (0, 1]"),
         (lambda: TimeFactor(0.5, 0, 0), ExponentError, "exponent part must be rational, got 0.5"),
+        (lambda: TimeFactor("abc", 0, 0), ExponentError,
+         "exponent part must be rational, got 'abc'"),
+        (lambda: TimeFactor("1/0", 0, 0), ExponentError,
+         "exponent part must be rational, got '1/0'"),
     ],
 )
 def test_validation_errors(build, error, message):
@@ -306,12 +297,15 @@ def test_package_runs_as_a_module_without_dataclasses():
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-m", "hatmfp", "hcurve", "--preset", "4.5", "--order", "2",
-         "--probe", "1,0.3"],
+        [sys.executable, "-X", "importtime", "-m", "hatmfp", "hcurve", "--preset", "4.5",
+         "--order", "2", "--probe", "1,0.3"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    # CSV cells need no quoting, so a run imports no csv writer
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "csv" not in imported
 
     names = [m.name for m in pkgutil.iter_modules(hatmfp.__path__) if m.name != "__main__"]
     for name in names:
