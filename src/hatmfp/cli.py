@@ -290,6 +290,6 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-# perfbench/traced.py runs the command through click's entry point,
-# `main.main(args=..., prog_name=...)`; this keeps that call working.
+# perfbench/traced.py runs the command as `main.main(args=...,
+# prog_name=...)`; this alias is kept for that call alone.
 main.main = lambda args=None, prog_name=None: sys.exit(main(args))

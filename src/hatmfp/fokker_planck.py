@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -29,13 +28,9 @@ from .engine import MultiIndex, OperatorMonomial, ProblemSpec
 from .errors import ConfigError, DegreeError, DomainError, HatmError, PresetError, Value, store
 from .expr import (
     SpatialExpr,
-    X,
-    Y,
     add,
     canonical,
     const,
-    cosh,
-    coth,
     differentiate,
     evaluate,
     monomials,
@@ -43,8 +38,6 @@ from .expr import (
     parse_integer,
     parse_prefix,
     parse_rational,
-    pow_,
-    sinh,
     to_prefix,
     within_nesting,
 )
@@ -79,7 +72,7 @@ def _as_specs(entry) -> tuple[CoefficientSpec, ...]:
         return (CoefficientSpec(entry),)
     if isinstance(entry, str):
         return (CoefficientSpec(parse_prefix(entry)),)
-    if isinstance(entry, (int, float, Fraction)):
+    if isinstance(entry, (int, float, Fraction)) and not isinstance(entry, bool):
         value = float(entry)
         return () if value == 0.0 else (CoefficientSpec(const(value)),)
     if isinstance(entry, dict):
@@ -174,7 +167,7 @@ def build_forward(
                     operator.append(OperatorMonomial(mul(const(2), b), ui_uj, rate))
                 operator.append(OperatorMonomial(mul(const(n), b), u + (_pair(i, j),), rate))
 
-    return ProblemSpec(dim, _merge_monomials(operator), initial, source or FracSeries.zero())
+    return ProblemSpec(dim, _merge_monomials(operator), initial, source)
 
 
 def build_backward(
@@ -207,65 +200,57 @@ def build_backward(
             for spec in specs_of(entry, f"B[{i}][{j}]"):
                 operator.append(OperatorMonomial(spec.spatial, (_pair(i, j),), spec.exp_rate))
 
-    return ProblemSpec(dim, _merge_monomials(operator), initial, source or FracSeries.zero())
+    return ProblemSpec(dim, _merge_monomials(operator), initial, source)
 
 
-def _preset_41() -> ProblemSpec:
-    return build_forward(1, [const(-1)], [[const(1)]], X)
-
-
-def _preset_42() -> ProblemSpec:
-    drift = [
-        [
-            CoefficientSpec(add(mul(coth(X), cosh(X)), sinh(X)), exp_rate=1),
-            CoefficientSpec(mul(const(-1), coth(X))),
-        ]
-    ]
-    diffusion = [[CoefficientSpec(cosh(X), exp_rate=1)]]
-    return build_forward(1, drift, diffusion, sinh(X))
-
-
-def _preset_43() -> ProblemSpec:
-    drift = [mul(const(-1), add(X, const(1)))]
-    diffusion = [[CoefficientSpec(pow_(X, 2), exp_rate=1)]]
-    return build_backward(1, drift, diffusion, add(X, const(1)))
-
-
-def _preset_44() -> ProblemSpec:
-    drift = [X, mul(const(5), Y)]
-    diffusion = [[pow_(X, 2), const(1)], [const(1), pow_(Y, 2)]]
-    return build_forward(2, drift, diffusion, X)
-
-
-def _preset_45() -> ProblemSpec:
-    drift = [
-        [
-            CoefficientSpec(mul(const(4), pow_(X, -1)), u_degree=1),
-            CoefficientSpec(mul(const(Fraction(-1, 3)), X)),
-        ]
-    ]
-    diffusion = [[CoefficientSpec(const(1), u_degree=1)]]
-    return build_forward(1, drift, diffusion, pow_(X, 2))
-
-
-# id -> builder. A preset solves to f(x, y) * E_alpha(t^alpha), its
-# operator acting as the identity on multiples of f, except 4.1, which
-# solves to f + t^alpha/gamma(alpha+1) (reference_solution).
-_PRESETS = {"4.1": _preset_41, "4.2": _preset_42, "4.3": _preset_43, "4.4": _preset_44,
-            "4.5": _preset_45}
+# id -> definition, in the form of a problem file. A preset solves to
+# f(x, y) * E_alpha(t^alpha), its operator acting as the identity on
+# multiples of f, except 4.1, which solves to f + t^alpha/gamma(alpha+1)
+# (reference_solution).
+_PRESETS = {
+    "4.1": {"form": "forward", "dim": 1, "A": ["-1"], "B": [["1"]], "f": "x"},
+    "4.2": {
+        "form": "forward",
+        "dim": 1,
+        "A": [[{"expr": "(add (mul (coth x) (cosh x)) (sinh x))", "exp_rate": 1},
+               "(mul -1 (coth x))"]],
+        "B": [[{"expr": "(cosh x)", "exp_rate": 1}]],
+        "f": "(sinh x)",
+    },
+    "4.3": {
+        "form": "backward",
+        "dim": 1,
+        "A": ["(mul -1 (add x 1))"],
+        "B": [[{"expr": "(pow x 2)", "exp_rate": 1}]],
+        "f": "(add x 1)",
+    },
+    "4.4": {
+        "form": "forward",
+        "dim": 2,
+        "A": ["x", "(mul 5 y)"],
+        "B": [["(pow x 2)", "1"], ["1", "(pow y 2)"]],
+        "f": "x",
+    },
+    "4.5": {
+        "form": "forward",
+        "dim": 1,
+        "A": [[{"expr": "(mul 4 (pow x -1))", "u_degree": 1}, "(mul -1/3 x)"]],
+        "B": [[{"expr": "1", "u_degree": 1}]],
+        "f": "(pow x 2)",
+    },
+}
 
 PRESET_IDS = tuple(sorted(_PRESETS))
 
 
-def preset(preset_id: str) -> ProblemSpec:
+def _definition(preset_id: str) -> dict:
     if preset_id not in _PRESETS:
         raise PresetError(f"unknown preset {preset_id!r}; known: {', '.join(PRESET_IDS)}")
-    return _PRESETS[preset_id]()
+    return _PRESETS[preset_id]
 
 
-@lru_cache(maxsize=None)
-def _initial(preset_id: str) -> SpatialExpr:
-    return preset(preset_id).initial
+def preset(preset_id: str) -> ProblemSpec:
+    return problem_from_obj(_definition(preset_id))
 
 
 def reference_solution(
@@ -274,7 +259,7 @@ def reference_solution(
     """Exact solution value at (x, y, t) for a preset problem; alpha lies
     in (0, 1], as for every run."""
     _check_alpha(alpha)
-    f = evaluate(_initial(preset_id), x, y)
+    f = evaluate(parse_prefix(_definition(preset_id)["f"]), x, y)
     if preset_id == "4.1":
         value = f + t**alpha / math.gamma(alpha + 1.0)
     else:
@@ -309,8 +294,13 @@ def problem_from_obj(obj: dict) -> ProblemSpec:
         form = obj["form"]
         _refuse_unknown(obj, ("form", "dim", "A", "B", "f", "g"), "problem definition")
         dim = parse_integer(obj["dim"])
-        drift = [_as_specs(entry) for entry in obj["A"]]
-        diffusion = [[_as_specs(entry) for entry in row] for row in obj["B"]]
+        drift, diffusion = obj["A"], obj["B"]
+        if not isinstance(drift, list):
+            raise ConfigError(f"invalid problem definition: 'A' must be a list, got {drift!r}")
+        if not isinstance(diffusion, list) or not all(isinstance(r, list) for r in diffusion):
+            raise ConfigError(
+                f"invalid problem definition: 'B' must be a list of rows, got {diffusion!r}"
+            )
         initial = parse_prefix(obj["f"])
         source = _source_from_obj(obj.get("g"))
         if form == "forward":

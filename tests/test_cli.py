@@ -15,7 +15,7 @@ import hatmfp.cli as cli
 from helpers import invoke_cli as invoke
 from hatmfp.engine import HatmConfig, h_curve, run
 from hatmfp.expr import MAX_NESTING
-from hatmfp.fokker_planck import preset
+from hatmfp.fokker_planck import _PRESETS, PRESET_IDS, preset
 from hatmfp.series import FracSeries
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,6 +92,19 @@ def test_solve_csv_table():
     assert float(m2[5]) == pytest.approx(0.7 * 0.3 / math.gamma(1.5), rel=1e-12)
     # byte-for-byte reproducible
     assert invoke(*args).output == result.output
+
+
+@pytest.mark.parametrize("pid", PRESET_IDS)
+def test_preset_runs_the_same_as_its_definition_file(tmp_path, pid):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_PRESETS[pid]), encoding="utf-8")
+    args = ("--alpha", "0.5", "--order", 5)
+    by_id = invoke("solve", "--preset", pid, *args)
+    by_file = invoke("solve", "--problem", path, *args)
+    assert by_id.exit_code == by_file.exit_code == 0
+    by_id, by_file = (json.loads(r.stdout) for r in (by_id, by_file))
+    assert (by_id.pop("problem"), by_file.pop("problem")) == (f"preset:{pid}", "file:problem.json")
+    assert dict(by_file, wall_time_s=0) == dict(by_id, wall_time_s=0)
 
 
 @pytest.mark.parametrize(

@@ -418,6 +418,17 @@ def test_problem_from_obj_validation():
         problem_from_obj({**base, "f": "(sinh x"})
     with pytest.raises(ConfigError):
         problem_from_obj({**base, "A": [{"expr": "x", "u_degree": 2}]})
+    # a JSON boolean is no number, and a string is no list of entries;
+    # a plain integer still is a number
+    for change, named in (
+        ({"A": [True]}, "True"),
+        ({"B": [[False]]}, "False"),
+        ({"dim": 2, "A": "xy", "B": [["1", "0"], ["0", "1"]]}, "'A'"),
+        ({"dim": 2, "A": ["x", "y"], "B": ["10", "01"]}, "'B'"),
+    ):
+        with pytest.raises(ConfigError, match=named):
+            problem_from_obj({**base, **change})
+    assert problem_from_obj({**base, "A": [0], "B": [[1]]}) == problem_from_obj(base)
     # backward form with a state-dependent coefficient is a definition
     # error, reported as such
     with pytest.raises(ConfigError):
