@@ -13,8 +13,11 @@ of a canonical argument, opaque powers), and ``monic`` scales a table
 so its largest monomial is 1. ``keyed_sum``, ``table_product``,
 ``table_derivative`` and ``table_value`` add, multiply, differentiate
 and evaluate tables without building trees: the series algebra works
-on tables alone. Only a product can blow a table up, so only a product
-checks ``EXPAND_CAP``. ``canonical`` is the one builder of the tree of
+on tables alone. Two rewrites can blow a table up, a product of two
+tables and the rewrite of cosh(u)**2 (one monomial with n such factors
+makes 2**n), and each checks ``EXPAND_CAP`` where it runs: a tree past
+it is one opaque atom, and a derivative past it raises DomainError.
+``canonical`` is the one builder of the tree of
 a table, for output (``normalize`` gives the tree of ``monomials``).
 Two trees with the same canonical table get the same node, so identity
 of canonical nodes is equality of their monomial sums: no merge decision
@@ -394,8 +397,9 @@ def variables(expr: SpatialExpr) -> set[str]:
     return set(vs)
 
 
-# A product of two tables with more than this many pairs of monomials
-# stays one opaque atom.
+# A product of two tables with more than this many pairs of monomials,
+# or a monomial whose cosh rewrite (_reduced) makes more than this many,
+# stays one opaque atom; in a derivative it is refused (table_derivative).
 EXPAND_CAP = 20000
 
 # Relative threshold below which a merged monomial is cancellation dust.
@@ -424,12 +428,19 @@ def _sig_pow(sig: _MonoSig, exponent: Fraction) -> _MonoSig:
     return tuple((a, e * exponent) for a, e in sig)
 
 
+def _is_cosh(atom: SpatialExpr) -> bool:
+    return isinstance(atom, Func) and atom.kind == "cosh"
+
+
 def _reduced(sig: _MonoSig, coef: float) -> list[tuple[_MonoSig, float]]:
     """Rewrite cosh(u)**e, e >= 2, as cosh**(e mod 2) * (1 + sinh**2)**(e//2),
     so that sums of hyperbolic monomials are canonical (cosh**2 - sinh**2
-    collects to 1)."""
+    collects to 1). The rewrite makes prod(e//2 + 1) monomials of one, so
+    past EXPAND_CAP it raises _ExpandOverflow."""
     for i, (atom, e) in enumerate(sig):
-        if e >= 2 and isinstance(atom, Func) and atom.kind == "cosh":
+        if e >= 2 and _is_cosh(atom):
+            if math.prod(int(f // 2) + 1 for a, f in sig if f >= 2 and _is_cosh(a)) > EXPAND_CAP:
+                raise _ExpandOverflow
             n = int(e // 2)
             rest = sig[:i] + ((atom, e - 2 * n),) + sig[i + 1 :]
             base = tuple(item for item in rest if item[1] != 0)
@@ -471,7 +482,7 @@ def _product(ta: dict, tb: dict) -> dict:
         k = ta[()]
         return keyed_sum((s, k * c) for s, c in tb.items())
     if len(ta) > 1 and len(tb) > 1 and len(ta) * len(tb) > EXPAND_CAP:
-        raise _ExpandOverflow  # only here: sums and derivatives grow linearly
+        raise _ExpandOverflow  # the pairs; _reduced caps its own rewrite
     return _summed(
         (_sig_mul(sa, sb), ca * cb) for sa, ca in ta.items() for sb, cb in tb.items()
     )
@@ -594,7 +605,8 @@ def table_product(tables: list[tuple]) -> tuple:
 
 def table_derivative(monos: tuple, name: str) -> tuple:
     """Sorted table of the partial derivative in `name`: each monomial
-    times the derivative tables of its atoms."""
+    times the derivative tables of its atoms. DomainError if the cosh
+    rewrite of a monomial of the derivative passes EXPAND_CAP."""
     name = var(name).name
     items = []
     for sig, c in monos:
@@ -602,7 +614,10 @@ def table_derivative(monos: tuple, name: str) -> tuple:
             rest = sig[:i] + (((atom, e - 1),) if e != 1 else ()) + sig[i + 1 :]
             for s, k in _table(differentiate(atom, name)).items():
                 items.append((_sig_mul(rest, s), c * (e * k)))
-    return tuple(sorted(_summed(items).items()))
+    try:
+        return tuple(sorted(_summed(items).items()))
+    except _ExpandOverflow:
+        raise DomainError(f"a derivative passes EXPAND_CAP = {EXPAND_CAP} monomials") from None
 
 
 def table_value(monos: tuple, x: float, y: float, atoms: dict) -> float:

@@ -13,7 +13,9 @@ coefficients outside,
     D_t^alpha u = -sum_i A_i d_i u + sum_ij B_ij d_i d_j u,
 
 and admits no state-dependent coefficients. Either way coefficients
-are separable pieces spatial(x, y) * exp(exp_rate * t).
+are separable pieces spatial(x, y) * exp(exp_rate * t). The builders
+work on their monomial tables: table_derivative differentiates, and
+_merge_monomials sums the scaled tables of each derivative pattern.
 """
 
 from __future__ import annotations
@@ -28,16 +30,15 @@ from .engine import MultiIndex, OperatorMonomial, ProblemSpec
 from .errors import ConfigError, DegreeError, DomainError, HatmError, PresetError, Value, store
 from .expr import (
     SpatialExpr,
-    add,
     canonical,
     const,
-    differentiate,
     evaluate,
+    keyed_sum,
     monomials,
-    mul,
     parse_integer,
     parse_prefix,
     parse_rational,
+    table_derivative,
     to_prefix,
     within_nesting,
 )
@@ -106,18 +107,20 @@ def _pair(i: int, j: int) -> MultiIndex:
     return tuple(a + b for a, b in zip(_unit(i), _unit(j)))  # type: ignore[return-value]
 
 
-def _merge_monomials(operator) -> tuple[OperatorMonomial, ...]:
-    """Sum coefficient trees of repeated derivative patterns, in canonical
-    form, and drop the ones that cancel (mixed-derivative pairs land
-    here); one-factor monomials come first."""
+def _merge_monomials(pieces) -> tuple[OperatorMonomial, ...]:
+    """One operator monomial per (derivative pattern, rate), its coefficient
+    the canonical sum of scale * table over the group's pieces (scale,
+    table, derivs, rate); a sum that cancels (mixed-derivative pairs land
+    here) is dropped. One-factor monomials come first."""
     groups: dict = {}
-    for mono in operator:
-        groups.setdefault((tuple(sorted(mono.derivs)), mono.exp_rate), []).append(mono.coef)
+    for scale, table, derivs, rate in pieces:
+        items = groups.setdefault((tuple(sorted(derivs)), rate), [])
+        items.extend((sig, scale * c) for sig, c in table)
     out = []
-    for (derivs, rate), coefs in groups.items():
-        monos = monomials(add(*coefs))
-        if monos:
-            out.append(OperatorMonomial(canonical(monos), derivs, rate))
+    for (derivs, rate), items in groups.items():
+        summed = keyed_sum(items)
+        if summed:
+            out.append(OperatorMonomial(canonical(tuple(sorted(summed.items()))), derivs, rate))
     return tuple(sorted(out, key=lambda m: len(m.derivs)))
 
 
@@ -141,33 +144,29 @@ def build_forward(
     leading u slots on every monomial; for d = 1 it also yields the
     u_i u_j term of the diffusion."""
     _check_shapes(dim, drift, diffusion)
-    operator: list[OperatorMonomial] = []
+    pieces: list[tuple] = []
 
     for i, entry in enumerate(drift):
         for spec in _as_specs(entry):
-            a, rate, n = spec.spatial, spec.exp_rate, spec.u_degree + 1
+            a, rate, n = monomials(spec.spatial), spec.exp_rate, spec.u_degree + 1
             u = ((0, 0),) * spec.u_degree
-            da = differentiate(a, _VARS[i])
-            operator.append(OperatorMonomial(mul(const(-1), da), u + ((0, 0),), rate))
-            operator.append(OperatorMonomial(mul(const(-n), a), u + (_unit(i),), rate))
+            pieces.append((-1.0, table_derivative(a, _VARS[i]), u + ((0, 0),), rate))
+            pieces.append((-n, a, u + (_unit(i),), rate))
 
     for i, row in enumerate(diffusion):
         for j, entry in enumerate(row):
             for spec in _as_specs(entry):
-                b, rate, n = spec.spatial, spec.exp_rate, spec.u_degree + 1
+                b, rate, n = monomials(spec.spatial), spec.exp_rate, spec.u_degree + 1
                 u = ((0, 0),) * spec.u_degree
-                dbi = differentiate(b, _VARS[i])
-                dbj = differentiate(b, _VARS[j])
-                dbij = differentiate(dbi, _VARS[j])
-                operator.append(OperatorMonomial(dbij, u + ((0, 0),), rate))
-                operator.append(OperatorMonomial(mul(const(n), dbi), u + (_unit(j),), rate))
-                operator.append(OperatorMonomial(mul(const(n), dbj), u + (_unit(i),), rate))
+                dbi = table_derivative(b, _VARS[i])
+                pieces.append((1.0, table_derivative(dbi, _VARS[j]), u + ((0, 0),), rate))
+                pieces.append((n, dbi, u + (_unit(j),), rate))
+                pieces.append((n, table_derivative(b, _VARS[j]), u + (_unit(i),), rate))
                 if spec.u_degree:
-                    ui_uj = (_unit(i), _unit(j))
-                    operator.append(OperatorMonomial(mul(const(2), b), ui_uj, rate))
-                operator.append(OperatorMonomial(mul(const(n), b), u + (_pair(i, j),), rate))
+                    pieces.append((2.0, b, (_unit(i), _unit(j)), rate))
+                pieces.append((n, b, u + (_pair(i, j),), rate))
 
-    return ProblemSpec(dim, _merge_monomials(operator), initial, source)
+    return ProblemSpec(dim, _merge_monomials(pieces), initial, source)
 
 
 def build_backward(
@@ -179,7 +178,7 @@ def build_backward(
 ) -> ProblemSpec:
     """Backward form: coefficients stay outside the derivatives."""
     _check_shapes(dim, drift, diffusion)
-    operator: list[OperatorMonomial] = []
+    pieces: list[tuple] = []
 
     def specs_of(entry, where: str):
         specs = _as_specs(entry)
@@ -192,15 +191,13 @@ def build_backward(
 
     for i, entry in enumerate(drift):
         for spec in specs_of(entry, f"A[{i}]"):
-            operator.append(
-                OperatorMonomial(mul(const(-1), spec.spatial), (_unit(i),), spec.exp_rate)
-            )
+            pieces.append((-1.0, monomials(spec.spatial), (_unit(i),), spec.exp_rate))
     for i, row in enumerate(diffusion):
         for j, entry in enumerate(row):
             for spec in specs_of(entry, f"B[{i}][{j}]"):
-                operator.append(OperatorMonomial(spec.spatial, (_pair(i, j),), spec.exp_rate))
+                pieces.append((1.0, monomials(spec.spatial), (_pair(i, j),), spec.exp_rate))
 
-    return ProblemSpec(dim, _merge_monomials(operator), initial, source)
+    return ProblemSpec(dim, _merge_monomials(pieces), initial, source)
 
 
 # id -> definition, in the form of a problem file. A preset solves to

@@ -174,12 +174,19 @@ class Coefficient(Value):
         return _monomial(self.factor, self.num + (num_arg,), self.den + (den_arg,))
 
     def value(self, alpha: float) -> float:
+        """The number at alpha; DomainError if it overflows a float."""
         log_ratio = 0.0
         for arg in self.num:
             log_ratio += math.lgamma(arg.value(alpha))
         for arg in self.den:
             log_ratio -= math.lgamma(arg.value(alpha))
-        return self.factor * math.exp(log_ratio)
+        try:
+            value = self.factor * math.exp(log_ratio)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise DomainError(f"a coefficient overflows a float at alpha={alpha}")
+        return value
 
     @property
     def is_zero(self) -> bool:

@@ -1,8 +1,9 @@
 """Shared fixtures for the suite: closed-form iterate coefficients,
 random-series builders, the direct hbar recursion, the symbolic residual,
-the problems the engine is checked on, small comparison utilities (among
-them values on a fixed panel of sample points) and an in-process runner
-of the command line."""
+the tree expansion of an operator, the problems the engine is checked on,
+the subordination oracle, small comparison utilities (among them values on
+a fixed panel of sample points) and an in-process runner of the command
+line."""
 
 from __future__ import annotations
 
@@ -13,9 +14,13 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+import mpmath
+
 from hatmfp.cli import main
 from hatmfp.engine import HatmConfig, ProblemSpec, apply_operator
-from hatmfp.expr import ONE, SpatialExpr, add, cosh, evaluate, monomials, mul, pow_, sinh, X, Y
+from hatmfp.expr import (
+    ONE, SpatialExpr, add, cosh, differentiate, evaluate, monomials, mul, pow_, sinh, X, Y,
+)
 from hatmfp.fokker_planck import (
     CoefficientSpec, build_backward, build_forward, preset, problem_from_obj,
 )
@@ -183,6 +188,45 @@ def symbolic_residual(
     ]
 
 
+def tree_operator(form: str, drift, diffusion) -> list[tuple]:
+    """(derivs, exp_rate, table) of each operator monomial, expanded on
+    trees: differentiate, scale with mul, then monomials of the add of each
+    derivative pattern. Entries are sequences of CoefficientSpec. The
+    reference for build_forward and build_backward, which work on tables."""
+    unit, names = ((1, 0), (0, 1)), ("x", "y")
+    pieces = []  # (coefficient tree, derivs, rate)
+    for i, entry in enumerate(drift):
+        for spec in entry:
+            a, rate, n = spec.spatial, spec.exp_rate, spec.u_degree + 1
+            u = ((0, 0),) * spec.u_degree
+            if form == "backward":
+                pieces.append((mul(-1, a), (unit[i],), rate))
+                continue
+            pieces.append((mul(-1, differentiate(a, names[i])), u + ((0, 0),), rate))
+            pieces.append((mul(-n, a), u + (unit[i],), rate))
+    for i, row in enumerate(diffusion):
+        for j, entry in enumerate(row):
+            pair = tuple(p + q for p, q in zip(unit[i], unit[j]))
+            for spec in entry:
+                b, rate, n = spec.spatial, spec.exp_rate, spec.u_degree + 1
+                u = ((0, 0),) * spec.u_degree
+                if form == "backward":
+                    pieces.append((b, (pair,), rate))
+                    continue
+                dbi = differentiate(b, names[i])
+                pieces.append((differentiate(dbi, names[j]), u + ((0, 0),), rate))
+                pieces.append((mul(n, dbi), u + (unit[j],), rate))
+                pieces.append((mul(n, differentiate(b, names[j])), u + (unit[i],), rate))
+                if spec.u_degree:
+                    pieces.append((mul(2, b), (unit[i], unit[j]), rate))
+                pieces.append((mul(n, b), u + (pair,), rate))
+    groups: dict = {}
+    for coef, derivs, rate in pieces:
+        groups.setdefault((tuple(sorted(derivs)), rate), []).append(coef)
+    out = [(derivs, rate, monomials(add(*coefs))) for (derivs, rate), coefs in groups.items()]
+    return sorted((o for o in out if o[2]), key=lambda o: len(o[0]))
+
+
 # name -> (problem, HatmConfig keywords besides alpha and hbar)
 # Backward form with A = -x, B = x^2/2, f = 1 + x + x^2 + x^3. The operator
 # maps x^k to lambda_k x^k, lambda_k = k + k(k-1)/2, so the series does not
@@ -232,6 +276,30 @@ MIXED_OBJ = {
     "f": "(add x 1)",
 }
 MIXED = problem_from_obj(MIXED_OBJ)
+
+
+def subordinated(u1, t: float) -> float:
+    """The alpha = 1/2 solution at time t of a time-independent linear
+    problem from its alpha = 1 solution u1 (Mainardi, Luchko & Pagnini,
+    Fract. Calc. Appl. Anal. 4 (2001) 153):
+
+        u(t) = integral over s > 0 of M(s) u1(s t**(1/2)) ds,
+        M(s) = exp(-s**2 / 4) / sqrt(pi),
+
+    by mpmath.quad at 30 digits. u1 maps an mpmath time to an mpmath value.
+    It holds where the series diverges, so it is a truth to test sums of
+    divergent iterates against."""
+    with mpmath.workdps(30):
+        root = mpmath.sqrt(mpmath.mpf(t))
+        value = mpmath.quad(lambda s: mpmath.exp(-s * s / 4) * u1(s * root), [0, mpmath.inf])
+        return float(value / mpmath.sqrt(mpmath.pi))
+
+
+def heat_gaussian(x: float):
+    """u1(t) at x of u_t = u_xx from u(x, 0) = exp(-x**2), the heat kernel:
+    (1 + 4t)**(-1/2) exp(-x**2 / (1 + 4t))."""
+    x = mpmath.mpf(x)
+    return lambda t: mpmath.exp(-x * x / (1 + 4 * t)) / mpmath.sqrt(1 + 4 * t)
 
 
 def invoke_cli(*args) -> SimpleNamespace:

@@ -536,6 +536,24 @@ def test_expression_at_the_nesting_limit_solves(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "change, code",
+    [({"B": [[_nested_sinh(20)]]}, 2), ({"B": [[1]], "f": _nested_sinh(20)}, 3)],
+    ids=["operator", "run"],
+)
+def test_derivative_past_the_expansion_cap_is_refused(tmp_path, change, code):
+    # the second derivative of a 20-deep sinh nest has a monomial with 19
+    # factors cosh(u)**2, which would rewrite into 2**19 monomials: refused
+    # when the operator is built (exit 2) or when a run differentiates (exit 3)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**COTH_PROBLEM, "form": "forward", "A": [0], **change}),
+                    encoding="utf-8")
+    result = invoke("solve", "--problem", str(path), "--order", "1")
+    assert result.exit_code == code, result.exception
+    assert result.stdout == ""
+    assert "EXPAND_CAP" in result.stderr
+
+
+@pytest.mark.parametrize(
     "change",
     [
         {"f": "(pow x"},
@@ -653,6 +671,19 @@ def test_overflowing_monomial_exits_three(tmp_path):
     path.write_text(json.dumps({**COTH_PROBLEM, "A": [0], "B": [[1]], "f": f}), encoding="utf-8")
     result = invoke("solve", "--problem", str(path), "--order", "1", "--format", "csv")
     assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and "overflows a float" in result.stderr
+
+
+def test_overflowing_coefficient_exits_three(tmp_path):
+    # J^alpha of the source carries 1.7e308 / gamma(1 + alpha), past the float range
+    path = tmp_path / "problem.json"
+    source = [{"expr": "1", "coef": 1.7e308}]
+    path.write_text(json.dumps({**COTH_PROBLEM, "A": [0], "B": [[1]], "f": "x", "g": source}),
+                    encoding="utf-8")
+    result = invoke("solve", "--problem", str(path), "--alpha", "0.5", "--order", "1",
+                    "--format", "csv")
+    assert result.exit_code == 3, result.exception
     assert result.stdout == ""
     assert result.stderr.startswith("error:") and "overflows a float" in result.stderr
 

@@ -419,6 +419,22 @@ def test_expansion_cap_guards_products_only(monkeypatch):
     assert monomials(e) == ((((e, 1),), 1.0),)
 
 
+def test_cosh_rewrite_past_the_cap(monkeypatch):
+    monkeypatch.setattr(expr_module, "EXPAND_CAP", 4)
+    # the square of a one-monomial table is one monomial, whose factors
+    # cosh(u)**2 rewrite into two monomials each
+    c = (cosh(X), cosh(Y), cosh(add(X, 1)))
+    assert len(monomials(pow_(mul(*c[:2]), 2))) == 4
+    e = pow_(mul(*c), 2)
+    assert monomials(e) == ((((e, 1),), 1.0),)
+    # the second derivative of a 4-deep sinh nest has a monomial with three
+    # factors cosh(u)**2, eight monomials rewritten: the derivative is refused
+    first = table_derivative(monomials(sinh(sinh(sinh(sinh(X))))), "x")
+    assert len(first) == 1
+    with pytest.raises(DomainError, match="EXPAND_CAP"):
+        table_derivative(first, "x")
+
+
 def test_expansion_overflow_leaves_an_opaque_atom(monkeypatch):
     monkeypatch.setattr(expr_module, "EXPAND_CAP", 4)
     e = pow_(add(X, mul(7, Y), 3), 5)

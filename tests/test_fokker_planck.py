@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import hatmfp
 from hatmfp.engine import HatmConfig, apply_operator, partial_sum, run
@@ -13,13 +13,17 @@ from hatmfp.expr import (
     X,
     Y,
     add,
+    canonical,
     const,
     cosh,
     differentiate,
     evaluate,
+    monomials,
     mul,
     pow_,
     sinh,
+    tanh,
+    variables,
 )
 from hatmfp.fokker_planck import (
     PRESET_IDS,
@@ -33,6 +37,8 @@ from hatmfp.fokker_planck import (
     reference_solution,
 )
 from hatmfp.series import FracSeries
+from helpers import same_on_panel, tree_operator
+from test_expr import small_trees
 
 POINTS = [(0.7, 0.4), (1.3, 0.9), (2.1, 0.25)]
 
@@ -250,6 +256,66 @@ def test_antisymmetric_mixed_diffusion_cancels():
     b = [[const(0), X], [mul(const(-1), X), const(0)]]
     prob = build_forward(2, [0, 0], b, X)
     assert prob.operator == ()
+
+
+def _negative_cosh_power(table) -> bool:
+    return any(e < 0 and getattr(a, "kind", "") == "cosh" for sig, _ in table for a, e in sig)
+
+
+def assert_matches_tree_expansion(problem, form, drift, diffusion):
+    """The operator of a builder against tree_operator: the same
+    derivative patterns, rates and order, and tables equal to 1e-14 of
+    their largest coefficient.
+
+    Where a negative power of cosh(u) meets positive ones, the rewrite of
+    cosh(u)**2 depends on the order of the products (cosh * cosh / cosh
+    leaves 1/cosh + sinh**2/cosh, not cosh), so the two expansions may hold
+    different monomials of one function: those are compared by value."""
+    want = tree_operator(form, drift, diffusion)
+    got = [(m.derivs, m.exp_rate, monomials(m.coef)) for m in problem.operator]
+    assert [g[:2] for g in got] == [w[:2] for w in want]
+    for (_, _, table), (_, _, ref) in zip(got, want):
+        if [sig for sig, _ in table] != [sig for sig, _ in ref]:
+            assert _negative_cosh_power(table + ref)
+            assert same_on_panel(canonical(table), canonical(ref))
+            continue
+        scale = max(abs(c) for _, c in ref)
+        assert all(abs(c - r) <= 1e-14 * scale for (_, c), (_, r) in zip(table, ref))
+
+
+one_d_trees = small_trees().filter(lambda e: "y" not in variables(e))
+
+
+@given(one_d_trees, one_d_trees, st.integers(0, 1), st.integers(0, 1), st.integers(0, 1))
+@settings(max_examples=60, deadline=None)
+def test_table_builders_match_the_tree_expansion(a, b, rate, da, db):
+    drift = [[CoefficientSpec(a, rate, da), CoefficientSpec(b, 0, db)]]
+    diffusion = [[[CoefficientSpec(b, rate, db), CoefficientSpec(a)]]]
+    assert_matches_tree_expansion(
+        build_forward(1, drift, diffusion, X), "forward", drift, diffusion
+    )
+    drift = [[CoefficientSpec(a, rate)]]
+    diffusion = [[[CoefficientSpec(b), CoefficientSpec(a, 1 - rate)]]]
+    assert_matches_tree_expansion(
+        build_backward(1, drift, diffusion, X), "backward", drift, diffusion
+    )
+
+
+def test_two_dimensional_table_builders_match_the_tree_expansion():
+    drift = [[CoefficientSpec(mul(X, sinh(Y)), 1)], [CoefficientSpec(cosh(add(X, Y)), 0, 1)]]
+    diffusion = [
+        [[CoefficientSpec(pow_(X, 2))], [CoefficientSpec(mul(X, Y), 0, 1)]],
+        [[CoefficientSpec(sinh(mul(X, Y)))], [CoefficientSpec(tanh(Y), 1)]],
+    ]
+    problem = build_forward(2, drift, diffusion, X)
+    assert len(quadratic(problem)) == 5
+    assert_matches_tree_expansion(problem, "forward", drift, diffusion)
+    # the backward form takes the same entries without their factors of u
+    drift = [drift[0], [CoefficientSpec(cosh(add(X, Y)))]]
+    diffusion[0][1] = [CoefficientSpec(mul(X, Y))]
+    assert_matches_tree_expansion(
+        build_backward(2, drift, diffusion, X), "backward", drift, diffusion
+    )
 
 
 # -------------------------------------------------------------------- presets

@@ -99,6 +99,21 @@ def test_coefficient_value_log_space():
     assert c.value(alpha) == pytest.approx(want, rel=1e-13)
 
 
+@pytest.mark.parametrize(
+    "coef",
+    [
+        # gamma(400.5) is about e^1997: exp of its logarithm overflows
+        Coefficient(1.0, (GammaArg(Fraction(400), 1),), ()),
+        # 1.7e308 / gamma(1.5) is finite in log space, not as a float
+        Coefficient(1.7e308, (), (GammaArg(Fraction(1), 1),)),
+    ],
+    ids=["exp", "product"],
+)
+def test_coefficient_value_past_the_float_range_is_a_domain_error(coef):
+    with pytest.raises(DomainError, match="overflows a float"):
+        coef.value(0.5)
+
+
 def test_parallel_ratio():
     a = GammaArg(Fraction(1), 1)
     b = GammaArg(Fraction(1), 2)

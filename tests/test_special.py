@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hatmfp.errors import ConvergenceError, DomainError
 from hatmfp.series import Coefficient, FracSeries, GammaArg
 from hatmfp.special import mittag_leffler
+from helpers import heat_gaussian, subordinated
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -170,3 +171,28 @@ def test_ml_params_validation():
 @settings(max_examples=40)
 def test_ml_positive_on_positive_axis(alpha, z):
     assert mittag_leffler(alpha, z) >= 1.0
+
+
+# ------------------------------------------------------ subordination oracle
+
+
+@pytest.mark.parametrize("z", [0.5, 3.0])
+def test_subordination_oracle_gives_the_mittag_leffler_function(z):
+    # exp(z t) subordinates to E_{1/2}(z t**(1/2)); at t = 1 to E_{1/2}(z)
+    got = subordinated(lambda t: mpmath.exp(z * t), 1.0)
+    assert got == pytest.approx(mittag_leffler(0.5, z), rel=1e-15)
+
+
+def test_subordination_oracle_where_the_series_gives_up():
+    # E_{1/2}(-5) = exp(25) erfc(5); the alternating series does not converge
+    got = subordinated(lambda t: mpmath.exp(-5 * t), 1.0)
+    assert got == pytest.approx(float(mpmath.exp(25) * mpmath.erfc(5)), rel=1e-15)
+    assert got == pytest.approx(0.1107046377, abs=1e-10)
+    with pytest.raises(ConvergenceError):
+        mittag_leffler(0.5, -5.0)
+
+
+def test_subordination_oracle_of_the_heat_kernel():
+    # u_t^(1/2) = u_xx from exp(-x**2) at (x, t) = (0.7, 0.1), where the
+    # iterates diverge: the value a resummation of them is to reach
+    assert subordinated(heat_gaussian(0.7), 0.1) == pytest.approx(0.5312634487, abs=1e-10)
