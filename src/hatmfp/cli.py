@@ -26,7 +26,9 @@ import re
 import sys
 from pathlib import Path
 
-from .engine import HatmConfig, ProblemSpec, h_curve, partial_sum, residual, run, run_report
+from .engine import (
+    TAYLOR_TERMS, HatmConfig, ProblemSpec, h_curve, partial_sum, residual, run, run_report,
+)
 from .errors import ConfigError, HatmError, SingularityError
 from .expr import to_prefix
 from .fokker_planck import PRESET_IDS, load_problem, preset, reference_solution
@@ -119,8 +121,9 @@ def solve(args: argparse.Namespace, problem: ProblemSpec, config: HatmConfig) ->
                  else f"file:{Path(args.problem).name}")
         _emit(_json_text(run_report(problem, config, label)), args.out)
         return
+    # Terms are pure powers of t; the c column stays 0 for readers of the format.
     rows = [
-        [m, i, str(term.time.p), term.time.q, term.time.c,
+        [m, i, str(term.time.p), term.time.q, 0,
          term.coef.value(config.alpha), to_prefix(term.spatial)]
         for m, series in enumerate(run(problem, config))
         for i, term in enumerate(series.terms)
@@ -209,7 +212,7 @@ def _parser() -> argparse.ArgumentParser:
         shared.add_argument("--alpha", type=finite, default=1.0,
                             help="Caputo order in (0, 1] (default: %(default)s)")
         shared.add_argument("--order", type=int, **order)
-        shared.add_argument("--taylor-terms", type=int, default=12,
+        shared.add_argument("--taylor-terms", type=int, default=TAYLOR_TERMS,
                             help="powers of t kept when expanding exp(c*t) (default: %(default)s)")
         shared.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
                             help="(default: %(default)s)")

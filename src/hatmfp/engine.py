@@ -9,9 +9,10 @@ hbar-free recursion
 where J^alpha is the fractional integral and N_{m-1} the operator terms
 at order m-1: a one-factor monomial acts on v_{m-1}, and a two-factor
 one takes the homotopy convolution sum_k of its factors on v_{m-1-k}
-and v_k, so a nonlinear term needs no Adomian or He polynomials. Any
-exp(c*t) factors are Taylor-expanded before integration, and those
-truncations are recorded on the run report.
+and v_k, so a nonlinear term needs no Adomian or He polynomials. Each
+step expands the exp(rate*t) of operator monomials and source terms to
+taylor_terms powers of t before integrating, and records that truncation
+on the run report, so every iterate is pure powers of t.
 
 Coefficients stay symbolic in alpha until a step's exact collect
 leaves terms that share a TimeFactor, which it does when their gamma
@@ -46,7 +47,7 @@ from functools import reduce
 from itertools import product
 from typing import Iterator, Sequence
 
-from .errors import ConfigError, DegreeError, DomainError, ExponentError, Value, store
+from .errors import ConfigError, DegreeError, DomainError, Value, store
 from .expr import (
     MAX_OPERATOR_NESTING, SpatialExpr, evaluate, monomials, table_product, variables,
     within_nesting,
@@ -84,7 +85,8 @@ class OperatorMonomial(Value):
 
 
 class ProblemSpec(Value):
-    """An initial state, an operator and a source (zero if None)."""
+    """An initial state, an operator and a source g, given as (rate,
+    series) pairs for g = sum series * exp(rate*t); None is no source."""
 
     _fields = ("dim", "operator", "initial", "source")
 
@@ -101,11 +103,14 @@ class ProblemSpec(Value):
                     raise ConfigError("y-derivative in a one-dimensional problem")
             if "y" in used:
                 raise ConfigError("variable y in a one-dimensional problem")
-        source = FracSeries.zero() if source is None else source
         store(self, "dim", dim)
         store(self, "operator", operator)
         store(self, "initial", initial)
-        store(self, "source", source)
+        store(self, "source", tuple((rate, g) for rate, g in source or () if not g.is_zero))
+
+
+# Powers of t kept where an exp(rate*t) factor is expanded.
+TAYLOR_TERMS = 12
 
 
 class HatmConfig(Value):
@@ -114,7 +119,7 @@ class HatmConfig(Value):
 
     _fields = ("alpha", "hbar", "order", "taylor_terms")
 
-    def __init__(self, alpha: float, hbar: float, order: int, taylor_terms: int = 12) -> None:
+    def __init__(self, alpha: float, hbar: float, order: int, taylor_terms=TAYLOR_TERMS) -> None:
         _check_alpha(alpha)
         if not math.isfinite(hbar):
             raise ConfigError(f"hbar must be finite, got {hbar}")
@@ -143,8 +148,9 @@ def apply_operator(
     problem: ProblemSpec,
     history: Sequence[FracSeries],
     m: int,
-) -> FracSeries:
-    """Operator terms at deformation order m.
+) -> dict[int, FracSeries]:
+    """Operator terms at deformation order m, collected separately for
+    each rate: {rate: series}, the terms being series * exp(rate*t).
 
     A monomial with one slot acts on history[m-1]; one with two slots
     takes the homotopy convolution sum_{k=0}^{m-1} of derivative pairs
@@ -153,9 +159,9 @@ def apply_operator(
     """
     if m < 1:
         raise ConfigError(f"apply_operator needs m >= 1, got {m}")
-    terms: list[FracTerm] = []
+    products: dict[int, list[FracTerm]] = {}
     for mono in problem.operator:
-        rate = TimeFactor(0, 0, mono.exp_rate)
+        terms = products.setdefault(mono.exp_rate, [])
         splits = [(m - 1,)] if len(mono.derivs) == 1 else [(m - 1 - k, k) for k in range(m)]
         for split in splits:
             derived = [_derived(history[n], d).terms for n, d in zip(split, mono.derivs)]
@@ -163,20 +169,23 @@ def apply_operator(
                 terms.append(FracTerm(
                     reduce(Coefficient.times, (f.coef for f in factors)),
                     table_product([monomials(mono.coef), *(f.monos for f in factors)]),
-                    reduce(TimeFactor.plus, (f.time for f in factors)).plus(rate),
+                    reduce(TimeFactor.plus, (f.time for f in factors)),
                 ))
-    return FracSeries(tuple(terms)).collected()
+    return {rate: FracSeries(tuple(terms)).collected() for rate, terms in products.items()}
 
 
 def build_rm(
     problem: ProblemSpec,
     history: Sequence[FracSeries],
     m: int,
-) -> FracSeries:
-    """Right-hand side of the m-th hbar-free step before integration:
-    the operator terms at order m-1, plus the source at m = 1."""
-    op = apply_operator(problem, history, m)
-    return op.add(problem.source) if m == 1 else op
+) -> dict[int, FracSeries]:
+    """Right-hand side of the m-th hbar-free step before integration, by
+    rate: the operator terms at order m-1, plus the source at m = 1."""
+    groups = apply_operator(problem, history, m)
+    if m == 1:
+        for rate, g in problem.source:
+            groups[rate] = groups[rate].add(g) if rate in groups else g
+    return groups
 
 
 def deformation_step(
@@ -186,7 +195,8 @@ def deformation_step(
     m: int,
     events: dict | None = None,
 ) -> FracSeries:
-    """v_m = J^alpha[build_rm], Taylor-expanding exp(c*t) factors first.
+    """v_m = J^alpha[build_rm], each rate's terms first multiplied by
+    exp(rate*t) cut to cfg.taylor_terms powers of t (taylor_expand).
 
     Terms that still share a TimeFactor after the exact collect (their
     gamma tokens differ) are bound to numbers at cfg.alpha and collected
@@ -197,15 +207,13 @@ def deformation_step(
     Given an events dict, an expansion appends the row {"order",
     "terms_expanded", "taylor_terms"} to its "taylor_events" list and a
     binding the row {"order", "terms_bound"} to "bind_events"."""
-    rhs = build_rm(problem, history, m)
-    exponential = sum(1 for t in rhs.terms if t.time.c != 0)
-    if exponential:
-        if events is not None:
-            events.setdefault("taylor_events", []).append(
-                {"order": m, "terms_expanded": exponential, "taylor_terms": cfg.taylor_terms}
-            )
-        rhs = rhs.taylor_expand(cfg.taylor_terms)
-    v = rhs.frac_integral()
+    groups = sorted((rate, g) for rate, g in build_rm(problem, history, m).items() if g.terms)
+    exponential = sum(len(g.terms) for rate, g in groups if rate)
+    if exponential and events is not None:
+        row = {"order": m, "terms_expanded": exponential, "taylor_terms": cfg.taylor_terms}
+        events.setdefault("taylor_events", []).append(row)
+    expanded = [g.taylor_expand(rate, cfg.taylor_terms) if rate else g for rate, g in groups]
+    v = FracSeries(tuple(t for g in expanded for t in g.terms)).collected().frac_integral()
     per_time = Counter(t.time for t in v.terms)
     binds = [per_time[t.time] > 1 for t in v.terms]
     if not any(binds):
@@ -286,12 +294,10 @@ def residual(
 ) -> list[float]:
     """|D^alpha s - N[s] - g| of the full nonlinear equation at (x, y, t).
 
-    D^alpha s - g stays a series; N[s] is summed at each point from the
-    values of the derivatives of s, so a two-slot monomial multiplies
-    two numbers instead of every pair of terms of s."""
-    if s.has_exponential:
-        raise ExponentError("residual needs a taylor-expanded (c = 0) series")
-    linear = s.caputo_derivative().add(problem.source.scale(-1.0))
+    D^alpha s stays a series; N[s] + g is summed at each point from the
+    values of the derivatives of s and of the source, so a two-slot
+    monomial multiplies two numbers instead of every pair of terms of s."""
+    linear = s.caputo_derivative()
     out = []
     for px, py, pt in points:
         try:
@@ -300,7 +306,8 @@ def residual(
                 * math.exp(mono.exp_rate * pt)
                 * math.prod(_derived(s, d).evaluate(px, pt, cfg.alpha, py) for d in mono.derivs)
                 for mono in problem.operator
-            )
+            ) + sum(math.exp(rate * pt) * g.evaluate(px, pt, cfg.alpha, py)
+                    for rate, g in problem.source)
             value = abs(linear.evaluate(px, pt, cfg.alpha, py) - operator)
         except OverflowError:
             value = math.inf

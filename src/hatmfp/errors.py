@@ -23,8 +23,7 @@ class SingularityError(HatmError, ArithmeticError):
 
 
 class ExponentError(HatmError, ValueError):
-    """Time-exponent constraint violated: a negative power of t, or an
-    exp(c*t) factor fed to an operator that only accepts pure powers."""
+    """Time-exponent constraint violated: a negative power of t."""
 
 
 class DegreeError(HatmError, ValueError):

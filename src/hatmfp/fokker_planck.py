@@ -136,7 +136,7 @@ def build_forward(
     drift: Sequence,
     diffusion: Sequence[Sequence],
     initial: SpatialExpr,
-    source: FracSeries | None = None,
+    source=None,
 ) -> ProblemSpec:
     """Expand the forward equation into derivative monomials.
 
@@ -174,7 +174,7 @@ def build_backward(
     drift: Sequence,
     diffusion: Sequence[Sequence],
     initial: SpatialExpr,
-    source: FracSeries | None = None,
+    source=None,
 ) -> ProblemSpec:
     """Backward form: coefficients stay outside the derivatives."""
     _check_shapes(dim, drift, diffusion)
@@ -269,20 +269,19 @@ def reference_solution(
 # -- problem definition files -----------------------------------------
 
 
-def _source_from_obj(obj) -> FracSeries:
-    if not obj:
-        return FracSeries.zero()
-    terms = []
-    for item in obj:
+def _source_from_obj(obj) -> tuple[tuple[int, FracSeries], ...]:
+    """ProblemSpec.source: the terms grouped by "c", their rate of exp(c*t)."""
+    groups: dict[int, list[FracTerm]] = {}
+    for item in obj or ():
         if not isinstance(item, dict):
             raise TypeError(f"a source term must be an object, got {item!r}")
         _refuse_unknown(item, ("expr", "coef", "p", "q", "c"), "source term")
         coef = Coefficient.number(float(parse_rational(item.get("coef", 1.0))))
         monos = monomials(parse_prefix(item["expr"]))
         p, q, c = (item.get(key, 0) for key in ("p", "q", "c"))
-        time = TimeFactor(parse_rational(p), parse_integer(q), parse_integer(c))
-        terms.append(FracTerm(coef, monos, time))
-    return FracSeries(_collect(terms))
+        time = TimeFactor(parse_rational(p), parse_integer(q))
+        groups.setdefault(parse_integer(c), []).append(FracTerm(coef, monos, time))
+    return tuple((rate, FracSeries(_collect(terms))) for rate, terms in sorted(groups.items()))
 
 
 def problem_from_obj(obj: dict) -> ProblemSpec:
@@ -307,10 +306,10 @@ def problem_from_obj(obj: dict) -> ProblemSpec:
         raise ConfigError(f"form must be 'forward' or 'backward', got {form!r}")
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed problem definition: {exc}") from exc
     except HatmError as exc:
         raise ConfigError(f"invalid problem definition: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed problem definition: {exc}") from exc
 
 
 def load_problem(path: str | Path) -> ProblemSpec:
@@ -347,8 +346,8 @@ def problem_to_obj(form: str, dim: int, drift, diffusion, initial, source=None) 
         "B": [[entry_obj(e) for e in row] for row in diffusion],
         "f": to_prefix(initial),
     }
-    if source is not None and not source.is_zero:
-        if any(t.coef.num or t.coef.den for t in source.terms):
+    if source:
+        if any(t.coef.num or t.coef.den for _, g in source for t in g.terms):
             raise ConfigError("a problem file cannot hold a source coefficient in alpha")
         obj["g"] = [
             {
@@ -356,8 +355,9 @@ def problem_to_obj(form: str, dim: int, drift, diffusion, initial, source=None) 
                 "coef": t.coef.value(1.0),
                 "p": str(t.time.p),
                 "q": t.time.q,
-                "c": t.time.c,
+                "c": rate,
             }
-            for t in source.terms
+            for rate, g in source
+            for t in g.terms
         ]
     return obj

@@ -2,10 +2,12 @@
 
 A series is a finite sum of terms
 
-    coef(alpha) * f(x, y) * t**(p + q*alpha) * exp(c*t)
+    coef(alpha) * f(x, y) * t**(p + q*alpha)
 
 with f a sum of spatial monomials, held as its canonical table
-(``expr.monomials``), p a nonnegative rational, q and c integers.
+(``expr.monomials``), p a nonnegative rational and q an integer: an
+exp(c*t) factor is expanded where it acts (``FracSeries.taylor_expand``),
+and a report's "c" is always 0, kept for readers of the format.
 Coefficients stay symbolic in alpha: each one is a single gamma
 monomial, a float factor times a ratio of gamma values whose arguments
 live on the p-q grid, i.e. of the form a + b*alpha. The Caputo
@@ -218,11 +220,11 @@ COEF_ZERO = Coefficient(0.0, (), ())
 
 
 class TimeFactor(Value):
-    """Time dependence t**(p + q*alpha) * exp(c*t)."""
+    """Time dependence t**(p + q*alpha)."""
 
-    _fields = ("p", "q", "c")
+    _fields = ("p", "q")
 
-    def __init__(self, p: Fraction, q: int, c: int) -> None:
+    def __init__(self, p: Fraction, q: int) -> None:
         p = _as_fraction(p)
         if p < 0:
             raise ExponentError(f"negative fixed exponent p={p}")
@@ -230,10 +232,9 @@ class TimeFactor(Value):
         if q < 0 and p < -q:
             raise ExponentError(f"exponent {p} + {q}*alpha can go negative on (0, 1]")
         # _collect keys every term on its time: hashed and compared as integers.
-        ints = (p.numerator, p.denominator, q, c)
+        ints = (p.numerator, p.denominator, q)
         store(self, "p", p)
         store(self, "q", q)
-        store(self, "c", c)
         store(self, "_ints", ints)
         store(self, "_hash", hash(ints))
 
@@ -247,14 +248,14 @@ class TimeFactor(Value):
         return float(self.p) + self.q * alpha
 
     def plus(self, other: "TimeFactor") -> "TimeFactor":
-        return TimeFactor(self.p + other.p, self.q + other.q, self.c + other.c)
+        return TimeFactor(self.p + other.p, self.q + other.q)
 
     @property
     def sort_key(self):
-        return (self.q, self.p, self.c)
+        return (self.q, self.p)
 
 
-TIME_ONE = TimeFactor(Fraction(0), 0, 0)
+TIME_ONE = TimeFactor(Fraction(0), 0)
 
 
 class FracTerm(Value):
@@ -309,20 +310,14 @@ class FracSeries(Value):
         return FracSeries(())
 
     @staticmethod
-    def from_spatial(
-        expr: SpatialExpr, factor: float = 1.0, p=0, q: int = 0, c: int = 0
-    ) -> "FracSeries":
-        time = TimeFactor(_as_fraction(p), q, c)
+    def from_spatial(expr: SpatialExpr, factor: float = 1.0, p=0, q: int = 0) -> "FracSeries":
+        time = TimeFactor(_as_fraction(p), q)
         monos = monomials(within_nesting(expr))
         return FracSeries(_collect([FracTerm(Coefficient.number(factor), monos, time)]))
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def has_exponential(self) -> bool:
-        return any(t.time.c != 0 for t in self.terms)
 
     def collected(self) -> "FracSeries":
         return FracSeries(_collect(self.terms))
@@ -366,16 +361,14 @@ class FracSeries(Value):
             object.__setattr__(self, key, got)
         return got
 
-    def _alpha_shift(self, step: int, what: str) -> "FracSeries":
+    def _alpha_shift(self, step: int) -> "FracSeries":
         """Move every term from t**(p + q*alpha) to t**(p + (q+step)*alpha),
         multiplying its coefficient by gamma(1 + p + q*alpha) /
         gamma(1 + p + (q+step)*alpha)."""
         out = []
         for term in self.terms:
             tf = term.time
-            if tf.c != 0:
-                raise ExponentError(f"{what} needs pure powers; taylor_expand exp(c*t) first")
-            shifted = TimeFactor(tf.p, tf.q + step, 0)  # raises if it can go negative
+            shifted = TimeFactor(tf.p, tf.q + step)  # raises if it can go negative
             coef = term.coef.gamma_ratio(
                 GammaArg(1 + tf.p, tf.q), GammaArg(1 + tf.p, tf.q + step)
             )
@@ -390,33 +383,28 @@ class FracSeries(Value):
         drops one alpha from the exponent.
         """
         varying = FracSeries(tuple(t for t in self.terms if t.time != TIME_ONE))
-        return varying._alpha_shift(-1, "caputo_derivative")
+        return varying._alpha_shift(-1)
 
     def frac_integral(self) -> "FracSeries":
         """Riemann-Liouville integral of order alpha; exact inverse of
         caputo_derivative on its image (the gamma tokens cancel)."""
-        return self._alpha_shift(1, "frac_integral")
+        return self._alpha_shift(1)
 
-    def taylor_expand(self, n_terms: int) -> "FracSeries":
-        """Replace each exp(c*t) factor by its first n_terms powers of t."""
+    def taylor_expand(self, rate: int, n_terms: int) -> "FracSeries":
+        """This series times exp(rate*t) cut to its first n_terms powers of
+        t, sum_{j < n_terms} (rate*t)**j / j!."""
         if n_terms < 1:
             raise ConfigError(f"taylor_expand needs n_terms >= 1, got {n_terms}")
-        out = []
-        for term in self.terms:
-            tf = term.time
-            if tf.c == 0:
-                out.append(term)
-                continue
-            for j in range(n_terms):
-                try:
-                    weight = tf.c**j / math.factorial(j)
-                except OverflowError:  # an int quotient too large for a float
-                    raise DomainError(
-                        f"the Taylor weight {tf.c}**{j}/{j}! of exp({tf.c}*t) overflows a float"
-                    ) from None
-                time = TimeFactor(tf.p + j, tf.q, 0)
-                out.append(FracTerm(term.coef.scaled(weight), term.monos, time))
-        return FracSeries(_collect(out))
+        try:
+            weights = [rate**j / math.factorial(j) for j in range(n_terms)]
+        except OverflowError:  # an int quotient too large for a float
+            raise DomainError(
+                f"a Taylor weight {rate}**j/j! of exp({rate}*t) overflows a float") from None
+        return FracSeries(_collect(
+            FracTerm(term.coef.scaled(w), term.monos, TimeFactor(term.time.p + j, term.time.q))
+            for term in self.terms
+            for j, w in enumerate(weights)
+        ))
 
     def evaluate(self, x: float, t: float, alpha: float, y: float = 0.0) -> float:
         """Bind alpha and evaluate at (x, y, t); 0**0 counts as 1."""
@@ -437,8 +425,6 @@ class FracSeries(Value):
                 if tpow == 0.0:
                     continue
                 value = term.coef.value(alpha) * table_value(term.monos, x, y, atoms) * tpow
-                if term.time.c != 0:
-                    value *= math.exp(term.time.c * t)
             except OverflowError:
                 total = math.inf
                 break
@@ -486,7 +472,7 @@ def _term_obj(term: FracTerm) -> dict:
         "spatial": to_prefix(term.spatial),
         "p": str(term.time.p),
         "q": term.time.q,
-        "c": term.time.c,
+        "c": 0,
     }
 
 
@@ -519,6 +505,8 @@ def _terms_from_obj(obj: dict) -> list[FracTerm]:
         )
         for m in tokens
     ]
-    time = TimeFactor(parse_rational(obj["p"]), parse_integer(obj["q"]), parse_integer(obj["c"]))
+    if parse_integer(obj["c"]) != 0:
+        raise DomainError(f"a series term is a pure power of t, so its c must be 0: {obj['c']!r}")
+    time = TimeFactor(parse_rational(obj["p"]), parse_integer(obj["q"]))
     monos = monomials(parse_prefix(obj["spatial"]))
     return [FracTerm(coef, monos, time) for coef in coefs]

@@ -67,7 +67,6 @@ def q_coefficient_map(series: FracSeries, alpha: float, x: float, y: float = 0.0
     at (x, y). Only for series with pure q*alpha exponents."""
     out: dict[int, float] = {}
     for term in series.terms:
-        assert term.time.c == 0, "exponential factor left in iterate"
         assert term.time.p == 0, f"unexpected fixed exponent {term.time.p}"
         val = term.coef.value(alpha) * evaluate(term.spatial, x, y)
         out[term.time.q] = out.get(term.time.q, 0.0) + val
@@ -79,7 +78,6 @@ def tree_value(series: FracSeries, x: float, t: float, alpha: float, y: float = 
     term: the reference for FracSeries.evaluate at t > 0."""
     total = 0.0
     for term in series.terms:
-        assert term.time.c == 0, "exponential factor left in iterate"
         spatial = evaluate(term.spatial, x, y)
         total += term.coef.value(alpha) * spatial * t ** term.time.exponent(alpha)
     return total
@@ -124,7 +122,7 @@ SPATIAL_POOL: tuple[SpatialExpr, ...] = (
 P_POOL = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
 
 
-def random_series(rng: random.Random, n_terms: int = 4, with_exp: bool = False) -> FracSeries:
+def random_series(rng: random.Random, n_terms: int = 4) -> FracSeries:
     """Small random series over the shared spatial pool; q >= 1 so the
     Caputo derivative always has a fractional exponent to lower."""
     terms = []
@@ -133,8 +131,7 @@ def random_series(rng: random.Random, n_terms: int = 4, with_exp: bool = False) 
         spatial = rng.choice(SPATIAL_POOL)
         p = rng.choice(P_POOL)
         q = rng.randint(1, 3)
-        c = rng.choice((-1, 0, 1, 2)) if with_exp else 0
-        terms.append(FracTerm(coef, monomials(spatial), TimeFactor(p, q, c)))
+        terms.append(FracTerm(coef, monomials(spatial), TimeFactor(p, q)))
     return FracSeries(tuple(terms)).collected()
 
 
@@ -145,14 +142,16 @@ def direct_iterates(problem: ProblemSpec, cfg: HatmConfig) -> list[FracSeries]:
         u_m = chi_m u_{m-1} + hbar * R_m,
         R_m = u_{m-1} - (1 - chi_m)(u_0 + J^alpha[g]) - J^alpha[N_{m-1}],
 
-    chi_m = 0 for m = 1, else 1; exp(c*t) factors are Taylor-expanded
-    before each integration.
+    chi_m = 0 for m = 1, else 1; the exp(rate*t) of each (rate, series)
+    pair of the operator terms and the source is Taylor-expanded before
+    each integration.
     """
 
-    def integrated(series: FracSeries) -> FracSeries:
-        if series.has_exponential:
-            series = series.taylor_expand(cfg.taylor_terms)
-        return series.frac_integral()
+    def integrated(groups) -> FracSeries:
+        """J^alpha of sum series * exp(rate*t) over (rate, series) pairs;
+        at rate 0 the expansion leaves a series as it is."""
+        parts = [g.taylor_expand(rate, cfg.taylor_terms) for rate, g in groups]
+        return FracSeries(tuple(t for p in parts for t in p.terms)).collected().frac_integral()
 
     history = [FracSeries.from_spatial(problem.initial)]
     for m in range(1, cfg.order + 1):
@@ -160,10 +159,9 @@ def direct_iterates(problem: ProblemSpec, cfg: HatmConfig) -> list[FracSeries]:
         parts = list(u_prev.terms)
         if m == 1:
             parts.extend(history[0].scale(-1.0).terms)
-            if not problem.source.is_zero:
-                parts.extend(integrated(problem.source).scale(-1.0).terms)
+            parts.extend(integrated(problem.source).scale(-1.0).terms)
         op = apply_operator(problem, history, m)
-        parts.extend(integrated(op).scale(-1.0).terms)
+        parts.extend(integrated(op.items()).scale(-1.0).terms)
         rm = FracSeries(tuple(parts)).collected()
         step = rm.scale(cfg.hbar).terms
         if m > 1:
@@ -175,15 +173,16 @@ def direct_iterates(problem: ProblemSpec, cfg: HatmConfig) -> list[FracSeries]:
 def symbolic_residual(
     problem: ProblemSpec, s: FracSeries, cfg: HatmConfig, points
 ) -> list[float]:
-    """|D^alpha s - N[s] - g| with N[s] built as a series, apply_operator
-    at m = 1 with history (s,): the reference for engine.residual."""
-    mismatch = (
-        s.caputo_derivative()
-        .add(apply_operator(problem, (s,), 1).scale(-1.0))
-        .add(problem.source.scale(-1.0))
-    )
+    """|D^alpha s - N[s] - g| with N[s] built as a series for each rate,
+    apply_operator at m = 1 with history (s,): the reference for
+    engine.residual."""
+    groups = [*apply_operator(problem, (s,), 1).items(), *problem.source]
+    derivative = s.caputo_derivative()
     return [
-        abs(mismatch.evaluate(x=px, y=py, t=pt, alpha=cfg.alpha))
+        abs(derivative.evaluate(x=px, y=py, t=pt, alpha=cfg.alpha) - sum(
+            math.exp(rate * pt) * g.evaluate(x=px, y=py, t=pt, alpha=cfg.alpha)
+            for rate, g in groups
+        ))
         for px, py, pt in points
     ]
 
@@ -259,7 +258,7 @@ PROBLEMS = {
     "source": (
         ProblemSpec(
             dim=1, operator=(), initial=X,
-            source=FracSeries.from_spatial(ONE, q=1),
+            source=((0, FracSeries.from_spatial(ONE, q=1)),),
         ),
         {"order": 4},
     ),

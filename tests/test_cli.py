@@ -551,6 +551,8 @@ def test_derivative_past_the_expansion_cap_is_refused(tmp_path, change, code):
     assert result.exit_code == code, result.exception
     assert result.stdout == ""
     assert "EXPAND_CAP" in result.stderr
+    if code == 2:  # a well-formed file refused for what it means
+        assert "invalid problem definition" in result.stderr
 
 
 @pytest.mark.parametrize(
@@ -686,6 +688,31 @@ def test_overflowing_coefficient_exits_three(tmp_path):
     assert result.exit_code == 3, result.exception
     assert result.stdout == ""
     assert result.stderr.startswith("error:") and "overflows a float" in result.stderr
+
+
+def test_source_with_an_exponential_is_expanded_where_it_acts(tmp_path):
+    # D^alpha u = x e^t from u(x, 0) = 0 solves to x t^alpha E_{1,1+alpha}(t),
+    # which is x (e^t - 1) at alpha = 1. v_1 holds it all, e^t cut to its
+    # first 12 powers of t: sum_{k<12} x t^(k+alpha) / gamma(k+1+alpha).
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"form": "forward", "dim": 1, "A": [0], "B": [[0]], "f": "0",
+                                "g": [{"expr": "x", "c": 1}]}), encoding="utf-8")
+    x, t = 0.7, 0.5
+    for alpha in (1.0, 0.5):
+        result = invoke("solve", "--problem", path, "--alpha", alpha, "--order", 1)
+        assert result.exit_code == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert report["taylor_events"] == [{"order": 1, "terms_expanded": 1, "taylor_terms": 12}]
+        assert [term["c"] for term in report["partial_sum"]] == [0] * 12
+        got = FracSeries.from_obj(report["partial_sum"]).evaluate(x, t, alpha)
+        with mpmath.workdps(30):
+            terms = [x * mpmath.mpf(t) ** (k + alpha) / mpmath.gamma(k + 1 + alpha)
+                     for k in range(40)]
+        assert got == pytest.approx(float(mpmath.fsum(terms[:12])), rel=1e-15)
+        # the powers from t^(12+alpha) on are dropped
+        assert got == pytest.approx(float(mpmath.fsum(terms)), rel=2e-13)
+        if alpha == 1.0:
+            assert got == pytest.approx(x * math.expm1(t), rel=1e-13)
 
 
 def test_source_with_a_large_power_of_t_solves(tmp_path):

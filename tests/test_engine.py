@@ -15,7 +15,7 @@ from helpers import (
     tree_value,
 )
 from hatmfp import engine, expr, fokker_planck, series
-from hatmfp.errors import ConfigError, DegreeError, DomainError, ExponentError
+from hatmfp.errors import ConfigError, DegreeError, DomainError
 from hatmfp.engine import (
     HatmConfig,
     OperatorMonomial,
@@ -93,7 +93,9 @@ def test_apply_operator_identity_preset():
     # multiples of sinh(x) (their e^t parts cancel)
     prob = preset("4.2")
     u0 = FracSeries.from_spatial(prob.initial)
-    out = apply_operator(prob, [u0], 1)
+    groups = apply_operator(prob, [u0], 1)
+    assert sorted(groups) == [0, 1] and groups[1].is_zero
+    out = groups[0]
     assert out.evaluate(1.0, 0.4, 0.75) == pytest.approx(math.sinh(1.0), rel=1e-10)
     assert out.evaluate(1.7, 0.0, 0.5) == pytest.approx(math.sinh(1.7), rel=1e-10)
 
@@ -101,7 +103,7 @@ def test_apply_operator_identity_preset():
 def test_apply_operator_quadratic_identity():
     prob = preset("4.5")
     u0 = FracSeries.from_spatial(prob.initial)
-    out = apply_operator(prob, [u0], 1)
+    (out,) = apply_operator(prob, [u0], 1).values()
     assert out.evaluate(1.3, 0.2, 1.0) == pytest.approx(1.3**2, rel=1e-10)
 
 
@@ -109,11 +111,11 @@ def test_apply_operator_drift_only():
     # hand problem: N[u] = x * du/dx on u = x^2 t^alpha
     prob = ProblemSpec(dim=1, operator=(OperatorMonomial(X, ((1, 0),)),), initial=X)
     u = FracSeries.from_spatial(pow_(X, 2), q=1)
-    out = apply_operator(prob, [u], 1)
+    (out,) = apply_operator(prob, [u], 1).values()
     alpha, x, t = 0.5, 1.4, 0.3
     assert out.evaluate(x, t, alpha) == pytest.approx(2 * x**2 * t**alpha, rel=1e-12)
     # at order m the linear part acts on history[m-1] alone
-    later = apply_operator(prob, [FracSeries.from_spatial(X), u], 2)
+    (later,) = apply_operator(prob, [FracSeries.from_spatial(X), u], 2).values()
     assert later.evaluate(x, t, alpha) == out.evaluate(x, t, alpha)
 
 
@@ -123,7 +125,7 @@ def test_apply_operator_past_the_expansion_cap_keeps_one_opaque_term(monkeypatch
     monkeypatch.setattr(expr, "EXPAND_CAP", 3)
     prob = ProblemSpec(dim=1, operator=(OperatorMonomial(add(X, 0.37), ((1, 0),)),), initial=X)
     u = FracSeries.from_spatial(add(pow_(X, 2), mul(0.59, X)), q=1)
-    out = apply_operator(prob, [u], 1)
+    (out,) = apply_operator(prob, [u], 1).values()
     (term,) = out.terms
     (((atom, exponent),), coef) = term.monos[0]
     assert len(term.monos) == 1 and (exponent, coef) == (1, 1.0)
@@ -143,7 +145,7 @@ def test_apply_operator_quadratic_convolution():
     )
     u0 = FracSeries.from_spatial(X)
     u1 = FracSeries.from_spatial(pow_(X, 2), q=1)
-    out = apply_operator(prob, [u0, u1], 2)
+    (out,) = apply_operator(prob, [u0, u1], 2).values()
     alpha, x, t = 0.75, 1.2, 0.5
     want = x**2 * t**alpha + x * 2 * x * t**alpha
     assert out.evaluate(x, t, alpha) == pytest.approx(want, rel=1e-12)
@@ -158,7 +160,7 @@ def test_apply_operator_at_first_order_uses_square():
         initial=X,
     )
     s = FracSeries.from_spatial(X, q=1)
-    out = apply_operator(prob, (s,), 1)
+    (out,) = apply_operator(prob, (s,), 1).values()
     alpha, x, t = 0.5, 1.5, 0.64
     assert out.evaluate(x, t, alpha) == pytest.approx((x * t**alpha) ** 2, rel=1e-12)
 
@@ -203,14 +205,14 @@ def test_build_rm_source_enters_once():
     # whose solution is x + J^alpha[t^alpha]; the source must enter the
     # recursion once, at m = 1, else iterates never stop
     source = FracSeries.from_spatial(ONE, q=1)
-    prob = ProblemSpec(dim=1, operator=(), initial=X, source=source)
+    prob = ProblemSpec(dim=1, operator=(), initial=X, source=((0, source),))
     x, t, alpha = 1.0, 0.5, 0.5
     jg = math.gamma(1 + alpha) / math.gamma(1 + 2 * alpha) * t ** (2 * alpha)
     u0 = FracSeries.from_spatial(X)
-    assert build_rm(prob, [u0], 1) == source
+    assert build_rm(prob, [u0], 1) == {0: source}
     us = run(prob, cfg(alpha=alpha, hbar=-1.0, order=2))
     assert us[1].evaluate(x, t, alpha) == pytest.approx(jg, rel=1e-12)
-    assert build_rm(prob, us[:2], 2).is_zero
+    assert build_rm(prob, us[:2], 2) == {}
     # with no second copy of the source the hbar = -1 series terminates
     assert us[2].is_zero
     assert partial_sum(us, 2).evaluate(x, t, alpha) == pytest.approx(x + jg, rel=1e-12)
@@ -346,13 +348,6 @@ def test_residual_matches_symbolic(problem, keywords):
         assert abs(g - w) <= 1e-12 * scale, (x, t, g, w)
 
 
-def test_residual_rejects_exponentials():
-    prob = preset("4.1")
-    s = FracSeries.from_spatial(X, c=1)
-    with pytest.raises(ExponentError):
-        residual(prob, s, cfg(), [(1.0, 0.0, 0.3)])
-
-
 # --------------------------------------------------------------------- h-curve
 
 
@@ -474,6 +469,16 @@ def test_taylor_events_recorded():
     assert all(e["taylor_terms"] == 9 for e in rows)
     assert all(e["terms_expanded"] > 0 for e in rows)
     assert [e["order"] for e in rows] == sorted(e["order"] for e in rows)
+    # W1's e^t diffusion: each step expands every term of its rate-1 group,
+    # which grows by taylor_terms - 1 times per order
+    problem, _ = PROBLEMS["W1"]
+    for alpha in (0.5, 1.0):
+        events = {}
+        run(problem, cfg(alpha=alpha, order=4), events)
+        assert events["taylor_events"] == [
+            {"order": m, "terms_expanded": n, "taylor_terms": 12}
+            for m, n in ((1, 1), (2, 12), (3, 23), (4, 34))
+        ]
 
 
 def test_hyperbolic_preset_needs_no_expansion():

@@ -54,8 +54,8 @@ def quadratic(problem):
 def act(problem, phi, x, t=0.0, y=0.0, alpha=0.5):
     """Numeric value of the expanded operator applied to the plain
     spatial profile phi."""
-    out = apply_operator(problem, (FracSeries.from_spatial(phi),), 1)
-    return out.evaluate(x, t, alpha, y)
+    groups = apply_operator(problem, (FracSeries.from_spatial(phi),), 1)
+    return sum(math.exp(rate * t) * g.evaluate(x, t, alpha, y) for rate, g in groups.items())
 
 
 def dx(expr, n=1, var="x"):
@@ -339,7 +339,7 @@ def test_preset_catalogue():
     assert dims == {"4.1": 1, "4.2": 1, "4.3": 1, "4.4": 2, "4.5": 1}
     # only the last preset carries a quadratic nonlinearity
     assert [pid for pid in PRESET_IDS if quadratic(preset(pid))] == ["4.5"]
-    assert all(preset(pid).source.is_zero for pid in PRESET_IDS)
+    assert all(preset(pid).source == () for pid in PRESET_IDS)
 
 
 def test_preset_initial_profiles():
@@ -440,16 +440,22 @@ def test_problem_obj_with_source():
         "A": ["x"],
         "B": [["1"]],
         "f": "x",
-        "g": [{"expr": "x", "coef": 2.0, "p": "1/2", "q": 1, "c": 0}],
+        "g": [{"expr": "x", "coef": 2.0, "p": "1/2", "q": 1, "c": 0},
+              {"expr": "1", "coef": -1.0, "p": "0", "q": 0, "c": -1}],
     }
     prob = problem_from_obj(obj)
     x, t, alpha = 1.5, 0.3, 0.75
-    assert prob.source.evaluate(x, t, alpha) == pytest.approx(
+    # one pure-power series per rate of exp(c*t), rates ascending
+    (decaying, plain) = prob.source
+    assert (decaying[0], plain[0]) == (-1, 0)
+    assert decaying[1].evaluate(x, t, alpha) == -1.0
+    assert plain[1].evaluate(x, t, alpha) == pytest.approx(
         2.0 * x * t ** (0.5 + alpha), rel=1e-12
     )
-    # and the writer emits the same entry back
+    # and the writer emits the same entries back
     out = problem_to_obj("backward", 1, [X], [[ONE]], X, source=prob.source)
-    assert out["g"] == [{"expr": "x", "coef": 2.0, "p": "1/2", "q": 1, "c": 0}]
+    assert out["g"] == [{"expr": "1", "coef": -1.0, "p": "0", "q": 0, "c": -1},
+                        {"expr": "x", "coef": 2.0, "p": "1/2", "q": 1, "c": 0}]
     assert problem_from_obj(out) == prob
 
 
@@ -460,7 +466,7 @@ def test_problem_to_obj_refuses_a_source_coefficient_in_alpha():
     source = FracSeries.from_spatial(X, q=1).frac_integral()
     assert source.evaluate(1.0, 1.0, 0.5) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-12)
     with pytest.raises(ConfigError, match="alpha"):
-        problem_to_obj("backward", 1, [X], [[ONE]], X, source=source)
+        problem_to_obj("backward", 1, [X], [[ONE]], X, source=((0, source),))
 
 
 def test_problem_obj_sums_and_degrees():

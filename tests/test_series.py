@@ -128,17 +128,17 @@ def test_parallel_ratio():
 
 
 def test_time_factor_exponent():
-    tf = TimeFactor(Fraction(3, 2), 2, 0)
+    tf = TimeFactor(Fraction(3, 2), 2)
     assert tf.exponent(0.5) == pytest.approx(2.5)
 
 
 def test_time_factor_guards():
     with pytest.raises(ExponentError):
-        TimeFactor(Fraction(0), -1, 0)
+        TimeFactor(Fraction(0), -1)
     with pytest.raises(ExponentError):
-        TimeFactor(Fraction(-1), 0, 0)
+        TimeFactor(Fraction(-1), 0)
     # q < 0 is fine when the fixed part keeps the exponent nonnegative
-    tf = TimeFactor(Fraction(2), -1, 0)
+    tf = TimeFactor(Fraction(2), -1)
     assert tf.exponent(1.0) == pytest.approx(1.0)
 
 
@@ -216,44 +216,37 @@ def test_caputo_linearity():
         assert values(lhs, alpha) == pytest.approx(values(rhs, alpha), rel=1e-12, abs=1e-12)
 
 
-def test_caputo_requires_expanded_exponentials():
-    s = FracSeries.from_spatial(X, c=1)
-    with pytest.raises(ExponentError):
-        s.caputo_derivative()
-    with pytest.raises(ExponentError):
-        s.frac_integral()
-
-
 # --------------------------------------------------------------- taylor expand
 
 
 def test_taylor_expand_remainder():
-    s = FracSeries.from_spatial(sinh(X), c=1)  # sinh(x) e^t
-    e = s.taylor_expand(12)
+    s = FracSeries.from_spatial(sinh(X))
+    e = s.taylor_expand(1, 12)  # sinh(x) e^t
+    assert [(t.time.p, t.time.q) for t in e.terms] == [(j, 0) for j in range(12)]
     x, t = 1.2, 0.1
     want = math.sinh(x) * math.exp(t)
     assert e.evaluate(x, t, 0.75) == pytest.approx(want, rel=1e-12)
     assert abs(e.evaluate(x, t, 0.75) - want) < 1e-8
-    assert not e.has_exponential
 
 
 def test_taylor_expand_negative_rate():
-    s = FracSeries.from_spatial(X, c=-1)
-    e = s.taylor_expand(16)
+    s = FracSeries.from_spatial(X)
+    e = s.taylor_expand(-1, 16)
     assert e.evaluate(2.0, 0.2, 1.0) == pytest.approx(2.0 * math.exp(-0.2), rel=1e-12)
 
 
 def test_taylor_expand_leaves_pure_powers_alone():
+    # exp(0*t) is 1: rate 0 leaves the series as it is
     s = FracSeries.from_spatial(X, q=1)
-    assert s.taylor_expand(5) == s
+    assert s.taylor_expand(0, 5) == s
 
 
 def test_taylor_expand_guards():
     with pytest.raises(ConfigError):
-        FracSeries.from_spatial(X, c=1).taylor_expand(0)
+        FracSeries.from_spatial(X).taylor_expand(1, 0)
     # (10**30)**11 / 11! is an int quotient that no float holds
     with pytest.raises(DomainError, match="Taylor weight .* overflows a float"):
-        FracSeries.from_spatial(X, c=10**30).taylor_expand(12)
+        FracSeries.from_spatial(X).taylor_expand(10**30, 12)
 
 
 # -------------------------------------------------------------------- algebra
@@ -281,12 +274,12 @@ def test_multiply_pointwise():
 
 
 def test_multiply_merges_exponents():
-    s1 = FracSeries.from_spatial(X, q=1, c=1)
-    s2 = FracSeries.from_spatial(Y, p=Fraction(1, 2), q=2, c=-1)
+    s1 = FracSeries.from_spatial(X, q=1)
+    s2 = FracSeries.from_spatial(Y, p=Fraction(1, 2), q=2)
     prod = s1.multiply(s2)
     assert len(prod.terms) == 1
     tf = prod.terms[0].time
-    assert (tf.p, tf.q, tf.c) == (Fraction(1, 2), 3, 0)
+    assert (tf.p, tf.q) == (Fraction(1, 2), 3)
 
 
 def test_multiply_past_the_expansion_cap_keeps_one_opaque_term(monkeypatch):
@@ -357,7 +350,9 @@ def test_evaluate_guards():
 
 
 def test_evaluate_exponential_factor():
-    s = FracSeries.from_spatial(X, q=1, c=2)
+    # x t^alpha e^(2t), its exponential expanded: 20 powers leave a
+    # remainder below 1e-18 of the value at t = 0.49
+    s = FracSeries.from_spatial(X, q=1).taylor_expand(2, 20)
     alpha, x, t = 0.5, 1.5, 0.49
     want = x * t**alpha * math.exp(2 * t)
     assert s.evaluate(x, t, alpha) == pytest.approx(want, rel=1e-14)
@@ -367,8 +362,8 @@ def test_evaluate_exponential_factor():
 
 
 def test_collect_merges_equal_spatial_parts():
-    t1 = FracTerm(Coefficient.number(2.0), monomials(mul(X, X)), TimeFactor(Fraction(0), 1, 0))
-    t2 = FracTerm(Coefficient.number(3.0), monomials(pow_(X, 2)), TimeFactor(Fraction(0), 1, 0))
+    t1 = FracTerm(Coefficient.number(2.0), monomials(mul(X, X)), TimeFactor(Fraction(0), 1))
+    t2 = FracTerm(Coefficient.number(3.0), monomials(pow_(X, 2)), TimeFactor(Fraction(0), 1))
     s = FracSeries((t1, t2)).collected()
     assert len(s.terms) == 1
     assert s.evaluate(2.0, 1.0, 1.0) == pytest.approx(20.0, rel=1e-12)
@@ -376,10 +371,10 @@ def test_collect_merges_equal_spatial_parts():
 
 def test_collect_drops_cancelled_groups():
     t1 = FracTerm(
-        Coefficient.number(1.0), monomials(mul(sinh(X), cosh(X))), TimeFactor(Fraction(0), 0, 0)
+        Coefficient.number(1.0), monomials(mul(sinh(X), cosh(X))), TimeFactor(Fraction(0), 0)
     )
     t2 = FracTerm(
-        Coefficient.number(-0.5), monomials(mul(2, cosh(X), sinh(X))), TimeFactor(Fraction(0), 0, 0)
+        Coefficient.number(-0.5), monomials(mul(2, cosh(X), sinh(X))), TimeFactor(Fraction(0), 0)
     )
     assert FracSeries((t1, t2)).collected().is_zero
 
@@ -387,7 +382,7 @@ def test_collect_drops_cancelled_groups():
 def test_collect_idempotent():
     rng = random.Random(5)
     for _ in range(25):
-        s = random_series(rng, 5, with_exp=True)
+        s = random_series(rng, 5)
         once = s.collected()
         twice = once.collected()
         assert once == twice
@@ -396,8 +391,8 @@ def test_collect_idempotent():
 
 def test_collect_orders_terms_deterministically():
     rng = random.Random(6)
-    s = random_series(rng, 6, with_exp=True)
-    keys = [(t.time.q, t.time.p, t.time.c) for t in s.terms]
+    s = random_series(rng, 6)
+    keys = [(t.time.q, t.time.p) for t in s.terms]
     assert keys == sorted(keys)
 
 
@@ -406,9 +401,9 @@ def test_basis_substitutes_known_tree():
     t = FracTerm(
         Coefficient.number(1.0),
         monomials(add(mul(0.5, sinh(X)), mul(0.5, sinh(X)))),
-        TimeFactor(Fraction(0), 0, 0),
+        TimeFactor(Fraction(0), 0),
     )
-    u = FracTerm(Coefficient.number(1.0), monomials(mul(2, sinh(X))), TimeFactor(Fraction(0), 0, 0))
+    u = FracTerm(Coefficient.number(1.0), monomials(mul(2, sinh(X))), TimeFactor(Fraction(0), 0))
     s = FracSeries((t, u)).collected()
     assert len(s.terms) == 1
     assert s.terms[0].spatial is sinh(X)
@@ -418,7 +413,7 @@ def test_basis_substitutes_known_tree():
 def test_collect_keeps_function_vanishing_on_sample_panel():
     # sinh - (sinh + p) with p zero at every panel abscissa is -p, not 0
     p = mul(*(add(X, -r) for r in (0.531, 0.877, 1.203, 1.618)))
-    t0 = TimeFactor(Fraction(0), 0, 0)
+    t0 = TimeFactor(Fraction(0), 0)
     s = FracSeries(
         (
             FracTerm(Coefficient.number(1.0), monomials(sinh(X)), t0),
@@ -432,7 +427,7 @@ def test_collect_keeps_function_vanishing_on_sample_panel():
 
 def test_collect_keeps_tiny_independent_terms():
     # 1e-13 x + 1e-13 x^2 at x = 3: x^2 must not fold into a multiple of x
-    t0 = TimeFactor(Fraction(0), 0, 0)
+    t0 = TimeFactor(Fraction(0), 0)
     s = FracSeries(
         (
             FracTerm(Coefficient.number(1.0), monomials(mul(1e-13, X)), t0),
@@ -445,7 +440,7 @@ def test_collect_keeps_tiny_independent_terms():
 
 
 def test_collect_terms_are_monic():
-    t0 = TimeFactor(Fraction(0), 1, 0)
+    t0 = TimeFactor(Fraction(0), 1)
     s = FracSeries(
         (FracTerm(Coefficient.number(3.0), monomials(add(mul(-2, sinh(X)), X)), t0),)
     ).collected()
@@ -457,7 +452,7 @@ def test_collect_terms_are_monic():
 def test_collect_returns_a_canonical_monic_node_as_is():
     # the one table-to-tree builder returns the interned node of a table
     node = normalize(add(sinh(X), mul(-0.5, X)))
-    t0 = TimeFactor(Fraction(0), 1, 0)
+    t0 = TimeFactor(Fraction(0), 1)
     s = FracSeries((FracTerm(Coefficient.number(3.0), monomials(node), t0),))
     (term,) = s.collected().terms
     assert term.spatial is node
@@ -470,7 +465,7 @@ def test_collect_merges_parallel_coefficients():
     # same gamma tokens, proportional factors: the spatial parts add up
     a, b = GammaArg(Fraction(1), 1), GammaArg(Fraction(1), 2)
     c = Coefficient.number(2.0).gamma_ratio(a, b)
-    t1 = TimeFactor(Fraction(0), 1, 0)
+    t1 = TimeFactor(Fraction(0), 1)
     s = FracSeries(
         (
             FracTerm(c, monomials(pow_(cosh(X), 2)), t1),
@@ -485,7 +480,7 @@ def test_collect_merges_parallel_coefficients():
 def test_collect_weights_tables():
     # the tables of one (time, tokens) key sum, weighted by their factors:
     # sinh x + x and sinh x - x, weighted 2 and -2, sum to 4x
-    t0 = TimeFactor(Fraction(0), 1, 0)
+    t0 = TimeFactor(Fraction(0), 1)
     s = FracSeries((
         FracTerm(Coefficient.number(2.0), monomials(add(sinh(X), X)), t0),
         FracTerm(Coefficient.number(-2.0), monomials(add(sinh(X), mul(-1, X))), t0),
@@ -525,8 +520,8 @@ def assert_collected(series):
 def test_collect_invariant():
     rng = random.Random(19)
     for _ in range(30):
-        s, other = random_series(rng, 5, with_exp=True), random_series(rng, 4)
-        pure = s.taylor_expand(4)
+        s, other = random_series(rng, 5), random_series(rng, 4)
+        pure = s.taylor_expand(1, 4)
         # frac_integral gives each term the tokens of its old time, so sums
         # and products of integrals share times with different tokens
         si, oi = pure.frac_integral(), other.frac_integral()
@@ -547,7 +542,7 @@ def test_several_monomials_load_as_one_term_each():
               {"factor": -0.75, "num": [], "den": [["3/2", 1]]}]
     obj = {"coef_tokens": tokens, "spatial": "(add x (sinh x))", "p": "1/2", "q": 1, "c": 0}
     s = FracSeries.from_obj([obj])
-    time, monos = TimeFactor(Fraction(1, 2), 1, 0), monomials(add(X, sinh(X)))
+    time, monos = TimeFactor(Fraction(1, 2), 1), monomials(add(X, sinh(X)))
     assert [(t.coef.factor, t.monos, t.time) for t in s.terms] == [
         (2.5, monos, time), (-0.75, monos, time)
     ]
@@ -563,7 +558,8 @@ def test_several_monomials_load_as_one_term_each():
 
 
 def test_json_schema_fields():
-    s = FracSeries.from_spatial(sinh(X), factor=-2.0, p=Fraction(1, 2), q=3, c=-1)
+    # every term is a pure power of t; the report keeps c = 0 for its readers
+    s = FracSeries.from_spatial(sinh(X), factor=-2.0, p=Fraction(1, 2), q=3)
     obj = s.to_obj()
     assert obj == [
         {
@@ -571,7 +567,7 @@ def test_json_schema_fields():
             "spatial": "(sinh x)",
             "p": "1/2",
             "q": 3,
-            "c": -1,
+            "c": 0,
         }
     ]
 
@@ -579,7 +575,7 @@ def test_json_schema_fields():
 def test_json_round_trip_identity():
     rng = random.Random(8)
     for _ in range(25):
-        s = random_series(rng, 4, with_exp=True)
+        s = random_series(rng, 4)
         text = s.to_json()
         again = FracSeries.from_json(text)
         assert again.to_json() == text
@@ -616,6 +612,7 @@ def test_from_obj_rejects_a_bad_rational(where, bad):
         ("den", [["1", 0.5]]),  # b is an integer
         ("q", 0.5),
         ("c", 1.5),
+        ("c", 1),  # a series term is a pure power of t
         ("factor", math.nan),  # evaluate would return nan
         ("factor", math.inf),
         ("factor", "1e999"),
@@ -665,5 +662,5 @@ def test_property_round_trip(seed):
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_property_serialization_stable(seed):
-    s = random_series(random.Random(seed), with_exp=True)
+    s = random_series(random.Random(seed))
     assert FracSeries.from_json(s.to_json()).to_json() == s.to_json()

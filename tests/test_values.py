@@ -66,7 +66,7 @@ def _coef():
 
 
 def _time():
-    return TimeFactor(Fraction(1, 2), 1, 0)
+    return TimeFactor(Fraction(1, 2), 1)
 
 
 # Each entry builds fresh (equal, not identical) keyword arguments, in
@@ -81,12 +81,13 @@ RECORDS = {
     Func: lambda: dict(kind="sinh", arg=X),
     GammaArg: lambda: dict(a=Fraction(3, 2), b=1),
     Coefficient: lambda: dict(factor=2.0, num=(_token(),), den=()),
-    TimeFactor: lambda: dict(p=Fraction(1, 2), q=1, c=0),
+    TimeFactor: lambda: dict(p=Fraction(1, 2), q=1),
     FracTerm: lambda: dict(coef=_coef(), monos=monomials(X), time=_time()),
     FracSeries: lambda: dict(terms=(FracTerm(_coef(), monomials(X), _time()),)),
     OperatorMonomial: lambda: dict(coef=X, derivs=((1, 0), (0, 0)), exp_rate=1),
     ProblemSpec: lambda: dict(
-        dim=1, operator=(OperatorMonomial(X, ((1, 0),)),), initial=X, source=FracSeries(())
+        dim=1, operator=(OperatorMonomial(X, ((1, 0),)),), initial=X,
+        source=((1, FracSeries.from_spatial(X)),),
     ),
     HatmConfig: lambda: dict(alpha=0.5, hbar=-0.7, order=3, taylor_terms=8),
     CoefficientSpec: lambda: dict(spatial=X, exp_rate=1, u_degree=1),
@@ -102,14 +103,14 @@ OTHERS = {
     Func: lambda: dict(kind="cosh", arg=Y),
     GammaArg: lambda: dict(a=Fraction(5, 2), b=0),
     Coefficient: lambda: dict(factor=3.0, num=(), den=(_token(),)),
-    TimeFactor: lambda: dict(p=Fraction(1), q=2, c=1),
+    TimeFactor: lambda: dict(p=Fraction(1), q=2),
     FracTerm: lambda: dict(
-        coef=Coefficient(0.0, (), ()), monos=monomials(Y), time=TimeFactor(0, 0, 0)
+        coef=Coefficient(0.0, (), ()), monos=monomials(Y), time=TimeFactor(0, 0)
     ),
     FracSeries: lambda: dict(terms=()),
     OperatorMonomial: lambda: dict(coef=Y, derivs=((2, 0),), exp_rate=0),
     ProblemSpec: lambda: dict(
-        dim=2, operator=(), initial=X * X, source=FracSeries.from_spatial(X)
+        dim=2, operator=(), initial=X * X, source=()
     ),
     HatmConfig: lambda: dict(alpha=0.75, hbar=-0.5, order=4, taylor_terms=9),
     CoefficientSpec: lambda: dict(spatial=Y, exp_rate=0, u_degree=0),
@@ -189,7 +190,9 @@ def test_repr_names_the_fields(cls):
 
 def test_defaults():
     assert HatmConfig(alpha=0.5, hbar=-1.0, order=3) == HatmConfig(0.5, -1.0, 3, 12)
-    assert ProblemSpec(dim=1, operator=(), initial=X).source == FracSeries.zero()
+    assert ProblemSpec(dim=1, operator=(), initial=X).source == ()
+    # a zero series is no source at all
+    assert ProblemSpec(1, (), X, source=((1, FracSeries.zero()),)).source == ()
     assert ProblemSpec(1, (), X) == ProblemSpec(1, (), X, source=None)
     assert OperatorMonomial(X, ((1, 0),)).exp_rate == 0
     assert CoefficientSpec(X) == CoefficientSpec(X, exp_rate=0, u_degree=0)
@@ -232,14 +235,14 @@ def test_cached_attributes_take_no_part_in_equality():
         (lambda: CoefficientSpec(X, u_degree=2), DegreeError,
          "u_degree 2 would take the expansion past quadratic"),
         (lambda: mittag_leffler(0.0, 1.0), DomainError, "mittag_leffler needs alpha > 0, got 0.0"),
-        (lambda: TimeFactor(Fraction(-1), 0, 0), ExponentError,
+        (lambda: TimeFactor(Fraction(-1), 0), ExponentError,
          "negative fixed exponent p=-1"),
-        (lambda: TimeFactor(Fraction(1, 2), -1, 0), ExponentError,
+        (lambda: TimeFactor(Fraction(1, 2), -1), ExponentError,
          "exponent 1/2 + -1*alpha can go negative on (0, 1]"),
-        (lambda: TimeFactor(0.5, 0, 0), ExponentError, "exponent part must be rational, got 0.5"),
-        (lambda: TimeFactor("abc", 0, 0), ExponentError,
+        (lambda: TimeFactor(0.5, 0), ExponentError, "exponent part must be rational, got 0.5"),
+        (lambda: TimeFactor("abc", 0), ExponentError,
          "exponent part must be rational, got 'abc'"),
-        (lambda: TimeFactor("1/0", 0, 0), ExponentError,
+        (lambda: TimeFactor("1/0", 0), ExponentError,
          "exponent part must be rational, got '1/0'"),
     ],
 )
@@ -281,11 +284,11 @@ def test_cancel_removes_shared_tokens_as_a_multiset():
 
 
 def test_time_factor_equality_is_on_reduced_integers():
-    a, b = TimeFactor(Fraction(2, 4), 1, 0), TimeFactor(Fraction(1, 2), 1, 0)
+    a, b = TimeFactor(Fraction(2, 4), 1), TimeFactor(Fraction(1, 2), 1)
     assert a == b and hash(a) == hash(b)
-    assert TimeFactor(1, 0, 0) == TimeFactor(Fraction(1), 0, 0)
-    assert TimeFactor(Fraction(1, 2), 1, 0) != TimeFactor(Fraction(1, 2), 1, 1)
-    assert TimeFactor(Fraction(1, 2), 1, 0) != GammaArg(Fraction(1, 2), 1)
+    assert TimeFactor(1, 0) == TimeFactor(Fraction(1), 0)
+    assert TimeFactor(Fraction(1, 2), 1) != TimeFactor(Fraction(1, 2), 2)
+    assert TimeFactor(Fraction(1, 2), 1) != GammaArg(Fraction(1, 2), 1)
 
 
 # ----------------------------------------------------------- tooling guard
