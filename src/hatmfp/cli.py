@@ -62,9 +62,14 @@ def finite(text: str) -> float:
     raise ValueError(text)
 
 
+def count(text: str) -> int:
+    """Type of every count flag: a count below 1 is refused before any work."""
+    if (value := int(text)) >= 1:
+        return value
+    raise argparse.ArgumentTypeError(f"counts must be >= 1, got {value}")
+
+
 def _grid(lo: float, hi: float, count: int) -> list[float]:
-    if count < 1:
-        raise argparse.ArgumentError(None, "grid counts must be >= 1")
     if count == 1:
         return [lo]
     return [lo + i * (hi - lo) / (count - 1) for i in range(count - 1)] + [hi]
@@ -233,7 +238,7 @@ def _parser() -> argparse.ArgumentParser:
         ("y-min", 1.0), ("y-max", 1.0), ("y-count", 1),
         ("t-min", 0.0), ("t-max", 1.0), ("t-count", 5),
     ):
-        grid.add_argument(f"--{name}", type=int if name.endswith("count") else finite,
+        grid.add_argument(f"--{name}", type=count if name.endswith("count") else finite,
                           default=default, help="(default: %(default)s)")
 
     description, epilog = __doc__.split("\n\n", 1)
@@ -258,7 +263,7 @@ def _parser() -> argparse.ArgumentParser:
     hcurve.add_argument("--probe", required=True, help="probe point x[,y],t")
     hcurve.add_argument("--h-min", type=finite, default=-2.0, help="(default: %(default)s)")
     hcurve.add_argument("--h-max", type=finite, default=-0.2, help="(default: %(default)s)")
-    hcurve.add_argument("--h-count", type=int, default=19, help="(default: %(default)s)")
+    hcurve.add_argument("--h-count", type=count, default=19, help="(default: %(default)s)")
     command("compare", compare_cmd, several, hbar, grid)
     return parser
 

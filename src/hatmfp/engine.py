@@ -36,6 +36,9 @@ the values of the v_m at one point, which is all h_curve needs.
 Each spatial derivative of an iterate is built once and kept on the
 series (FracSeries.spatial_derivative), so the operator terms of every
 later step, and residual(), reuse it.
+
+The engine keeps only the recursion: its term products come from
+series.term_products, its sums of series from FracSeries.add.
 """
 
 from __future__ import annotations
@@ -43,16 +46,11 @@ from __future__ import annotations
 import math
 import time as _time
 from collections import Counter
-from functools import reduce
-from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import ConfigError, DegreeError, DomainError, Value, store
-from .expr import (
-    MAX_OPERATOR_NESTING, SpatialExpr, evaluate, monomials, table_product, variables,
-    within_nesting,
-)
-from .series import Coefficient, FracSeries, FracTerm, TimeFactor, _check_alpha
+from .expr import MAX_OPERATOR_NESTING, SpatialExpr, evaluate, monomials, variables, within_nesting
+from .series import Coefficient, FracSeries, FracTerm, _check_alpha, term_products
 
 MultiIndex = tuple[int, int]  # derivative orders in (x, y)
 
@@ -162,15 +160,11 @@ def apply_operator(
     products: dict[int, list[FracTerm]] = {}
     for mono in problem.operator:
         terms = products.setdefault(mono.exp_rate, [])
+        lead = monomials(mono.coef)
         splits = [(m - 1,)] if len(mono.derivs) == 1 else [(m - 1 - k, k) for k in range(m)]
         for split in splits:
-            derived = [_derived(history[n], d).terms for n, d in zip(split, mono.derivs)]
-            for factors in product(*derived):
-                terms.append(FracTerm(
-                    reduce(Coefficient.times, (f.coef for f in factors)),
-                    table_product([monomials(mono.coef), *(f.monos for f in factors)]),
-                    reduce(TimeFactor.plus, (f.time for f in factors)),
-                ))
+            factors = (_derived(history[n], d).terms for n, d in zip(split, mono.derivs))
+            terms.extend(term_products(lead, *factors))
     return {rate: FracSeries(tuple(terms)).collected() for rate, terms in products.items()}
 
 
@@ -213,7 +207,7 @@ def deformation_step(
         row = {"order": m, "terms_expanded": exponential, "taylor_terms": cfg.taylor_terms}
         events.setdefault("taylor_events", []).append(row)
     expanded = [g.taylor_expand(rate, cfg.taylor_terms) if rate else g for rate, g in groups]
-    v = FracSeries(tuple(t for g in expanded for t in g.terms)).collected().frac_integral()
+    v = FracSeries.zero().add(*expanded).frac_integral()
     per_time = Counter(t.time for t in v.terms)
     binds = [per_time[t.time] > 1 for t in v.terms]
     if not any(binds):
@@ -247,10 +241,7 @@ def recombine(free: Sequence[FracSeries], hbar: float) -> list[FracSeries]:
     out = [free[0]]
     for m in range(1, len(free)):
         parts = [free[k].scale(weight) for k, weight in _weights(m, hbar)]
-        if len(parts) == 1:
-            out.append(parts[0])
-        else:
-            out.append(FracSeries(tuple(t for p in parts for t in p.terms)).collected())
+        out.append(parts[0] if len(parts) == 1 else FracSeries.zero().add(*parts))
     return out
 
 
@@ -280,10 +271,7 @@ def run(
 def partial_sum(iterates: Sequence[FracSeries], upto: int) -> FracSeries:
     if not 0 <= upto < len(iterates):
         raise IndexError(f"partial_sum up to {upto} needs {upto + 1} iterates")
-    terms: list[FracTerm] = []
-    for series in iterates[: upto + 1]:
-        terms.extend(series.terms)
-    return FracSeries(tuple(terms)).collected()
+    return FracSeries.zero().add(*iterates[: upto + 1])
 
 
 def residual(

@@ -285,18 +285,17 @@ def _source_from_obj(obj) -> tuple[tuple[int, FracSeries], ...]:
 
 
 def problem_from_obj(obj: dict) -> ProblemSpec:
-    """Build a problem from its JSON object form."""
+    """Build a problem from its JSON object form; every refusal of its
+    content, shape or meaning, is ConfigError("invalid problem definition: ...")."""
     try:
         form = obj["form"]
         _refuse_unknown(obj, ("form", "dim", "A", "B", "f", "g"), "problem definition")
         dim = parse_integer(obj["dim"])
         drift, diffusion = obj["A"], obj["B"]
         if not isinstance(drift, list):
-            raise ConfigError(f"invalid problem definition: 'A' must be a list, got {drift!r}")
+            raise ConfigError(f"'A' must be a list, got {drift!r}")
         if not isinstance(diffusion, list) or not all(isinstance(r, list) for r in diffusion):
-            raise ConfigError(
-                f"invalid problem definition: 'B' must be a list of rows, got {diffusion!r}"
-            )
+            raise ConfigError(f"'B' must be a list of rows, got {diffusion!r}")
         initial = parse_prefix(obj["f"])
         source = _source_from_obj(obj.get("g"))
         if form == "forward":
@@ -304,12 +303,9 @@ def problem_from_obj(obj: dict) -> ProblemSpec:
         if form == "backward":
             return build_backward(dim, drift, diffusion, initial, source)
         raise ConfigError(f"form must be 'forward' or 'backward', got {form!r}")
-    except ConfigError:
-        raise
-    except HatmError as exc:
-        raise ConfigError(f"invalid problem definition: {exc}") from exc
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed problem definition: {exc}") from exc
+    except (HatmError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        cause = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"invalid problem definition: {cause}") from exc
 
 
 def load_problem(path: str | Path) -> ProblemSpec:

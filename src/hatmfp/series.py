@@ -31,10 +31,11 @@ never added into one coefficient, so after a collect no two terms share
 (time, tokens), the terms are sorted by that key, and a time may hold
 several terms with different tokens. Products, spatial derivatives and
 evaluation work on the tables too (``expr.table_product``,
-``expr.table_derivative``, ``expr.table_value``). The algebra builds
-no tree but the opaque atom of a product past ``expr.EXPAND_CAP``;
-``FracTerm.spatial`` builds one from the table through
-``expr.canonical``, for output only.
+``expr.table_derivative``, ``expr.table_value``); ``term_products``
+forms every product of terms, the engine's too, and ``FracSeries.add``
+every sum of series. The algebra builds no tree but the opaque atom of
+a product past ``expr.EXPAND_CAP``; ``FracTerm.spatial`` builds one
+from the table through ``expr.canonical``, for output only.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import reduce
+from itertools import product
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError, DomainError, ExponentError, Value, store
 from .expr import (
@@ -297,6 +300,21 @@ def _collect(terms: Iterable[FracTerm]) -> tuple[FracTerm, ...]:
     return tuple(out)
 
 
+UNIT_TABLE = (((), 1.0),)  # the constant 1: the lead of a product with no spatial factor
+
+
+def term_products(lead: tuple, *factors: Iterable[FracTerm]) -> Iterator[FracTerm]:
+    """For each choice of one term per factor, their product, uncollected:
+    the coefficients multiplied left to right, the times added, and the
+    table ``table_product([lead, *tables])``, lead first."""
+    for chosen in product(*factors):
+        yield FracTerm(
+            reduce(Coefficient.times, (f.coef for f in chosen)),
+            table_product([lead, *(f.monos for f in chosen)]),
+            reduce(TimeFactor.plus, (f.time for f in chosen)),
+        )
+
+
 class FracSeries(Value):
     """Finite sum of FracTerms; all operations return new series."""
 
@@ -322,8 +340,9 @@ class FracSeries(Value):
     def collected(self) -> "FracSeries":
         return FracSeries(_collect(self.terms))
 
-    def add(self, other: "FracSeries") -> "FracSeries":
-        return FracSeries(_collect(self.terms + other.terms))
+    def add(self, *others: "FracSeries") -> "FracSeries":
+        """The terms of this series and of the others, in order, collected."""
+        return FracSeries(_collect(t for s in (self, *others) for t in s.terms))
 
     __add__ = add
 
@@ -337,16 +356,7 @@ class FracSeries(Value):
         )
 
     def multiply(self, other: "FracSeries") -> "FracSeries":
-        products = [
-            FracTerm(
-                a.coef.times(b.coef),
-                table_product([a.monos, b.monos]),
-                a.time.plus(b.time),
-            )
-            for a in self.terms
-            for b in other.terms
-        ]
-        return FracSeries(_collect(products))
+        return FracSeries(_collect(term_products(UNIT_TABLE, self.terms, other.terms)))
 
     __mul__ = multiply
 

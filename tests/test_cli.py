@@ -422,6 +422,25 @@ def test_compare_runs_once_for_several_orders(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "command, flag",
+    [(("eval",), "--x-count"), (("eval",), "--y-count"), (("eval",), "--t-count"),
+     (("hcurve", "--probe", "1,0.3"), "--h-count")],
+    ids=["x", "y", "t", "h"],
+)
+def test_grid_counts_are_refused_before_the_run(monkeypatch, command, flag):
+    # a 1-d problem has no y axis, yet a zero y count is still refused
+    def refused(*_):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(cli, "run", refused)
+    monkeypatch.setattr(cli, "h_curve", refused)
+    result = invoke(*command, "--preset", "4.1", flag, 0)
+    assert result.exit_code == 2, result.exception
+    assert isinstance(result.exception, SystemExit)
+    assert f"argument {flag}: counts must be >= 1, got 0" in result.stderr
+
+
+@pytest.mark.parametrize(
     "args",
     [("--order", 1, -1), ("--order", 1, "--alpha", 0), ("--order", 1, "--hbar", "inf"),
      ("--order", 1, "--x-count", 0)],
@@ -577,8 +596,9 @@ def test_malformed_problem_files_exit_two(tmp_path, change):
     path.write_text(json.dumps({**COTH_PROBLEM, **change}), encoding="utf-8")
     result = invoke("solve", "--problem", str(path), "--order", "1")
     assert result.exit_code == 2, result.exception
-    assert "malformed" in result.output or "invalid" in result.output
-    assert len([line for line in result.stderr.splitlines() if "error:" in line]) == 1
+    # a syntax error ("(pow x", "1/0") reads as any other refusal of a file
+    (line,) = [line for line in result.stderr.splitlines() if "error:" in line]
+    assert "error: invalid problem definition: " in line
 
 
 @pytest.mark.parametrize(
@@ -609,6 +629,8 @@ def test_bad_numbers_and_bytes_in_problem_files_exit_two(tmp_path, content):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "error:" in result.stderr and "Traceback" not in result.stderr
+    if not content.startswith(b"\xff"):  # bytes that are not UTF-8 are not JSON
+        assert "invalid problem definition: " in result.stderr
 
 
 @pytest.mark.parametrize(

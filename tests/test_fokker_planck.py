@@ -484,8 +484,14 @@ def test_problem_from_obj_validation():
     base = {"form": "forward", "dim": 1, "A": ["0"], "B": [["1"]], "f": "x"}
     with pytest.raises(ConfigError, match="form"):
         problem_from_obj({**base, "form": "sideways"})
-    with pytest.raises(ConfigError, match="malformed"):
-        problem_from_obj({k: v for k, v in base.items() if k != "f"})
+    # a missing key, a syntax error and a zero denominator read alike
+    for bad, cause in (
+        ({k: v for k, v in base.items() if k != "f"}, "missing key 'f'"),
+        ({**base, "f": "(pow x"}, "unexpected end"),
+        ({**base, "f": "1/0"}, "bad numeric token '1/0'"),
+    ):
+        with pytest.raises(ConfigError, match=f"^invalid problem definition: {cause}"):
+            problem_from_obj(bad)
     with pytest.raises(ConfigError):
         problem_from_obj({**base, "f": "(sinh x"})
     with pytest.raises(ConfigError):

@@ -18,8 +18,10 @@ ROOT = Path(__file__).resolve().parents[1]
         ("solve", "--preset", "4.5", "--alpha", "0.5", "--order", "2"),
         ("hcurve", "--preset", "4.5", "--alpha", "0.5", "--order", "2",
          "--probe", "1,0.3", "--h-count", "3"),
+        ("eval", "--preset", "4.5", "--alpha", "0.5", "--order", "2",
+         "--x-count", "2", "--t-count", "2", "--format", "csv"),
     ],
-    ids=["solve", "hcurve"],
+    ids=["solve", "hcurve", "eval-csv"],
 )
 def test_traced_cli_runs(tmp_path, args):
     env = dict(os.environ)
@@ -41,3 +43,7 @@ def test_traced_cli_runs(tmp_path, args):
     assert trace["counts"]["terms"]
     # every coefficient is one gamma monomial
     assert trace["counts"]["coef_monomials"] == sum(trace["counts"]["terms"])
+    if args[0] == "eval":
+        # the partial sum (FracSeries.add), its values and the CSV writer
+        for name in ("series.add", "series.evaluate", "cli.csv_text"):
+            assert trace["stats"][name][0] > 0, name
