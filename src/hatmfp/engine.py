@@ -123,10 +123,11 @@ class HatmConfig(Value):
             raise ConfigError(f"hbar must be finite, got {hbar}")
         if hbar == 0.0:
             raise ConfigError("hbar must be nonzero")
-        if order < 0:
-            raise ConfigError(f"order must be >= 0, got {order}")
-        if taylor_terms < 1:
-            raise ConfigError(f"taylor_terms must be >= 1, got {taylor_terms}")
+        for name, value, least in (("order", order, 0), ("taylor_terms", taylor_terms, 1)):
+            if type(value) is not int:  # a bool is refused too
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
         store(self, "alpha", alpha)
         store(self, "hbar", hbar)
         store(self, "order", order)

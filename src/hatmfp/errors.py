@@ -35,11 +35,11 @@ class PresetError(HatmError, ValueError):
 
 
 # Immutable records without generated code: a subclass names its fields in
-# ``_fields`` and sets each one from its ``__init__`` with ``store``. That
-# bypasses Value.__setattr__ and, unlike writing self.__dict__, keeps the
-# fields in the instance's compact attribute storage, with no dict built
-# per instance. Attributes cached later take no part in equality, hashing
-# or the repr.
+# ``_fields`` and sets each one from its ``__init__`` (a node of ``expr``
+# from ``expr._shared``) with ``store``. That bypasses Value.__setattr__
+# and, unlike writing self.__dict__, keeps the fields in the instance's
+# compact attribute storage, with no dict built per instance. Attributes
+# cached later take no part in equality, hashing or the repr.
 store = object.__setattr__
 
 

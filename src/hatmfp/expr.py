@@ -28,9 +28,9 @@ Nodes are hash-consed: the module-level constructors and
 nodes are equal exactly when they are identical, and they hash by
 identity. A node records its depth when it is interned; node count,
 variable set and monomial table are cached on it. Every traversal here
-costs one visit per distinct subtree rather than one per path. Build
-through the constructors only: a node class called directly makes a
-node equal to nothing else.
+costs one visit per distinct subtree rather than one per path. The
+intern table (``_shared``) is the one maker of nodes: a node class takes
+no arguments, so calling it with its fields raises TypeError.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 from .errors import DomainError, SingularityError, Value, store
 
@@ -95,54 +95,36 @@ class SpatialExpr(Value):
 class Const(SpatialExpr):
     _fields = ("value",)
 
-    def __init__(self, value: float) -> None:
-        store(self, "value", value)
-
 
 class Var(SpatialExpr):
     _fields = ("name",)  # "x" or "y"
-
-    def __init__(self, name: str) -> None:
-        store(self, "name", name)
 
 
 class Add(SpatialExpr):
     _fields = ("children",)
 
-    def __init__(self, children: tuple[SpatialExpr, ...]) -> None:
-        store(self, "children", children)
-
 
 class Mul(SpatialExpr):
     _fields = ("children",)
-
-    def __init__(self, children: tuple[SpatialExpr, ...]) -> None:
-        store(self, "children", children)
 
 
 class Pow(SpatialExpr):
     _fields = ("base", "exponent")
 
-    def __init__(self, base: SpatialExpr, exponent: Fraction) -> None:
-        store(self, "base", base)
-        store(self, "exponent", exponent)
-
 
 class Func(SpatialExpr):
     _fields = ("kind", "arg")  # kind: sinh | cosh
-
-    def __init__(self, kind: str, arg: SpatialExpr) -> None:
-        store(self, "kind", kind)
-        store(self, "arg", arg)
 
 
 _INTERN: dict[tuple, SpatialExpr] = {}
 
 
-def _shared(key: tuple, ctor: Callable[..., SpatialExpr], *args) -> SpatialExpr:
+def _shared(key: tuple, ctor: type, *args) -> SpatialExpr:
     node = _INTERN.get(key)
     if node is None:
-        node = ctor(*args)
+        node = object.__new__(ctor)
+        for name, value in zip(ctor._fields, args):
+            store(node, name, value)
         # Parentheses nested in the node's prefix form: 0 for a leaf, else
         # one more than its deepest child (Add/Mul pass their children as
         # one tuple, Pow and Func their base or argument).
@@ -313,8 +295,16 @@ def differentiate(expr: SpatialExpr, name: str) -> SpatialExpr:
     raise DomainError(f"cannot differentiate {expr!r}")  # pragma: no cover
 
 
+def require_finite(**coordinates: float) -> None:
+    """DomainError naming the first coordinate that is nan or infinite."""
+    for name, value in coordinates.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 def evaluate(expr: SpatialExpr, x: float, y: float = 0.0) -> float:
-    """Evaluate at a point; a pole raises SingularityError, an overflow DomainError."""
+    """Evaluate at a finite point; a pole raises SingularityError, an overflow DomainError."""
+    require_finite(x=x, y=y)
     memo: dict[int, float] = {}
 
     def walk(e: SpatialExpr) -> float:

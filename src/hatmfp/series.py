@@ -57,6 +57,7 @@ from .expr import (
     parse_integer,
     parse_prefix,
     parse_rational,
+    require_finite,
     table_derivative,
     table_product,
     table_value,
@@ -65,8 +66,10 @@ from .expr import (
 )
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, (Fraction, int, str)):
+def _as_fraction(value) -> Fraction | int:
+    if type(value) in (Fraction, int):
+        return value  # as it is: the hot loops build points from these
+    if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -74,30 +77,44 @@ def _as_fraction(value) -> Fraction:
     raise ExponentError(f"exponent part must be rational, got {value!r}")
 
 
-class GammaArg(Value):
-    """Argument of a gamma token: the value a + b*alpha, ordered by (a, b).
-    DomainError unless it is positive for every alpha in (0, 1]."""
+class _GridPoint(Value):
+    """A point a + b*alpha of the p-q grid, the base of GammaArg and
+    TimeFactor: _read stores a, read by _as_fraction, and b, which must be
+    an int (ExponentError otherwise, a bool too). Fraction's hash and
+    equality are slow, so points hash and compare as the integers (n, d, b)."""
 
-    _fields = ("a", "b")
-
-    def __init__(self, a: Fraction, b: int) -> None:
-        # Coefficient keys hash and compare many of these; Fraction's hash
-        # and equality are slow, so both go through integers.
+    def _read(self, a, b) -> tuple[int, int, int]:
+        a = _as_fraction(a)
+        if type(b) is not int:
+            raise ExponentError(f"alpha part must be an integer, got {b!r}")
         ints = (a.numerator, a.denominator, b)
-        # a < 0 or a + b <= 0 on the integers (the denominator is positive):
-        # lgamma would drop the sign of gamma there, or hit a pole
-        if ints[0] < 0 or ints[0] + b * ints[1] <= 0:
-            raise DomainError(f"gamma token ({a}, {b}) is not positive for every alpha in (0, 1]")
-        store(self, "a", a)
-        store(self, "b", b)
+        first, second = self._fields
+        store(self, first, a)
+        store(self, second, b)
         store(self, "_ints", ints)
         store(self, "_hash", hash(ints))
+        return ints
 
     def __eq__(self, other) -> bool:
         return other.__class__ is self.__class__ and self._ints == other._ints
 
     def __hash__(self) -> int:
         return self._hash
+
+
+class GammaArg(_GridPoint):
+    """Argument of a gamma token: the value a + b*alpha, ordered by (a, b).
+    DomainError unless it is positive for every alpha in (0, 1]."""
+
+    _fields = ("a", "b")
+
+    def __init__(self, a: Fraction, b: int) -> None:
+        n, d, b = self._read(a, b)
+        # a < 0 or a + b <= 0 on the integers (the denominator is positive):
+        # lgamma would drop the sign of gamma there, or hit a pole
+        if n < 0 or n + b * d <= 0:
+            raise DomainError(
+                f"gamma token ({self.a}, {b}) is not positive for every alpha in (0, 1]")
 
     def __lt__(self, other: "GammaArg") -> bool:
         # (a, b) order on the integers; denominators are positive
@@ -222,30 +239,18 @@ class Coefficient(Value):
 COEF_ZERO = Coefficient(0.0, (), ())
 
 
-class TimeFactor(Value):
+class TimeFactor(_GridPoint):
     """Time dependence t**(p + q*alpha)."""
 
     _fields = ("p", "q")
 
     def __init__(self, p: Fraction, q: int) -> None:
-        p = _as_fraction(p)
-        if p < 0:
-            raise ExponentError(f"negative fixed exponent p={p}")
+        n, d, q = self._read(p, q)
+        if n < 0:
+            raise ExponentError(f"negative fixed exponent p={self.p}")
         # Keep p + q*alpha >= 0 for every alpha in (0, 1].
-        if q < 0 and p < -q:
-            raise ExponentError(f"exponent {p} + {q}*alpha can go negative on (0, 1]")
-        # _collect keys every term on its time: hashed and compared as integers.
-        ints = (p.numerator, p.denominator, q)
-        store(self, "p", p)
-        store(self, "q", q)
-        store(self, "_ints", ints)
-        store(self, "_hash", hash(ints))
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is self.__class__ and self._ints == other._ints
-
-    def __hash__(self) -> int:
-        return self._hash
+        if q < 0 and n < -q * d:
+            raise ExponentError(f"exponent {self.p} + {q}*alpha can go negative on (0, 1]")
 
     def exponent(self, alpha: float) -> float:
         return float(self.p) + self.q * alpha
@@ -258,7 +263,7 @@ class TimeFactor(Value):
         return (self.q, self.p)
 
 
-TIME_ONE = TimeFactor(Fraction(0), 0)
+TIME_ONE = TimeFactor(0, 0)
 
 
 class FracTerm(Value):
@@ -329,7 +334,7 @@ class FracSeries(Value):
 
     @staticmethod
     def from_spatial(expr: SpatialExpr, factor: float = 1.0, p=0, q: int = 0) -> "FracSeries":
-        time = TimeFactor(_as_fraction(p), q)
+        time = TimeFactor(p, q)
         monos = monomials(within_nesting(expr))
         return FracSeries(_collect([FracTerm(Coefficient.number(factor), monos, time)]))
 
@@ -419,6 +424,7 @@ class FracSeries(Value):
     def evaluate(self, x: float, t: float, alpha: float, y: float = 0.0) -> float:
         """Bind alpha and evaluate at (x, y, t); 0**0 counts as 1."""
         _check_alpha(alpha)
+        require_finite(x=x, y=y, t=t)
         if t < 0.0:
             raise DomainError(f"series are defined for t >= 0, got t={t}")
         total = 0.0
@@ -498,8 +504,8 @@ def _factor_from_obj(value) -> float:
 
 
 def _terms_from_obj(obj: dict) -> list[FracTerm]:
-    """One term per monomial of coef_tokens, all at the term's time and
-    table: a report may list several monomials for one term."""
+    """One term per monomial of coef_tokens, at the term's time and table (a
+    report may list several), its coefficient made canonical by _monomial."""
     tokens = obj.get("coef_tokens") if isinstance(obj, dict) else None
     if not isinstance(tokens, list) or not all(
         isinstance(m, dict) and "factor" in m
@@ -508,7 +514,7 @@ def _terms_from_obj(obj: dict) -> list[FracTerm]:
     ):
         raise DomainError(f"coef_tokens is not a list of factor, num, den objects: {tokens!r}")
     coefs = [
-        Coefficient(
+        _monomial(
             _factor_from_obj(m["factor"]),
             tuple(_gamma_arg_from_obj(a) for a in m["num"]),
             tuple(_gamma_arg_from_obj(a) for a in m["den"]),

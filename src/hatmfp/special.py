@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConvergenceError, DomainError
+from .expr import require_finite
 
 ML_REL_TOL = 1e-16
 
@@ -43,6 +44,7 @@ def mittag_leffler(alpha: float, z: float) -> float:
     """
     if not alpha > 0.0:
         raise DomainError(f"mittag_leffler needs alpha > 0, got {alpha}")
+    require_finite(z=z)
     try:
         reach = abs(z) ** (1.0 / alpha)
     except OverflowError:

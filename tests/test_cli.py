@@ -753,6 +753,13 @@ def test_source_with_a_large_power_of_t_solves(tmp_path):
     assert float(u1[5]) == pytest.approx(want, rel=1e-12)
 
 
+def test_out_naming_a_directory_exits_two_before_running(tmp_path):
+    result = invoke("solve", "--preset", "4.1", "--order", 1, "--out", tmp_path)
+    assert result.exit_code == 2
+    assert f"argument --out: {tmp_path} is a directory" in result.stderr
+    assert "Traceback" not in result.stderr and list(tmp_path.iterdir()) == []
+
+
 def test_out_into_a_missing_directory_exits_two_before_running(tmp_path):
     out = tmp_path / "no" / "such" / "x.json"
     result = invoke("solve", "--preset", "4.1", "--order", 1, "--out", out)

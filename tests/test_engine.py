@@ -409,6 +409,27 @@ def test_h_curve_rejects_zero():
         h_curve(preset("4.1"), cfg(), (1.0, 0.0, 0.3), [-1.0, 0.0])
 
 
+def test_h_curve_refuses_a_probe_that_is_not_finite():
+    with pytest.raises(DomainError, match="^t must be finite, got nan$"):
+        h_curve(preset("4.1"), cfg(), (1.0, 0.0, math.nan), [-1.0])
+
+
+def test_h_curve_partial_sum_that_overflows_is_a_domain_error():
+    # u = 1e308 + 1e308 t at alpha = 1: S_1 at t = 1 is past the float range
+    problem = ProblemSpec(1, (OperatorMonomial(ONE, ((0, 0),)),), const(1e308))
+    with pytest.raises(DomainError, match="^a partial sum at hbar=-1.0 overflows a float$"):
+        h_curve(problem, cfg(alpha=1.0, order=1), (1.0, 0.0, 1.0), [-1.0])
+
+
+def test_recombination_weight_past_the_float_range_is_a_domain_error():
+    # comb(1099, k - 1) is an integer too large for a float for middle k.
+    # recombine and recombine_values take every weight from _weights, called
+    # here at that order alone: recombine_values([1.0] * 1101, -0.5) reaches
+    # the same refusal at u_1031, after seconds of smaller orders
+    with pytest.raises(DomainError, match=r"^the weight of v_\d+ in u_1100 overflows a float"):
+        list(engine._weights(1100, -0.5))
+
+
 # ------------------------------------------------------------------ run report
 
 

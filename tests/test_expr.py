@@ -36,6 +36,7 @@ from hatmfp.expr import (
     sinh,
     size,
     table_derivative,
+    table_value,
     tanh,
     to_prefix,
     var,
@@ -112,6 +113,19 @@ def test_evaluate_basics():
     assert evaluate(pow_(X, Fraction(3, 2)), 4.0) == 8.0
     assert evaluate(coth(X), 1.0) == pytest.approx(math.cosh(1) / math.sinh(1), rel=1e-15)
     assert evaluate(csch(X), 1.0) == pytest.approx(1 / math.sinh(1), rel=1e-15)
+
+
+@pytest.mark.parametrize("x, y, name", [
+    (math.nan, 0.0, "x"), (math.inf, 0.0, "x"), (1.0, math.nan, "y"), (1.0, -math.inf, "y"),
+])
+def test_evaluate_refuses_a_point_that_is_not_finite(x, y, name):
+    with pytest.raises(DomainError, match=f"^{name} must be finite, got {x if name == 'x' else y}$"):
+        evaluate(X, x, y)
+
+
+def test_table_value_that_overflows_is_a_domain_error():
+    with pytest.raises(DomainError, match="^spatial value overflows a float at x=1000.0, y=0.0$"):
+        table_value(monomials(pow_(X, 400)), 1e3, 0.0, {})
 
 
 def _func_kinds(e) -> set:

@@ -349,6 +349,21 @@ def test_evaluate_guards():
         s.evaluate(1.0, -0.5, 1.0)
 
 
+def test_evaluate_time_power_that_overflows_is_a_domain_error():
+    # t**40 at t = 1e10 overflows a float
+    with pytest.raises(DomainError, match="^series value overflows a float at x=1.0, y=0.0, t="):
+        FracSeries.from_spatial(X, p=40).evaluate(1.0, 1e10, 0.5)
+
+
+@pytest.mark.parametrize("point, name", [
+    (dict(x=math.nan, t=0.3), "x"), (dict(x=1.0, y=math.inf, t=0.3), "y"),
+    (dict(x=1.0, t=math.nan), "t"), (dict(x=1.0, t=math.inf), "t"),
+])
+def test_evaluate_refuses_a_point_that_is_not_finite(point, name):
+    with pytest.raises(DomainError, match=f"^{name} must be finite, got {point[name]}$"):
+        FracSeries.from_spatial(X).evaluate(alpha=0.5, **point)
+
+
 def test_evaluate_exponential_factor():
     # x t^alpha e^(2t), its exponential expanded: 20 powers leave a
     # remainder below 1e-18 of the value at t = 0.49
@@ -552,6 +567,23 @@ def test_several_monomials_load_as_one_term_each():
                 - 0.75 / math.gamma(1.5 + alpha))
         want = coef * (x + math.sinh(x)) * t ** (0.5 + alpha)
         assert s.evaluate(x, t, alpha) == pytest.approx(want, rel=1e-14)
+
+
+def test_from_obj_coefficients_are_canonical():
+    # tokens read from a file are sorted, cancelled and folded as by every
+    # other coefficient maker, so a collect merges terms listed in any order
+    def term(factor, num, den=()):
+        tokens = [{"factor": factor, "num": [list(a) for a in num], "den": [list(a) for a in den]}]
+        return {"coef_tokens": tokens, "spatial": "x", "p": "0", "q": 1, "c": 0}
+
+    s = FracSeries.from_obj([term(1.0, [("3/2", 1), ("1/2", 1)]),
+                             term(2.0, [("1/2", 1), ("3/2", 1)])]).collected()
+    tokens = (GammaArg(Fraction(1, 2), 1), GammaArg(Fraction(3, 2), 1))
+    assert [(t.coef.factor, t.coef.num, t.coef.den) for t in s.terms] == [(3.0, tokens, ())]
+    (only,) = FracSeries.from_obj([term(2.0, [("3/2", 1), ("1/2", 1)], [("3/2", 1)])]).terms
+    assert (only.coef.num, only.coef.den) == (tokens[:1], ())
+    (folded,) = FracSeries.from_obj([term(2.0, [("3", 0)])]).terms
+    assert (folded.coef.factor, folded.coef.num) == (4.0, ())
 
 
 # --------------------------------------------------------------- serialization

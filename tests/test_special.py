@@ -161,6 +161,22 @@ def test_ml_past_gamma_overflow_matches_mpmath(alpha, z):
     assert mittag_leffler(alpha, z) == pytest.approx(want, rel=1e-12)
 
 
+def test_ml_past_the_float_range_of_gamma_and_of_the_reach():
+    # at alpha = 171 the gamma of the k = 1 term overflows a float, so the
+    # term comes from logarithms: 1e285 / gamma(172) is about 8e-25
+    assert mittag_leffler(171.0, 1e285) == 1.0
+    assert mittag_leffler(171.0, -1e285) == 1.0
+    # 1e10**100 overflows a float, and so does the sum, by term 31
+    with pytest.raises(ConvergenceError, match="by term 31 "):
+        mittag_leffler(0.01, 1e10)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_ml_refuses_a_point_that_is_not_finite(z):
+    with pytest.raises(DomainError, match=f"^z must be finite, got {z}$"):
+        mittag_leffler(0.5, z)
+
+
 def test_ml_params_validation():
     for alpha in (0.0, -0.3, math.nan):
         with pytest.raises(DomainError, match="needs alpha > 0"):

@@ -161,7 +161,14 @@ def test_every_field_takes_part_in_equality(cls):
 def test_same_fields_in_another_class_are_not_equal(cls):
     other = type("Other" + cls.__name__, (cls,), {})
     fields = RECORDS[cls]()
-    assert other(**fields) != build(cls, fields)
+    if cls in NODE_BUILDERS:  # the intern table is the one maker of nodes
+        for make in (cls, other):
+            with pytest.raises(TypeError):
+                make(**fields)
+            with pytest.raises(TypeError):
+                make(*fields.values())
+    else:
+        assert other(**fields) != build(cls, fields)
     assert build(cls, fields) != tuple(fields.values())
 
 
@@ -244,6 +251,24 @@ def test_cached_attributes_take_no_part_in_equality():
          "exponent part must be rational, got 'abc'"),
         (lambda: TimeFactor("1/0", 0), ExponentError,
          "exponent part must be rational, got '1/0'"),
+        (lambda: TimeFactor(True, 0), ExponentError, "exponent part must be rational, got True"),
+        (lambda: TimeFactor(Fraction(1, 2), 1.5), ExponentError,
+         "alpha part must be an integer, got 1.5"),
+        (lambda: TimeFactor(1, False), ExponentError, "alpha part must be an integer, got False"),
+        (lambda: GammaArg(0.5, 1), ExponentError, "exponent part must be rational, got 0.5"),
+        (lambda: GammaArg(True, 1), ExponentError, "exponent part must be rational, got True"),
+        (lambda: GammaArg(Fraction(1, 2), 0.5), ExponentError,
+         "alpha part must be an integer, got 0.5"),
+        (lambda: GammaArg(Fraction(1, 2), True), ExponentError,
+         "alpha part must be an integer, got True"),
+        (lambda: FracSeries.from_spatial(X, q=1.5), ExponentError,
+         "alpha part must be an integer, got 1.5"),
+        (lambda: HatmConfig(0.5, -1.0, 2.0), ConfigError, "order must be an integer, got 2.0"),
+        (lambda: HatmConfig(0.5, -1.0, True), ConfigError, "order must be an integer, got True"),
+        (lambda: HatmConfig(0.5, -1.0, 2, taylor_terms=2.5), ConfigError,
+         "taylor_terms must be an integer, got 2.5"),
+        (lambda: HatmConfig(0.5, -1.0, 2, taylor_terms=True), ConfigError,
+         "taylor_terms must be an integer, got True"),
     ],
 )
 def test_validation_errors(build, error, message):
@@ -281,6 +306,16 @@ def test_cancel_removes_shared_tokens_as_a_multiset():
     kept_num, kept_den = _cancel(num, den)
     assert kept_num == [half, one]
     assert kept_den == [GammaArg(Fraction(3), 2)]
+
+
+def test_gamma_arg_and_time_factor_read_their_parts_alike():
+    assert GammaArg("1/2", 1) == GammaArg(Fraction(1, 2), 1) == GammaArg(Fraction(2, 4), 1)
+    assert TimeFactor("1/2", 1) == TimeFactor(Fraction(1, 2), 1)
+    # a part that is already a Fraction or int is kept as it is
+    half = Fraction(1, 2)
+    assert GammaArg(half, 1).a is half and TimeFactor(half, 1).p is half
+    assert type(GammaArg(3, 0).a) is int and type(TimeFactor(2, 0).p) is int
+    assert GammaArg(3, 0) == GammaArg(Fraction(3), 0) and TimeFactor(2, 0) == TimeFactor("2", 0)
 
 
 def test_time_factor_equality_is_on_reduced_integers():
