@@ -38,7 +38,8 @@ series (FracSeries.spatial_derivative), so the operator terms of every
 later step, and residual(), reuse it.
 
 The engine keeps only the recursion: its term products come from
-series.term_products, its sums of series from FracSeries.add.
+series.term_products, its sums of series from FracSeries.add, and an
+operator monomial holds its coefficient as a table, as a FracTerm does.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from collections import Counter
 from typing import Iterator, Sequence
 
 from .errors import ConfigError, DegreeError, DomainError, Value, store
-from .expr import MAX_OPERATOR_NESTING, SpatialExpr, evaluate, monomials, variables, within_nesting
+from .expr import SpatialExpr, table_value, variables
 from .series import Coefficient, FracSeries, FracTerm, _check_alpha, term_products
 
 MultiIndex = tuple[int, int]  # derivative orders in (x, y)
@@ -63,21 +64,20 @@ def _check_multi_index(deriv: MultiIndex, what: str) -> None:
 
 
 class OperatorMonomial(Value):
-    """coef(x, y) * exp(exp_rate * t) * prod_i d^derivs[i] u, with one
-    slot (a linear term) or two (a quadratic term) in derivs."""
+    """monos(x, y) * exp(exp_rate * t) * prod_i d^derivs[i] u, monos a sorted
+    table of ``expr.monomials`` as in a FracTerm, with one slot (a linear
+    term) or two (a quadratic term) in derivs."""
 
-    _fields = ("coef", "derivs", "exp_rate")
+    _fields = ("monos", "derivs", "exp_rate")
 
-    def __init__(
-        self, coef: SpatialExpr, derivs: tuple[MultiIndex, ...], exp_rate: int = 0
-    ) -> None:
+    def __init__(self, monos: tuple, derivs: tuple[MultiIndex, ...], exp_rate: int = 0) -> None:
         if len(derivs) not in (1, 2):
             raise DegreeError(
                 f"an operator monomial takes one or two factors of u, got {derivs}"
             )
         for deriv in derivs:
             _check_multi_index(deriv, "deriv")
-        store(self, "coef", within_nesting(coef, MAX_OPERATOR_NESTING))
+        store(self, "monos", monos)
         store(self, "derivs", derivs)
         store(self, "exp_rate", exp_rate)
 
@@ -96,7 +96,7 @@ class ProblemSpec(Value):
         if dim == 1:
             used = variables(initial)
             for mono in operator:
-                used |= variables(mono.coef)
+                used.update(*(variables(atom) for sig, _ in mono.monos for atom, _ in sig))
                 if any(d[1] != 0 for d in mono.derivs):
                     raise ConfigError("y-derivative in a one-dimensional problem")
             if "y" in used:
@@ -161,11 +161,10 @@ def apply_operator(
     products: dict[int, list[FracTerm]] = {}
     for mono in problem.operator:
         terms = products.setdefault(mono.exp_rate, [])
-        lead = monomials(mono.coef)
         splits = [(m - 1,)] if len(mono.derivs) == 1 else [(m - 1 - k, k) for k in range(m)]
         for split in splits:
             factors = (_derived(history[n], d).terms for n, d in zip(split, mono.derivs))
-            terms.extend(term_products(lead, *factors))
+            terms.extend(term_products(mono.monos, *factors))
     return {rate: FracSeries(tuple(terms)).collected() for rate, terms in products.items()}
 
 
@@ -284,14 +283,15 @@ def residual(
     """|D^alpha s - N[s] - g| of the full nonlinear equation at (x, y, t).
 
     D^alpha s stays a series; N[s] + g is summed at each point from the
-    values of the derivatives of s and of the source, so a two-slot
-    monomial multiplies two numbers instead of every pair of terms of s."""
+    values of the coefficient tables, of the derivatives of s and of the
+    source, so a two-slot monomial multiplies numbers, not terms of s."""
     linear = s.caputo_derivative()
     out = []
     for px, py, pt in points:
+        atoms: dict = {}
         try:
             operator = sum(
-                evaluate(mono.coef, px, py)
+                table_value(mono.monos, px, py, atoms)
                 * math.exp(mono.exp_rate * pt)
                 * math.prod(_derived(s, d).evaluate(px, pt, cfg.alpha, py) for d in mono.derivs)
                 for mono in problem.operator

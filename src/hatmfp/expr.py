@@ -12,13 +12,14 @@ of float coefficients over products of atoms (variables, sinh and cosh
 of a canonical argument, opaque powers), and ``monic`` scales a table
 so its largest monomial is 1. ``keyed_sum``, ``table_product``,
 ``table_derivative`` and ``table_value`` add, multiply, differentiate
-and evaluate tables without building trees: the series algebra works
-on tables alone. Two rewrites can blow a table up, a product of two
-tables and the rewrite of cosh(u)**2 (one monomial with n such factors
-makes 2**n), and each checks ``EXPAND_CAP`` where it runs: a tree past
-it is one opaque atom, and a derivative past it raises DomainError.
-``canonical`` is the one builder of the tree of
-a table, for output (``normalize`` gives the tree of ``monomials``).
+and evaluate tables without building trees: the series algebra and
+the engine's operator monomials work on tables alone. Two rewrites can
+blow a table up, a product of two tables and the rewrite of cosh(u)**2
+(one monomial with n such factors makes 2**n), and each checks
+``EXPAND_CAP`` where it runs: a tree past it is one opaque atom, and a
+derivative past it raises DomainError. ``canonical`` is the one builder
+of the tree of a table, for output (``normalize`` gives the tree of
+``monomials``).
 Two trees with the same canonical table get the same node, so identity
 of canonical nodes is equality of their monomial sums: no merge decision
 rests on sampled values.
@@ -29,8 +30,8 @@ nodes are equal exactly when they are identical, and they hash by
 identity. A node records its depth when it is interned; node count,
 variable set and monomial table are cached on it. Every traversal here
 costs one visit per distinct subtree rather than one per path. The
-intern table (``_shared``) is the one maker of nodes: a node class takes
-no arguments, so calling it with its fields raises TypeError.
+intern table (``_shared``) is the one maker of nodes: calling a node
+class raises TypeError.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ class SpatialExpr(Value):
     # Interned: one object per distinct tree, so equal means identical.
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError(f"{cls.__name__} nodes are made by the module-level constructors")
 
     def __add__(self, other: "SpatialExpr | Number") -> "SpatialExpr":
         return add(self, _coerce(other))
@@ -656,18 +660,13 @@ def to_prefix(expr: SpatialExpr) -> str:
 # Parentheses nest at most this deep in a prefix expression: the tree walks
 # recurse once per level, and a deeper tree would overflow Python's stack.
 MAX_NESTING = 100
-# An operator coefficient may nest deeper: the builders store the canonical
-# form of a caller's tree and its derivatives, and writing (pow (cosh u) 2)
-# as (add 1 (pow (sinh u) 2)) makes a tree up to half as deep again (151
-# levels from 100). The walks of a run overflow the stack from about 180.
-MAX_OPERATOR_NESTING = 160
 
 
-def within_nesting(expr: SpatialExpr, limit: int = MAX_NESTING) -> SpatialExpr:
+def within_nesting(expr: SpatialExpr) -> SpatialExpr:
     """The tree itself, where a caller's tree enters; DomainError if it
-    nests deeper than limit levels, by default the limit of ``parse_prefix``."""
-    if expr.depth > limit:
-        raise DomainError(f"expression nests deeper than {limit} levels")
+    nests deeper than MAX_NESTING levels, the limit of ``parse_prefix``."""
+    if expr.depth > MAX_NESTING:
+        raise DomainError(f"expression nests deeper than {MAX_NESTING} levels")
     return expr
 
 

@@ -15,7 +15,8 @@ coefficients outside,
 and admits no state-dependent coefficients. Either way coefficients
 are separable pieces spatial(x, y) * exp(exp_rate * t). The builders
 work on their monomial tables: table_derivative differentiates, and
-_merge_monomials sums the scaled tables of each derivative pattern.
+_merge_monomials sums the scaled tables of each derivative pattern into
+the table its OperatorMonomial holds, so no coefficient tree is built.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .engine import MultiIndex, OperatorMonomial, ProblemSpec
 from .errors import ConfigError, DegreeError, DomainError, HatmError, PresetError, Value, store
 from .expr import (
     SpatialExpr,
-    canonical,
     const,
     evaluate,
     keyed_sum,
@@ -108,10 +108,10 @@ def _pair(i: int, j: int) -> MultiIndex:
 
 
 def _merge_monomials(pieces) -> tuple[OperatorMonomial, ...]:
-    """One operator monomial per (derivative pattern, rate), its coefficient
-    the canonical sum of scale * table over the group's pieces (scale,
-    table, derivs, rate); a sum that cancels (mixed-derivative pairs land
-    here) is dropped. One-factor monomials come first."""
+    """One operator monomial per (derivative pattern, rate), its table the
+    sum of scale * table over the group's pieces (scale, table, derivs,
+    rate); a sum that cancels (mixed-derivative pairs land here) is
+    dropped. One-factor monomials come first."""
     groups: dict = {}
     for scale, table, derivs, rate in pieces:
         items = groups.setdefault((tuple(sorted(derivs)), rate), [])
@@ -120,7 +120,7 @@ def _merge_monomials(pieces) -> tuple[OperatorMonomial, ...]:
     for (derivs, rate), items in groups.items():
         summed = keyed_sum(items)
         if summed:
-            out.append(OperatorMonomial(canonical(tuple(sorted(summed.items()))), derivs, rate))
+            out.append(OperatorMonomial(tuple(sorted(summed.items())), derivs, rate))
     return tuple(sorted(out, key=lambda m: len(m.derivs)))
 
 

@@ -37,8 +37,8 @@ def mittag_leffler(alpha: float, z: float) -> float:
     The terms rise to a peak near k = |z|**(1/alpha) / alpha and fall
     after it; the sum stops at the first term past the peak below
     ML_REL_TOL times the running sum. A sum that overflows a float, that
-    needs more than (3 |z|**(1/alpha) + 40) / alpha terms (capped at a
-    million, for alpha near 0), or whose largest term exceeds it by
+    needs more than (3 |z|**(1/alpha) + 40) / min(alpha, 1) terms (capped
+    at a million, for alpha near 0), or whose largest term exceeds it by
     more than 1 / sqrt(ML_REL_TOL), so that cancellation left less than
     half its digits, is treated as non-convergent at this argument.
     """
@@ -49,7 +49,7 @@ def mittag_leffler(alpha: float, z: float) -> float:
         reach = abs(z) ** (1.0 / alpha)
     except OverflowError:
         reach = math.inf
-    budget = min((3.0 * reach + 40.0) / alpha, 1e6)
+    budget = min((3.0 * reach + 40.0) / min(alpha, 1.0), 1e6)
     total = largest = 0.0
     zk = 1.0  # z**k, updated in place
     k = 0

@@ -30,7 +30,6 @@ from hatmfp.engine import (
 )
 from hatmfp.expr import (
     ONE, X, Y, add, canonical, const, cosh, evaluate, monomials, mul, parse_prefix, pow_, sinh,
-    to_prefix,
 )
 from hatmfp.fokker_planck import (
     PRESET_IDS, CoefficientSpec, build_backward, build_forward, preset,
@@ -63,20 +62,20 @@ def test_problem_spec_guards():
         ProblemSpec(dim=3, operator=(), initial=X)
     with pytest.raises(ConfigError):
         # y appears in a one-dimensional problem
-        ProblemSpec(dim=1, operator=(OperatorMonomial(Y, ((1, 0),)),), initial=X)
+        ProblemSpec(dim=1, operator=(OperatorMonomial(monomials(Y), ((1, 0),)),), initial=X)
     with pytest.raises(ConfigError):
         # a y-derivative in either factor of a one-dimensional problem
-        ProblemSpec(dim=1, operator=(OperatorMonomial(ONE, ((0, 0), (0, 1))),), initial=X)
+        ProblemSpec(1, (OperatorMonomial(monomials(ONE), ((0, 0), (0, 1))),), initial=X)
     with pytest.raises(DegreeError):
-        OperatorMonomial(ONE, ((3, 0),))
+        OperatorMonomial(monomials(ONE), ((3, 0),))
     with pytest.raises(DegreeError):
-        OperatorMonomial(ONE, ((1, 0), (0, 3)))
+        OperatorMonomial(monomials(ONE), ((1, 0), (0, 3)))
 
 
 @pytest.mark.parametrize("derivs", [(), ((0, 0),) * 3])
 def test_operator_monomial_takes_one_or_two_factors(derivs):
     with pytest.raises(DegreeError, match="one or two factors"):
-        OperatorMonomial(ONE, derivs)
+        OperatorMonomial(monomials(ONE), derivs)
 
 
 def test_only_constant_auxiliary_function():
@@ -109,7 +108,7 @@ def test_apply_operator_quadratic_identity():
 
 def test_apply_operator_drift_only():
     # hand problem: N[u] = x * du/dx on u = x^2 t^alpha
-    prob = ProblemSpec(dim=1, operator=(OperatorMonomial(X, ((1, 0),)),), initial=X)
+    prob = ProblemSpec(dim=1, operator=(OperatorMonomial(monomials(X), ((1, 0),)),), initial=X)
     u = FracSeries.from_spatial(pow_(X, 2), q=1)
     (out,) = apply_operator(prob, [u], 1).values()
     alpha, x, t = 0.5, 1.4, 0.3
@@ -123,7 +122,8 @@ def test_apply_operator_past_the_expansion_cap_keeps_one_opaque_term(monkeypatch
     # N[u] = (x + 0.37) du/dx on u = (x^2 + 0.59 x) t^alpha: two monomials
     # times two make four pairs; past a cap of 3 the product stays one atom
     monkeypatch.setattr(expr, "EXPAND_CAP", 3)
-    prob = ProblemSpec(dim=1, operator=(OperatorMonomial(add(X, 0.37), ((1, 0),)),), initial=X)
+    mono = OperatorMonomial(monomials(add(X, 0.37)), ((1, 0),))
+    prob = ProblemSpec(dim=1, operator=(mono,), initial=X)
     u = FracSeries.from_spatial(add(pow_(X, 2), mul(0.59, X)), q=1)
     (out,) = apply_operator(prob, [u], 1).values()
     (term,) = out.terms
@@ -140,7 +140,7 @@ def test_apply_operator_quadratic_convolution():
     # m=2 is u1*u0' + u0*u1'
     prob = ProblemSpec(
         dim=1,
-        operator=(OperatorMonomial(ONE, ((0, 0), (1, 0))),),
+        operator=(OperatorMonomial(monomials(ONE), ((0, 0), (1, 0))),),
         initial=X,
     )
     u0 = FracSeries.from_spatial(X)
@@ -156,7 +156,7 @@ def test_apply_operator_at_first_order_uses_square():
     # residual of tests/helpers.py: the convolution is then s * s
     prob = ProblemSpec(
         dim=1,
-        operator=(OperatorMonomial(ONE, ((0, 0), (0, 0))),),
+        operator=(OperatorMonomial(monomials(ONE), ((0, 0), (0, 0))),),
         initial=X,
     )
     s = FracSeries.from_spatial(X, q=1)
@@ -302,31 +302,47 @@ def test_convergent_oracle_residual_falls_with_order():
 
 
 def test_operator_coefficients_are_canonical():
-    # a merged coefficient is stored as the tree of its table: MIXED's
-    # x u e^t term once kept (add (mul 2 x) (mul 2 x))
+    # a merged coefficient is a canonical table: MIXED's x u e^t term once
+    # kept (add (mul 2 x) (mul 2 x))
     for problem in [preset(pid) for pid in PRESET_IDS] + [MIXED]:
         for mono in problem.operator:
-            assert mono.coef is canonical(monomials(mono.coef)), to_prefix(mono.coef)
+            assert mono.monos == monomials(canonical(mono.monos)), mono.monos
 
 
-def test_operator_coefficients_past_the_allowance_are_refused():
-    deep = X
-    for _ in range(300):
-        deep = sinh(deep)
-    with pytest.raises(DomainError, match="nests deeper than"):
-        OperatorMonomial(deep, ((1, 0),))
-    # trees at the parse limit still build. The builders store canonical
-    # forms, and each (pow (cosh u) 2), stored as (add 1 (pow (sinh u) 2)),
-    # gains a level. The forward diffusion is left out: the second
+def test_operators_built_from_trees_at_the_parse_limit_run():
+    # the operator holds tables, so no tree of a coefficient is built past
+    # the parse limit. The forward diffusion is left out: the second
     # derivative of a deep nest has exponentially many monomials.
-    depths = []
+    u = (FracSeries.from_spatial(X),)
     for text in ("(sinh " * 100 + "x" + ")" * 100, "(pow (cosh " * 50 + "x" + ") 2)" * 50):
         e = parse_prefix(text)
         assert e.depth == expr.MAX_NESTING
         for problem in (build_backward(1, [e], [[e]], X),
                         build_forward(1, [CoefficientSpec(e, u_degree=1)], [[0]], X)):
-            depths += [mono.coef.depth for mono in problem.operator]
-    assert expr.MAX_NESTING < max(depths) <= expr.MAX_OPERATOR_NESTING
+            groups = apply_operator(problem, u, 1)
+            assert groups and not any(g.is_zero for g in groups.values())
+
+
+def test_residual_sums_the_tree_values_of_the_coefficients():
+    # table_value reads an operator's coefficient bit for bit as evaluate
+    # reads the tree of its table
+    c = cfg(alpha=0.5, order=2)
+    points = [(0.7, 0.4, 0.3), (1.3, 0.9, 0.6)]
+    for problem in [preset(pid) for pid in PRESET_IDS] + [MIXED]:
+        s = partial_sum(run(problem, c), 2)
+        linear = s.caputo_derivative()
+        want = []
+        for px, py, pt in points:
+            operator = sum(
+                evaluate(canonical(mono.monos), px, py)
+                * math.exp(mono.exp_rate * pt)
+                * math.prod(engine._derived(s, d).evaluate(px, pt, c.alpha, py)
+                            for d in mono.derivs)
+                for mono in problem.operator
+            ) + sum(math.exp(rate * pt) * g.evaluate(px, pt, c.alpha, py)
+                    for rate, g in problem.source)
+            want.append(abs(linear.evaluate(px, pt, c.alpha, py) - operator))
+        assert residual(problem, s, c, points) == want
 
 
 # the symbolic N[s] multiplies every pair of terms of s, so the oracle is
@@ -416,7 +432,7 @@ def test_h_curve_refuses_a_probe_that_is_not_finite():
 
 def test_h_curve_partial_sum_that_overflows_is_a_domain_error():
     # u = 1e308 + 1e308 t at alpha = 1: S_1 at t = 1 is past the float range
-    problem = ProblemSpec(1, (OperatorMonomial(ONE, ((0, 0),)),), const(1e308))
+    problem = ProblemSpec(1, (OperatorMonomial(monomials(ONE), ((0, 0),)),), const(1e308))
     with pytest.raises(DomainError, match="^a partial sum at hbar=-1.0 overflows a float$"):
         h_curve(problem, cfg(alpha=1.0, order=1), (1.0, 0.0, 1.0), [-1.0])
 
@@ -481,7 +497,7 @@ def test_taylor_events_recorded():
     # N[u] = e^t du/dx keeps a genuine exponential coefficient alive,
     # forcing an expansion before every integration step
     prob = ProblemSpec(
-        dim=1, operator=(OperatorMonomial(ONE, ((1, 0),), exp_rate=1),), initial=X
+        dim=1, operator=(OperatorMonomial(monomials(ONE), ((1, 0),), exp_rate=1),), initial=X
     )
     events = {}
     run(prob, cfg(alpha=0.5, order=3, taylor_terms=9), events)

@@ -272,7 +272,7 @@ def assert_matches_tree_expansion(problem, form, drift, diffusion):
     leaves 1/cosh + sinh**2/cosh, not cosh), so the two expansions may hold
     different monomials of one function: those are compared by value."""
     want = tree_operator(form, drift, diffusion)
-    got = [(m.derivs, m.exp_rate, monomials(m.coef)) for m in problem.operator]
+    got = [(m.derivs, m.exp_rate, m.monos) for m in problem.operator]
     assert [g[:2] for g in got] == [w[:2] for w in want]
     for (_, _, table), (_, _, ref) in zip(got, want):
         if [sig for sig, _ in table] != [sig for sig, _ in ref]:
@@ -380,7 +380,7 @@ def test_plane_preset_merged_groups():
     prob = preset("4.4")
     x, y = 1.3, 0.7
     assert prob.operator == linear(prob)
-    got = {m.derivs[0]: evaluate(m.coef, x, y) for m in prob.operator}
+    got = {m.derivs[0]: evaluate(canonical(m.monos), x, y) for m in prob.operator}
     assert all(m.exp_rate == 0 for m in prob.operator)
     want = {
         (0, 0): -2.0,
@@ -395,7 +395,7 @@ def test_plane_preset_merged_groups():
         assert got[key] == pytest.approx(value, rel=1e-14)
     # the two unit off-diagonal entries fold into a single constant
     mixed = next(m for m in prob.operator if m.derivs == ((1, 1),))
-    assert mixed.coef is const(2.0)
+    assert mixed.monos == monomials(const(2.0))
 
 
 def test_quadratic_preset_merged_groups():
@@ -404,14 +404,14 @@ def test_quadratic_preset_merged_groups():
     #   (4/x^2) u^2 - (8/x) u u_x + 2 u_x^2 + 2 u u_xx
     prob = preset("4.5")
     x = 1.7
-    lin = {m.derivs[0]: evaluate(m.coef, x) for m in linear(prob)}
+    lin = {m.derivs[0]: evaluate(canonical(m.monos), x) for m in linear(prob)}
     assert lin == {
         (0, 0): pytest.approx(1 / 3, rel=1e-14),
         (1, 0): pytest.approx(x / 3, rel=1e-14),
     }
     # one-factor monomials first, each two-factor pattern sorted
     assert prob.operator == linear(prob) + quadratic(prob)
-    quad = {m.derivs: evaluate(m.coef, x) for m in quadratic(prob)}
+    quad = {m.derivs: evaluate(canonical(m.monos), x) for m in quadratic(prob)}
     assert quad == {
         ((0, 0), (0, 0)): pytest.approx(4 / x**2, rel=1e-14),
         ((0, 0), (1, 0)): pytest.approx(-8 / x, rel=1e-14),

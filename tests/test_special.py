@@ -131,6 +131,7 @@ def mpmath_ml(alpha: float, z: float, terms: int = 300):
 
 def test_ml_at_zero_is_one():
     assert mittag_leffler(0.5, 0.0) == 1.0
+    assert mittag_leffler(200.0, 0.0) == 1.0
 
 
 def test_ml_monotone_fractional():
@@ -169,6 +170,18 @@ def test_ml_past_the_float_range_of_gamma_and_of_the_reach():
     # 1e10**100 overflows a float, and so does the sum, by term 31
     with pytest.raises(ConvergenceError, match="by term 31 "):
         mittag_leffler(0.01, 1e10)
+
+
+@pytest.mark.parametrize("alpha", [41.0, 43.0, 60.0, 200.0])
+@pytest.mark.parametrize("z", [0.0, 0.5, -3.0, 1e50, -1e50])
+def test_ml_of_a_large_alpha_matches_mpmath(alpha, z):
+    # the terms peak near k = |z|**(1/alpha) / alpha, below 1 here, and the
+    # sum needs the term after the peak however large alpha is
+    with mpmath.workdps(60):
+        want = float(mpmath.fsum(
+            mpmath.mpf(z) ** k / mpmath.gamma(mpmath.mpf(alpha) * k + 1) for k in range(20)
+        ))
+    assert mittag_leffler(alpha, z) == pytest.approx(want, rel=1e-15)
 
 
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])

@@ -84,9 +84,9 @@ RECORDS = {
     TimeFactor: lambda: dict(p=Fraction(1, 2), q=1),
     FracTerm: lambda: dict(coef=_coef(), monos=monomials(X), time=_time()),
     FracSeries: lambda: dict(terms=(FracTerm(_coef(), monomials(X), _time()),)),
-    OperatorMonomial: lambda: dict(coef=X, derivs=((1, 0), (0, 0)), exp_rate=1),
+    OperatorMonomial: lambda: dict(monos=monomials(X), derivs=((1, 0), (0, 0)), exp_rate=1),
     ProblemSpec: lambda: dict(
-        dim=1, operator=(OperatorMonomial(X, ((1, 0),)),), initial=X,
+        dim=1, operator=(OperatorMonomial(monomials(X), ((1, 0),)),), initial=X,
         source=((1, FracSeries.from_spatial(X)),),
     ),
     HatmConfig: lambda: dict(alpha=0.5, hbar=-0.7, order=3, taylor_terms=8),
@@ -108,7 +108,7 @@ OTHERS = {
         coef=Coefficient(0.0, (), ()), monos=monomials(Y), time=TimeFactor(0, 0)
     ),
     FracSeries: lambda: dict(terms=()),
-    OperatorMonomial: lambda: dict(coef=Y, derivs=((2, 0),), exp_rate=0),
+    OperatorMonomial: lambda: dict(monos=monomials(Y), derivs=((2, 0),), exp_rate=0),
     ProblemSpec: lambda: dict(
         dim=2, operator=(), initial=X * X, source=()
     ),
@@ -172,6 +172,13 @@ def test_same_fields_in_another_class_are_not_equal(cls):
     assert build(cls, fields) != tuple(fields.values())
 
 
+@pytest.mark.parametrize("cls", list(NODE_BUILDERS), ids=lambda c: c.__name__)
+def test_a_node_class_called_without_fields_is_refused(cls):
+    # a fieldless node would fail in its repr and in every constructor
+    with pytest.raises(TypeError, match=f"^{cls.__name__} nodes are made by the module-level"):
+        cls()
+
+
 def test_sibling_nodes_are_not_equal():
     assert add(X, Y) != mul(X, Y)
     assert const(1.0) != 1.0
@@ -201,7 +208,7 @@ def test_defaults():
     # a zero series is no source at all
     assert ProblemSpec(1, (), X, source=((1, FracSeries.zero()),)).source == ()
     assert ProblemSpec(1, (), X) == ProblemSpec(1, (), X, source=None)
-    assert OperatorMonomial(X, ((1, 0),)).exp_rate == 0
+    assert OperatorMonomial(monomials(X), ((1, 0),)).exp_rate == 0
     assert CoefficientSpec(X) == CoefficientSpec(X, exp_rate=0, u_degree=0)
     assert CoefficientSpec(X, exp_rate=1).u_degree == 0
 
@@ -229,15 +236,15 @@ def test_cached_attributes_take_no_part_in_equality():
          "taylor_terms must be >= 1, got 0"),
         (lambda: ProblemSpec(dim=3, operator=(), initial=X), ConfigError,
          "dim must be 1 or 2, got 3"),
-        (lambda: ProblemSpec(1, (OperatorMonomial(Y, ((1, 0),)),), X), ConfigError,
+        (lambda: ProblemSpec(1, (OperatorMonomial(monomials(Y), ((1, 0),)),), X), ConfigError,
          "variable y in a one-dimensional problem"),
-        (lambda: ProblemSpec(1, (OperatorMonomial(ONE, ((0, 1),)),), X), ConfigError,
+        (lambda: ProblemSpec(1, (OperatorMonomial(monomials(ONE), ((0, 1),)),), X), ConfigError,
          "y-derivative in a one-dimensional problem"),
-        (lambda: OperatorMonomial(ONE, ()), DegreeError,
+        (lambda: OperatorMonomial(monomials(ONE), ()), DegreeError,
          "an operator monomial takes one or two factors of u, got ()"),
-        (lambda: OperatorMonomial(ONE, ((3, 0),)), DegreeError,
+        (lambda: OperatorMonomial(monomials(ONE), ((3, 0),)), DegreeError,
          "deriv exceeds second order: (3, 0)"),
-        (lambda: OperatorMonomial(ONE, ((-1, 0),)), DegreeError,
+        (lambda: OperatorMonomial(monomials(ONE), ((-1, 0),)), DegreeError,
          "deriv must be a pair of nonnegative orders, got (-1, 0)"),
         (lambda: CoefficientSpec(X, u_degree=2), DegreeError,
          "u_degree 2 would take the expansion past quadratic"),
