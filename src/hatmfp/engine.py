@@ -14,11 +14,11 @@ step expands the exp(rate*t) of operator monomials and source terms to
 taylor_terms powers of t before integrating, and records that truncation
 on the run report, so every iterate is pure powers of t.
 
-Coefficients stay symbolic in alpha until a step's exact collect
-leaves terms that share a TimeFactor, which it does when their gamma
-tokens differ: those terms are bound at cfg.alpha, and the terms of one
-time summed into one term (also recorded on the report), so the
-iterates of a run are valid at cfg.alpha only. A term alone at its time
+Coefficients stay symbolic in alpha until terms share a TimeFactor in
+a step's series, which they do when their gamma tokens differ: those
+terms are bound at cfg.alpha, and the terms of one time summed into one
+term (also recorded on the report), so the iterates of a run are valid
+at cfg.alpha only. A term alone at its time
 keeps its gamma tokens, so problems whose iterates never share a time,
 such as the collapsing presets, stay fully symbolic.
 
@@ -77,6 +77,8 @@ class OperatorMonomial(Value):
             )
         for deriv in derivs:
             _check_multi_index(deriv, "deriv")
+        if isinstance(monos, SpatialExpr):
+            raise TypeError("monos is a table: pass monomials(tree), not a tree")
         store(self, "monos", monos)
         store(self, "derivs", derivs)
         store(self, "exp_rate", exp_rate)
@@ -93,18 +95,19 @@ class ProblemSpec(Value):
     ) -> None:
         if dim not in (1, 2):
             raise ConfigError(f"dim must be 1 or 2, got {dim}")
+        source = tuple((rate, g) for rate, g in source or () if not g.is_zero)
         if dim == 1:
+            if any(d[1] != 0 for mono in operator for d in mono.derivs):
+                raise ConfigError("y-derivative in a one-dimensional problem")
+            tables = [m.monos for m in operator] + [t.monos for _, g in source for t in g.terms]
             used = variables(initial)
-            for mono in operator:
-                used.update(*(variables(atom) for sig, _ in mono.monos for atom, _ in sig))
-                if any(d[1] != 0 for d in mono.derivs):
-                    raise ConfigError("y-derivative in a one-dimensional problem")
+            used.update(*(variables(atom) for tb in tables for sig, _ in tb for atom, _ in sig))
             if "y" in used:
                 raise ConfigError("variable y in a one-dimensional problem")
         store(self, "dim", dim)
         store(self, "operator", operator)
         store(self, "initial", initial)
-        store(self, "source", tuple((rate, g) for rate, g in source or () if not g.is_zero))
+        store(self, "source", source)
 
 
 # Powers of t kept where an exp(rate*t) factor is expanded.
@@ -118,6 +121,9 @@ class HatmConfig(Value):
     _fields = ("alpha", "hbar", "order", "taylor_terms")
 
     def __init__(self, alpha: float, hbar: float, order: int, taylor_terms=TAYLOR_TERMS) -> None:
+        for name, value in (("alpha", alpha), ("hbar", hbar)):
+            if isinstance(value, bool):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         _check_alpha(alpha)
         if not math.isfinite(hbar):
             raise ConfigError(f"hbar must be finite, got {hbar}")
@@ -148,8 +154,8 @@ def apply_operator(
     history: Sequence[FracSeries],
     m: int,
 ) -> dict[int, FracSeries]:
-    """Operator terms at deformation order m, collected separately for
-    each rate: {rate: series}, the terms being series * exp(rate*t).
+    """Operator terms at deformation order m, one series for each rate:
+    {rate: series}, the terms being series * exp(rate*t).
 
     A monomial with one slot acts on history[m-1]; one with two slots
     takes the homotopy convolution sum_{k=0}^{m-1} of derivative pairs
@@ -165,7 +171,7 @@ def apply_operator(
         for split in splits:
             factors = (_derived(history[n], d).terms for n, d in zip(split, mono.derivs))
             terms.extend(term_products(mono.monos, *factors))
-    return {rate: FracSeries(tuple(terms)).collected() for rate, terms in products.items()}
+    return {rate: FracSeries(terms) for rate, terms in products.items()}
 
 
 def build_rm(
@@ -192,11 +198,11 @@ def deformation_step(
     """v_m = J^alpha[build_rm], each rate's terms first multiplied by
     exp(rate*t) cut to cfg.taylor_terms powers of t (taylor_expand).
 
-    Terms that still share a TimeFactor after the exact collect (their
-    gamma tokens differ) are bound to numbers at cfg.alpha and collected
-    again, which sums each time into one term. A term alone at its time
-    keeps its gamma tokens, whose exact cancellation in later steps
-    binding would lose. The result is valid at cfg.alpha only.
+    Terms that still share a TimeFactor in the integrated series (their
+    gamma tokens differ) are bound to numbers at cfg.alpha, and the
+    series of the bound terms sums each time into one term. A term alone
+    at its time keeps its gamma tokens, whose exact cancellation in later
+    steps binding would lose. The result is valid at cfg.alpha only.
 
     Given an events dict, an expansion appends the row {"order",
     "terms_expanded", "taylor_terms"} to its "taylor_events" list and a
@@ -214,10 +220,10 @@ def deformation_step(
         return v
     if events is not None:
         events.setdefault("bind_events", []).append({"order": m, "terms_bound": sum(binds)})
-    return FracSeries(tuple(
+    return FracSeries(
         FracTerm(Coefficient.number(t.coef.value(cfg.alpha)), t.monos, t.time) if bind else t
         for t, bind in zip(v.terms, binds)
-    )).collected()
+    )
 
 
 def _weights(m: int, hbar: float) -> Iterator[tuple[int, float]]:

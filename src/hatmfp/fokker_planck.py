@@ -42,7 +42,7 @@ from .expr import (
     to_prefix,
     within_nesting,
 )
-from .series import FracSeries, FracTerm, Coefficient, TimeFactor, _check_alpha, _collect
+from .series import FracSeries, FracTerm, Coefficient, TimeFactor, _check_alpha
 from .special import mittag_leffler
 
 _VARS = ("x", "y")
@@ -281,7 +281,7 @@ def _source_from_obj(obj) -> tuple[tuple[int, FracSeries], ...]:
         p, q, c = (item.get(key, 0) for key in ("p", "q", "c"))
         time = TimeFactor(parse_rational(p), parse_integer(q))
         groups.setdefault(parse_integer(c), []).append(FracTerm(coef, monos, time))
-    return tuple((rate, FracSeries(_collect(terms))) for rate, terms in sorted(groups.items()))
+    return tuple((rate, FracSeries(terms)) for rate, terms in sorted(groups.items()))
 
 
 def problem_from_obj(obj: dict) -> ProblemSpec:

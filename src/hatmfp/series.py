@@ -20,14 +20,16 @@ itself, as Coefficient.number(coef.value(alpha)): a coefficient without
 tokens, which then holds at that alpha only (engine.deformation_step
 does this).
 
-A term is (Coefficient, table, TimeFactor); after a collect its table
-is monic, its largest monomial exactly 1 (``expr.monic``), and the
-scale lives in the coefficient. A collect merges on one exact key,
-(time, tokens): the tables of a key's terms are summed, weighted by
-their factors (``expr.keyed_sum``), and the sum is made monic. The
-tables are canonical already, so the sum needs no reduction, and no
-whole table is hashed or compared. Terms with different tokens are
-never added into one coefficient, so after a collect no two terms share
+A series is collected and a coefficient canonical when it is made:
+FracSeries(terms) is the one collect and Coefficient(...) the one
+coefficient maker. A term is (Coefficient, table, TimeFactor); in a
+series its table is monic, its largest monomial exactly 1
+(``expr.monic``), and the scale lives in the coefficient. A collect
+merges on one exact key, (time, tokens): the tables of a key's terms
+are summed, weighted by their factors (``expr.keyed_sum``), and the sum
+is made monic. The tables are canonical already, so the sum needs no
+reduction, and no whole table is hashed or compared. Terms with different tokens are
+never added into one coefficient, so in a series no two terms share
 (time, tokens), the terms are sorted by that key, and a time may hold
 several terms with different tokens. Products, spatial derivatives and
 evaluation work on the tables too (``expr.table_product``,
@@ -125,7 +127,7 @@ class GammaArg(_GridPoint):
         return float(self.a) + self.b * alpha
 
 
-def _cancel(num: Sequence[GammaArg], den: Sequence[GammaArg]):
+def _cancel(num: Iterable[GammaArg], den: Iterable[GammaArg]) -> tuple[list, list]:
     """Remove tokens shared by numerator and denominator (multiset)."""
     remaining = list(den)
     kept_num = []
@@ -137,63 +139,49 @@ def _cancel(num: Sequence[GammaArg], den: Sequence[GammaArg]):
     return kept_num, remaining
 
 
-def _coefficient(factor: float, num: tuple, den: tuple) -> "Coefficient":
-    """The coefficient factor * num / den, COEF_ZERO for a zero factor;
-    DomainError if the factor is not finite."""
-    if not math.isfinite(factor):
-        raise DomainError(f"a coefficient factor overflows a float: {factor!r}")
-    return Coefficient(factor, num, den) if factor else COEF_ZERO
-
-
-def _monomial(factor: float, num: Iterable[GammaArg], den: Iterable[GammaArg]) -> "Coefficient":
-    num, den = _cancel(tuple(num), tuple(den))
-    # Tokens without an alpha part are plain numbers; fold away those whose
-    # gamma fits in a float. Coefficient.value resolves the rest in log space.
-    kept: tuple[list, list] = ([], [])
-    for side, args in enumerate((num, den)):
-        for arg in args:
-            try:
-                folded = math.gamma(float(arg.a)) if arg.b == 0 else None
-            except OverflowError:
-                folded = None
-            if folded is None:
-                kept[side].append(arg)
-            else:
-                factor = factor / folded if side else factor * folded
-    return _coefficient(factor, tuple(sorted(kept[0])), tuple(sorted(kept[1])))
-
-
 class Coefficient(Value):
     """factor * prod gamma(num) / prod gamma(den): one gamma-ratio
-    monomial, symbolic in alpha. Zero is COEF_ZERO, factor 0.0 and no
-    tokens."""
+    monomial, symbolic in alpha, canonical as made. Tokens on both sides
+    cancel, each token without an alpha part whose gamma fits a float
+    folds into the factor (Coefficient.value resolves the rest in log
+    space), and the rest are sorted. DomainError if the factor is not
+    finite; a zero factor is stored as 0.0 with no tokens, so every zero
+    coefficient is equal."""
 
     _fields = ("factor", "num", "den")
 
-    def __init__(
-        self, factor: float, num: tuple[GammaArg, ...], den: tuple[GammaArg, ...]
-    ) -> None:
-        store(self, "factor", factor)
-        store(self, "num", num)
-        store(self, "den", den)
+    def __init__(self, factor: float, num: Iterable[GammaArg], den: Iterable[GammaArg]) -> None:
+        factor = float(factor)
+        kept: tuple[list, list] = ([], [])
+        for side, args in enumerate(_cancel(num, den)):
+            for arg in args:
+                try:
+                    folded = math.gamma(float(arg.a)) if arg.b == 0 else None
+                except OverflowError:
+                    folded = None
+                if folded is None:
+                    kept[side].append(arg)
+                else:
+                    factor = factor / folded if side else factor * folded
+        if not math.isfinite(factor):
+            raise DomainError(f"a coefficient factor overflows a float: {factor!r}")
+        store(self, "factor", factor or 0.0)
+        store(self, "num", tuple(sorted(kept[0])) if factor else ())
+        store(self, "den", tuple(sorted(kept[1])) if factor else ())
 
     @staticmethod
     def number(factor: float) -> "Coefficient":
-        return _coefficient(float(factor), (), ())
+        return Coefficient(factor, (), ())
 
     def times(self, other: "Coefficient") -> "Coefficient":
-        return _monomial(self.factor * other.factor, self.num + other.num, self.den + other.den)
+        return Coefficient(self.factor * other.factor, self.num + other.num, self.den + other.den)
 
     def scaled(self, k: float) -> "Coefficient":
-        if k == 0.0:
-            return COEF_ZERO
-        if k == 1.0:
-            return self
-        return _coefficient(self.factor * k, self.num, self.den)
+        return Coefficient(self.factor * k, self.num, self.den)
 
     def gamma_ratio(self, num_arg: GammaArg, den_arg: GammaArg) -> "Coefficient":
         """Multiply by gamma(num_arg) / gamma(den_arg)."""
-        return _monomial(self.factor, self.num + (num_arg,), self.den + (den_arg,))
+        return Coefficient(self.factor, self.num + (num_arg,), self.den + (den_arg,))
 
     def value(self, alpha: float) -> float:
         """The number at alpha; DomainError if it overflows a float."""
@@ -223,7 +211,7 @@ class Coefficient(Value):
         if self.signature() != other.signature():
             raise DomainError("coefficients with different gamma tokens do not add into one")
         summed = keyed_sum([(None, self.factor), (None, other.factor)])
-        return _coefficient(summed.get(None, 0.0), self.num, self.den)
+        return Coefficient(summed.get(None, 0.0), self.num, self.den)
 
     def parallel_ratio(self, other: "Coefficient") -> float | None:
         """other.factor / self.factor for the same tokens, else None."""
@@ -234,9 +222,6 @@ class Coefficient(Value):
     @property
     def monomials(self) -> tuple:
         return () if self.is_zero else (self,)
-
-
-COEF_ZERO = Coefficient(0.0, (), ())
 
 
 class TimeFactor(_GridPoint):
@@ -273,6 +258,8 @@ class FracTerm(Value):
     _fields = ("coef", "monos", "time")
 
     def __init__(self, coef: Coefficient, monos: tuple, time: TimeFactor) -> None:
+        if isinstance(monos, SpatialExpr):
+            raise TypeError("monos is a table: pass monomials(tree), not a tree")
         store(self, "coef", coef)
         store(self, "monos", monos)
         store(self, "time", time)
@@ -298,7 +285,7 @@ def _collect(terms: Iterable[FracTerm]) -> tuple[FracTerm, ...]:
             summed = keyed_sum((s, t.coef.factor * c) for t in group for s, c in t.monos)
             weight, table = 1.0, tuple(sorted(summed.items()))
         scale, monos = monic(table)
-        coef = _coefficient(weight * scale, num, den)
+        coef = Coefficient(weight * scale, num, den)
         if not coef.is_zero:
             out.append(FracTerm(coef, monos, time))
     out.sort(key=lambda t: (t.time.sort_key, t.coef.num, t.coef.den))
@@ -321,12 +308,13 @@ def term_products(lead: tuple, *factors: Iterable[FracTerm]) -> Iterator[FracTer
 
 
 class FracSeries(Value):
-    """Finite sum of FracTerms; all operations return new series."""
+    """Finite sum of FracTerms, collected as made: FracSeries(terms) is
+    the one collect. All operations return new series."""
 
     _fields = ("terms",)
 
-    def __init__(self, terms: tuple[FracTerm, ...]) -> None:
-        store(self, "terms", terms)
+    def __init__(self, terms: Iterable[FracTerm]) -> None:
+        store(self, "terms", _collect(terms))
 
     @staticmethod
     def zero() -> "FracSeries":
@@ -336,32 +324,27 @@ class FracSeries(Value):
     def from_spatial(expr: SpatialExpr, factor: float = 1.0, p=0, q: int = 0) -> "FracSeries":
         time = TimeFactor(p, q)
         monos = monomials(within_nesting(expr))
-        return FracSeries(_collect([FracTerm(Coefficient.number(factor), monos, time)]))
+        return FracSeries([FracTerm(Coefficient.number(factor), monos, time)])
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
+    # A series is collected as made; perfbench/traced.py wraps this by name.
     def collected(self) -> "FracSeries":
-        return FracSeries(_collect(self.terms))
+        return self
 
     def add(self, *others: "FracSeries") -> "FracSeries":
         """The terms of this series and of the others, in order, collected."""
-        return FracSeries(_collect(t for s in (self, *others) for t in s.terms))
+        return FracSeries(t for s in (self, *others) for t in s.terms)
 
     __add__ = add
 
     def scale(self, k: float) -> "FracSeries":
-        if k == 0.0:
-            return FracSeries.zero()
-        if k == 1.0:
-            return self
-        return FracSeries(
-            tuple(FracTerm(t.coef.scaled(k), t.monos, t.time) for t in self.terms)
-        )
+        return FracSeries(FracTerm(t.coef.scaled(k), t.monos, t.time) for t in self.terms)
 
     def multiply(self, other: "FracSeries") -> "FracSeries":
-        return FracSeries(_collect(term_products(UNIT_TABLE, self.terms, other.terms)))
+        return FracSeries(term_products(UNIT_TABLE, self.terms, other.terms))
 
     __mul__ = multiply
 
@@ -370,25 +353,11 @@ class FracSeries(Value):
         key = "_d" + name
         got = self.__dict__.get(key)
         if got is None:
-            got = FracSeries(_collect(
+            got = FracSeries(
                 FracTerm(t.coef, table_derivative(t.monos, name), t.time) for t in self.terms
-            ))
+            )
             object.__setattr__(self, key, got)
         return got
-
-    def _alpha_shift(self, step: int) -> "FracSeries":
-        """Move every term from t**(p + q*alpha) to t**(p + (q+step)*alpha),
-        multiplying its coefficient by gamma(1 + p + q*alpha) /
-        gamma(1 + p + (q+step)*alpha)."""
-        out = []
-        for term in self.terms:
-            tf = term.time
-            shifted = TimeFactor(tf.p, tf.q + step)  # raises if it can go negative
-            coef = term.coef.gamma_ratio(
-                GammaArg(1 + tf.p, tf.q), GammaArg(1 + tf.p, tf.q + step)
-            )
-            out.append(FracTerm(coef, term.monos, shifted))
-        return FracSeries(_collect(out))
 
     def caputo_derivative(self) -> "FracSeries":
         """Caputo derivative of order alpha, applied termwise.
@@ -397,13 +366,12 @@ class FracSeries(Value):
         picks up gamma(1 + p + q*alpha) / gamma(1 + p + (q-1)*alpha) and
         drops one alpha from the exponent.
         """
-        varying = FracSeries(tuple(t for t in self.terms if t.time != TIME_ONE))
-        return varying._alpha_shift(-1)
+        return _alpha_shifted((t for t in self.terms if t.time != TIME_ONE), -1)
 
     def frac_integral(self) -> "FracSeries":
         """Riemann-Liouville integral of order alpha; exact inverse of
         caputo_derivative on its image (the gamma tokens cancel)."""
-        return self._alpha_shift(1)
+        return _alpha_shifted(self.terms, 1)
 
     def taylor_expand(self, rate: int, n_terms: int) -> "FracSeries":
         """This series times exp(rate*t) cut to its first n_terms powers of
@@ -415,11 +383,11 @@ class FracSeries(Value):
         except OverflowError:  # an int quotient too large for a float
             raise DomainError(
                 f"a Taylor weight {rate}**j/j! of exp({rate}*t) overflows a float") from None
-        return FracSeries(_collect(
+        return FracSeries(
             FracTerm(term.coef.scaled(w), term.monos, TimeFactor(term.time.p + j, term.time.q))
             for term in self.terms
             for j, w in enumerate(weights)
-        ))
+        )
 
     def evaluate(self, x: float, t: float, alpha: float, y: float = 0.0) -> float:
         """Bind alpha and evaluate at (x, y, t); 0**0 counts as 1."""
@@ -456,7 +424,7 @@ class FracSeries(Value):
 
     @staticmethod
     def from_obj(obj: Sequence) -> "FracSeries":
-        return FracSeries(tuple(t for item in obj for t in _terms_from_obj(item)))
+        return FracSeries(t for item in obj for t in _terms_from_obj(item))
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj())
@@ -464,6 +432,19 @@ class FracSeries(Value):
     @staticmethod
     def from_json(text: str) -> "FracSeries":
         return FracSeries.from_obj(json.loads(text))
+
+
+def _alpha_shifted(terms: Iterable[FracTerm], step: int) -> FracSeries:
+    """The terms moved from t**(p + q*alpha) to t**(p + (q+step)*alpha),
+    each coefficient multiplied by gamma(1 + p + q*alpha) /
+    gamma(1 + p + (q+step)*alpha)."""
+    out = []
+    for term in terms:
+        tf = term.time
+        shifted = TimeFactor(tf.p, tf.q + step)  # raises if it can go negative
+        coef = term.coef.gamma_ratio(GammaArg(1 + tf.p, tf.q), GammaArg(1 + tf.p, tf.q + step))
+        out.append(FracTerm(coef, term.monos, shifted))
+    return FracSeries(out)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -505,7 +486,7 @@ def _factor_from_obj(value) -> float:
 
 def _terms_from_obj(obj: dict) -> list[FracTerm]:
     """One term per monomial of coef_tokens, at the term's time and table (a
-    report may list several), its coefficient made canonical by _monomial."""
+    report may list several)."""
     tokens = obj.get("coef_tokens") if isinstance(obj, dict) else None
     if not isinstance(tokens, list) or not all(
         isinstance(m, dict) and "factor" in m
@@ -514,10 +495,10 @@ def _terms_from_obj(obj: dict) -> list[FracTerm]:
     ):
         raise DomainError(f"coef_tokens is not a list of factor, num, den objects: {tokens!r}")
     coefs = [
-        _monomial(
+        Coefficient(
             _factor_from_obj(m["factor"]),
-            tuple(_gamma_arg_from_obj(a) for a in m["num"]),
-            tuple(_gamma_arg_from_obj(a) for a in m["den"]),
+            [_gamma_arg_from_obj(a) for a in m["num"]],
+            [_gamma_arg_from_obj(a) for a in m["den"]],
         )
         for m in tokens
     ]

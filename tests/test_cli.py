@@ -601,6 +601,17 @@ def test_malformed_problem_files_exit_two(tmp_path, change):
     assert "error: invalid problem definition: " in line
 
 
+def test_source_in_y_of_a_one_dimensional_problem_exits_two(tmp_path):
+    # the one-dimensional check reads the source as it reads f and the operator
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**COTH_PROBLEM, "g": [{"expr": "(mul x y)"}]}), encoding="utf-8")
+    result = invoke("solve", "--problem", str(path), "--order", "1")
+    assert result.exit_code == 2, result.exception
+    assert result.stdout == ""
+    assert ("error: invalid problem definition: variable y in a one-dimensional problem"
+            in result.stderr)
+
+
 @pytest.mark.parametrize(
     "content",
     [

@@ -72,6 +72,17 @@ def test_problem_spec_guards():
         OperatorMonomial(monomials(ONE), ((1, 0), (0, 3)))
 
 
+def test_one_dimensional_check_reads_the_source():
+    # a source in y would print iterates in y that eval reads at y = 0
+    with pytest.raises(ConfigError, match="^variable y in a one-dimensional problem$"):
+        ProblemSpec(1, (), X, source=((0, FracSeries.from_spatial(Y)),))
+    with pytest.raises(ConfigError, match="^variable y in a one-dimensional problem$"):
+        ProblemSpec(1, (), X, source=((1, FracSeries.from_spatial(mul(X, Y), q=1)),))
+    # a zero source is dropped before the check, as it is from the spec
+    zero = FracSeries.from_spatial(Y).scale(0.0)
+    assert ProblemSpec(1, (), X, source=((0, zero),)).source == ()
+
+
 @pytest.mark.parametrize("derivs", [(), ((0, 0),) * 3])
 def test_operator_monomial_takes_one_or_two_factors(derivs):
     with pytest.raises(DegreeError, match="one or two factors"):

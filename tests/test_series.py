@@ -397,11 +397,53 @@ def test_collect_drops_cancelled_groups():
 def test_collect_idempotent():
     rng = random.Random(5)
     for _ in range(25):
-        s = random_series(rng, 5)
-        once = s.collected()
-        twice = once.collected()
+        once = random_series(rng, 5)
+        twice = FracSeries(once.terms)
         assert once == twice
         assert once.to_obj() == twice.to_obj()
+
+
+def test_a_series_is_collected_as_made():
+    # the constructor is the one collect: the order of the terms given does
+    # not matter, and collected() returns the series itself
+    a, b = GammaArg(Fraction(1), 1), GammaArg(Fraction(1), 2)
+    c = Coefficient.number(1.0).gamma_ratio(a, b)
+    t0, t1 = TimeFactor(Fraction(0), 0), TimeFactor(Fraction(0), 1)
+    terms = [
+        FracTerm(c.scaled(2.0), monomials(X), t1),
+        FracTerm(Coefficient.number(1.0), monomials(sinh(X)), t1),
+        FracTerm(Coefficient.number(-4.0), monomials(cosh(X)), t0),
+        FracTerm(c.scaled(3.0), monomials(X), t1),
+    ]
+    s = FracSeries(terms)
+    assert s == FracSeries(reversed(terms))
+    assert s.collected() is s
+    assert [(t.coef, t.monos, t.time) for t in s.terms] == [
+        (Coefficient.number(-4.0), monomials(cosh(X)), t0),
+        (Coefficient.number(1.0), monomials(sinh(X)), t1),
+        (c.scaled(5.0), monomials(X), t1),
+    ]
+    assert FracSeries([FracTerm(Coefficient.number(0.0), monomials(X), t0)]).is_zero
+
+
+def test_coefficient_is_canonical_as_made():
+    a, b = GammaArg(Fraction(1, 2), 1), GammaArg(Fraction(3, 2), 1)
+    # tokens are sorted, so the order given does not split a collect
+    assert Coefficient(1.0, (a, b), ()) == Coefficient(1.0, (b, a), ())
+    assert Coefficient(1.0, (b, a), ()).num == (a, b)
+    t1 = TimeFactor(Fraction(0), 1)
+    (term,) = FracSeries([FracTerm(Coefficient(1.0, (a, b), ()), monomials(X), t1),
+                          FracTerm(Coefficient(1.0, (b, a), ()), monomials(X), t1)]).terms
+    assert term.coef == Coefficient(2.0, (a, b), ())
+    # a token on both sides cancels; one without an alpha part folds
+    assert Coefficient(2.0, (a,), (a,)) == Coefficient.number(2.0)
+    assert Coefficient(2.0, (GammaArg(Fraction(3), 0),), ()) == Coefficient.number(4.0)
+    # a zero factor is the one zero, 0.0 with no tokens
+    assert Coefficient(-0.0, (a,), (b,)) == Coefficient(0.0, (), ())
+    assert str(Coefficient(-0.0, (a,), (b,)).factor) == "0.0"
+    for factor in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="overflows a float"):
+            Coefficient(factor, (), ())
 
 
 def test_collect_orders_terms_deterministically():
@@ -496,11 +538,11 @@ def test_collect_weights_tables():
     # the tables of one (time, tokens) key sum, weighted by their factors:
     # sinh x + x and sinh x - x, weighted 2 and -2, sum to 4x
     t0 = TimeFactor(Fraction(0), 1)
-    s = FracSeries((
+    terms = [
         FracTerm(Coefficient.number(2.0), monomials(add(sinh(X), X)), t0),
         FracTerm(Coefficient.number(-2.0), monomials(add(sinh(X), mul(-1, X))), t0),
-    ))
-    for collected in (s.collected(), FracSeries(s.terms[:1]).add(FracSeries(s.terms[1:]))):
+    ]
+    for collected in (FracSeries(terms), FracSeries(terms[:1]).add(FracSeries(terms[1:]))):
         (term,) = collected.terms
         assert (term.coef, term.monos) == (Coefficient.number(4.0), monomials(X))
     # proportional tables, 2 T + 3 (2 T), are one term 8 T with the tokens
@@ -509,7 +551,7 @@ def test_collect_weights_tables():
     s = FracSeries((
         FracTerm(c.scaled(2.0), table, t0),
         FracTerm(c.scaled(3.0), monomials(add(mul(2, sinh(X)), X)), t0),
-    )).collected()
+    ))
     assert [(t.coef, t.monos) for t in s.terms] == [(c.scaled(8.0), table)]
     # 3 (x + x^2) - 1.5 (2x + 2x^2) leaves no term; the term at the same
     # time with other tokens stays
@@ -518,7 +560,7 @@ def test_collect_weights_tables():
         FracTerm(c.scaled(3.0), monomials(add(X, pow_(X, 2))), t0),
         other,
         FracTerm(c.scaled(-1.5), monomials(mul(2, add(X, pow_(X, 2)))), t0),
-    )).collected()
+    ))
     assert s.terms == (other,)
 
 
@@ -540,8 +582,10 @@ def test_collect_invariant():
         # frac_integral gives each term the tokens of its old time, so sums
         # and products of integrals share times with different tokens
         si, oi = pure.frac_integral(), other.frac_integral()
-        for series in (s.collected(), s.add(other), s.multiply(other), pure, si,
-                       si.caputo_derivative(), si.add(other), si.multiply(oi)):
+        # the terms of three series listed one after another are uncollected
+        loaded = FracSeries.from_obj(si.to_obj() + oi.to_obj() + s.to_obj())
+        for series in (s, s.add(other), s.multiply(other), pure, si, si.caputo_derivative(),
+                       si.add(other), si.multiply(oi), si.scale(-2.5), loaded):
             assert_collected(series)
     # W1 keeps one term per time: deformation_step binds the terms that
     # share one
@@ -558,8 +602,9 @@ def test_several_monomials_load_as_one_term_each():
     obj = {"coef_tokens": tokens, "spatial": "(add x (sinh x))", "p": "1/2", "q": 1, "c": 0}
     s = FracSeries.from_obj([obj])
     time, monos = TimeFactor(Fraction(1, 2), 1), monomials(add(X, sinh(X)))
+    # a loaded series is collected: its terms are sorted by (time, tokens)
     assert [(t.coef.factor, t.monos, t.time) for t in s.terms] == [
-        (2.5, monos, time), (-0.75, monos, time)
+        (-0.75, monos, time), (2.5, monos, time)
     ]
     for alpha in ALPHAS:
         x, t = 0.8, 0.3
@@ -584,6 +629,21 @@ def test_from_obj_coefficients_are_canonical():
     assert (only.coef.num, only.coef.den) == (tokens[:1], ())
     (folded,) = FracSeries.from_obj([term(2.0, [("3", 0)])]).terms
     assert (folded.coef.factor, folded.coef.num) == (4.0, ())
+
+
+def test_from_obj_loads_collected():
+    def term(factor, spatial):
+        tokens = [{"factor": factor, "num": [], "den": []}]
+        return {"coef_tokens": tokens, "spatial": spatial, "p": "0", "q": 1, "c": 0}
+
+    # x - x and a term with a zero factor load as the zero series
+    for obj in ([term(1.0, "x"), term(-1.0, "x")], [term(0.0, "(sinh x)")]):
+        s = FracSeries.from_obj(obj)
+        assert s.is_zero
+        assert s.to_obj() == []
+    # 2 (3 x) + x is one term 7 x, its table monic
+    (only,) = FracSeries.from_obj([term(2.0, "(mul 3 x)"), term(1.0, "x")]).terms
+    assert (only.coef.factor, only.monos) == (7.0, monomials(X))
 
 
 # --------------------------------------------------------------- serialization

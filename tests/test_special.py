@@ -25,8 +25,9 @@ def folded(x: float) -> float:
 
 
 def resolved(x: float) -> float:
-    """gamma(x) resolved in log space from an unfolded token x + 0*alpha."""
-    return Coefficient(1.0, (GammaArg(Fraction(x), 0),), ()).value(1.0)
+    """gamma(x) resolved in log space: the token 0 + 1*alpha, which has an
+    alpha part and so never folds, read at alpha = x."""
+    return Coefficient(1.0, (GammaArg(0, 1),), ()).value(x)
 
 
 @pytest.mark.parametrize(

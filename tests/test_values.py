@@ -240,6 +240,10 @@ def test_cached_attributes_take_no_part_in_equality():
          "variable y in a one-dimensional problem"),
         (lambda: ProblemSpec(1, (OperatorMonomial(monomials(ONE), ((0, 1),)),), X), ConfigError,
          "y-derivative in a one-dimensional problem"),
+        (lambda: OperatorMonomial(X, ((1, 0),)), TypeError,
+         "monos is a table: pass monomials(tree), not a tree"),
+        (lambda: FracTerm(Coefficient.number(1.0), X, TimeFactor(0, 0)), TypeError,
+         "monos is a table: pass monomials(tree), not a tree"),
         (lambda: OperatorMonomial(monomials(ONE), ()), DegreeError,
          "an operator monomial takes one or two factors of u, got ()"),
         (lambda: OperatorMonomial(monomials(ONE), ((3, 0),)), DegreeError,
@@ -272,6 +276,8 @@ def test_cached_attributes_take_no_part_in_equality():
          "alpha part must be an integer, got 1.5"),
         (lambda: HatmConfig(0.5, -1.0, 2.0), ConfigError, "order must be an integer, got 2.0"),
         (lambda: HatmConfig(0.5, -1.0, True), ConfigError, "order must be an integer, got True"),
+        (lambda: HatmConfig(True, -1.0, 1), ConfigError, "alpha must be a number, got True"),
+        (lambda: HatmConfig(0.5, False, 1), ConfigError, "hbar must be a number, got False"),
         (lambda: HatmConfig(0.5, -1.0, 2, taylor_terms=2.5), ConfigError,
          "taylor_terms must be an integer, got 2.5"),
         (lambda: HatmConfig(0.5, -1.0, 2, taylor_terms=True), ConfigError,
