@@ -13,13 +13,17 @@ of a canonical argument, opaque powers), and ``monic`` scales a table
 so its largest monomial is 1. ``keyed_sum``, ``table_product``,
 ``table_derivative`` and ``table_value`` add, multiply, differentiate
 and evaluate tables without building trees: the series algebra and
-the engine's operator monomials work on tables alone. Two rewrites can
-blow a table up, a product of two tables and the rewrite of cosh(u)**2
-(one monomial with n such factors makes 2**n), and each checks
-``EXPAND_CAP`` where it runs: a tree past it is one opaque atom, and a
-derivative past it raises DomainError. ``canonical`` is the one builder
-of the tree of a table, for output (``normalize`` gives the tree of
-``monomials``).
+the engine's operator monomials work on tables alone. The derivative
+of an atom is formed from its parts' tables, so the derivative rules
+exist once, on tables: ``differentiate`` returns the canonical tree of
+the table derivative. ``evaluate`` walks a tree as written, since its
+table may differ: mul(x, 1/x) at 0 would give 1.0 instead of a pole,
+and (x - 1)**2 at 1 + 1e-7 would lose its leading digits. Two rewrites
+can blow a table up, a product of two tables and the rewrite of
+cosh(u)**2 (one monomial with n such factors makes 2**n), and each
+checks ``EXPAND_CAP`` where it runs: a tree past it is one opaque atom,
+and a derivative past it raises DomainError. ``canonical`` is the one
+builder of the tree of a table, for output.
 Two trees with the same canonical table get the same node, so identity
 of canonical nodes is equality of their monomial sums: no merge decision
 rests on sampled values.
@@ -47,10 +51,6 @@ Number = Union[int, float, Fraction]
 
 # Magnitudes below this count as a zero divisor.
 SINGULAR_FLOOR = 1e-300
-
-# Tolerances of proportional_ratio.
-REL_TOL = 1e-10
-ABS_TOL = 1e-12
 
 
 class SpatialExpr(Value):
@@ -148,7 +148,10 @@ def _coerce(value: SpatialExpr | Number) -> SpatialExpr:
 
 
 def const(value: Number) -> Const:
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an int or Fraction past the float range
+        v = math.inf
     if not math.isfinite(v):  # a fold such as 1e200 * 1e200 overflows to inf
         raise DomainError(f"constant {v} is not a finite float")
     return _shared(("c", v), Const, v)  # type: ignore[return-value]
@@ -220,7 +223,10 @@ def pow_(base: SpatialExpr | Number, exponent: Number) -> SpatialExpr:
     if exponent == 1:
         return base
     if isinstance(base, Const):
-        return const(_pow_value(base.value, exponent))
+        try:
+            return const(_pow_value(base.value, exponent))
+        except OverflowError:
+            raise DomainError(f"{base.value!r} ** {exponent} does not fit in a float") from None
     return _shared(("p", base, exponent), Pow, base, exponent)
 
 
@@ -268,35 +274,6 @@ def csch(arg: SpatialExpr | Number) -> SpatialExpr:
 
 def recip(arg: SpatialExpr | Number) -> SpatialExpr:
     return pow_(arg, -1)
-
-
-@lru_cache(maxsize=None)
-def differentiate(expr: SpatialExpr, name: str) -> SpatialExpr:
-    """Exact partial derivative with respect to variable `name`."""
-    if name not in ("x", "y"):
-        raise DomainError(f"unknown spatial variable {name!r}")
-    if isinstance(expr, Const):
-        return ZERO
-    if isinstance(expr, Var):
-        return ONE if expr.name == name else ZERO
-    if isinstance(expr, Add):
-        return add(*(differentiate(c, name) for c in expr.children))
-    if isinstance(expr, Mul):
-        parts = []
-        for i, child in enumerate(expr.children):
-            rest = expr.children[:i] + expr.children[i + 1 :]
-            parts.append(mul(differentiate(child, name), *rest))
-        return add(*parts)
-    if isinstance(expr, Pow):
-        return mul(
-            const(float(expr.exponent)),
-            pow_(expr.base, expr.exponent - 1),
-            differentiate(expr.base, name),
-        )
-    if isinstance(expr, Func):
-        outer = cosh(expr.arg) if expr.kind == "sinh" else sinh(expr.arg)
-        return mul(outer, differentiate(expr.arg, name))
-    raise DomainError(f"cannot differentiate {expr!r}")  # pragma: no cover
 
 
 def require_finite(**coordinates: float) -> None:
@@ -351,7 +328,7 @@ def proportional_ratio(fa: tuple[float, ...], fb: tuple[float, ...]) -> float | 
         return None
     ratio = sum(va * vb for va, vb in zip(fa, fb)) / denom
     scale = max(max(map(abs, fa)), abs(ratio) * max(map(abs, fb)))
-    tol = max(ABS_TOL, REL_TOL * scale)
+    tol = max(1e-12, 1e-10 * scale)
     if all(abs(va - ratio * vb) <= tol for va, vb in zip(fa, fb)):
         return ratio
     return None
@@ -561,14 +538,9 @@ def canonical(monos: tuple) -> SpatialExpr:
 
 
 def normalize(expr: SpatialExpr) -> SpatialExpr:
-    """Canonical monomial-sum form, built from ``monomials(expr)``.
-
-    Interning makes node identity exact equality of canonical forms, so
-    repeated differentiation of normalized trees grows with the number
-    of distinct monomials instead of with tree paths. Value-preserving
-    up to float reassociation (and up to removable singularities like
-    x * 1/x at x = 0).
-    """
+    """Canonical monomial-sum form, ``canonical(monomials(expr))``, cached
+    on the tree: node identity is exact equality of canonical forms. It
+    keeps values up to float reassociation and removable singularities."""
     norm = expr.__dict__.get("_norm")
     if norm is None:
         norm = canonical(monomials(expr))
@@ -606,7 +578,7 @@ def table_derivative(monos: tuple, name: str) -> tuple:
     for sig, c in monos:
         for i, (atom, e) in enumerate(sig):
             rest = sig[:i] + (((atom, e - 1),) if e != 1 else ()) + sig[i + 1 :]
-            for s, k in _table(differentiate(atom, name)).items():
+            for s, k in _atom_derivative(atom, name).items():
                 items.append((_sig_mul(rest, s), c * (e * k)))
     try:
         return tuple(sorted(_summed(items).items()))
@@ -614,10 +586,40 @@ def table_derivative(monos: tuple, name: str) -> tuple:
         raise DomainError(f"a derivative passes EXPAND_CAP = {EXPAND_CAP} monomials") from None
 
 
+def _atom_derivative(atom: SpatialExpr, name: str) -> dict:
+    """Table of the derivative of one atom in `name`, cached on it: the
+    chain or product rule over its parts' tables, each product through
+    ``table_product``, so one past EXPAND_CAP is one opaque atom."""
+    table = atom.__dict__.get("_d" + name)
+    if table is None:
+        if isinstance(atom, Var):
+            products = [[(((), 1.0),)]] if atom.name == name else []
+        elif isinstance(atom, Func):  # sinh' = cosh, cosh' = sinh
+            other = _func("cosh" if atom.kind == "sinh" else "sinh", atom.arg)
+            products = [[monomials(other), table_derivative(monomials(atom.arg), name)]]
+        elif isinstance(atom, Pow):
+            e, power = atom.exponent, monomials(pow_(atom.base, atom.exponent - 1))
+            products = [[(((), float(e)),), power, table_derivative(monomials(atom.base), name)]]
+        else:  # an Add or Mul past EXPAND_CAP: the rule of its children
+            parts = [monomials(c) for c in atom.children]
+            others = isinstance(atom, Mul)  # a term of a product keeps the other factors
+            products = [[table_derivative(p, name), *(parts[:i] + parts[i + 1 :] if others else ())]
+                        for i, p in enumerate(parts)]
+        table = keyed_sum(item for factors in products for item in table_product(factors))
+        object.__setattr__(atom, "_d" + name, table)
+    return table
+
+
+def differentiate(expr: SpatialExpr, name: str) -> SpatialExpr:
+    """The canonical tree of ``table_derivative(monomials(expr), name)``."""
+    return canonical(table_derivative(monomials(expr), name))
+
+
 def table_value(monos: tuple, x: float, y: float, atoms: dict) -> float:
     """Value at (x, y) of a table, bit for bit ``evaluate(canonical(monos))``
     but for an opaque product atom, which ``mul`` would splice into its
-    monomial; atoms caches the value of each atom at (x, y)."""
+    monomial; atoms caches the value of each atom at (x, y). It may differ
+    from ``evaluate`` of a tree with this table (see the module docstring)."""
     try:
         parts = []
         for sig, c in monos:
@@ -712,7 +714,7 @@ def parse_prefix(text: str) -> SpatialExpr:
         if token != "(":
             if token in ("x", "y"):
                 return var(token)
-            return const(float(parse_rational(token)))
+            return const(parse_rational(token))
         if depth == MAX_NESTING:
             raise DomainError(f"expression nests deeper than {MAX_NESTING} levels")
         op = take()
@@ -741,10 +743,7 @@ def parse_prefix(text: str) -> SpatialExpr:
             raise DomainError("missing ')'")
         pos += 1
 
-    try:
-        result = parse(0)
-    except OverflowError:  # a constant, or a power of constants
-        raise DomainError(f"a value in {text!r} does not fit in a float") from None
+    result = parse(0)
     if pos != len(tokens):
         raise DomainError(f"trailing tokens in {text!r}")
     return result

@@ -74,8 +74,7 @@ def _as_specs(entry) -> tuple[CoefficientSpec, ...]:
     if isinstance(entry, str):
         return (CoefficientSpec(parse_prefix(entry)),)
     if isinstance(entry, (int, float, Fraction)) and not isinstance(entry, bool):
-        value = float(entry)
-        return () if value == 0.0 else (CoefficientSpec(const(value)),)
+        return () if entry == 0 else (CoefficientSpec(const(entry)),)
     if isinstance(entry, dict):
         _refuse_unknown(entry, ("expr", "exp_rate", "u_degree"), "operator entry")
         return (
@@ -276,7 +275,7 @@ def _source_from_obj(obj) -> tuple[tuple[int, FracSeries], ...]:
         if not isinstance(item, dict):
             raise TypeError(f"a source term must be an object, got {item!r}")
         _refuse_unknown(item, ("expr", "coef", "p", "q", "c"), "source term")
-        coef = Coefficient.number(float(parse_rational(item.get("coef", 1.0))))
+        coef = Coefficient.number(parse_rational(item.get("coef", 1.0)))
         monos = monomials(parse_prefix(item["expr"]))
         p, q, c = (item.get(key, 0) for key in ("p", "q", "c"))
         time = TimeFactor(parse_rational(p), parse_integer(q))

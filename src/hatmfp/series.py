@@ -82,14 +82,17 @@ def _as_fraction(value) -> Fraction | int:
 class _GridPoint(Value):
     """A point a + b*alpha of the p-q grid, the base of GammaArg and
     TimeFactor: _read stores a, read by _as_fraction, and b, which must be
-    an int (ExponentError otherwise, a bool too). Fraction's hash and
-    equality are slow, so points hash and compare as the integers (n, d, b)."""
+    an int (ExponentError otherwise, a bool too), both below 2**1000 in
+    magnitude so that a + b*alpha fits a float. Fraction's hash and equality
+    are slow, so points hash and compare as the integers (n, d, b)."""
 
     def _read(self, a, b) -> tuple[int, int, int]:
         a = _as_fraction(a)
         if type(b) is not int:
             raise ExponentError(f"alpha part must be an integer, got {b!r}")
         ints = (a.numerator, a.denominator, b)
+        if abs(ints[0]) >> 1000 >= ints[1] or abs(b) >> 1000:
+            raise ExponentError("a part of an exponent must be below 2**1000 in magnitude")
         first, second = self._fields
         store(self, first, a)
         store(self, second, b)
@@ -151,7 +154,10 @@ class Coefficient(Value):
     _fields = ("factor", "num", "den")
 
     def __init__(self, factor: float, num: Iterable[GammaArg], den: Iterable[GammaArg]) -> None:
-        factor = float(factor)
+        try:
+            factor = float(factor)
+        except OverflowError:  # an int or Fraction past the float range
+            factor = math.inf
         kept: tuple[list, list] = ([], [])
         for side, args in enumerate(_cancel(num, den)):
             for arg in args:
@@ -477,13 +483,6 @@ def _gamma_arg_from_obj(obj) -> GammaArg:
     return GammaArg(parse_rational(obj[0]), parse_integer(obj[1]))
 
 
-def _factor_from_obj(value) -> float:
-    try:
-        return float(parse_rational(value))
-    except OverflowError:
-        raise DomainError(f"coefficient factor {value!r} overflows a float") from None
-
-
 def _terms_from_obj(obj: dict) -> list[FracTerm]:
     """One term per monomial of coef_tokens, at the term's time and table (a
     report may list several)."""
@@ -496,7 +495,7 @@ def _terms_from_obj(obj: dict) -> list[FracTerm]:
         raise DomainError(f"coef_tokens is not a list of factor, num, den objects: {tokens!r}")
     coefs = [
         Coefficient(
-            _factor_from_obj(m["factor"]),
+            parse_rational(m["factor"]),
             [_gamma_arg_from_obj(a) for a in m["num"]],
             [_gamma_arg_from_obj(a) for a in m["den"]],
         )

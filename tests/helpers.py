@@ -1,9 +1,9 @@
 """Shared fixtures for the suite: closed-form iterate coefficients,
 random-series builders, the direct hbar recursion, the symbolic residual,
-the tree expansion of an operator, the problems the engine is checked on,
-the subordination oracle, small comparison utilities (among them values on
-a fixed panel of sample points) and an in-process runner of the command
-line."""
+the tree derivative and the tree expansion of an operator, the problems
+the engine is checked on, the subordination oracle, small comparison
+utilities (among them values on a fixed panel of sample points) and an
+in-process runner of the command line."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import io
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from types import SimpleNamespace
 
 import mpmath
@@ -19,7 +20,8 @@ import mpmath
 from hatmfp.cli import main
 from hatmfp.engine import HatmConfig, ProblemSpec, apply_operator
 from hatmfp.expr import (
-    ONE, SpatialExpr, add, cosh, differentiate, evaluate, monomials, mul, pow_, sinh, X, Y,
+    ONE, ZERO, Add, Const, Func, Mul, Pow, SpatialExpr, Var, X, Y, add, const, cosh, evaluate,
+    monomials, mul, pow_, sinh,
 )
 from hatmfp.fokker_planck import (
     CoefficientSpec, build_backward, build_forward, preset, problem_from_obj,
@@ -187,9 +189,36 @@ def symbolic_residual(
     ]
 
 
+@lru_cache(maxsize=None)
+def tree_derivative(expr: SpatialExpr, name: str) -> SpatialExpr:
+    """Partial derivative in `name` by the rules on the tree, with no
+    table: the reference for expr.table_derivative and expr.differentiate."""
+    if isinstance(expr, Const):
+        return ZERO
+    if isinstance(expr, Var):
+        return ONE if expr.name == name else ZERO
+    if isinstance(expr, Add):
+        return add(*(tree_derivative(c, name) for c in expr.children))
+    if isinstance(expr, Mul):
+        parts = []
+        for i, child in enumerate(expr.children):
+            rest = expr.children[:i] + expr.children[i + 1 :]
+            parts.append(mul(tree_derivative(child, name), *rest))
+        return add(*parts)
+    if isinstance(expr, Pow):
+        return mul(
+            const(float(expr.exponent)),
+            pow_(expr.base, expr.exponent - 1),
+            tree_derivative(expr.base, name),
+        )
+    assert isinstance(expr, Func), expr
+    outer = cosh(expr.arg) if expr.kind == "sinh" else sinh(expr.arg)
+    return mul(outer, tree_derivative(expr.arg, name))
+
+
 def tree_operator(form: str, drift, diffusion) -> list[tuple]:
     """(derivs, exp_rate, table) of each operator monomial, expanded on
-    trees: differentiate, scale with mul, then monomials of the add of each
+    trees: tree_derivative, scale with mul, then monomials of the add of each
     derivative pattern. Entries are sequences of CoefficientSpec. The
     reference for build_forward and build_backward, which work on tables."""
     unit, names = ((1, 0), (0, 1)), ("x", "y")
@@ -201,7 +230,7 @@ def tree_operator(form: str, drift, diffusion) -> list[tuple]:
             if form == "backward":
                 pieces.append((mul(-1, a), (unit[i],), rate))
                 continue
-            pieces.append((mul(-1, differentiate(a, names[i])), u + ((0, 0),), rate))
+            pieces.append((mul(-1, tree_derivative(a, names[i])), u + ((0, 0),), rate))
             pieces.append((mul(-n, a), u + (unit[i],), rate))
     for i, row in enumerate(diffusion):
         for j, entry in enumerate(row):
@@ -212,10 +241,10 @@ def tree_operator(form: str, drift, diffusion) -> list[tuple]:
                 if form == "backward":
                     pieces.append((b, (pair,), rate))
                     continue
-                dbi = differentiate(b, names[i])
-                pieces.append((differentiate(dbi, names[j]), u + ((0, 0),), rate))
+                dbi = tree_derivative(b, names[i])
+                pieces.append((tree_derivative(dbi, names[j]), u + ((0, 0),), rate))
                 pieces.append((mul(n, dbi), u + (unit[j],), rate))
-                pieces.append((mul(n, differentiate(b, names[j])), u + (unit[i],), rate))
+                pieces.append((mul(n, tree_derivative(b, names[j])), u + (unit[i],), rate))
                 if spec.u_degree:
                     pieces.append((mul(2, b), (unit[i], unit[j]), rate))
                 pieces.append((mul(n, b), u + (pair,), rate))

@@ -644,6 +644,23 @@ def test_bad_numbers_and_bytes_in_problem_files_exit_two(tmp_path, content):
         assert "invalid problem definition: " in result.stderr
 
 
+@pytest.mark.parametrize("part", [{"p": "1e400"}, {"q": 10**400}], ids=["p", "q"])
+@pytest.mark.parametrize(
+    "command",
+    [("solve", "--format", "csv"), ("eval",), ("hcurve", "--probe", "1,0.3")],
+    ids=["solve-csv", "eval", "hcurve"],
+)
+def test_time_exponent_past_the_float_range_exits_two(tmp_path, part, command):
+    # t**(p + q*alpha) and its gamma tokens are evaluated as floats
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**COTH_PROBLEM, "g": [{"expr": "x", **part}]}), encoding="utf-8")
+    result = invoke(*command, "--problem", str(path), "--order", "2")
+    assert result.exit_code == 2, result.exception
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert "error: invalid problem definition: " in result.stderr
+
+
 @pytest.mark.parametrize(
     "args",
     [

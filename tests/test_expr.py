@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hatmfp import expr as expr_module
-from hatmfp.errors import DomainError, SingularityError
+from hatmfp.errors import DomainError, HatmError, SingularityError
 from hatmfp.expr import (
     ONE,
     X,
@@ -42,9 +42,9 @@ from hatmfp.expr import (
     var,
     variables,
 )
-from hatmfp.fokker_planck import CoefficientSpec
-from hatmfp.series import FracSeries
-from helpers import panel_values, same_on_panel
+from hatmfp.fokker_planck import CoefficientSpec, build_forward
+from hatmfp.series import Coefficient, FracSeries
+from helpers import PANEL, panel_values, same_on_panel, tree_derivative
 
 
 # ---------------------------------------------------------------- construction
@@ -97,6 +97,22 @@ def test_hyperbolic_of_a_large_constant_is_a_domain_error():
     for build in (sinh, cosh):
         with pytest.raises(DomainError, match="does not fit in a float"):
             build(1000)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: const(10**400),
+    lambda: const(Fraction(10**400, 3)),
+    lambda: X * 10**400,
+    lambda: pow_(const(1e200), 2),
+    lambda: pow_(const(10.0), Fraction(10**400)),
+    lambda: Coefficient(10**400, (), ()),
+    lambda: Coefficient.number(10**400),
+    lambda: build_forward(1, [10**400], [[0]], X),
+], ids=["const", "const-fraction", "coerced", "power", "power-exponent", "coefficient",
+        "number", "operator-entry"])
+def test_a_python_number_past_the_float_range_is_a_domain_error(make):
+    with pytest.raises(DomainError):
+        make()
 
 
 def test_fractional_power_of_negative_constant():
@@ -398,8 +414,9 @@ def test_monic_scales_largest_monomial_to_one():
 def test_derivative_table_is_the_table_of_the_derivative_tree(e):
     node = normalize(e)
     for name in ("x", "y"):
-        want = monic_table(differentiate(node, name))
+        want = monic_table(tree_derivative(node, name))
         assert monic(table_derivative(monomials(node), name)) == want
+        assert differentiate(e, name) is canonical(table_derivative(monomials(e), name))
 
 
 def test_derivative_table_is_cached_and_checks_the_variable():
@@ -411,6 +428,83 @@ def test_derivative_table_is_cached_and_checks_the_variable():
     assert monic(table_derivative(monomials(node), "y")) == want
     with pytest.raises(DomainError):
         table_derivative(monomials(node), "z")
+
+
+def assert_atom_derivative_matches_the_tree(atom, names=("x", "y")):
+    for name in names:
+        got = canonical(tuple(sorted(expr_module._atom_derivative(atom, name).items())))
+        want = tree_derivative(atom, name)
+        for x, y in PANEL:
+            assert evaluate(got, x, y) == pytest.approx(evaluate(want, x, y), rel=1e-12, abs=1e-300)
+
+
+def only_atom(tree):
+    ((((atom, one),), coef),) = monomials(tree)
+    assert (one, coef) == (1, 1.0)
+    return atom
+
+
+@pytest.mark.parametrize("tree", [
+    X,
+    Y,
+    sinh(add(X, mul(2, Y), 1)),
+    cosh(add(pow_(X, 2), Y)),
+    pow_(add(X, sinh(X)), Fraction(1, 2)),
+    pow_(add(X, cosh(X)), -1),
+    pow_(add(Y, mul(X, cosh(Y))), Fraction(-3, 2)),
+], ids=["x", "y", "sinh-of-sum", "cosh-of-sum", "sqrt", "reciprocal", "power-in-two-variables"])
+def test_atom_derivative_matches_the_tree_derivative(tree):
+    assert_atom_derivative_matches_the_tree(only_atom(tree))
+
+
+def test_atom_derivative_of_an_opaque_sum_and_product(monkeypatch):
+    # a sum never passes the cap as a table; its rule is the one of an Add
+    assert_atom_derivative_matches_the_tree(add(mul(X, Y), sinh(Y), cosh(mul(3, X))))
+    monkeypatch.setattr(expr_module, "EXPAND_CAP", 3)
+    # four pairs of monomials: one opaque atom, and so is each product of
+    # two of its factors in its derivative
+    e = mul(add(X, 23), add(Y, 29), add(X, 31))
+    assert only_atom(e) is e
+    assert_atom_derivative_matches_the_tree(e)
+    dx = expr_module._atom_derivative(e, "x")
+    assert len(dx) == 2 and all(isinstance(a, Mul) for ((a, _),) in dx)
+
+
+def test_derivative_of_a_cube_past_the_cap_is_one_opaque_monomial():
+    # the cube of a 120-monomial table is opaque; its product rule multiplies
+    # 239 monomials by 120, past EXPAND_CAP, into one opaque atom again
+    base = add(*(pow_(X, k) for k in range(1, 121)))
+    cube = only_atom(pow_(base, 3))
+    ((sig, coef),) = table_derivative(monomials(cube), "x")
+    assert coef == 1.0 and isinstance(sig[0][0], Mul)
+    got = table_value(((sig, coef),), 0.5, 0.0, {})
+    assert got == pytest.approx(evaluate(tree_derivative(cube, "x"), 0.5), rel=1e-12)
+    assert got == pytest.approx(12.0, rel=1e-12)
+    assert_atom_derivative_matches_the_tree(cube)
+
+
+def sinh_nest(depth):
+    e = X
+    for _ in range(depth):
+        e = sinh(e)
+    return e
+
+
+@pytest.mark.parametrize("tree", [
+    pow_(add(*(pow_(X, k) for k in range(1, 121))), 3),
+    sinh_nest(16),  # its second derivative has a monomial of 15 factors cosh(u)**2
+    mul(X, recip(X)),
+    pow_(add(X, mul(-1, X), -2), Fraction(1, 2)),
+    coth(add(X, Y)),
+], ids=["cube", "sinh-nest", "x-over-x", "root-of-a-negative", "coth"])
+def test_table_derivative_raises_only_package_errors(tree):
+    for names in (("x", "x"), ("y", "x"), ("z",)):
+        table = monomials(tree)
+        try:
+            for name in names:
+                table = table_derivative(table, name)
+        except HatmError:
+            pass
 
 
 def test_expansion_cap_guards_products_only(monkeypatch):

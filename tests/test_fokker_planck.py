@@ -16,7 +16,6 @@ from hatmfp.expr import (
     canonical,
     const,
     cosh,
-    differentiate,
     evaluate,
     monomials,
     mul,
@@ -37,7 +36,7 @@ from hatmfp.fokker_planck import (
     reference_solution,
 )
 from hatmfp.series import FracSeries
-from helpers import same_on_panel, tree_operator
+from helpers import same_on_panel, tree_derivative, tree_operator
 from test_expr import small_trees
 
 POINTS = [(0.7, 0.4), (1.3, 0.9), (2.1, 0.25)]
@@ -60,7 +59,7 @@ def act(problem, phi, x, t=0.0, y=0.0, alpha=0.5):
 
 def dx(expr, n=1, var="x"):
     for _ in range(n):
-        expr = differentiate(expr, var)
+        expr = tree_derivative(expr, var)
     return expr
 
 
