@@ -27,7 +27,8 @@ import sys
 from pathlib import Path
 
 from .engine import (
-    TAYLOR_TERMS, HatmConfig, ProblemSpec, h_curve, partial_sum, residual, run, run_report,
+    TAYLOR_TERMS, HatmConfig, ProblemSpec, check_hbar, h_curve, partial_sum, residual, run,
+    run_report,
 )
 from .errors import ConfigError, HatmError, SingularityError
 from .expr import to_prefix
@@ -138,11 +139,12 @@ def solve(args: argparse.Namespace, problem: ProblemSpec, config: HatmConfig) ->
 
 def eval_cmd(args: argparse.Namespace, problem: ProblemSpec, config: HatmConfig) -> None:
     """Evaluate the partial sum on a grid."""
-    total = partial_sum(run(problem, config), config.order)
+    free = run(problem, config)
     rows = []
     for x, y, t in _points(args, problem.dim):
         try:
-            cells = [repr(total.evaluate(x=x, y=y, t=t, alpha=config.alpha)), "ok"]
+            ((_, sums),) = h_curve(free, config.alpha, (x, y, t), [args.hbar])
+            cells = [repr(sums[-1]), "ok"]
         except SingularityError:
             cells = ["", "singular"]
         rows.append(_place(problem.dim, x, y, t) + cells)
@@ -167,7 +169,7 @@ def hcurve_cmd(args: argparse.Namespace, problem: ProblemSpec, config: HatmConfi
         raise argparse.ArgumentError(None, "hbar sweep must not include 0")
     # One run at the largest order holds every smaller order's partial sum.
     rows = [[h] + [sums[n] for n in args.order]
-            for h, sums in h_curve(problem, config, point, h_values)]
+            for h, sums in h_curve(run(problem, config), config.alpha, point, h_values)]
     columns = [f"order_{n}" for n in args.order] if len(args.order) > 1 else ["value"]
     _write(args, ["hbar", *columns], rows)
 
@@ -177,17 +179,15 @@ def compare_cmd(args: argparse.Namespace, problem: ProblemSpec, config: HatmConf
     if args.preset is None:
         raise HatmError("compare needs a preset; no reference solution is registered for files")
     # One run at the largest order holds every smaller order's partial sum.
-    iterates = run(problem, config)
-    totals = [partial_sum(iterates, n) for n in args.order]
-    single = len(totals) == 1
-    alpha = config.alpha
-    rows, worst = [], [0.0] * len(totals)
+    free = run(problem, config)
+    single = len(args.order) == 1
+    rows, worst = [], [0.0] * len(args.order)
     for x, y, t in _points(args, problem.dim):
-        values = [total.evaluate(x=x, y=y, t=t, alpha=alpha) for total in totals]
-        exact = reference_solution(args.preset, x, t, alpha, y)
-        errs = [abs(value - exact) for value in values]
+        ((_, sums),) = h_curve(free, config.alpha, (x, y, t), [args.hbar])
+        exact = reference_solution(args.preset, x, t, config.alpha, y)
+        errs = [abs(sums[n] - exact) for n in args.order]
         worst = [max(w, err) for w, err in zip(worst, errs)]
-        cells = [values[0], exact, errs[0]] if single else [exact, *errs]
+        cells = [sums[-1], exact, errs[0]] if single else [exact, *errs]
         rows.append(_place(problem.dim, x, y, t) + [repr(cell) for cell in cells])
     suffixes = [""] if single else [f"_order_{n}" for n in args.order]
     columns = ["u", "u_ref", "abs_err"] if single else ["u_ref"] + [f"err{s}" for s in suffixes]
@@ -280,8 +280,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"order must be >= 0, got {min(orders)}")
         if len(set(orders)) < len(orders):
             raise ConfigError(f"each order may be given once, got {' '.join(map(str, orders))}")
-        config = HatmConfig(alpha=args.alpha, hbar=getattr(args, "hbar", -1.0),
-                            order=max(orders), taylor_terms=args.taylor_terms)
+        check_hbar(hbar := getattr(args, "hbar", -1.0))
+        # eval, compare and hcurve run at -1 and recombine the run's values at hbar (h_curve)
+        config = HatmConfig(args.alpha, hbar if args.body in (solve, residual_cmd) else -1.0,
+                            max(orders), args.taylor_terms)
     except (ConfigError, OSError) as exc:
         args.parser.error(str(exc))
     if args.out is not None and Path(args.out).is_dir():

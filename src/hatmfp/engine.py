@@ -31,7 +31,7 @@ any hbar are fixed combinations of the v_m, the HAM/HPM correspondence
 
 so hbar enters only through these weights; the v_m are the iterates
 at -1. recombine() applies them to the series, recombine_values() to
-the values of the v_m at one point, which is all h_curve needs.
+the values of the v_m at one point.
 
 Each spatial derivative of an iterate is built once and kept on the
 series (FracSeries.spatial_derivative), so the operator terms of every
@@ -114,6 +114,13 @@ class ProblemSpec(Value):
 TAYLOR_TERMS = 12
 
 
+def check_hbar(hbar: float) -> None:
+    """Refuse an hbar that is a bool, not finite, or 0, with ConfigError."""
+    if isinstance(hbar, bool) or not math.isfinite(hbar) or hbar == 0.0:
+        want = "a number" if isinstance(hbar, bool) else "finite" if hbar else "nonzero"
+        raise ConfigError(f"hbar must be {want}, got {hbar!r}")
+
+
 class HatmConfig(Value):
     """Run parameters. The auxiliary function of the deformation is the
     constant H = 1."""
@@ -121,14 +128,10 @@ class HatmConfig(Value):
     _fields = ("alpha", "hbar", "order", "taylor_terms")
 
     def __init__(self, alpha: float, hbar: float, order: int, taylor_terms=TAYLOR_TERMS) -> None:
-        for name, value in (("alpha", alpha), ("hbar", hbar)):
-            if isinstance(value, bool):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if isinstance(alpha, bool):
+            raise ConfigError(f"alpha must be a number, got {alpha!r}")
         _check_alpha(alpha)
-        if not math.isfinite(hbar):
-            raise ConfigError(f"hbar must be finite, got {hbar}")
-        if hbar == 0.0:
-            raise ConfigError("hbar must be nonzero")
+        check_hbar(hbar)
         for name, value, least in (("order", order, 0), ("taylor_terms", taylor_terms, 1)):
             if type(value) is not int:  # a bool is refused too
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -313,26 +316,24 @@ def residual(
 
 
 def h_curve(
-    problem: ProblemSpec,
-    cfg: HatmConfig,
+    free: Sequence[FracSeries],
+    alpha: float,
     probe: tuple[float, float, float],
     h_values: Sequence[float],
 ) -> list[tuple[float, list[float]]]:
-    """(hbar, [S_0, ..., S_order]) for each convergence-control parameter:
-    S_n is the partial sum up to order n at the probe point. The flat
+    """(hbar, [S_0, ..., S_M]) for each convergence-control parameter: S_n
+    is the partial sum up to order n at the probe, from the hbar-free
+    iterates [v_0, ..., v_M] of a run at hbar = -1 and alpha. The flat
     stretch of the curve S_n(hbar) marks usable hbar, and it widens with n.
 
-    The recursion runs once, at hbar = -1, and each of its iterates is
-    evaluated once at the probe; every hbar recombines those numbers
-    (recombine_values) and sums each prefix of them. The weights grow like
-    |1+hbar|^order, so the rounding error of a row grows with them when
-    |1+hbar| > 1."""
+    Each v_k is evaluated once at the probe; every hbar recombines those
+    numbers (recombine_values) and sums each prefix of them. The weights
+    grow like |1+hbar|^M, so a row's rounding error grows with them when |1+hbar| > 1."""
     px, py, pt = probe
-    free = run(problem, HatmConfig(cfg.alpha, -1.0, cfg.order, cfg.taylor_terms))
-    values = [v.evaluate(x=px, y=py, t=pt, alpha=cfg.alpha) for v in free]
+    values = [v.evaluate(x=px, y=py, t=pt, alpha=alpha) for v in free]
     out = []
     for h in h_values:
-        HatmConfig(cfg.alpha, h, cfg.order, cfg.taylor_terms)  # validates h != 0
+        check_hbar(h)
         u = recombine_values(values, h)
         sums = [sum(u[: n + 1]) for n in range(len(u))]
         if not all(map(math.isfinite, sums)):

@@ -120,6 +120,13 @@ class Func(SpatialExpr):
     _fields = ("kind", "arg")  # kind: sinh | cosh
 
 
+def _children(expr: SpatialExpr) -> tuple:
+    """The subtrees of a node; a leaf has none."""
+    if isinstance(expr, (Add, Mul)):
+        return expr.children
+    return (expr.base,) if isinstance(expr, Pow) else (expr.arg,) if isinstance(expr, Func) else ()
+
+
 _INTERN: dict[tuple, SpatialExpr] = {}
 
 
@@ -130,11 +137,8 @@ def _shared(key: tuple, ctor: type, *args) -> SpatialExpr:
         for name, value in zip(ctor._fields, args):
             store(node, name, value)
         # Parentheses nested in the node's prefix form: 0 for a leaf, else
-        # one more than its deepest child (Add/Mul pass their children as
-        # one tuple, Pow and Func their base or argument).
-        below = args[0] if isinstance(args[0], tuple) else args
-        depth = max((c.depth + 1 for c in below if isinstance(c, SpatialExpr)), default=0)
-        object.__setattr__(node, "depth", depth)
+        # one more than its deepest child.
+        object.__setattr__(node, "depth", max((c.depth + 1 for c in _children(node)), default=0))
         _INTERN[key] = node
     return node
 
@@ -217,6 +221,8 @@ def mul(*factors: SpatialExpr | Number) -> SpatialExpr:
 def pow_(base: SpatialExpr | Number, exponent: Number) -> SpatialExpr:
     """Power with an exact rational exponent."""
     base = _coerce(base)
+    if isinstance(exponent, float):  # Fraction() raises OverflowError on inf, ValueError on nan
+        require_finite(exponent=exponent)
     exponent = Fraction(exponent)
     if exponent == 0:
         return ONE
@@ -230,11 +236,12 @@ def pow_(base: SpatialExpr | Number, exponent: Number) -> SpatialExpr:
     return _shared(("p", base, exponent), Pow, base, exponent)
 
 
-def _pow_value(value: float, exponent: Fraction) -> float:
+def _pow_value(value: float, exponent: Fraction, *point: float) -> float:
     if value < 0.0 and exponent.denominator != 1:
         raise DomainError(f"fractional power of negative base {value}")
     if exponent < 0 and abs(value) < SINGULAR_FLOOR:
-        raise SingularityError(f"negative power of {value}")
+        at = " at x={}, y={}".format(*point) if point else ""
+        raise SingularityError(f"negative power of {value}{at}")
     return value ** float(exponent)
 
 
@@ -284,7 +291,8 @@ def require_finite(**coordinates: float) -> None:
 
 
 def evaluate(expr: SpatialExpr, x: float, y: float = 0.0) -> float:
-    """Evaluate at a finite point; a pole raises SingularityError, an overflow DomainError."""
+    """Evaluate at a finite point; a pole raises SingularityError, an overflow
+    DomainError, each naming the point."""
     require_finite(x=x, y=y)
     memo: dict[int, float] = {}
 
@@ -303,7 +311,7 @@ def evaluate(expr: SpatialExpr, x: float, y: float = 0.0) -> float:
             for c in e.children:
                 out *= walk(c)
         elif isinstance(e, Pow):
-            out = _pow_value(walk(e.base), e.exponent)
+            out = _pow_value(walk(e.base), e.exponent, x, y)
         elif isinstance(e, Func):
             out = _FUNC_EVAL[e.kind](walk(e.arg))
         else:  # pragma: no cover
@@ -338,14 +346,7 @@ def size(expr: SpatialExpr) -> int:
     """Node count along every path: a diagnostic of tree growth."""
     s = expr.__dict__.get("_size")
     if s is None:
-        if isinstance(expr, (Add, Mul)):
-            s = 1 + sum(size(c) for c in expr.children)
-        elif isinstance(expr, Pow):
-            s = 1 + size(expr.base)
-        elif isinstance(expr, Func):
-            s = 1 + size(expr.arg)
-        else:
-            s = 1
+        s = 1 + sum(map(size, _children(expr)))
         object.__setattr__(expr, "_size", s)
     return s
 
@@ -354,16 +355,8 @@ def variables(expr: SpatialExpr) -> set[str]:
     """Names of the variables that actually occur in the tree."""
     vs = expr.__dict__.get("_vars")
     if vs is None:
-        if isinstance(expr, Var):
-            vs = frozenset((expr.name,))
-        elif isinstance(expr, (Add, Mul)):
-            vs = frozenset().union(*(variables(c) for c in expr.children))
-        elif isinstance(expr, Pow):
-            vs = frozenset(variables(expr.base))
-        elif isinstance(expr, Func):
-            vs = frozenset(variables(expr.arg))
-        else:
-            vs = frozenset()
+        names = {expr.name} if isinstance(expr, Var) else set()
+        vs = frozenset(names.union(*map(variables, _children(expr))))
         object.__setattr__(expr, "_vars", vs)
     return set(vs)
 
@@ -628,7 +621,7 @@ def table_value(monos: tuple, x: float, y: float, atoms: dict) -> float:
                 got = atoms.get(atom)
                 if got is None:
                     got = atoms[atom] = evaluate(atom, x, y)
-                value *= got if e == 1 else _pow_value(got, e)
+                value *= got if e == 1 else _pow_value(got, e, x, y)
             parts.append(value)
     except OverflowError:
         raise DomainError(f"spatial value overflows a float at x={x}, y={y}") from None

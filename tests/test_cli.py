@@ -190,6 +190,18 @@ def test_eval_flags_singular_points(problem_file):
     assert all(float(r["u"]) != 0 for r in rows if r["status"] == "ok")
 
 
+@pytest.mark.parametrize(
+    "command", [("hcurve", "--probe", "0,0.3"), ("residual", "--point", "0,0.3")],
+    ids=["hcurve", "residual"],
+)
+def test_a_pole_names_its_point(problem_file, command):
+    # eval flags such a point singular; the commands of one point exit 3
+    result = invoke(command[0], "--problem", problem_file, "--order", 2, *command[1:])
+    assert result.exit_code == 3, result.exception
+    assert result.stdout == ""
+    assert result.stderr == "error: negative power of 0.0 at x=0.0, y=0.0\n"
+
+
 def test_eval_domain_errors_exit_three():
     result = invoke(
         "eval", "--preset", "4.1", "--order", "2",
@@ -271,7 +283,7 @@ def test_hcurve_sweep_matches_h_curve():
     header, *rows = rows_of(result.stdout)
     assert header == ["hbar", "order_2", "order_3"]
     config = HatmConfig(alpha=0.5, hbar=-1.0, order=3)
-    want = h_curve(preset("4.5"), config, probe, [-1.5, -1.0, -0.5])
+    want = h_curve(run(preset("4.5"), config), 0.5, probe, [-1.5, -1.0, -0.5])
     assert len(rows) == len(want) == 3
     for row, (h, sums) in zip(rows, want):
         assert [float(cell) for cell in row] == [h, sums[2], sums[3]]
@@ -407,18 +419,49 @@ def test_compare_orders_match_single_order_runs(source):
         ]
 
 
-def test_compare_runs_once_for_several_orders(monkeypatch):
+@pytest.mark.parametrize(
+    "args",
+    [("compare", "--order", *ORDERS, "--hbar", -0.7, "--x-count", 2, "--t-count", 2),
+     ("eval", "--order", ORDERS[-1], "--hbar", -0.7, "--x-count", 2, "--t-count", 2),
+     ("hcurve", "--order", *ORDERS, "--probe", "1,0.3")],
+    ids=["compare", "eval", "hcurve"],
+)
+def test_compare_runs_once_for_several_orders(monkeypatch, args):
+    # one run at hbar = -1 to the largest order; every point and order
+    # recombines the values of its iterates at --hbar, or at each hbar of
+    # the sweep
     calls = []
 
     def counted(problem, config, *rest):
-        calls.append(config.order)
+        calls.append((config.order, config.hbar))
         return run(problem, config, *rest)
 
     monkeypatch.setattr(cli, "run", counted)
-    result = invoke("compare", "--preset", "4.3", "--order", *ORDERS, "--x-count", 2,
-                    "--t-count", 2)
+    result = invoke(args[0], "--preset", "4.3", *args[1:])
     assert result.exit_code == 0, result.output
-    assert calls == [16]
+    assert calls == [(16, -1.0)]
+
+
+@pytest.mark.parametrize("source", ["W1", "4.3"])
+def test_eval_compare_and_hcurve_print_the_same_value(tmp_path, source):
+    # the three commands take S_n at a point from one path, so they agree
+    # bit for bit at any hbar, also on W1, which does not collapse
+    path = tmp_path / "w1.json"
+    path.write_text(json.dumps(W1_PROBLEM), encoding="utf-8")
+    problem = ("--problem", path) if source == "W1" else ("--preset", source)
+    args = (*problem, "--alpha", 0.5, "--order", 3)
+    grid = ("--x-count", 4, "--t-min", 0.1, "--t-count", 6, "--hbar", -0.7, "--format", "csv")
+    header, *rows = rows_of(invoke("eval", *args, *grid).stdout)
+    assert header == ["x", "t", "u", "status"] and len(rows) == 24
+    assert {row[3] for row in rows} == {"ok"}
+    if source != "W1":  # compare needs a preset's reference solution
+        header, *compared = rows_of(invoke("compare", *args, *grid).stdout)
+        assert header[:3] == ["x", "t", "u"]
+        assert [row[:3] for row in compared[:-1]] == [row[:3] for row in rows]
+    for x, t, u, _ in rows:
+        swept = invoke("hcurve", *args, "--probe", f"{x},{t}", "--h-min", -0.7, "--h-max", -0.7,
+                       "--h-count", 1, "--format", "csv")
+        assert rows_of(swept.stdout) == [["hbar", "value"], ["-0.7", u]]
 
 
 @pytest.mark.parametrize(

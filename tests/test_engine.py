@@ -382,70 +382,61 @@ def test_h_curve_pairs_and_flat_region():
     prob = preset("4.2")
     c = cfg(alpha=0.75, hbar=-1.0, order=8)
     hs = [-1.05, -1.0, -0.95]
-    pairs = h_curve(prob, c, (1.0, 0.0, 0.3), hs)
+    free = run(prob, c)
+    pairs = h_curve(free, 0.75, (1.0, 0.0, 0.3), hs)
     assert [h for h, _ in pairs] == hs
     near = [sums[-1] for _, sums in pairs]
-    wide = [sums[-1] for _, sums in h_curve(prob, c, (1.0, 0.0, 0.3), [-2.0, -1.0, -0.2])]
+    wide = [sums[-1] for _, sums in h_curve(free, 0.75, (1.0, 0.0, 0.3), [-2.0, -1.0, -0.2])]
     assert max(near) - min(near) < (max(wide) - min(wide)) / 100.0
     # the h = -1 entry is the plain run
-    want = partial_sum(run(prob, c), 8).evaluate(1.0, 0.3, 0.75)
+    want = partial_sum(free, 8).evaluate(1.0, 0.3, 0.75)
     assert pairs[1][1][8] == pytest.approx(want, rel=1e-14)
 
 
-def test_h_curve_runs_recursion_once(monkeypatch):
-    calls = []
-    step = engine.deformation_step
+def test_h_curve_evaluates_each_iterate_once(monkeypatch):
+    # every hbar is a weighted sum of the values of v_0..v_M: the series are
+    # evaluated once at the probe, and no series is built
+    free = run(preset("4.5"), cfg(alpha=0.5, order=10))
+    evaluated, collected = [], []
+    evaluate, collect = series.FracSeries.evaluate, series._collect
 
-    def counted(*args, **kwargs):
-        calls.append(args[3])
-        return step(*args, **kwargs)
+    def counted(self, *args, **kwargs):
+        evaluated.append(self)
+        return evaluate(self, *args, **kwargs)
 
-    monkeypatch.setattr(engine, "deformation_step", counted)
-    h_curve(preset("4.5"), cfg(alpha=0.5, order=6), (1.0, 0.0, 0.3), [-1.5, -1.0, -0.5, -0.2])
-    assert calls == [1, 2, 3, 4, 5, 6]
-
-
-def test_h_curve_collects_once_per_run(monkeypatch):
-    # every hbar is a weighted sum of numbers: no series work per hbar
-    calls = []
-    collect = series._collect
-
-    def counted(terms):
-        calls.append(1)
-        return collect(terms)
-
-    monkeypatch.setattr(series, "_collect", counted)
-    counts = []
+    monkeypatch.setattr(series.FracSeries, "evaluate", counted)
+    monkeypatch.setattr(series, "_collect", lambda terms: collected.append(1) or collect(terms))
     for count in (3, 19):
-        calls.clear()
+        evaluated.clear()
         h_values = [-2.0 + 1.8 * i / (count - 1) for i in range(count)]
-        h_curve(preset("4.5"), cfg(alpha=0.5, order=10), (1.0, 0.0, 0.3), h_values)
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+        h_curve(free, 0.5, (1.0, 0.0, 0.3), h_values)
+        assert evaluated == free
+    assert collected == []
 
 
 def test_h_curve_exact_point():
     # the unit-drift problem sums to x + t at alpha = 1, so the curve
     # value at hbar = -1, probe (1, 1), is exactly 2
-    ((_, sums),) = h_curve(preset("4.1"), cfg(alpha=1.0, order=3), (1.0, 0.0, 1.0), [-1.0])
+    free = run(preset("4.1"), cfg(alpha=1.0, order=3))
+    ((_, sums),) = h_curve(free, 1.0, (1.0, 0.0, 1.0), [-1.0])
     assert sums[3] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_h_curve_rejects_zero():
-    with pytest.raises(ConfigError):
-        h_curve(preset("4.1"), cfg(), (1.0, 0.0, 0.3), [-1.0, 0.0])
+    with pytest.raises(ConfigError, match="^hbar must be nonzero, got 0.0$"):
+        h_curve(run(preset("4.1"), cfg()), 0.75, (1.0, 0.0, 0.3), [-1.0, 0.0])
 
 
 def test_h_curve_refuses_a_probe_that_is_not_finite():
     with pytest.raises(DomainError, match="^t must be finite, got nan$"):
-        h_curve(preset("4.1"), cfg(), (1.0, 0.0, math.nan), [-1.0])
+        h_curve(run(preset("4.1"), cfg()), 0.75, (1.0, 0.0, math.nan), [-1.0])
 
 
 def test_h_curve_partial_sum_that_overflows_is_a_domain_error():
     # u = 1e308 + 1e308 t at alpha = 1: S_1 at t = 1 is past the float range
     problem = ProblemSpec(1, (OperatorMonomial(monomials(ONE), ((0, 0),)),), const(1e308))
     with pytest.raises(DomainError, match="^a partial sum at hbar=-1.0 overflows a float$"):
-        h_curve(problem, cfg(alpha=1.0, order=1), (1.0, 0.0, 1.0), [-1.0])
+        h_curve(run(problem, cfg(alpha=1.0, order=1)), 1.0, (1.0, 0.0, 1.0), [-1.0])
 
 
 def test_recombination_weight_past_the_float_range_is_a_domain_error():

@@ -108,8 +108,10 @@ def test_hyperbolic_of_a_large_constant_is_a_domain_error():
     lambda: Coefficient(10**400, (), ()),
     lambda: Coefficient.number(10**400),
     lambda: build_forward(1, [10**400], [[0]], X),
+    lambda: pow_(X, math.inf),
+    lambda: pow_(X, math.nan),
 ], ids=["const", "const-fraction", "coerced", "power", "power-exponent", "coefficient",
-        "number", "operator-entry"])
+        "number", "operator-entry", "power-inf", "power-nan"])
 def test_a_python_number_past_the_float_range_is_a_domain_error(make):
     with pytest.raises(DomainError):
         make()
@@ -189,9 +191,9 @@ def test_evaluate_singularities():
         evaluate(recip(X), 0.0)
     with pytest.raises(SingularityError):
         evaluate(pow_(X, -2), 0.0)
-    # shifted pole
-    with pytest.raises(SingularityError):
-        evaluate(recip(add(X, -1)), 1.0)
+    # shifted pole; the error names the point
+    with pytest.raises(SingularityError, match=r"^negative power of 0\.0 at x=1\.0, y=0\.5$"):
+        evaluate(recip(add(X, -1)), 1.0, 0.5)
 
 
 def test_evaluate_shared_subtrees():

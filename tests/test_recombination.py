@@ -57,7 +57,7 @@ def test_h_curve_matches_recombined_partial_sum(name, hbar, alpha):
     totals = [partial_sum(recombined, n) for n in range(cfg.order + 1)]
     y = 0.8 if problem.dim == 2 else 0.0
     for x, t in POINTS:
-        ((_, sums),) = h_curve(problem, cfg, (x, y, t), [hbar])
+        ((_, sums),) = h_curve(free, alpha, (x, y, t), [hbar])
         assert len(sums) == len(totals)
         for n, (got, total) in enumerate(zip(sums, totals)):
             want = total.evaluate(x, t, alpha, y)

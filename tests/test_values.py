@@ -227,7 +227,7 @@ def test_cached_attributes_take_no_part_in_equality():
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: HatmConfig(alpha=0.5, hbar=0, order=1), ConfigError, "hbar must be nonzero"),
+        (lambda: HatmConfig(alpha=0.5, hbar=0, order=1), ConfigError, "hbar must be nonzero, got 0"),
         (lambda: HatmConfig(0.5, float("nan"), 1), ConfigError, "hbar must be finite, got nan"),
         (lambda: HatmConfig(0.5, float("-inf"), 1), ConfigError, "hbar must be finite, got -inf"),
         (lambda: HatmConfig(0.0, -1.0, 1), ConfigError, "alpha must lie in (0, 1], got 0.0"),
