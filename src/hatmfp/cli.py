@@ -63,6 +63,13 @@ def finite(text: str) -> float:
     raise ValueError(text)
 
 
+def time(text: str) -> float:
+    """Type of the time flags: a finite t >= 0, where series are defined."""
+    if (value := finite(text)) >= 0.0:
+        return value
+    raise argparse.ArgumentTypeError(f"series are defined for t >= 0, got {value}")
+
+
 def count(text: str) -> int:
     """Type of every count flag: a count below 1 is refused before any work."""
     if (value := int(text)) >= 1:
@@ -87,6 +94,8 @@ def _parse_point(text: str, dim: int) -> tuple[float, float, float]:
         raise argparse.ArgumentError(None, f"point {text!r} needs x,t for a 1-d problem")
     if len(parts) not in (2, 3):
         raise argparse.ArgumentError(None, f"bad point {text!r}; expected x[,y],t")
+    if parts[-1] < 0.0:
+        raise argparse.ArgumentError(None, f"point {text!r}: series are defined for t >= 0")
     return (parts[0], 0.0, parts[1]) if len(parts) == 2 else tuple(parts)
 
 
@@ -233,13 +242,12 @@ def _parser() -> argparse.ArgumentParser:
     hbar.add_argument("--hbar", type=finite, default=-1.0,
                       help="convergence-control parameter (default: %(default)s)")
     grid = argparse.ArgumentParser(add_help=False)
-    for name, default in (
-        ("x-min", 0.5), ("x-max", 2.0), ("x-count", 4),
-        ("y-min", 1.0), ("y-max", 1.0), ("y-count", 1),
-        ("t-min", 0.0), ("t-max", 1.0), ("t-count", 5),
+    for name, default, kind in (
+        ("x-min", 0.5, finite), ("x-max", 2.0, finite), ("x-count", 4, count),
+        ("y-min", 1.0, finite), ("y-max", 1.0, finite), ("y-count", 1, count),
+        ("t-min", 0.0, time), ("t-max", 1.0, time), ("t-count", 5, count),
     ):
-        grid.add_argument(f"--{name}", type=count if name.endswith("count") else finite,
-                          default=default, help="(default: %(default)s)")
+        grid.add_argument(f"--{name}", type=kind, default=default, help="(default: %(default)s)")
 
     description, epilog = __doc__.split("\n\n", 1)
     parser = _Parser(

@@ -270,10 +270,14 @@ def run(
     events: dict | None = None,
 ) -> list[FracSeries]:
     """Iterates [u_0, ..., u_order] at cfg.hbar, valid at cfg.alpha only
-    (deformation_step binds the coefficients of terms sharing a time)."""
+    (deformation_step binds the coefficients of terms sharing a time); a
+    DomainError of step m names order m."""
     free = [FracSeries.from_spatial(problem.initial)]
     for m in range(1, cfg.order + 1):
-        free.append(deformation_step(problem, cfg, free, m, events))
+        try:
+            free.append(deformation_step(problem, cfg, free, m, events))
+        except DomainError as exc:
+            raise DomainError(f"order {m}: {exc}") from exc
     return recombine(free, cfg.hbar)
 
 

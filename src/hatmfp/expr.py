@@ -7,35 +7,37 @@ csch and 1/u are built from them and powers at construction. Trees
 never rewrite themselves; the only construction-time simplifications
 are constant folding and absorbing 0/1 in sums, products and powers.
 
-Equality is exact. ``monomials`` expands a tree into a canonical table
-of float coefficients over products of atoms (variables, sinh and cosh
-of a canonical argument, opaque powers), and ``monic`` scales a table
-so its largest monomial is 1. ``keyed_sum``, ``table_product``,
-``table_derivative`` and ``table_value`` add, multiply, differentiate
-and evaluate tables without building trees: the series algebra and
-the engine's operator monomials work on tables alone. The derivative
-of an atom is formed from its parts' tables, so the derivative rules
-exist once, on tables: ``differentiate`` returns the canonical tree of
-the table derivative. ``evaluate`` walks a tree as written, since its
-table may differ: mul(x, 1/x) at 0 would give 1.0 instead of a pole,
-and (x - 1)**2 at 1 + 1e-7 would lose its leading digits. Two rewrites
-can blow a table up, a product of two tables and the rewrite of
-cosh(u)**2 (one monomial with n such factors makes 2**n), and each
-checks ``EXPAND_CAP`` where it runs: a tree past it is one opaque atom,
-and a derivative past it raises DomainError. ``canonical`` is the one
-builder of the tree of a table, for output.
-Two trees with the same canonical table get the same node, so identity
-of canonical nodes is equality of their monomial sums: no merge decision
-rests on sampled values.
+Equality is exact. A monomial sum has one form here, its canonical
+table: the tuple ((signature, coefficient), ...) sorted by signature, no
+signature twice and no coefficient zero, over products of atoms
+(variables, sinh and cosh of a canonical argument, opaque powers).
+``keyed_sum`` sums items into that form, and ``monomials`` (a tree's
+table), ``table_product`` and ``table_derivative`` take and return it,
+building no tree; ``monic`` scales a table so its largest monomial is 1,
+and ``table_value`` evaluates one. The series algebra and the engine's
+operator monomials hold tables alone. The derivative of an atom is
+formed from its parts' tables, so the derivative rules exist once, on
+tables: ``differentiate`` returns the canonical tree of the table
+derivative. ``evaluate`` walks a tree as written, since its table may
+differ: mul(x, 1/x) at 0 would give 1.0 instead of a pole, and
+(x - 1)**2 at 1 + 1e-7 would lose its leading digits. Two rewrites can
+blow a table up, a product of two tables and the rewrite of cosh(u)**2
+(one monomial with n such factors makes 2**n), and each checks
+``EXPAND_CAP`` where it runs: a tree past it is one opaque atom, and a
+derivative past it raises DomainError. ``canonical`` is the one builder
+of the tree of a table, for output, and ``normalize`` is
+``canonical(monomials(tree))``: two trees with the same table get the
+same node, so identity of canonical nodes is equality of their monomial
+sums, and no merge decision rests on sampled values.
 
 Nodes are hash-consed: the module-level constructors and
 ``parse_prefix`` return one shared object per distinct tree, so two
 nodes are equal exactly when they are identical, and they hash by
 identity. A node records its depth when it is interned; node count,
-variable set and monomial table are cached on it. Every traversal here
-costs one visit per distinct subtree rather than one per path. The
-intern table (``_shared``) is the one maker of nodes: calling a node
-class raises TypeError.
+variable set and monomial table are cached on it, and so are an atom's
+derivative tables. Every traversal here costs one visit per distinct
+subtree rather than one per path. The intern table (``_shared``) is the
+one maker of nodes: calling a node class raises TypeError.
 """
 
 from __future__ import annotations
@@ -419,13 +421,16 @@ def _reduced(sig: _MonoSig, coef: float) -> list[tuple[_MonoSig, float]]:
     return [(sig, coef)]
 
 
-def keyed_sum(items: Iterable[tuple]) -> dict:
-    """{key: sum of its values}, added in the order given. Keyed on
-    monomial signatures, it sums canonical tables into a canonical table,
-    as a series collect does with the weighted tables of one (time,
-    tokens) key. A sum below DROP_TOL times its largest addend is
-    cancellation residue and drops; one that is not finite raises
-    DomainError."""
+UNIT_TABLE = (((), 1.0),)  # the table of 1, the seed of a product
+
+
+def keyed_sum(items: Iterable[tuple]) -> tuple:
+    """((key, sum of its values), ...) sorted by key, each sum added in
+    the order given. Keyed on monomial signatures, it sums canonical tables
+    into a canonical table, as a series collect does with the weighted
+    tables of one (time, tokens) key. A sum below DROP_TOL times its
+    largest addend is cancellation residue and drops; one that is not
+    finite raises DomainError."""
     slots: dict = {}  # key: [sum, largest |addend|]
     for key, value in items:
         slot = slots.setdefault(key, [0.0, 0.0])
@@ -433,43 +438,41 @@ def keyed_sum(items: Iterable[tuple]) -> dict:
         slot[1] = max(slot[1], abs(value))
     if not all(math.isfinite(total) for total, _ in slots.values()):
         raise DomainError("a sum of monomial coefficients overflows a float")
-    return {key: c for key, (c, peak) in slots.items() if abs(c) > DROP_TOL * peak}
+    return tuple(sorted((key, c) for key, (c, peak) in slots.items() if abs(c) > DROP_TOL * peak))
 
 
-def _summed(monos: Iterable[tuple[_MonoSig, float]]) -> dict:
+def _summed(monos: Iterable[tuple[_MonoSig, float]]) -> tuple:
     """Table of a monomial sum, its cosh powers reduced."""
     return keyed_sum(item for sig, coef in monos for item in _reduced(sig, coef))
 
 
-def _product(ta: dict, tb: dict) -> dict:
-    if len(ta) == 1 and () in ta:  # a constant scales a reduced table
-        k = ta[()]
-        return keyed_sum((s, k * c) for s, c in tb.items())
+def _product(ta: tuple, tb: tuple) -> tuple:
+    if len(ta) == 1 and not ta[0][0]:  # a constant scales a reduced table
+        k = ta[0][1]
+        return keyed_sum((s, k * c) for s, c in tb)
     if len(ta) > 1 and len(tb) > 1 and len(ta) * len(tb) > EXPAND_CAP:
         raise _ExpandOverflow  # the pairs; _reduced caps its own rewrite
-    return _summed(
-        (_sig_mul(sa, sb), ca * cb) for sa, ca in ta.items() for sb, cb in tb.items()
-    )
+    return _summed((_sig_mul(sa, sb), ca * cb) for sa, ca in ta for sb, cb in tb)
 
 
-def _atom_table(atom: SpatialExpr) -> dict:
+def _atom_table(atom: SpatialExpr) -> tuple:
     if isinstance(atom, Const):
-        return {(): atom.value} if atom.value != 0.0 else {}
-    return {((atom, 1),): 1.0}
+        return (((), atom.value),) if atom.value != 0.0 else ()
+    return ((((atom, 1),), 1.0),)
 
 
-def _power_table(expr: Pow, base: SpatialExpr, exponent: Fraction) -> dict:
+def _power_table(expr: Pow, base: SpatialExpr, exponent: Fraction) -> tuple:
     if exponent.denominator == 1:
         exponent = exponent.numerator  # int exponents hash faster in signatures
-    bt = _table(base)
+    bt = monomials(base)
     if len(bt) == 1:
-        ((sig, coef),) = bt.items()
+        ((sig, coef),) = bt
         try:
             return _summed([(_sig_pow(sig, exponent), _pow_value(coef, exponent))])
         except (DomainError, SingularityError, OverflowError):
             pass
     if exponent.denominator == 1 and 1 < exponent <= 64:
-        return reduce(_product, [bt] * int(exponent), {(): 1.0})
+        return reduce(_product, [bt] * int(exponent), UNIT_TABLE)
     try:  # an opaque atom over the canonical base
         atom = pow_(normalize(base), exponent)
     except (DomainError, SingularityError):
@@ -477,11 +480,11 @@ def _power_table(expr: Pow, base: SpatialExpr, exponent: Fraction) -> dict:
     return _atom_table(atom)
 
 
-def _expand(expr: SpatialExpr) -> dict:
+def _expand(expr: SpatialExpr) -> tuple:
     if isinstance(expr, Add):
-        return _summed(item for child in expr.children for item in _table(child).items())
+        return _summed(item for child in expr.children for item in monomials(child))
     if isinstance(expr, Mul):
-        return reduce(_product, (_table(c) for c in expr.children), {(): 1.0})
+        return reduce(_product, map(monomials, expr.children), UNIT_TABLE)
     if isinstance(expr, Pow):
         return _power_table(expr, expr.base, expr.exponent)
     if isinstance(expr, Func):  # over the canonical argument, maybe a constant
@@ -489,34 +492,19 @@ def _expand(expr: SpatialExpr) -> dict:
     return _atom_table(expr)
 
 
-def _table(expr: SpatialExpr) -> dict:
-    """Monomial table {signature: coefficient} of the tree, cached on it.
-
-    A node whose expansion multiplies two tables past EXPAND_CAP is one
-    opaque atom: exact, only less compact.
-    """
-    table = expr.__dict__.get("_table")
-    if table is None:
-        try:
-            table = _expand(expr)
-        except _ExpandOverflow:
-            table = {((expr, 1),): 1.0}
-        object.__setattr__(expr, "_table", table)
-    return table
-
-
 def monomials(expr: SpatialExpr) -> tuple[tuple[_MonoSig, float], ...]:
-    """Canonical monomial table of the tree: ((signature, coefficient), ...).
-
-    Atoms are variables, sinh and cosh of a canonical argument (cosh
-    keeps an exponent below 2), powers whose base stays opaque, and
-    trees too large to expand. Equal-signature monomials merge and
-    cancelled ones drop, so two trees share a table exactly when they
-    expand to the same monomial sum. Empty for the zero function.
-    """
+    """Canonical table of the tree, cached on it. Atoms are variables,
+    sinh and cosh of a canonical argument (cosh keeps an exponent below
+    2), powers whose base stays opaque, and trees whose expansion passes
+    EXPAND_CAP: exact, only less compact. Equal-signature monomials merge
+    and cancelled ones drop, so two trees share a table exactly when they
+    expand to the same monomial sum. Empty for the zero function."""
     monos = expr.__dict__.get("_monos")
     if monos is None:
-        monos = tuple(sorted(_table(expr).items()))
+        try:
+            monos = _expand(expr)
+        except _ExpandOverflow:
+            monos = ((((expr, 1),), 1.0),)
         object.__setattr__(expr, "_monos", monos)
     return monos
 
@@ -525,20 +513,15 @@ def canonical(monos: tuple) -> SpatialExpr:
     """The interned tree of a canonical table: sum of coefficient * atom powers."""
     node = add(*(mul(const(c), *(pow_(a, e) for a, e in sig)) for sig, c in monos))
     object.__setattr__(node, "_monos", monos)
-    object.__setattr__(node, "_table", dict(monos))
-    object.__setattr__(node, "_norm", node)
     return node
 
 
 def normalize(expr: SpatialExpr) -> SpatialExpr:
-    """Canonical monomial-sum form, ``canonical(monomials(expr))``, cached
-    on the tree: node identity is exact equality of canonical forms. It
-    keeps values up to float reassociation and removable singularities."""
-    norm = expr.__dict__.get("_norm")
-    if norm is None:
-        norm = canonical(monomials(expr))
-        object.__setattr__(expr, "_norm", norm)
-    return norm
+    """Canonical monomial-sum form, ``canonical(monomials(expr))``: node
+    identity is exact equality of canonical forms, and interning returns
+    the same node each time. It keeps values up to float reassociation and
+    removable singularities."""
+    return canonical(monomials(expr))
 
 
 def monic(monos: tuple) -> tuple[float, tuple]:
@@ -551,42 +534,41 @@ def monic(monos: tuple) -> tuple[float, tuple]:
 
 
 def table_product(tables: list[tuple]) -> tuple:
-    """Sorted table of the product of the tables, rounded as the table of
-    their ``mul``: one-monomial tables first, as ``mul`` folds their
-    constants. Past EXPAND_CAP the product of their canonical trees is
-    one opaque atom."""
+    """Table of the product of the tables, rounded as the table of their
+    ``mul``: one-monomial tables first, as ``mul`` folds their constants.
+    Past EXPAND_CAP the product of their canonical trees is one opaque
+    atom."""
     try:
-        table = reduce(_product, sorted((dict(t) for t in tables), key=lambda t: len(t) > 1))
+        return reduce(_product, sorted(tables, key=lambda t: len(t) > 1))
     except _ExpandOverflow:
         return ((((mul(*(canonical(t) for t in tables)), 1),), 1.0),)
-    return tuple(sorted(table.items()))
 
 
 def table_derivative(monos: tuple, name: str) -> tuple:
-    """Sorted table of the partial derivative in `name`: each monomial
-    times the derivative tables of its atoms. DomainError if the cosh
-    rewrite of a monomial of the derivative passes EXPAND_CAP."""
+    """Table of the partial derivative in `name`: each monomial times the
+    derivative tables of its atoms. DomainError if the cosh rewrite of a
+    monomial of the derivative passes EXPAND_CAP."""
     name = var(name).name
     items = []
     for sig, c in monos:
         for i, (atom, e) in enumerate(sig):
             rest = sig[:i] + (((atom, e - 1),) if e != 1 else ()) + sig[i + 1 :]
-            for s, k in _atom_derivative(atom, name).items():
+            for s, k in _atom_derivative(atom, name):
                 items.append((_sig_mul(rest, s), c * (e * k)))
     try:
-        return tuple(sorted(_summed(items).items()))
+        return _summed(items)
     except _ExpandOverflow:
         raise DomainError(f"a derivative passes EXPAND_CAP = {EXPAND_CAP} monomials") from None
 
 
-def _atom_derivative(atom: SpatialExpr, name: str) -> dict:
+def _atom_derivative(atom: SpatialExpr, name: str) -> tuple:
     """Table of the derivative of one atom in `name`, cached on it: the
     chain or product rule over its parts' tables, each product through
     ``table_product``, so one past EXPAND_CAP is one opaque atom."""
     table = atom.__dict__.get("_d" + name)
     if table is None:
         if isinstance(atom, Var):
-            products = [[(((), 1.0),)]] if atom.name == name else []
+            products = [[UNIT_TABLE]] if atom.name == name else []
         elif isinstance(atom, Func):  # sinh' = cosh, cosh' = sinh
             other = _func("cosh" if atom.kind == "sinh" else "sinh", atom.arg)
             products = [[monomials(other), table_derivative(monomials(atom.arg), name)]]

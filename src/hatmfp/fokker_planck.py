@@ -119,7 +119,7 @@ def _merge_monomials(pieces) -> tuple[OperatorMonomial, ...]:
     for (derivs, rate), items in groups.items():
         summed = keyed_sum(items)
         if summed:
-            out.append(OperatorMonomial(tuple(sorted(summed.items())), derivs, rate))
+            out.append(OperatorMonomial(summed, derivs, rate))
     return tuple(sorted(out, key=lambda m: len(m.derivs)))
 
 

@@ -22,22 +22,23 @@ does this).
 
 A series is collected and a coefficient canonical when it is made:
 FracSeries(terms) is the one collect and Coefficient(...) the one
-coefficient maker. A term is (Coefficient, table, TimeFactor); in a
-series its table is monic, its largest monomial exactly 1
-(``expr.monic``), and the scale lives in the coefficient. A collect
-merges on one exact key, (time, tokens): the tables of a key's terms
-are summed, weighted by their factors (``expr.keyed_sum``), and the sum
-is made monic. The tables are canonical already, so the sum needs no
-reduction, and no whole table is hashed or compared. Terms with different tokens are
-never added into one coefficient, so in a series no two terms share
-(time, tokens), the terms are sorted by that key, and a time may hold
-several terms with different tokens. Products, spatial derivatives and
-evaluation work on the tables too (``expr.table_product``,
-``expr.table_derivative``, ``expr.table_value``); ``term_products``
-forms every product of terms, the engine's too, and ``FracSeries.add``
-every sum of series. The algebra builds no tree but the opaque atom of
-a product past ``expr.EXPAND_CAP``; ``FracTerm.spatial`` builds one
-from the table through ``expr.canonical``, for output only.
+coefficient maker. A term is (Coefficient, table, TimeFactor), its table
+in the one form of ``expr``, sorted by signature; in a series the table
+is monic, its largest monomial exactly 1 (``expr.monic``), and the scale
+lives in the coefficient. A collect merges on one exact key, (time,
+tokens): ``expr.keyed_sum`` sums the tables of a key's terms, weighted
+by their factors, into one sorted table, which is made monic. The tables
+are canonical already, so the sum needs no reduction, and no whole table
+is hashed or compared. Terms with different tokens are never added into
+one coefficient, so in a series no two terms share (time, tokens), the
+terms are sorted by that key, and a time may hold several terms with
+different tokens. Products, spatial derivatives and evaluation work on
+the tables too (``expr.table_product``, ``expr.table_derivative``,
+``expr.table_value``); ``term_products`` forms every product of terms,
+the engine's too, and ``FracSeries.add`` every sum of series. The
+algebra builds no tree but the opaque atom of a product past
+``expr.EXPAND_CAP``; ``FracTerm.spatial`` builds one from the table
+through ``expr.canonical``, for output only.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError, DomainError, ExponentError, Value, store
 from .expr import (
+    UNIT_TABLE,
     SpatialExpr,
     canonical,
     keyed_sum,
@@ -216,8 +218,8 @@ class Coefficient(Value):
         """Sum of two coefficients with the same tokens."""
         if self.signature() != other.signature():
             raise DomainError("coefficients with different gamma tokens do not add into one")
-        summed = keyed_sum([(None, self.factor), (None, other.factor)])
-        return Coefficient(summed.get(None, 0.0), self.num, self.den)
+        summed = dict(keyed_sum([(None, self.factor), (None, other.factor)])).get(None, 0.0)
+        return Coefficient(summed, self.num, self.den)
 
     def parallel_ratio(self, other: "Coefficient") -> float | None:
         """other.factor / self.factor for the same tokens, else None."""
@@ -288,17 +290,14 @@ def _collect(terms: Iterable[FracTerm]) -> tuple[FracTerm, ...]:
         if len(group) == 1:
             weight, table = group[0].coef.factor, group[0].monos
         else:
-            summed = keyed_sum((s, t.coef.factor * c) for t in group for s, c in t.monos)
-            weight, table = 1.0, tuple(sorted(summed.items()))
+            table = keyed_sum((s, t.coef.factor * c) for t in group for s, c in t.monos)
+            weight = 1.0
         scale, monos = monic(table)
         coef = Coefficient(weight * scale, num, den)
         if not coef.is_zero:
             out.append(FracTerm(coef, monos, time))
     out.sort(key=lambda t: (t.time.sort_key, t.coef.num, t.coef.den))
     return tuple(out)
-
-
-UNIT_TABLE = (((), 1.0),)  # the constant 1: the lead of a product with no spatial factor
 
 
 def term_products(lead: tuple, *factors: Iterable[FracTerm]) -> Iterator[FracTerm]:

@@ -203,12 +203,34 @@ def test_a_pole_names_its_point(problem_file, command):
 
 
 def test_eval_domain_errors_exit_three():
-    result = invoke(
-        "eval", "--preset", "4.1", "--order", "2",
-        "--t-min", -1, "--t-max", 0, "--t-count", 2,
-    )
+    # sinh(800) overflows a float: an error that only evaluation finds
+    result = invoke("eval", "--preset", "4.2", "--order", "2",
+                    "--x-min", 800, "--x-max", 800, "--x-count", 1)
     assert result.exit_code == 3
-    assert result.stderr.startswith("error: series are defined for t >= 0")
+    assert result.stderr == "error: spatial value overflows a float at x=800.0, y=0.0\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("eval", "--t-min", -1, "--t-max", 0, "--t-count", 2),
+        ("eval", "--t-max", -0.5),
+        ("compare", "--t-min", -1),
+        ("residual", "--point", "1,-0.3"),
+        ("hcurve", "--probe", "1,-0.3"),
+    ],
+    ids=["eval-t-min", "eval-t-max", "compare-t-min", "residual-point", "hcurve-probe"],
+)
+def test_a_negative_time_exits_two_before_any_run(monkeypatch, args):
+    def no_run(*_):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    result = invoke(args[0], "--preset", "4.1", "--order", 2, *args[1:])
+    assert result.exit_code == 2, result.exception
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert "series are defined for t >= 0" in result.stderr
 
 
 def test_eval_is_deterministic():
@@ -781,6 +803,19 @@ def test_overflowing_coefficient_exits_three(tmp_path):
     assert result.exit_code == 3, result.exception
     assert result.stdout == ""
     assert result.stderr.startswith("error:") and "overflows a float" in result.stderr
+
+
+def test_a_run_error_names_its_order(tmp_path):
+    # B = 1e160 scales v_1 by 1e160 and v_2 by 1e320, past the float range
+    path = tmp_path / "problem.json"
+    problem = {"form": "backward", "dim": 1, "A": ["0"], "B": [["1e160"]],
+               "f": "(add (pow x 2) (sinh x))"}
+    path.write_text(json.dumps(problem), encoding="utf-8")
+    assert invoke("solve", "--problem", path, "--order", 1).exit_code == 0
+    result = invoke("solve", "--problem", path, "--order", 2)
+    assert result.exit_code == 3, result.exception
+    assert result.stdout == ""
+    assert result.stderr == "error: order 2: a coefficient factor overflows a float: inf\n"
 
 
 def test_source_with_an_exponential_is_expanded_where_it_acts(tmp_path):

@@ -25,6 +25,7 @@ from hatmfp.expr import (
     csch,
     differentiate,
     evaluate,
+    keyed_sum,
     monic,
     monomials,
     mul,
@@ -36,6 +37,7 @@ from hatmfp.expr import (
     sinh,
     size,
     table_derivative,
+    table_product,
     table_value,
     tanh,
     to_prefix,
@@ -421,6 +423,30 @@ def test_derivative_table_is_the_table_of_the_derivative_tree(e):
         assert differentiate(e, name) is canonical(table_derivative(monomials(e), name))
 
 
+def assert_canonical(table):
+    """A tuple of (signature, coefficient) sorted by signature, no
+    signature twice and no zero coefficient."""
+    assert type(table) is tuple
+    sigs = [sig for sig, _ in table]
+    assert all(a < b for a, b in zip(sigs, sigs[1:])), sigs
+    assert all(c != 0.0 for _, c in table)
+
+
+@given(small_trees(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_kernel_table_is_canonical(e, data):
+    table = monomials(e)
+    tables = [table, table_product([table, monomials(add(X, 1))]), table_product([table, table])]
+    for name in ("x", "y"):
+        tables.append(table_derivative(table, name))
+        tables += [expr_module._atom_derivative(atom, name) for sig, _ in table for atom, _ in sig]
+    for t in tables:
+        assert_canonical(t)
+        assert keyed_sum(data.draw(st.permutations(t))) == t
+        assert keyed_sum([*t, *((s, -c) for s, c in t)]) == ()
+    assert normalize(e) is canonical(table)
+
+
 def test_derivative_table_is_cached_and_checks_the_variable():
     # the derivative of a table is kept on the series that holds it
     node = normalize(mul(X, sinh(Y)))
@@ -434,7 +460,7 @@ def test_derivative_table_is_cached_and_checks_the_variable():
 
 def assert_atom_derivative_matches_the_tree(atom, names=("x", "y")):
     for name in names:
-        got = canonical(tuple(sorted(expr_module._atom_derivative(atom, name).items())))
+        got = canonical(expr_module._atom_derivative(atom, name))
         want = tree_derivative(atom, name)
         for x, y in PANEL:
             assert evaluate(got, x, y) == pytest.approx(evaluate(want, x, y), rel=1e-12, abs=1e-300)
@@ -469,7 +495,7 @@ def test_atom_derivative_of_an_opaque_sum_and_product(monkeypatch):
     assert only_atom(e) is e
     assert_atom_derivative_matches_the_tree(e)
     dx = expr_module._atom_derivative(e, "x")
-    assert len(dx) == 2 and all(isinstance(a, Mul) for ((a, _),) in dx)
+    assert len(dx) == 2 and all(isinstance(a, Mul) for ((a, _),), _ in dx)
 
 
 def test_derivative_of_a_cube_past_the_cap_is_one_opaque_monomial():

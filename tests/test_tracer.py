@@ -44,6 +44,7 @@ def test_traced_cli_runs(tmp_path, args):
     # every coefficient is one gamma monomial
     assert trace["counts"]["coef_monomials"] == sum(trace["counts"]["terms"])
     if args[0] == "eval":
-        # the partial sum (FracSeries.add), its values and the CSV writer
+        # deformation_step's sum (FracSeries.add), the values of the iterates
+        # and the CSV writer
         for name in ("series.add", "series.evaluate", "cli.csv_text"):
             assert trace["stats"][name][0] > 0, name
