@@ -27,8 +27,7 @@ import sys
 from pathlib import Path
 
 from .engine import (
-    TAYLOR_TERMS, HatmConfig, ProblemSpec, check_hbar, h_curve, partial_sum, residual, run,
-    run_report,
+    TAYLOR_TERMS, HatmConfig, ProblemSpec, check_hbar, h_curve, residual, run, run_report,
 )
 from .errors import ConfigError, HatmError, SingularityError
 from .expr import to_prefix
@@ -163,8 +162,7 @@ def eval_cmd(args: argparse.Namespace, problem: ProblemSpec, config: HatmConfig)
 def residual_cmd(args: argparse.Namespace, problem: ProblemSpec, config: HatmConfig) -> None:
     """Residual of the full equation at probe points."""
     probes = [_parse_point(p, problem.dim) for p in args.points]
-    total = partial_sum(run(problem, config), config.order)
-    values = residual(problem, total, config, probes)
+    values = residual(problem, run(problem, config), config.alpha, args.hbar, probes)
     rows = [_place(problem.dim, *probe) + [repr(value)] for probe, value in zip(probes, values)]
     _write(args, _axes(problem.dim, "residual"), rows)
 
@@ -289,15 +287,18 @@ def main(argv: list[str] | None = None) -> int:
         if len(set(orders)) < len(orders):
             raise ConfigError(f"each order may be given once, got {' '.join(map(str, orders))}")
         check_hbar(hbar := getattr(args, "hbar", -1.0))
-        # eval, compare and hcurve run at -1 and recombine the run's values at hbar (h_curve)
-        config = HatmConfig(args.alpha, hbar if args.body in (solve, residual_cmd) else -1.0,
-                            max(orders), args.taylor_terms)
+        # every command but solve runs at -1 and recombines the run's values at hbar
+        config = HatmConfig(args.alpha, hbar if args.body is solve else -1.0, max(orders),
+                            args.taylor_terms)
     except (ConfigError, OSError) as exc:
         args.parser.error(str(exc))
-    if args.out is not None and Path(args.out).is_dir():
-        args.parser.error(f"argument --out: {args.out} is a directory")
-    if args.out is not None and not Path(args.out).parent.is_dir():
-        args.parser.error(f"argument --out: no directory {Path(args.out).parent}")
+    try:
+        if args.out is not None and Path(args.out).is_dir():
+            args.parser.error(f"argument --out: {args.out} is a directory")
+        if args.out is not None and not Path(args.out).parent.is_dir():
+            args.parser.error(f"argument --out: no directory {Path(args.out).parent}")
+    except OSError as exc:  # a path the OS refuses, such as a name too long
+        args.parser.error(f"argument --out: {exc}")
     try:
         args.body(args, problem, config)
     except argparse.ArgumentError as exc:  # a flag value that a command body checks

@@ -35,7 +35,7 @@ the values of the v_m at one point.
 
 Each spatial derivative of an iterate is built once and kept on the
 series (FracSeries.spatial_derivative), so the operator terms of every
-later step, and residual(), reuse it.
+later step reuse it, as residual() does on the iterates of a run at -1.
 
 The engine keeps only the recursion: its term products come from
 series.term_products, its sums of series from FracSeries.add, and an
@@ -245,11 +245,11 @@ def _weights(m: int, hbar: float) -> Iterator[tuple[int, float]]:
 
 def recombine(free: Sequence[FracSeries], hbar: float) -> list[FracSeries]:
     """Iterates [u_0, ..., u_M] at hbar from the hbar-free [v_0, ..., v_M]
-    (module docstring); zero weights are skipped, so at hbar = -1 each
-    u_m is v_m itself."""
+    (module docstring); zero weights are skipped and unit ones not applied,
+    so at hbar = -1 each u_m is v_m itself, with the derivatives kept on it."""
     out = [free[0]]
     for m in range(1, len(free)):
-        parts = [free[k].scale(weight) for k, weight in _weights(m, hbar)]
+        parts = [free[k] if w == 1.0 else free[k].scale(w) for k, w in _weights(m, hbar)]
         out.append(parts[0] if len(parts) == 1 else FracSeries.zero().add(*parts))
     return out
 
@@ -258,6 +258,7 @@ def recombine_values(values: Sequence[float], hbar: float) -> list[float]:
     """recombine() on numbers: [u_0, ..., u_M] at one point from the
     values [v_0, ..., v_M] of the hbar-free iterates there. The
     recombination is linear, so it commutes with evaluation."""
+    check_hbar(hbar)
     return [values[0]] + [
         sum(weight * values[k] for k, weight in _weights(m, hbar))
         for m in range(1, len(values))
@@ -288,29 +289,31 @@ def partial_sum(iterates: Sequence[FracSeries], upto: int) -> FracSeries:
 
 
 def residual(
-    problem: ProblemSpec,
-    s: FracSeries,
-    cfg: HatmConfig,
+    problem: ProblemSpec, free: Sequence[FracSeries], alpha: float, hbar: float,
     points: Sequence[tuple[float, float, float]],
 ) -> list[float]:
-    """|D^alpha s - N[s] - g| of the full nonlinear equation at (x, y, t).
-
-    D^alpha s stays a series; N[s] + g is summed at each point from the
-    values of the coefficient tables, of the derivatives of s and of the
-    source, so a two-slot monomial multiplies numbers, not terms of s."""
-    linear = s.caputo_derivative()
+    """|D^alpha S - N[S] - g| at (x, y, t), S the partial sum at hbar of the
+    hbar-free iterates free = [v_0, ..., v_M] of a run at -1 and alpha. At
+    each point D^alpha S and each derivative d S sum recombine_values of the
+    values of [D^alpha v_k] or [d v_k] (the run kept d v_k for k < M), and
+    N[S] + g is a sum of products of numbers. The residual of one series s
+    is residual(problem, [s], alpha, -1.0, points)."""
+    families = {d: [_derived(v, d) for v in free] for mono in problem.operator for d in mono.derivs}
+    families["linear"] = [v.caputo_derivative() for v in free]
     out = []
     for px, py, pt in points:
         atoms: dict = {}
         try:
+            at = {key: sum(recombine_values([v.evaluate(px, pt, alpha, py) for v in family], hbar))
+                  for key, family in families.items()}
             operator = sum(
                 table_value(mono.monos, px, py, atoms)
                 * math.exp(mono.exp_rate * pt)
-                * math.prod(_derived(s, d).evaluate(px, pt, cfg.alpha, py) for d in mono.derivs)
+                * math.prod(at[d] for d in mono.derivs)
                 for mono in problem.operator
-            ) + sum(math.exp(rate * pt) * g.evaluate(px, pt, cfg.alpha, py)
+            ) + sum(math.exp(rate * pt) * g.evaluate(px, pt, alpha, py)
                     for rate, g in problem.source)
-            value = abs(linear.evaluate(px, pt, cfg.alpha, py) - operator)
+            value = abs(at["linear"] - operator)
         except OverflowError:
             value = math.inf
         if not math.isfinite(value):
@@ -337,7 +340,6 @@ def h_curve(
     values = [v.evaluate(x=px, y=py, t=pt, alpha=alpha) for v in free]
     out = []
     for h in h_values:
-        check_hbar(h)
         u = recombine_values(values, h)
         sums = [sum(u[: n + 1]) for n in range(len(u))]
         if not all(map(math.isfinite, sums)):

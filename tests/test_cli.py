@@ -445,13 +445,14 @@ def test_compare_orders_match_single_order_runs(source):
     "args",
     [("compare", "--order", *ORDERS, "--hbar", -0.7, "--x-count", 2, "--t-count", 2),
      ("eval", "--order", ORDERS[-1], "--hbar", -0.7, "--x-count", 2, "--t-count", 2),
-     ("hcurve", "--order", *ORDERS, "--probe", "1,0.3")],
-    ids=["compare", "eval", "hcurve"],
+     ("hcurve", "--order", *ORDERS, "--probe", "1,0.3"),
+     ("residual", "--order", ORDERS[-1], "--point", "1,0.3", "--hbar", -0.7)],
+    ids=["compare", "eval", "hcurve", "residual"],
 )
 def test_compare_runs_once_for_several_orders(monkeypatch, args):
     # one run at hbar = -1 to the largest order; every point and order
-    # recombines the values of its iterates at --hbar, or at each hbar of
-    # the sweep
+    # recombines the values of its iterates (and of their derivatives, for
+    # residual) at --hbar, or at each hbar of the sweep
     calls = []
 
     def counted(problem, config, *rest):
@@ -873,6 +874,16 @@ def test_out_into_a_missing_directory_exits_two_before_running(tmp_path):
     assert isinstance(result.exception, SystemExit)
     assert "--out" in result.stderr and "Traceback" not in result.stderr
     assert not out.parent.exists()
+
+
+def test_out_path_the_os_refuses_exits_two_before_running(tmp_path):
+    # a name past the file system's limit makes Path.is_dir raise OSError
+    out = tmp_path / ("a" * 300)
+    result = invoke("solve", "--preset", "4.1", "--order", 1, "--out", out)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "argument --out: [Errno 36] File name too long" in result.stderr
+    assert "Traceback" not in result.stderr and list(tmp_path.iterdir()) == []
 
 
 def test_malformed_points_exit_two():

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -274,7 +275,7 @@ def test_residual_of_initial_guess():
     # truncating at u0 leaves |D^alpha x - N[x]| = |0 - 1| = 1
     prob = preset("4.1")
     s = FracSeries.from_spatial(X)
-    vals = residual(prob, s, cfg(alpha=0.5), [(1.0, 0.0, 0.3), (2.0, 0.0, 0.8)])
+    vals = residual(prob, [s], 0.5, -1.0, [(1.0, 0.0, 0.3), (2.0, 0.0, 0.8)])
     assert vals == [pytest.approx(1.0, abs=1e-14), pytest.approx(1.0, abs=1e-14)]
 
 
@@ -282,9 +283,8 @@ def test_residual_shrinks_with_order():
     prob = preset("4.5")
     prev = None
     for order in (2, 4, 8):
-        c = cfg(alpha=1.0, hbar=-1.0, order=order)
-        s = partial_sum(run(prob, c), order)
-        (r,) = residual(prob, s, c, [(1.0, 0.0, 0.3)])
+        (r,) = residual(prob, run(prob, cfg(alpha=1.0, order=order)), 1.0, -1.0,
+                        [(1.0, 0.0, 0.3)])
         assert prev is None or r < prev
         prev = r
     assert prev < 1e-4
@@ -307,7 +307,7 @@ def test_convergent_oracle_residual_falls_with_order():
     values = []
     for order in (4, 8, 12, 16):
         c = cfg(alpha=0.75, hbar=-1.0, order=order)
-        (r,) = residual(ORACLE, partial_sum(run(ORACLE, c), order), c, [(1.0, 0.0, 0.3)])
+        (r,) = residual(ORACLE, run(ORACLE, c), 0.75, -1.0, [(1.0, 0.0, 0.3)])
         values.append(r)
     assert all(a > b for a, b in zip(values, values[1:])), values
 
@@ -353,26 +353,54 @@ def test_residual_sums_the_tree_values_of_the_coefficients():
             ) + sum(math.exp(rate * pt) * g.evaluate(px, pt, c.alpha, py)
                     for rate, g in problem.source)
             want.append(abs(linear.evaluate(px, pt, c.alpha, py) - operator))
-        assert residual(problem, s, c, points) == want
+        assert residual(problem, [s], c.alpha, -1.0, points) == want
 
 
 # the symbolic N[s] multiplies every pair of terms of s, so the oracle is
 # run on MIXED at M = 1
+@pytest.mark.parametrize("hbar", [-1.0, -0.7, -1.3])
 @pytest.mark.parametrize(
     "problem, keywords",
-    [PROBLEMS["4.5"], PROBLEMS["W1"], PROBLEMS["W2"], (MIXED, {"order": 1})],
-    ids=["4.5", "W1", "W2", "mixed"],
+    [PROBLEMS["4.4"], PROBLEMS["4.5"], PROBLEMS["W1"], PROBLEMS["W2"], (MIXED, {"order": 1})],
+    ids=["4.4", "4.5", "W1", "W2", "mixed"],
 )
-def test_residual_matches_symbolic(problem, keywords):
-    c = cfg(alpha=0.5, hbar=-0.7, **keywords)
+def test_residual_matches_symbolic(problem, keywords, hbar):
+    # the one run at -1, recombined at hbar, against the symbolic residual
+    # of the partial sum of a run at hbar
+    c = cfg(alpha=0.5, hbar=hbar, **keywords)
     s = partial_sum(run(problem, c), c.order)
-    points = [(0.6, 0.0, 0.1), (1.0, 0.0, 0.3), (1.5, 0.0, 0.7)]
-    got = residual(problem, s, c, points)
+    points = [(0.6, 0.4, 0.1), (1.0, 0.8, 0.3), (1.5, 1.2, 0.7)]
+    if problem.dim == 1:
+        points = [(x, 0.0, t) for x, _, t in points]
+    got = residual(problem, run(problem, cfg(alpha=0.5, **keywords)), 0.5, hbar, points)
     want = symbolic_residual(problem, s, c, points)
-    for (x, _, t), g, w in zip(points, got, want):
+    for (x, y, t), g, w in zip(points, got, want):
         # relative to D^alpha s where the residual is a small difference
-        scale = max(w, abs(s.caputo_derivative().evaluate(x, t, c.alpha)))
-        assert abs(g - w) <= 1e-12 * scale, (x, t, g, w)
+        scale = max(w, abs(s.caputo_derivative().evaluate(x, t, c.alpha, y)))
+        assert abs(g - w) <= 1e-12 * scale, (x, y, t, g, w)
+
+
+@pytest.mark.parametrize("problem", [MIXED, preset("4.4"), PROBLEMS["W2"][0]],
+                         ids=["mixed", "4.4", "W2"])
+def test_residual_differentiates_only_the_last_iterate(monkeypatch, problem):
+    # the run keeps on v_0..v_(M-1) the derivatives that its operator terms
+    # took, so residual differentiates the terms of v_M alone
+    free = run(problem, cfg(alpha=0.5, order=2))
+    calls = {"residual": Counter(), "v_M": Counter()}
+
+    def counted(into):
+        def derivative(monos, name):
+            calls[into][monos, name] += 1
+            return expr.table_derivative(monos, name)
+        monkeypatch.setattr(series, "table_derivative", derivative)
+
+    counted("residual")
+    residual(problem, free, 0.5, -0.7, [(1.0, 0.5, 0.3)])
+    counted("v_M")
+    fresh = FracSeries(free[-1].terms)  # the terms of v_M, with no derivative kept
+    for d in {d for mono in problem.operator for d in mono.derivs}:
+        engine._derived(fresh, d)
+    assert calls["v_M"] and calls["residual"] == calls["v_M"]
 
 
 # --------------------------------------------------------------------- h-curve
