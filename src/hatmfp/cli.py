@@ -14,7 +14,7 @@ Examples:
 Exit codes: 0 on success, 2 on invalid configuration or flags, 3 on
 domain errors raised while solving or evaluating (singular evaluation
 points outside `eval`, missing reference solutions, exponent
-violations, ...).
+violations, ...) and when --out cannot be written.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import sys
 from pathlib import Path
 
 from .engine import (
-    TAYLOR_TERMS, HatmConfig, ProblemSpec, check_hbar, h_curve, residual, run, run_report,
+    TAYLOR_TERMS, HatmConfig, ProblemSpec, check_hbar, h_curve, recombine, residual, run,
+    run_report,
 )
 from .errors import ConfigError, HatmError, SingularityError
 from .expr import to_prefix
@@ -37,8 +38,11 @@ from .fokker_planck import PRESET_IDS, load_problem, preset, reference_solution
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise HatmError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _csv_text(header: list[str], rows: list[list], trailer: str | None = None) -> str:
@@ -133,13 +137,13 @@ def solve(args: argparse.Namespace, problem: ProblemSpec, config: HatmConfig) ->
     if args.fmt == "json":
         label = (f"preset:{args.preset}" if args.preset is not None
                  else f"file:{Path(args.problem).name}")
-        _emit(_json_text(run_report(problem, config, label)), args.out)
+        _emit(_json_text(run_report(problem, config, args.hbar, label)), args.out)
         return
     # Terms are pure powers of t; the c column stays 0 for readers of the format.
     rows = [
         [m, i, str(term.time.p), term.time.q, 0,
          term.coef.value(config.alpha), to_prefix(term.spatial)]
-        for m, series in enumerate(run(problem, config))
+        for m, series in enumerate(recombine(run(problem, config), args.hbar))
         for i, term in enumerate(series.terms)
     ]
     _write(args, ["iterate", "term", "p", "q", "c", "coef", "spatial"], rows)
@@ -286,10 +290,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"order must be >= 0, got {min(orders)}")
         if len(set(orders)) < len(orders):
             raise ConfigError(f"each order may be given once, got {' '.join(map(str, orders))}")
-        check_hbar(hbar := getattr(args, "hbar", -1.0))
-        # every command but solve runs at -1 and recombines the run's values at hbar
-        config = HatmConfig(args.alpha, hbar if args.body is solve else -1.0, max(orders),
-                            args.taylor_terms)
+        check_hbar(getattr(args, "hbar", -1.0))
+        config = HatmConfig(args.alpha, max(orders), args.taylor_terms)
     except (ConfigError, OSError) as exc:
         args.parser.error(str(exc))
     try:

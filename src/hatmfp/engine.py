@@ -29,13 +29,13 @@ any hbar are fixed combinations of the v_m, the HAM/HPM correspondence
 
     u_m = sum_{k=1..m} C(m-1, k-1) (-hbar)^k (1+hbar)^(m-k) v_k,
 
-so hbar enters only through these weights; the v_m are the iterates
-at -1. recombine() applies them to the series, recombine_values() to
-the values of the v_m at one point.
+so run() returns the hbar-free [v_0, ..., v_M], the iterates at -1, and
+hbar enters only through these weights: recombine() applies them to the
+series, recombine_values() to the values of the v_m at one point.
 
 Each spatial derivative of an iterate is built once and kept on the
 series (FracSeries.spatial_derivative), so the operator terms of every
-later step reuse it, as residual() does on the iterates of a run at -1.
+later step reuse it, as residual() does on the iterates of a run.
 
 The engine keeps only the recursion: its term products come from
 series.term_products, its sums of series from FracSeries.add, and an
@@ -123,22 +123,20 @@ def check_hbar(hbar: float) -> None:
 
 class HatmConfig(Value):
     """Run parameters. The auxiliary function of the deformation is the
-    constant H = 1."""
+    constant H = 1, so hbar is not one: recombine() applies it to a run."""
 
-    _fields = ("alpha", "hbar", "order", "taylor_terms")
+    _fields = ("alpha", "order", "taylor_terms")
 
-    def __init__(self, alpha: float, hbar: float, order: int, taylor_terms=TAYLOR_TERMS) -> None:
+    def __init__(self, alpha: float, order: int, taylor_terms=TAYLOR_TERMS) -> None:
         if isinstance(alpha, bool):
             raise ConfigError(f"alpha must be a number, got {alpha!r}")
         _check_alpha(alpha)
-        check_hbar(hbar)
         for name, value, least in (("order", order, 0), ("taylor_terms", taylor_terms, 1)):
             if type(value) is not int:  # a bool is refused too
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ConfigError(f"{name} must be >= {least}, got {value}")
         store(self, "alpha", alpha)
-        store(self, "hbar", hbar)
         store(self, "order", order)
         store(self, "taylor_terms", taylor_terms)
 
@@ -247,6 +245,7 @@ def recombine(free: Sequence[FracSeries], hbar: float) -> list[FracSeries]:
     """Iterates [u_0, ..., u_M] at hbar from the hbar-free [v_0, ..., v_M]
     (module docstring); zero weights are skipped and unit ones not applied,
     so at hbar = -1 each u_m is v_m itself, with the derivatives kept on it."""
+    check_hbar(hbar)
     out = [free[0]]
     for m in range(1, len(free)):
         parts = [free[k] if w == 1.0 else free[k].scale(w) for k, w in _weights(m, hbar)]
@@ -265,21 +264,18 @@ def recombine_values(values: Sequence[float], hbar: float) -> list[float]:
     ]
 
 
-def run(
-    problem: ProblemSpec,
-    cfg: HatmConfig,
-    events: dict | None = None,
-) -> list[FracSeries]:
-    """Iterates [u_0, ..., u_order] at cfg.hbar, valid at cfg.alpha only
+def run(problem: ProblemSpec, cfg: HatmConfig, events: dict | None = None) -> list[FracSeries]:
+    """The hbar-free iterates [v_0, ..., v_order], valid at cfg.alpha only
     (deformation_step binds the coefficients of terms sharing a time); a
-    DomainError of step m names order m."""
+    DomainError of step m names order m. recombine() gives the iterates at
+    any other hbar."""
     free = [FracSeries.from_spatial(problem.initial)]
     for m in range(1, cfg.order + 1):
         try:
             free.append(deformation_step(problem, cfg, free, m, events))
         except DomainError as exc:
             raise DomainError(f"order {m}: {exc}") from exc
-    return recombine(free, cfg.hbar)
+    return free
 
 
 def partial_sum(iterates: Sequence[FracSeries], upto: int) -> FracSeries:
@@ -293,7 +289,7 @@ def residual(
     points: Sequence[tuple[float, float, float]],
 ) -> list[float]:
     """|D^alpha S - N[S] - g| at (x, y, t), S the partial sum at hbar of the
-    hbar-free iterates free = [v_0, ..., v_M] of a run at -1 and alpha. At
+    hbar-free iterates free = [v_0, ..., v_M] of a run at alpha. At
     each point D^alpha S and each derivative d S sum recombine_values of the
     values of [D^alpha v_k] or [d v_k] (the run kept d v_k for k < M), and
     N[S] + g is a sum of products of numbers. The residual of one series s
@@ -330,7 +326,7 @@ def h_curve(
 ) -> list[tuple[float, list[float]]]:
     """(hbar, [S_0, ..., S_M]) for each convergence-control parameter: S_n
     is the partial sum up to order n at the probe, from the hbar-free
-    iterates [v_0, ..., v_M] of a run at hbar = -1 and alpha. The flat
+    iterates [v_0, ..., v_M] of a run at alpha. The flat
     stretch of the curve S_n(hbar) marks usable hbar, and it widens with n.
 
     Each v_k is evaluated once at the probe; every hbar recombines those
@@ -349,21 +345,19 @@ def h_curve(
 
 
 def run_report(
-    problem: ProblemSpec,
-    cfg: HatmConfig,
-    problem_label: str = "custom",
+    problem: ProblemSpec, cfg: HatmConfig, hbar: float, problem_label: str = "custom",
 ) -> dict:
-    """Run and package everything a caller needs to replay the result."""
+    """Run, recombine at hbar, and package all a caller needs to replay it."""
     events: dict = {"taylor_events": [], "bind_events": []}
     started = _time.perf_counter()
-    iterates = run(problem, cfg, events)
+    iterates = recombine(run(problem, cfg, events), hbar)
     elapsed = _time.perf_counter() - started
     total = partial_sum(iterates, cfg.order)
     return {
         "problem": problem_label,
         "config": {
             "alpha": cfg.alpha,
-            "hbar": cfg.hbar,
+            "hbar": hbar,
             "order": cfg.order,
             "taylor_terms": cfg.taylor_terms,
         },

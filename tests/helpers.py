@@ -137,9 +137,10 @@ def random_series(rng: random.Random, n_terms: int = 4) -> FracSeries:
     return FracSeries(tuple(terms)).collected()
 
 
-def direct_iterates(problem: ProblemSpec, cfg: HatmConfig) -> list[FracSeries]:
+def direct_iterates(problem: ProblemSpec, cfg: HatmConfig, hbar: float) -> list[FracSeries]:
     """Iterates [u_0, ..., u_order] of the deformation equation with hbar
-    carried through every step, the reference for engine.run:
+    carried through every step, the reference for engine.recombine of
+    engine.run:
 
         u_m = chi_m u_{m-1} + hbar * R_m,
         R_m = u_{m-1} - (1 - chi_m)(u_0 + J^alpha[g]) - J^alpha[N_{m-1}],
@@ -165,7 +166,7 @@ def direct_iterates(problem: ProblemSpec, cfg: HatmConfig) -> list[FracSeries]:
         op = apply_operator(problem, history, m)
         parts.extend(integrated(op.items()).scale(-1.0).terms)
         rm = FracSeries(tuple(parts)).collected()
-        step = rm.scale(cfg.hbar).terms
+        step = rm.scale(hbar).terms
         if m > 1:
             step = u_prev.terms + step
         history.append(FracSeries(tuple(step)).collected())
@@ -255,7 +256,7 @@ def tree_operator(form: str, drift, diffusion) -> list[tuple]:
     return sorted((o for o in out if o[2]), key=lambda o: len(o[0]))
 
 
-# name -> (problem, HatmConfig keywords besides alpha and hbar)
+# name -> (problem, HatmConfig keywords besides alpha)
 # Backward form with A = -x, B = x^2/2, f = 1 + x + x^2 + x^3. The operator
 # maps x^k to lambda_k x^k, lambda_k = k + k(k-1)/2, so the series does not
 # collapse onto f but converges to u = sum_k x^k E_alpha(lambda_k t^alpha).

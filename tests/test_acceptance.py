@@ -19,7 +19,7 @@ from helpers import (
     q_coefficient_map,
     random_series,
 )
-from hatmfp.engine import HatmConfig, partial_sum, residual, run
+from hatmfp.engine import HatmConfig, partial_sum, recombine, residual, run
 from hatmfp.expr import X, add, evaluate, pow_
 from hatmfp.fokker_planck import preset
 from hatmfp.series import FracSeries
@@ -55,7 +55,7 @@ def test_iterate_tables():
     for alpha in (0.5, 0.75, 1.0):
         for h in (-1.0, -0.7):
             for pid in ("4.1", "4.3", "4.4", "4.5"):
-                us = run(preset(pid), HatmConfig(alpha=alpha, hbar=h, order=3))
+                us = recombine(run(preset(pid), HatmConfig(alpha=alpha, order=3)), h)
                 for m in (1, 2, 3):
                     got = q_coefficient_map(us[m], alpha, x, y)
                     if pid == "4.1":
@@ -73,7 +73,7 @@ def test_iterate_tables():
 def test_hyperbolic_iterate_collapse():
     x = 1.3
     for alpha in (0.5, 1.0):
-        us = run(preset("4.2"), HatmConfig(alpha=alpha, hbar=-1.0, order=5))
+        us = run(preset("4.2"), HatmConfig(alpha=alpha, order=5))
         for m in range(6):
             got = q_coefficient_map(us[m], alpha, x)
             want = {m: math.sinh(x) / gamma1(m, alpha)}
@@ -90,7 +90,7 @@ def test_classical_limits():
         "4.4": lambda x, y, t: x * math.exp(t),
         "4.5": lambda x, y, t: x**2 * math.exp(t),
     }
-    config = HatmConfig(alpha=1.0, hbar=-1.0, order=15)
+    config = HatmConfig(alpha=1.0, order=15)
     for pid, exact in forms.items():
         prob = preset(pid)
         total = partial_sum(run(prob, config), 15)
@@ -108,7 +108,7 @@ def test_classical_limits():
 def test_fractional_limits():
     mitag = {"4.2": math.sinh, "4.3": lambda x: x + 1, "4.4": lambda x: x}
     for alpha in (0.5, 0.75):
-        config = HatmConfig(alpha=alpha, hbar=-1.0, order=25)
+        config = HatmConfig(alpha=alpha, order=25)
         for pid, f in mitag.items():
             prob = preset(pid)
             total = partial_sum(run(prob, config), 25)
@@ -131,7 +131,7 @@ def test_nonlinear_residual_decreases():
     probe = [(1.0, 0.0, 0.3)]
     values = []
     for order in (2, 4, 8, 12):
-        config = HatmConfig(alpha=1.0, hbar=-1.0, order=order)
+        config = HatmConfig(alpha=1.0, order=order)
         values.append(residual(prob, run(prob, config), 1.0, -1.0, probe)[0])
     assert all(a > b for a, b in zip(values, values[1:])), values
     assert values[-1] < 1e-6, values
@@ -193,7 +193,7 @@ def test_algebra_invariants():
         assert FracSeries(s.terms) == s
 
     # two identical runs serialize to identical bytes
-    config = HatmConfig(alpha=0.75, hbar=-0.9, order=5)
-    one = partial_sum(run(preset("4.5"), config), 5).to_json()
-    two = partial_sum(run(preset("4.5"), config), 5).to_json()
+    config = HatmConfig(alpha=0.75, order=5)
+    one = partial_sum(recombine(run(preset("4.5"), config), -0.9), 5).to_json()
+    two = partial_sum(recombine(run(preset("4.5"), config), -0.9), 5).to_json()
     assert one == two

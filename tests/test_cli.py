@@ -12,6 +12,7 @@ import mpmath
 import pytest
 
 import hatmfp.cli as cli
+import hatmfp.engine as engine
 from helpers import invoke_cli as invoke
 from hatmfp.engine import HatmConfig, h_curve, run
 from hatmfp.expr import MAX_NESTING
@@ -304,7 +305,7 @@ def test_hcurve_sweep_matches_h_curve():
     assert result.exit_code == 0, result.output
     header, *rows = rows_of(result.stdout)
     assert header == ["hbar", "order_2", "order_3"]
-    config = HatmConfig(alpha=0.5, hbar=-1.0, order=3)
+    config = HatmConfig(alpha=0.5, order=3)
     want = h_curve(run(preset("4.5"), config), 0.5, probe, [-1.5, -1.0, -0.5])
     assert len(rows) == len(want) == 3
     for row, (h, sums) in zip(rows, want):
@@ -446,23 +447,26 @@ def test_compare_orders_match_single_order_runs(source):
     [("compare", "--order", *ORDERS, "--hbar", -0.7, "--x-count", 2, "--t-count", 2),
      ("eval", "--order", ORDERS[-1], "--hbar", -0.7, "--x-count", 2, "--t-count", 2),
      ("hcurve", "--order", *ORDERS, "--probe", "1,0.3"),
-     ("residual", "--order", ORDERS[-1], "--point", "1,0.3", "--hbar", -0.7)],
-    ids=["compare", "eval", "hcurve", "residual"],
+     ("residual", "--order", ORDERS[-1], "--point", "1,0.3", "--hbar", -0.7),
+     ("solve", "--order", ORDERS[-1], "--hbar", -0.7),
+     ("solve", "--order", ORDERS[-1], "--hbar", -0.7, "--format", "csv")],
+    ids=["compare", "eval", "hcurve", "residual", "solve", "solve-csv"],
 )
 def test_compare_runs_once_for_several_orders(monkeypatch, args):
-    # one run at hbar = -1 to the largest order; every point and order
-    # recombines the values of its iterates (and of their derivatives, for
-    # residual) at --hbar, or at each hbar of the sweep
+    # one hbar-free run to the largest order; solve recombines its iterates
+    # at --hbar, the others the values of its iterates (and of their
+    # derivatives, for residual), at --hbar or at each hbar of the sweep
     calls = []
 
     def counted(problem, config, *rest):
-        calls.append((config.order, config.hbar))
+        calls.append(config.order)
         return run(problem, config, *rest)
 
     monkeypatch.setattr(cli, "run", counted)
+    monkeypatch.setattr(engine, "run", counted)  # run_report's run
     result = invoke(args[0], "--preset", "4.3", *args[1:])
     assert result.exit_code == 0, result.output
-    assert calls == [(16, -1.0)]
+    assert calls == [16]
 
 
 @pytest.mark.parametrize("source", ["W1", "4.3"])
@@ -884,6 +888,14 @@ def test_out_path_the_os_refuses_exits_two_before_running(tmp_path):
     assert isinstance(result.exception, SystemExit)
     assert "argument --out: [Errno 36] File name too long" in result.stderr
     assert "Traceback" not in result.stderr and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_that_cannot_be_written_exits_three():
+    # /dev/full passes the checks before the run and refuses the write
+    result = invoke("solve", "--preset", "4.1", "--order", 1, "--out", "/dev/full")
+    assert result.exit_code == 3
+    assert result.stderr == "error: cannot write /dev/full: No space left on device\n"
 
 
 def test_malformed_points_exit_two():

@@ -25,6 +25,7 @@ from hatmfp.engine import (
     build_rm,
     h_curve,
     partial_sum,
+    recombine,
     residual,
     run,
     run_report,
@@ -38,8 +39,8 @@ from hatmfp.fokker_planck import (
 from hatmfp.series import FracSeries
 
 
-def cfg(alpha=0.75, hbar=-1.0, order=3, **kw):
-    return HatmConfig(alpha=alpha, hbar=hbar, order=order, **kw)
+def cfg(alpha=0.75, order=3, **kw):
+    return HatmConfig(alpha=alpha, order=order, **kw)
 
 
 # --------------------------------------------------------------- config guards
@@ -47,7 +48,7 @@ def cfg(alpha=0.75, hbar=-1.0, order=3, **kw):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        cfg(hbar=0.0)
+        recombine(run(preset("4.1"), cfg(order=1)), 0.0)
     with pytest.raises(ConfigError):
         cfg(order=-1)
     with pytest.raises(ConfigError):
@@ -186,7 +187,7 @@ def test_first_iterate_of_drift_diffusion_problem():
     prob = preset("4.1")
     for h in (-1.0, -0.7):
         for alpha in (0.5, 1.0):
-            u1 = run(prob, cfg(alpha=alpha, hbar=h, order=1))[1]
+            u1 = recombine(run(prob, cfg(alpha=alpha, order=1)), h)[1]
             want = -h * 0.3**alpha / math.gamma(1 + alpha)
             assert u1.evaluate(2.0, 0.3, alpha) == pytest.approx(want, rel=1e-12)
 
@@ -195,7 +196,7 @@ def test_iterates_match_hand_recursion():
     for pid, f in (("4.3", add(X, 1)), ("4.4", X), ("4.5", pow_(X, 2))):
         for h in (-1.0, -0.6):
             alpha = 0.75
-            us = run(preset(pid), cfg(alpha=alpha, hbar=h, order=3))
+            us = recombine(run(preset(pid), cfg(alpha=alpha, order=3)), h)
             x, y = 1.25, 0.8
             fval = evaluate(f, x, y)
             for m in (1, 2, 3):
@@ -206,7 +207,7 @@ def test_iterates_match_hand_recursion():
 
 def test_iterates_constant_image_problem():
     alpha, h = 0.5, -0.8
-    us = run(preset("4.1"), cfg(alpha=alpha, hbar=h, order=3))
+    us = recombine(run(preset("4.1"), cfg(alpha=alpha, order=3)), h)
     for m in (1, 2, 3):
         got = q_coefficient_map(us[m], alpha, 1.7)  # spatial part is the constant 1
         assert_q_map_close(got, constant_image_coeffs(m, h, alpha), rel=1e-10)
@@ -222,7 +223,7 @@ def test_build_rm_source_enters_once():
     jg = math.gamma(1 + alpha) / math.gamma(1 + 2 * alpha) * t ** (2 * alpha)
     u0 = FracSeries.from_spatial(X)
     assert build_rm(prob, [u0], 1) == {0: source}
-    us = run(prob, cfg(alpha=alpha, hbar=-1.0, order=2))
+    us = run(prob, cfg(alpha=alpha, order=2))
     assert us[1].evaluate(x, t, alpha) == pytest.approx(jg, rel=1e-12)
     assert build_rm(prob, us[:2], 2) == {}
     # with no second copy of the source the hbar = -1 series terminates
@@ -230,7 +231,7 @@ def test_build_rm_source_enters_once():
     assert partial_sum(us, 2).evaluate(x, t, alpha) == pytest.approx(x + jg, rel=1e-12)
     # at other hbar, u_2 = (1 + hbar) u_1 carries no second -hbar J^alpha[g]
     h = -0.7
-    us = run(prob, cfg(alpha=alpha, hbar=h, order=2))
+    us = recombine(run(prob, cfg(alpha=alpha, order=2)), h)
     assert us[1].evaluate(x, t, alpha) == pytest.approx(-h * jg, rel=1e-12)
     assert us[2].evaluate(x, t, alpha) == pytest.approx(-h * (1 + h) * jg, rel=1e-12)
 
@@ -252,7 +253,7 @@ def test_run_order_zero():
 
 def test_partial_sum_truncations():
     prob = preset("4.2")
-    us = run(prob, cfg(alpha=1.0, hbar=-1.0, order=4))
+    us = run(prob, cfg(alpha=1.0, order=4))
     x, t = 1.0, 0.3
     want = math.sinh(x) * sum(t**k / math.factorial(k) for k in range(3))
     assert partial_sum(us, 2).evaluate(x, t, 1.0) == pytest.approx(want, rel=1e-12)
@@ -263,7 +264,7 @@ def test_partial_sum_truncations():
 def test_partial_sum_exponential_truncation():
     # four-term truncation at alpha = 1 of the sinh problem:
     # sinh(1) * (1 + 0.3 + 0.045 + 0.0045)
-    us = run(preset("4.2"), cfg(alpha=1.0, hbar=-1.0, order=3))
+    us = run(preset("4.2"), cfg(alpha=1.0, order=3))
     got = partial_sum(us, 3).evaluate(1.0, 0.3, 1.0)
     assert got == pytest.approx(math.sinh(1.0) * 1.3495, rel=1e-12)
 
@@ -294,7 +295,7 @@ def test_residual_shrinks_with_order():
 def test_convergent_oracle_that_does_not_collapse(alpha, bounds):
     # one term per iterate, whose table moves away from f's; at M = 24 the
     # partial sum meets the mode sum at t = 0.3 and 0.5
-    iterates = run(ORACLE, cfg(alpha=alpha, hbar=-1.0, order=24))
+    iterates = run(ORACLE, cfg(alpha=alpha, order=24))
     assert all(len(u.terms) == 1 for u in iterates)
     assert len({u.terms[0].monos for u in iterates}) > 1
     total = partial_sum(iterates, 24)
@@ -306,7 +307,7 @@ def test_convergent_oracle_that_does_not_collapse(alpha, bounds):
 def test_convergent_oracle_residual_falls_with_order():
     values = []
     for order in (4, 8, 12, 16):
-        c = cfg(alpha=0.75, hbar=-1.0, order=order)
+        c = cfg(alpha=0.75, order=order)
         (r,) = residual(ORACLE, run(ORACLE, c), 0.75, -1.0, [(1.0, 0.0, 0.3)])
         values.append(r)
     assert all(a > b for a, b in zip(values, values[1:])), values
@@ -356,6 +357,20 @@ def test_residual_sums_the_tree_values_of_the_coefficients():
         assert residual(problem, [s], c.alpha, -1.0, points) == want
 
 
+def test_linear_residual_is_the_next_iterate():
+    # for a linear problem D^alpha v_(M+1) = N[v_M], and the sum S_M of
+    # v_0..v_M leaves D^alpha S_M - N[S_M] - g = -N[v_M]: the residual at
+    # -1 is |D^alpha v_(M+1)| exactly, with no closed form needed
+    problem = build_backward(1, [mul(-1, X)], [[add(pow_(X, 2), sinh(X))]], cosh(X))
+    free = run(problem, cfg(alpha=0.5, order=5))
+    points = [(0.7, 0.0, 0.2), (1.3, 0.0, 0.5)]
+    for order in (2, 3, 4):
+        got = residual(problem, free[: order + 1], 0.5, -1.0, points)
+        nxt = free[order + 1].caputo_derivative()
+        want = [abs(nxt.evaluate(x, t, 0.5)) for x, _, t in points]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), order
+
+
 # the symbolic N[s] multiplies every pair of terms of s, so the oracle is
 # run on MIXED at M = 1
 @pytest.mark.parametrize("hbar", [-1.0, -0.7, -1.3])
@@ -365,14 +380,15 @@ def test_residual_sums_the_tree_values_of_the_coefficients():
     ids=["4.4", "4.5", "W1", "W2", "mixed"],
 )
 def test_residual_matches_symbolic(problem, keywords, hbar):
-    # the one run at -1, recombined at hbar, against the symbolic residual
-    # of the partial sum of a run at hbar
-    c = cfg(alpha=0.5, hbar=hbar, **keywords)
-    s = partial_sum(run(problem, c), c.order)
+    # the values of the hbar-free run, recombined at hbar, against the
+    # symbolic residual of the partial sum of the series recombined at hbar
+    c = cfg(alpha=0.5, **keywords)
+    free = run(problem, c)
+    s = partial_sum(recombine(free, hbar), c.order)
     points = [(0.6, 0.4, 0.1), (1.0, 0.8, 0.3), (1.5, 1.2, 0.7)]
     if problem.dim == 1:
         points = [(x, 0.0, t) for x, _, t in points]
-    got = residual(problem, run(problem, cfg(alpha=0.5, **keywords)), 0.5, hbar, points)
+    got = residual(problem, free, 0.5, hbar, points)
     want = symbolic_residual(problem, s, c, points)
     for (x, y, t), g, w in zip(points, got, want):
         # relative to D^alpha s where the residual is a small difference
@@ -408,7 +424,7 @@ def test_residual_differentiates_only_the_last_iterate(monkeypatch, problem):
 
 def test_h_curve_pairs_and_flat_region():
     prob = preset("4.2")
-    c = cfg(alpha=0.75, hbar=-1.0, order=8)
+    c = cfg(alpha=0.75, order=8)
     hs = [-1.05, -1.0, -0.95]
     free = run(prob, c)
     pairs = h_curve(free, 0.75, (1.0, 0.0, 0.3), hs)
@@ -480,14 +496,17 @@ def test_recombination_weight_past_the_float_range_is_a_domain_error():
 
 
 def test_run_report_shape():
-    report = run_report(preset("4.3"), cfg(alpha=0.5, order=3), problem_label="preset:4.3")
+    c = cfg(alpha=0.5, order=3)
+    report = run_report(preset("4.3"), c, -0.7, problem_label="preset:4.3")
     assert report["problem"] == "preset:4.3"
     assert report["config"] == {
         "alpha": 0.5,
-        "hbar": -1.0,
+        "hbar": -0.7,
         "order": 3,
         "taylor_terms": 12,
     }
+    # the report recombines the hbar-free run at its hbar
+    assert report["iterates"] == [u.to_obj() for u in recombine(run(preset("4.3"), c), -0.7)]
     assert len(report["iterates"]) == 4
     assert isinstance(report["partial_sum"], list)
     assert report["taylor_events"] == []
@@ -501,7 +520,7 @@ def test_bind_events_reported():
     # W2 (forward, A = 0, B = u, f = sinh x): from u_3 on, the quadratic
     # convolution leaves several terms at t^(m alpha), bound into one
     prob = build_forward(1, [[]], [[CoefficientSpec(ONE, u_degree=1)]], sinh(X))
-    report = run_report(prob, cfg(alpha=0.5, order=5))
+    report = run_report(prob, cfg(alpha=0.5, order=5), -1.0)
     assert report["bind_events"] == [
         {"order": 3, "terms_bound": 2},
         {"order": 4, "terms_bound": 2},
@@ -517,7 +536,7 @@ def test_unshared_times_keep_gamma_tokens():
     # binds and each coefficient past u_0 keeps its gamma tokens
     for hbar in (-1.0, -0.7):
         events = {}
-        iterates = run(preset("4.5"), cfg(alpha=0.5, hbar=hbar, order=10), events)
+        iterates = recombine(run(preset("4.5"), cfg(alpha=0.5, order=10), events), hbar)
         assert events == {}
         for u in iterates[1:]:
             assert all(t.coef.den for t in u.terms)
@@ -561,7 +580,7 @@ def test_hyperbolic_preset_needs_no_expansion():
 
 def test_hyperbolic_iterates_are_single_sinh_terms():
     for alpha in (0.5, 1.0):
-        for u in run(preset("4.2"), cfg(alpha=alpha, hbar=-1.0, order=5)):
+        for u in run(preset("4.2"), cfg(alpha=alpha, order=5)):
             (term,) = u.terms
             assert term.spatial is sinh(X)
 
@@ -573,7 +592,7 @@ def test_backward_iterate_stays_compact():
     prob = build_backward(
         1, [mul(-1, X)], [[CoefficientSpec(pow_(X, 2), exp_rate=1)]], cosh(X)
     )
-    u3 = run(prob, cfg(alpha=0.5, hbar=-1.0, order=3))[3]
+    u3 = run(prob, cfg(alpha=0.5, order=3))[3]
     assert len({t.time for t in u3.terms}) == len(u3.terms) == 34
     size = sum(1 + len(monomials(t.spatial)) for t in u3.terms)
     assert size <= 550
@@ -596,7 +615,7 @@ def test_run_builds_no_tree(monkeypatch):
     for module in (expr, series, engine, fokker_planck):
         if getattr(module, "canonical", None) is original:
             monkeypatch.setattr(module, "canonical", counted)
-    iterates = run(prob, cfg(alpha=0.5, hbar=-1.0, order=4))
+    iterates = run(prob, cfg(alpha=0.5, order=4))
     assert len(iterates[4].terms) > 1
     assert calls == []
 
@@ -608,14 +627,14 @@ def test_evaluate_is_the_tree_walk_bit_for_bit(name):
     problem, keywords = PROBLEMS[name]
     keywords = {**keywords, **{"W1": {"order": 3}, "W2": {"order": 6}}.get(name, {})}
     alpha = 0.5
-    for u in run(problem, HatmConfig(alpha=alpha, hbar=-0.7, **keywords)):
+    for u in recombine(run(problem, HatmConfig(alpha=alpha, **keywords)), -0.7):
         for x, y, t in ((0.7, 0.6, 0.3), (1.3, 1.1, 0.8), (2.1, 0.4, 1.0)):
             assert u.evaluate(x, t, alpha, y) == tree_value(u, x, t, alpha, y)
 
 
 def test_run_is_deterministic():
     prob = preset("4.4")
-    c = cfg(alpha=0.75, hbar=-0.9, order=6)
-    a = partial_sum(run(prob, c), 6).to_json()
-    b = partial_sum(run(prob, c), 6).to_json()
+    c = cfg(alpha=0.75, order=6)
+    a = partial_sum(recombine(run(prob, c), -0.9), 6).to_json()
+    b = partial_sum(recombine(run(prob, c), -0.9), 6).to_json()
     assert a == b

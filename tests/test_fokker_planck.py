@@ -326,7 +326,7 @@ def test_builder_keeps_coefficient_vanishing_on_sample_panel():
     p = mul(*(add(X, -r) for r in (0.531, 0.877, 1.203, 1.618)))
     prob = build_backward(1, [p], [[0]], cosh(X))
     assert len(linear(prob)) == 1
-    us = run(prob, HatmConfig(alpha=1.0, hbar=-1.0, order=1))
+    us = run(prob, HatmConfig(alpha=1.0, order=1))
     want = math.cosh(2.0) - evaluate(p, 2.0) * math.sinh(2.0)
     assert want == pytest.approx(1.9405912477816947, rel=1e-12)
     assert partial_sum(us, 1).evaluate(2.0, 1.0, 1.0) == pytest.approx(want, rel=1e-12)

@@ -37,7 +37,7 @@ def _env(**extra) -> dict:
 @pytest.mark.parametrize("key", sorted(PINNED))
 def test_partial_sum_matches_benchmark_pin(key):
     name, order = key.split("/")
-    iterates = run(load_problem(INPUTS / name), HatmConfig(alpha=0.5, hbar=-1.0, order=int(order)))
+    iterates = run(load_problem(INPUTS / name), HatmConfig(alpha=0.5, order=int(order)))
     total = partial_sum(iterates, int(order))
     for x, t, want in PINNED[key]:
         assert total.evaluate(x=x, t=t, alpha=0.5) == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -51,7 +51,7 @@ def test_w2_solve_interns_one_tree_per_output_term():
         "from hatmfp import expr\n"
         "from hatmfp.engine import HatmConfig, run\n"
         "from hatmfp.fokker_planck import load_problem\n"
-        "run(load_problem(sys.argv[1]), HatmConfig(alpha=0.5, hbar=-1.0, order=9))\n"
+        "run(load_problem(sys.argv[1]), HatmConfig(alpha=0.5, order=9))\n"
         "print(len(expr._INTERN))\n"
     )
     proc = subprocess.run(
@@ -73,7 +73,7 @@ MIXED_PINS = [
 
 
 def test_mixed_partial_sum_matches_its_pin():
-    total = partial_sum(run(MIXED, HatmConfig(alpha=0.5, hbar=-1.0, order=3)), 3)
+    total = partial_sum(run(MIXED, HatmConfig(alpha=0.5, order=3)), 3)
     for x, t, want in MIXED_PINS:
         assert total.evaluate(x=x, t=t, alpha=0.5) == pytest.approx(want, rel=1e-12, abs=0.0)
 

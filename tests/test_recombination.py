@@ -1,5 +1,5 @@
-"""engine.run (one hbar-free recursion, then binomial recombination)
-against the direct recursion that carries hbar through every step, and
+"""engine.recombine of engine.run (one hbar-free recursion, then binomial
+recombination) against the direct recursion that carries hbar through every step, and
 engine.h_curve (recombination of numbers) against recombined series."""
 
 import pytest
@@ -34,8 +34,8 @@ def assert_partial_sums_close(problem, got, want, alpha, rel):
 )
 def test_run_matches_direct_recursion(name, hbar, alpha):
     problem, keywords = PROBLEMS[name]
-    cfg = HatmConfig(alpha=alpha, hbar=hbar, **keywords)
-    got, want = run(problem, cfg), direct_iterates(problem, cfg)
+    cfg = HatmConfig(alpha=alpha, **keywords)
+    got, want = recombine(run(problem, cfg), hbar), direct_iterates(problem, cfg, hbar)
     assert len(got) == len(want) == cfg.order + 1
     assert_partial_sums_close(problem, got, want, alpha, rel=1e-12)
 
@@ -51,7 +51,7 @@ def test_h_curve_matches_recombined_partial_sum(name, hbar, alpha):
     # numbers; the reference recombines the series and evaluates each
     # partial sum S_0..S_M.
     problem, keywords = PROBLEMS[name]
-    cfg = HatmConfig(alpha=alpha, hbar=-1.0, **keywords)
+    cfg = HatmConfig(alpha=alpha, **keywords)
     free = run(problem, cfg)
     recombined = recombine(free, hbar)
     totals = [partial_sum(recombined, n) for n in range(cfg.order + 1)]
@@ -72,9 +72,10 @@ def test_recombination_error_at_large_one_plus_hbar(hbar):
     # rounds, and its measured worst gap at order 10 is 5.2e-13.
     problem = preset("4.5")
     for alpha in (0.5, 0.75, 1.0):
-        cfg = HatmConfig(alpha=alpha, hbar=hbar, order=10)
+        cfg = HatmConfig(alpha=alpha, order=10)
+        got = recombine(run(problem, cfg), hbar)
         assert_partial_sums_close(
-            problem, run(problem, cfg), direct_iterates(problem, cfg), alpha, rel=1e-12
+            problem, got, direct_iterates(problem, cfg, hbar), alpha, rel=1e-12
         )
 
 
@@ -82,13 +83,13 @@ def test_w2_binds_to_one_term_per_iterate():
     # At the run's alpha every W2 iterate is t^(m alpha) times a
     # polynomial in sinh x; symbolic in alpha, u_10 has 194 terms.
     problem = PROBLEMS["W2"][0]
-    cfg = HatmConfig(alpha=0.5, hbar=-1.0, order=10)
+    cfg = HatmConfig(alpha=0.5, order=10)
     got = run(problem, cfg)
     assert [len(u.terms) for u in got] == [1] * 11
-    assert_partial_sums_close(problem, got, direct_iterates(problem, cfg), 0.5, rel=1e-12)
+    assert_partial_sums_close(problem, got, direct_iterates(problem, cfg, -1.0), 0.5, rel=1e-12)
 
 
 def test_recombine_at_minus_one_keeps_free_iterates():
-    free = run(preset("4.5"), HatmConfig(alpha=0.5, hbar=-1.0, order=4))
+    free = run(preset("4.5"), HatmConfig(alpha=0.5, order=4))
     assert recombine(free, -1.0) == free
 

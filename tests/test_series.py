@@ -590,7 +590,7 @@ def test_collect_invariant():
     # W1 keeps one term per time: deformation_step binds the terms that
     # share one
     problem, _ = PROBLEMS["W1"]
-    for u in run(problem, HatmConfig(0.5, -1.0, 5)):
+    for u in run(problem, HatmConfig(0.5, 5)):
         assert_collected(u)
         assert len({t.time for t in u.terms}) == len(u.terms)
 

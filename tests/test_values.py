@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import hatmfp
-from hatmfp.engine import HatmConfig, OperatorMonomial, ProblemSpec
+from hatmfp.engine import HatmConfig, OperatorMonomial, ProblemSpec, recombine
 from hatmfp.errors import ConfigError, DegreeError, DomainError, ExponentError
 from hatmfp.expr import (
     ONE,
@@ -89,7 +89,7 @@ RECORDS = {
         dim=1, operator=(OperatorMonomial(monomials(X), ((1, 0),)),), initial=X,
         source=((1, FracSeries.from_spatial(X)),),
     ),
-    HatmConfig: lambda: dict(alpha=0.5, hbar=-0.7, order=3, taylor_terms=8),
+    HatmConfig: lambda: dict(alpha=0.5, order=3, taylor_terms=8),
     CoefficientSpec: lambda: dict(spatial=X, exp_rate=1, u_degree=1),
 }
 
@@ -112,7 +112,7 @@ OTHERS = {
     ProblemSpec: lambda: dict(
         dim=2, operator=(), initial=X * X, source=()
     ),
-    HatmConfig: lambda: dict(alpha=0.75, hbar=-0.5, order=4, taylor_terms=9),
+    HatmConfig: lambda: dict(alpha=0.75, order=4, taylor_terms=9),
     CoefficientSpec: lambda: dict(spatial=Y, exp_rate=0, u_degree=0),
 }
 
@@ -203,7 +203,7 @@ def test_repr_names_the_fields(cls):
 
 
 def test_defaults():
-    assert HatmConfig(alpha=0.5, hbar=-1.0, order=3) == HatmConfig(0.5, -1.0, 3, 12)
+    assert HatmConfig(alpha=0.5, order=3) == HatmConfig(0.5, 3, 12)
     assert ProblemSpec(dim=1, operator=(), initial=X).source == ()
     # a zero series is no source at all
     assert ProblemSpec(1, (), X, source=((1, FracSeries.zero()),)).source == ()
@@ -224,15 +224,20 @@ def test_cached_attributes_take_no_part_in_equality():
     assert repr(series) == repr(FracSeries(series.terms))
 
 
+# The hbar-free iterates [v_0] of a run to order 0, for recombine().
+FREE = [FracSeries.from_spatial(X)]
+
+
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: HatmConfig(alpha=0.5, hbar=0, order=1), ConfigError, "hbar must be nonzero, got 0"),
-        (lambda: HatmConfig(0.5, float("nan"), 1), ConfigError, "hbar must be finite, got nan"),
-        (lambda: HatmConfig(0.5, float("-inf"), 1), ConfigError, "hbar must be finite, got -inf"),
-        (lambda: HatmConfig(0.0, -1.0, 1), ConfigError, "alpha must lie in (0, 1], got 0.0"),
-        (lambda: HatmConfig(0.5, -1.0, -1), ConfigError, "order must be >= 0, got -1"),
-        (lambda: HatmConfig(0.5, -1.0, 1, taylor_terms=0), ConfigError,
+        (lambda: recombine(FREE, 0), ConfigError, "hbar must be nonzero, got 0"),
+        (lambda: recombine(FREE, float("nan")), ConfigError, "hbar must be finite, got nan"),
+        (lambda: recombine(FREE, float("-inf")), ConfigError, "hbar must be finite, got -inf"),
+        (lambda: recombine(FREE, float("inf")), ConfigError, "hbar must be finite, got inf"),
+        (lambda: HatmConfig(0.0, 1), ConfigError, "alpha must lie in (0, 1], got 0.0"),
+        (lambda: HatmConfig(0.5, -1), ConfigError, "order must be >= 0, got -1"),
+        (lambda: HatmConfig(0.5, 1, taylor_terms=0), ConfigError,
          "taylor_terms must be >= 1, got 0"),
         (lambda: ProblemSpec(dim=3, operator=(), initial=X), ConfigError,
          "dim must be 1 or 2, got 3"),
@@ -274,13 +279,14 @@ def test_cached_attributes_take_no_part_in_equality():
          "alpha part must be an integer, got True"),
         (lambda: FracSeries.from_spatial(X, q=1.5), ExponentError,
          "alpha part must be an integer, got 1.5"),
-        (lambda: HatmConfig(0.5, -1.0, 2.0), ConfigError, "order must be an integer, got 2.0"),
-        (lambda: HatmConfig(0.5, -1.0, True), ConfigError, "order must be an integer, got True"),
-        (lambda: HatmConfig(True, -1.0, 1), ConfigError, "alpha must be a number, got True"),
-        (lambda: HatmConfig(0.5, False, 1), ConfigError, "hbar must be a number, got False"),
-        (lambda: HatmConfig(0.5, -1.0, 2, taylor_terms=2.5), ConfigError,
+        (lambda: HatmConfig(0.5, 2.0), ConfigError, "order must be an integer, got 2.0"),
+        (lambda: HatmConfig(0.5, True), ConfigError, "order must be an integer, got True"),
+        (lambda: HatmConfig(True, 1), ConfigError, "alpha must be a number, got True"),
+        (lambda: recombine(FREE, False), ConfigError, "hbar must be a number, got False"),
+        (lambda: recombine(FREE, True), ConfigError, "hbar must be a number, got True"),
+        (lambda: HatmConfig(0.5, 2, taylor_terms=2.5), ConfigError,
          "taylor_terms must be an integer, got 2.5"),
-        (lambda: HatmConfig(0.5, -1.0, 2, taylor_terms=True), ConfigError,
+        (lambda: HatmConfig(0.5, 2, taylor_terms=True), ConfigError,
          "taylor_terms must be an integer, got True"),
     ],
 )
