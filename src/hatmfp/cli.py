@@ -80,10 +80,16 @@ def count(text: str) -> int:
     raise argparse.ArgumentTypeError(f"counts must be >= 1, got {value}")
 
 
-def _grid(lo: float, hi: float, count: int) -> list[float]:
+def _grid(lo: float, hi: float, count: int, axis: str) -> list[float]:
+    """count points from lo to hi, evenly spaced; a point past the float
+    range (the span hi - lo overflows, say) is refused, naming the flags."""
     if count == 1:
         return [lo]
-    return [lo + i * (hi - lo) / (count - 1) for i in range(count - 1)] + [hi]
+    points = [lo + i * (hi - lo) / (count - 1) for i in range(count - 1)] + [hi]
+    if not all(map(math.isfinite, points)):
+        raise argparse.ArgumentError(
+            None, f"--{axis}-min {lo!r} to --{axis}-max {hi!r} spans past the float range")
+    return points
 
 
 def _parse_point(text: str, dim: int) -> tuple[float, float, float]:
@@ -102,13 +108,12 @@ def _parse_point(text: str, dim: int) -> tuple[float, float, float]:
     return (parts[0], 0.0, parts[1]) if len(parts) == 2 else tuple(parts)
 
 
-def _points(args: argparse.Namespace, dim: int):
+def _points(args: argparse.Namespace, dim: int) -> list[tuple[float, float, float]]:
     """(x, y, t) points of the grid options, t fastest; y is 0 in 1-d."""
-    ys = _grid(args.y_min, args.y_max, args.y_count) if dim == 2 else [0.0]
-    for x in _grid(args.x_min, args.x_max, args.x_count):
-        for y in ys:
-            for t in _grid(args.t_min, args.t_max, args.t_count):
-                yield x, y, t
+    xs = _grid(args.x_min, args.x_max, args.x_count, "x")
+    ys = _grid(args.y_min, args.y_max, args.y_count, "y") if dim == 2 else [0.0]
+    ts = _grid(args.t_min, args.t_max, args.t_count, "t")
+    return [(x, y, t) for x in xs for y in ys for t in ts]
 
 
 def _axes(dim: int, *columns: str) -> list[str]:
@@ -151,9 +156,10 @@ def solve(args: argparse.Namespace, problem: ProblemSpec, config: HatmConfig) ->
 
 def eval_cmd(args: argparse.Namespace, problem: ProblemSpec, config: HatmConfig) -> None:
     """Evaluate the partial sum on a grid."""
+    points = _points(args, problem.dim)
     free = run(problem, config)
     rows = []
-    for x, y, t in _points(args, problem.dim):
+    for x, y, t in points:
         try:
             ((_, sums),) = h_curve(free, config.alpha, (x, y, t), [args.hbar])
             cells = [repr(sums[-1]), "ok"]
@@ -174,7 +180,7 @@ def residual_cmd(args: argparse.Namespace, problem: ProblemSpec, config: HatmCon
 def hcurve_cmd(args: argparse.Namespace, problem: ProblemSpec, config: HatmConfig) -> None:
     """Sweep the convergence-control parameter at a probe point."""
     point = _parse_point(args.probe, problem.dim)
-    h_values = _grid(args.h_min, args.h_max, args.h_count)
+    h_values = _grid(args.h_min, args.h_max, args.h_count, "h")
     # A point within rounding of 0 (-0.3 + 3 * 0.7/7, say) stands for 0.
     if any(abs(h) <= 1e-12 * max(abs(args.h_min), abs(args.h_max)) for h in h_values):
         raise argparse.ArgumentError(None, "hbar sweep must not include 0")
@@ -189,11 +195,12 @@ def compare_cmd(args: argparse.Namespace, problem: ProblemSpec, config: HatmConf
     """Compare the partial sum against the registered reference solution."""
     if args.preset is None:
         raise HatmError("compare needs a preset; no reference solution is registered for files")
+    points = _points(args, problem.dim)
     # One run at the largest order holds every smaller order's partial sum.
     free = run(problem, config)
     single = len(args.order) == 1
     rows, worst = [], [0.0] * len(args.order)
-    for x, y, t in _points(args, problem.dim):
+    for x, y, t in points:
         ((_, sums),) = h_curve(free, config.alpha, (x, y, t), [args.hbar])
         exact = reference_solution(args.preset, x, t, config.alpha, y)
         errs = [abs(sums[n] - exact) for n in args.order]

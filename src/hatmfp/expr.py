@@ -33,18 +33,22 @@ sums, and no merge decision rests on sampled values.
 Nodes are hash-consed: the module-level constructors and
 ``parse_prefix`` return one shared object per distinct tree, so two
 nodes are equal exactly when they are identical, and they hash by
-identity. A node records its depth when it is interned; node count,
-variable set and monomial table are cached on it, and so are an atom's
-derivative tables. Every traversal here costs one visit per distinct
-subtree rather than one per path. The intern table (``_shared``) is the
-one maker of nodes: calling a node class raises TypeError.
+identity. The intern key is the node's prefix form, built from its
+children's and fixed on the node as ``prefix``, with its depth, when it
+is interned: one string, which ``parse_prefix`` inverts, is the node's
+identity, its place in the order of atoms and its printed form. Node
+count, variable set and monomial table are cached on a node, and so are
+an atom's derivative tables. Every traversal here costs one visit per
+distinct subtree rather than one per path. The intern table
+(``_shared``) is the one maker of nodes: calling a node class raises
+TypeError.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterable, Union
 
 from .errors import DomainError, SingularityError, Value, store
@@ -95,7 +99,7 @@ class SpatialExpr(Value):
 
     def __lt__(self, other: "SpatialExpr") -> bool:
         # A total order by prefix form, so monomial tables sort canonically.
-        return to_prefix(self) < to_prefix(other)
+        return self.prefix < other.prefix
 
 
 class Const(SpatialExpr):
@@ -129,19 +133,21 @@ def _children(expr: SpatialExpr) -> tuple:
     return (expr.base,) if isinstance(expr, Pow) else (expr.arg,) if isinstance(expr, Func) else ()
 
 
-_INTERN: dict[tuple, SpatialExpr] = {}
+_INTERN: dict[str, SpatialExpr] = {}
 
 
-def _shared(key: tuple, ctor: type, *args) -> SpatialExpr:
-    node = _INTERN.get(key)
+def _shared(prefix: str, ctor: type, *args) -> SpatialExpr:
+    """The one node with this prefix form, made on first sight."""
+    node = _INTERN.get(prefix)
     if node is None:
         node = object.__new__(ctor)
         for name, value in zip(ctor._fields, args):
             store(node, name, value)
-        # Parentheses nested in the node's prefix form: 0 for a leaf, else
-        # one more than its deepest child.
-        object.__setattr__(node, "depth", max((c.depth + 1 for c in _children(node)), default=0))
-        _INTERN[key] = node
+        store(node, "prefix", prefix)
+        # Parentheses nested in the prefix form: 0 for a leaf, else one
+        # more than its deepest child.
+        store(node, "depth", max((c.depth + 1 for c in _children(node)), default=0))
+        _INTERN[prefix] = node
     return node
 
 
@@ -153,6 +159,12 @@ def _coerce(value: SpatialExpr | Number) -> SpatialExpr:
     raise TypeError(f"cannot interpret {value!r} as a spatial expression")
 
 
+def _format_number(value: float) -> str:
+    if value == int(value) and abs(value) < 1e15:
+        return str(int(value))
+    return repr(value)
+
+
 def const(value: Number) -> Const:
     try:
         v = float(value)
@@ -160,11 +172,11 @@ def const(value: Number) -> Const:
         v = math.inf
     if not math.isfinite(v):  # a fold such as 1e200 * 1e200 overflows to inf
         raise DomainError(f"constant {v} is not a finite float")
-    return _shared(("c", v), Const, v)  # type: ignore[return-value]
+    return _shared(_format_number(v), Const, v)  # type: ignore[return-value]
 
 
-X: Var = _shared(("v", "x"), Var, "x")  # type: ignore[assignment]
-Y: Var = _shared(("v", "y"), Var, "y")  # type: ignore[assignment]
+X: Var = _shared("x", Var, "x")  # type: ignore[assignment]
+Y: Var = _shared("y", Var, "y")  # type: ignore[assignment]
 
 ZERO = const(0.0)
 ONE = const(1.0)
@@ -194,7 +206,7 @@ def add(*terms: SpatialExpr | Number) -> SpatialExpr:
     if len(flat) == 1:
         return flat[0]
     children = tuple(flat)
-    return _shared(("a", children), Add, children)
+    return _shared("(add " + " ".join(c.prefix for c in children) + ")", Add, children)
 
 
 def mul(*factors: SpatialExpr | Number) -> SpatialExpr:
@@ -217,7 +229,7 @@ def mul(*factors: SpatialExpr | Number) -> SpatialExpr:
     if len(flat) == 1:
         return flat[0]
     children = tuple(flat)
-    return _shared(("m", children), Mul, children)
+    return _shared("(mul " + " ".join(c.prefix for c in children) + ")", Mul, children)
 
 
 def pow_(base: SpatialExpr | Number, exponent: Number) -> SpatialExpr:
@@ -235,7 +247,7 @@ def pow_(base: SpatialExpr | Number, exponent: Number) -> SpatialExpr:
             return const(_pow_value(base.value, exponent))
         except OverflowError:
             raise DomainError(f"{base.value!r} ** {exponent} does not fit in a float") from None
-    return _shared(("p", base, exponent), Pow, base, exponent)
+    return _shared(f"(pow {base.prefix} {exponent})", Pow, base, exponent)
 
 
 def _pow_value(value: float, exponent: Fraction, *point: float) -> float:
@@ -257,7 +269,7 @@ def _func(kind: str, arg: SpatialExpr | Number) -> SpatialExpr:
             return const(_FUNC_EVAL[kind](arg.value))
         except OverflowError:
             raise DomainError(f"{kind}({arg.value!r}) does not fit in a float") from None
-    return _shared(("f", kind, arg), Func, kind, arg)
+    return _shared(f"({kind} {arg.prefix})", Func, kind, arg)
 
 
 def sinh(arg: SpatialExpr | Number) -> SpatialExpr:
@@ -382,12 +394,23 @@ _MonoSig = tuple  # tuple[tuple[SpatialExpr, Fraction], ...]
 
 
 def _sig_mul(sa: _MonoSig, sb: _MonoSig) -> _MonoSig:
+    """The product of two signatures, merged in one walk over both."""
     if not sa or not sb:
         return sa or sb
-    exps: dict[SpatialExpr, Fraction] = dict(sa)
-    for atom, e in sb:
-        exps[atom] = exps.get(atom, 0) + e
-    return tuple(sorted((a, e) for a, e in exps.items() if e != 0))
+    out, i, j = [], 0, 0
+    while i < len(sa) and j < len(sb):
+        (a, ea), (b, eb) = sa[i], sb[j]
+        if a is b:
+            if ea + eb != 0:
+                out.append((a, ea + eb))
+            i, j = i + 1, j + 1
+        elif a < b:
+            out.append(sa[i])
+            i += 1
+        else:
+            out.append(sb[j])
+            j += 1
+    return (*out, *sa[i:], *sb[j:])
 
 
 def _sig_pow(sig: _MonoSig, exponent: Fraction) -> _MonoSig:
@@ -610,28 +633,10 @@ def table_value(monos: tuple, x: float, y: float, atoms: dict) -> float:
     return parts[0] if len(parts) == 1 else sum(parts, 0.0)
 
 
-def _format_number(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
-@lru_cache(maxsize=None)
 def to_prefix(expr: SpatialExpr) -> str:
-    """Serialize to prefix notation, e.g. ``(mul (sinh x) (pow x 2))``."""
-    if isinstance(expr, Const):
-        return _format_number(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Add):
-        return "(add " + " ".join(to_prefix(c) for c in expr.children) + ")"
-    if isinstance(expr, Mul):
-        return "(mul " + " ".join(to_prefix(c) for c in expr.children) + ")"
-    if isinstance(expr, Pow):
-        return f"(pow {to_prefix(expr.base)} {expr.exponent})"
-    if isinstance(expr, Func):
-        return f"({expr.kind} {to_prefix(expr.arg)})"
-    raise DomainError(f"cannot serialize {expr!r}")  # pragma: no cover
+    """The prefix notation of a tree, e.g. ``(mul (sinh x) (pow x 2))``:
+    its intern key, fixed when the node was interned."""
+    return expr.prefix
 
 
 # Parentheses nest at most this deep in a prefix expression: the tree walks

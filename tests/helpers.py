@@ -1,9 +1,9 @@
 """Shared fixtures for the suite: closed-form iterate coefficients,
 random-series builders, the direct hbar recursion, the symbolic residual,
-the tree derivative and the tree expansion of an operator, the problems
-the engine is checked on, the subordination oracle, small comparison
-utilities (among them values on a fixed panel of sample points) and an
-in-process runner of the command line."""
+the tree derivative, the sorted signature product and the tree expansion
+of an operator, the problems the engine is checked on, the subordination
+oracle, small comparison utilities (among them values on a fixed panel of
+sample points) and an in-process runner of the command line."""
 
 from __future__ import annotations
 
@@ -215,6 +215,17 @@ def tree_derivative(expr: SpatialExpr, name: str) -> SpatialExpr:
     assert isinstance(expr, Func), expr
     outer = cosh(expr.arg) if expr.kind == "sinh" else sinh(expr.arg)
     return mul(outer, tree_derivative(expr.arg, name))
+
+
+def sig_product_by_sort(sa: tuple, sb: tuple) -> tuple:
+    """Product of two monomial signatures through a dict of exponents and a
+    full sort: the reference for the one-pass merge of expr._sig_mul."""
+    if not sa or not sb:
+        return sa or sb
+    exps = dict(sa)
+    for atom, e in sb:
+        exps[atom] = exps.get(atom, 0) + e
+    return tuple(sorted((a, e) for a, e in exps.items() if e != 0))
 
 
 def tree_operator(form: str, drift, diffusion) -> list[tuple]:

@@ -511,6 +511,33 @@ def test_grid_counts_are_refused_before_the_run(monkeypatch, command, flag):
 
 
 @pytest.mark.parametrize(
+    "command, axis, span",
+    [(("eval",), "x", (-1e308, 1e308, 3)), (("compare",), "x", (-1e308, 1e308, 3)),
+     (("eval",), "t", (0, 1.7e308, 4)), (("hcurve", "--probe", "1,0.3"), "h", (-1e308, 1e308, 3))],
+    ids=["eval-x", "compare-x", "eval-t", "hcurve-h"],
+)
+def test_grid_spans_past_the_float_range_are_refused_before_the_run(monkeypatch, command, axis,
+                                                                     span):
+    # eval-t: the span is finite, but 2 * span / 3 overflows
+    def refused(*_):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(cli, "run", refused)
+    monkeypatch.setattr(cli, "h_curve", refused)
+    lo, hi, n = span
+    result = invoke(*command, "--preset", "4.1", "--order", 1, f"--{axis}-min", lo,
+                    f"--{axis}-max", hi, f"--{axis}-count", n)
+    assert result.exit_code == 2, result.exception
+    assert isinstance(result.exception, SystemExit)
+    assert f"--{axis}-min {float(lo)!r} to --{axis}-max {hi!r} spans past the float range" \
+        in result.stderr
+    # a one-point grid reads only the minimum, and goes on to the run
+    one = invoke(*command, "--preset", "4.1", "--order", 1, f"--{axis}-min", lo,
+                 f"--{axis}-max", hi, f"--{axis}-count", 1)
+    assert str(one.exception) == "the solver ran"
+
+
+@pytest.mark.parametrize(
     "args",
     [("--order", 1, -1), ("--order", 1, "--alpha", 0), ("--order", 1, "--hbar", "inf"),
      ("--order", 1, "--x-count", 0)],

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -46,7 +47,7 @@ from hatmfp.expr import (
 )
 from hatmfp.fokker_planck import CoefficientSpec, build_forward
 from hatmfp.series import Coefficient, FracSeries
-from helpers import PANEL, panel_values, same_on_panel, tree_derivative
+from helpers import PANEL, panel_values, same_on_panel, sig_product_by_sort, tree_derivative
 
 
 # ---------------------------------------------------------------- construction
@@ -78,6 +79,10 @@ def test_interning_shares_nodes():
     b = mul(sinh(X), pow_(X, 2))
     assert a is b
     assert parse_prefix(to_prefix(a)) is a
+    assert const(-0.0) is const(0.0) is ZERO
+    assert const(2) is const(2.0)
+    # the prefix form is the intern key, stored on the node
+    assert all(node.prefix == key == to_prefix(node) for key, node in expr_module._INTERN.items())
 
 
 def test_operator_overloads():
@@ -432,6 +437,28 @@ def assert_canonical(table):
     assert all(c != 0.0 for _, c in table)
 
 
+# A few atoms, and exponents that are ints or Fractions of either sign.
+SIG_ATOMS = (X, Y, sinh(X), cosh(X), pow_(add(X, 1), Fraction(1, 2)))
+SIG_EXPONENTS = (0, 1, 2, -1, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(4))
+
+
+@st.composite
+def signature_pairs(draw):
+    """Two sorted signatures over SIG_ATOMS; the second may cancel atoms of
+    the first (an exponent 0 leaves the atom out)."""
+    first = [draw(st.sampled_from(SIG_EXPONENTS)) for _ in SIG_ATOMS]
+    second = [draw(st.sampled_from((-e, *SIG_EXPONENTS))) for e in first]
+    return tuple(tuple(sorted((a, e) for a, e in zip(SIG_ATOMS, exps) if e != 0))
+                 for exps in (first, second))
+
+
+@given(signature_pairs())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_signature_product_merges_as_the_sort_does(pair):
+    got, want = expr_module._sig_mul(*pair), sig_product_by_sort(*pair)
+    assert repr(got) == repr(want)  # the same atoms, exponents and exponent types
+
+
 @given(small_trees(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_every_kernel_table_is_canonical(e, data):
@@ -655,8 +682,22 @@ def test_api_trees_past_the_nesting_limit_are_refused_where_they_enter():
 @given(small_trees())
 @settings(max_examples=60, deadline=None)
 def test_prefix_round_trip_property(expr):
-    again = parse_prefix(to_prefix(expr))
-    assert panel_values(again) == panel_values(expr)
+    assert parse_prefix(to_prefix(expr)) is expr
+
+
+@given(small_trees(), small_trees())
+@settings(max_examples=60, deadline=None)
+def test_nodes_order_as_their_prefix_forms(a, b):
+    assert (a < b) == (to_prefix(a) < to_prefix(b))
+    assert not (a < a)
+
+
+def test_a_nest_deeper_than_the_recursion_limit_prints():
+    depth = sys.getrecursionlimit() + 1
+    nest = X
+    for _ in range(depth):
+        nest = sinh(nest)
+    assert to_prefix(nest) == "(sinh " * depth + "x" + ")" * depth
 
 
 # ----------------------------------------------------------------------- misc
